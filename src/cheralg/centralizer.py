@@ -18,13 +18,13 @@ Single-index elements coincide with the context's reflection-sum elements.
 from __future__ import annotations
 
 import itertools
+import math
 from fractions import Fraction
 
-from .core import Context, Element, antisymmetrize, anticommutator, \
-    supercommutator
+from .core import Context, Element, _perm_sign, antisymmetrize
 from .geometry import Covector, beta, bilinear_B
-from .osp import build_osp, p_pm
-from .scalars import SC_ZERO, Scalar, as_scalar
+from .osp import p_pm
+from .scalars import SC_ZERO
 
 
 def M(ctx: Context, u: Covector, v: Covector) -> Element:
@@ -103,9 +103,7 @@ def antisymmetrize_shaped(ctx: Context, covs, shape) -> Element:
     if sum(a for _, a in shape) != n:
         raise ValueError("shape arities must consume all indices")
     acc = ctx.zero()
-    nfact = 0
     for perm in itertools.permutations(range(n)):
-        nfact += 1
         pos = 0
         prod = None
         for builder, arity in shape:
@@ -114,19 +112,12 @@ def antisymmetrize_shaped(ctx: Context, covs, shape) -> Element:
             pos += arity
         sign = _perm_sign(perm)
         acc = acc + prod if sign > 0 else acc - prod
-    return acc * Fraction(1, nfact)
-
-
-def _perm_sign(perm) -> int:
-    sign = 1
-    for i in range(len(perm)):
-        for j in range(i + 1, len(perm)):
-            if perm[i] > perm[j]:
-                sign = -sign
-    return sign
+    return acc * Fraction(1, math.factorial(n))
 
 
 def _gamma_run(ctx: Context):
+    """The plain Clifford product of its covector arguments, as a builder
+    for ``antisymmetrize_shaped``."""
     def run(*us):
         prod = ctx.one()
         for u in us:

@@ -4,7 +4,9 @@ Subcommands:
 
     eval EXPR           print the normal form of an expression
     commute A B         print the normal form of the graded commutator
-    verify              run identity suites to exact zero
+    verify              run identity suites to exact zero; --suite picks a
+                        suite or case id, --seed and --max-degree shape the
+                        seeded random elements
     list-suites         show suite names and case counts
     info                show group, reflection, and parameter data
 
@@ -78,9 +80,11 @@ def _add_common(p, with_run_opts=False):
                         "(p/q or a+bi)")
     p.add_argument("--format", choices=("text", "json"), default="text")
     if with_run_opts:
-        p.add_argument("--seed", type=int, default=2024)
-        p.add_argument("--max-degree", type=int, default=2)
-        p.add_argument("--jobs", type=int, default=1)
+        p.add_argument("--seed", type=int, default=2024,
+                       help="seed of the random elements in the health and "
+                            "oracle suites")
+        p.add_argument("--max-degree", type=int, default=2,
+                       help="largest xy-degree of those random elements")
 
 
 def _kappa_values(args, ctx: Context):
@@ -136,8 +140,7 @@ def cmd_commute(args) -> int:
 
 def cmd_verify(args) -> int:
     group = _load_group(args.group)
-    options = RunOptions(seed=args.seed, max_degree=args.max_degree,
-                         jobs=args.jobs)
+    options = RunOptions(seed=args.seed, max_degree=args.max_degree)
     env = SuiteEnv(group, options)
     kappa = _kappa_values(args, env.ctx)
     if args.suite == "oracle":

@@ -32,6 +32,7 @@ state is the per-context cache of rewrite fragments, which is append-only.
 from __future__ import annotations
 
 import itertools
+import math
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -41,6 +42,9 @@ from .scalars import (BN_HALF_SQRT2, BN_I, BN_ONE, BaseNumber, SC_ONE,
                       SC_ZERO, Scalar, as_scalar, render_coefficient)
 
 _F1 = Fraction(1)
+
+# 1/sqrt(B(root, root)) for the squared root lengths the scalar ring holds.
+ROOT_SCALE = {1: BN_ONE, 2: BN_HALF_SQRT2}
 
 
 class Monomial(NamedTuple):
@@ -184,11 +188,8 @@ class Context:
         for r in word:
             if isinstance(r, int):
                 r = self.group.reflections[r]
-            if r.root_norm == 1:
-                scale = BN_ONE
-            elif r.root_norm == 2:
-                scale = BN_HALF_SQRT2
-            else:
+            scale = ROOT_SCALE.get(r.root_norm)
+            if scale is None:
                 raise ValueError(
                     f"squared root length {r.root_norm} is outside {{1, 2}}")
             terms = {
@@ -268,28 +269,19 @@ class Context:
     def _act_x(self, g: int, xs: tuple):
         """Expansion of g . x^xs as covector-exponent terms with rational
         coefficients."""
-        if g == 0:
-            return ((xs, _F1),)
-        key = (g, xs)
-        hit = self._act_x_memo.get(key)
-        if hit is not None:
-            return hit
-        res = self._expand_action(self.group.mats[g], xs)
-        self._act_x_memo[key] = res
-        return res
+        return self._act(self._act_x_memo, self.group.mats, g, xs)
 
     def _act_y(self, g: int, ys: tuple):
+        return self._act(self._act_y_memo, self.group.ymats, g, ys)
+
+    def _act(self, memo: dict, mats, g: int, exps: tuple):
         if g == 0:
-            return ((ys, _F1),)
-        key = (g, ys)
-        hit = self._act_y_memo.get(key)
+            return ((exps, _F1),)
+        key = (g, exps)
+        hit = memo.get(key)
         if hit is not None:
             return hit
-        res = self._expand_action(self.group.ymats[g], ys)
-        self._act_y_memo[key] = res
-        return res
-
-    def _expand_action(self, mat, exps: tuple):
+        mat = mats[g]
         poly = {self._zero_t: _F1}
         for p, k in enumerate(exps):
             row = mat[p]
@@ -304,7 +296,8 @@ class Context:
                         prev = nxt.get(m)
                         nxt[m] = v if prev is None else prev + v
                 poly = {m: c for m, c in nxt.items() if c != 0}
-        return tuple(poly.items())
+        res = memo[key] = tuple(poly.items())
+        return res
 
     def _ycomm_single(self, b: tuple, r: int):
         """y^b * x_r in normal order: terms (xd, yd, g, Scalar)."""
@@ -610,27 +603,20 @@ def _term_str(ctx: Context, coef: Scalar, m: Monomial) -> str:
 
 def supercommutator(a: Element, b: Element) -> Element:
     """ab - (-1)^(|a||b|) ba, extended bilinearly over parity components."""
-    ctx = a.ctx
-    pos = ctx._mul_terms(a.terms, b.terms)
-    neg = ctx._mul_terms(b.terms, a.terms, graded_sign=True)
-    out = dict(pos)
-    for m, c in neg.items():
-        prev = out.get(m)
-        s = -c if prev is None else prev - c
-        if s.is_zero():
-            out.pop(m, None)
-        else:
-            out[m] = s
-    return Element(ctx, out, normalized=True)
+    return _graded_bracket(a, b, -1)
 
 
 def anticommutator(a: Element, b: Element) -> Element:
     """ab + (-1)^(|a||b|) ba, extended bilinearly over parity components."""
+    return _graded_bracket(a, b, 1)
+
+
+def _graded_bracket(a: Element, b: Element, sign: int) -> Element:
     ctx = a.ctx
-    pos = ctx._mul_terms(a.terms, b.terms)
-    neg = ctx._mul_terms(b.terms, a.terms, graded_sign=True)
-    out = dict(pos)
-    for m, c in neg.items():
+    out = ctx._mul_terms(a.terms, b.terms)
+    for m, c in ctx._mul_terms(b.terms, a.terms, graded_sign=True).items():
+        if sign < 0:
+            c = -c
         prev = out.get(m)
         s = c if prev is None else prev + c
         if s.is_zero():
@@ -674,7 +660,7 @@ def antisymmetrize(ctx: Context, covectors) -> Element:
         for idx in perm[1:]:
             prod = prod * gammas[idx]
         acc = acc + prod if sign > 0 else acc - prod
-    return acc * Fraction(1, _factorial(n))
+    return acc * Fraction(1, math.factorial(n))
 
 
 def _perm_sign(perm) -> int:
@@ -692,13 +678,6 @@ def _perm_sign(perm) -> int:
         if ln % 2 == 0:
             sign = -sign
     return sign
-
-
-def _factorial(n: int) -> int:
-    out = 1
-    for k in range(2, n + 1):
-        out *= k
-    return out
 
 
 # -- seeded random elements (for property tests and the oracle harness) ------------

@@ -15,28 +15,30 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .scalars import (BN_I, BN_ONE, BN_ZERO, BaseNumber, SC_ONE, SC_ZERO,
-                      Scalar, as_base, as_scalar)
+from .scalars import (BN_ONE, BN_ZERO, BaseNumber, SC_ZERO, Scalar, as_base,
+                      as_scalar)
 
 COVECTOR = "V*"
 VECTOR = "V"
 
 
-def _invert_matrix(rows):
-    """Exact inverse of a square BaseNumber matrix (Gauss-Jordan)."""
+def invert_matrix(rows):
+    """Exact inverse of a square matrix (Gauss-Jordan).  The entries may be
+    Fractions or BaseNumbers; the inverse stays in the entries' ring."""
     n = len(rows)
-    aug = [[rows[i][j] for j in range(n)] +
-           [BN_ONE if i == j else BN_ZERO for j in range(n)]
+    zero = rows[0][0] * 0
+    one = zero + 1
+    aug = [list(rows[i]) + [one if i == j else zero for j in range(n)]
            for i in range(n)]
     for col in range(n):
-        piv = next((r for r in range(col, n) if not aug[r][col].is_zero()), None)
+        piv = next((r for r in range(col, n) if aug[r][col] != 0), None)
         if piv is None:
             raise ValueError("matrix is singular")
         aug[col], aug[piv] = aug[piv], aug[col]
-        inv = aug[col][col].inverse()
+        inv = 1 / aug[col][col]
         aug[col] = [v * inv for v in aug[col]]
         for r in range(n):
-            if r != col and not aug[r][col].is_zero():
+            if r != col and aug[r][col] != 0:
                 f = aug[r][col]
                 aug[r] = [vr - f * vc for vr, vc in zip(aug[r], aug[col])]
     return tuple(tuple(row[n:]) for row in aug)
@@ -66,7 +68,7 @@ class QuadraticSpace:
                     if rows[i][j] != rows[j][i]:
                         raise ValueError("Gram matrix must be symmetric")
             self.gram = rows
-            self.inv_gram = _invert_matrix(rows)
+            self.inv_gram = invert_matrix(rows)
             self.is_identity = all(
                 rows[i][j] == (BN_ONE if i == j else BN_ZERO)
                 for i in range(dim) for j in range(dim))

@@ -21,8 +21,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
-from .geometry import QuadraticSpace
-from .scalars import BN_ONE, BN_ZERO, as_base
+from .geometry import Covector, QuadraticSpace, Vector, invert_matrix
+from .scalars import BN_ZERO, as_base
 
 DEFAULT_ORDER_CAP = 10_000
 
@@ -43,22 +43,6 @@ def _mat_mul(a: Matrix, b: Matrix) -> Matrix:
     return tuple(
         tuple(sum(a[i][k] * b[k][j] for k in range(n)) for j in range(n))
         for i in range(n))
-
-
-def _mat_inv(m: Matrix) -> Matrix:
-    n = len(m)
-    aug = [list(m[i]) + [Fraction(int(i == j)) for j in range(n)]
-           for i in range(n)]
-    for col in range(n):
-        piv = next(r for r in range(col, n) if aug[r][col] != 0)
-        aug[col], aug[piv] = aug[piv], aug[col]
-        inv = 1 / aug[col][col]
-        aug[col] = [v * inv for v in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col] != 0:
-                f = aug[r][col]
-                aug[r] = [vr - f * vc for vr, vc in zip(aug[r], aug[col])]
-    return tuple(tuple(row[n:]) for row in aug)
 
 
 def _transpose(m: Matrix) -> Matrix:
@@ -142,7 +126,7 @@ class ReflectionGroup:
         if self.mats[0] != ident:
             raise ValueError("element 0 must be the identity")
         self._check_preserves_form()
-        self.ymats = tuple(_mat_inv(_transpose(m)) for m in self.mats)
+        self.ymats = tuple(invert_matrix(_transpose(m)) for m in self.mats)
         self._mul_memo: dict = {}
         self._inv_memo: dict = {}
         if len(self.mats) <= 600:
@@ -173,7 +157,7 @@ class ReflectionGroup:
     def inv(self, i: int) -> int:
         k = self._inv_memo.get(i)
         if k is None:
-            k = self.index[_mat_inv(self.mats[i])]
+            k = self.index[invert_matrix(self.mats[i])]
             self._inv_memo[i] = k
         return k
 
@@ -244,30 +228,20 @@ class ReflectionGroup:
 
     # -- actions ----------------------------------------------------------------
 
-    def act_cov_coords(self, g: int, coords):
-        """Coordinates of g.u for a covector u (coords over any ring with *)."""
-        m = self.mats[g]
-        d = self.dim
-        return tuple(
-            sum((coords[p] * m[p][q] for p in range(d) if m[p][q] != 0),
-                start=coords[0] * 0)
-            for q in range(d))
-
-    def act_vec_coords(self, g: int, coords):
-        m = self.ymats[g]
-        d = self.dim
-        return tuple(
-            sum((coords[p] * m[p][q] for p in range(d) if m[p][q] != 0),
-                start=coords[0] * 0)
-            for q in range(d))
-
     def act(self, g: int, u):
-        from .geometry import Covector, Vector
+        """g.u for a covector (through ``mats``) or a vector (through the
+        contragredient ``ymats``)."""
         if isinstance(u, Covector):
-            return u.space.covector(self.act_cov_coords(g, u.coords))
-        if isinstance(u, Vector):
-            return u.space.vector(self.act_vec_coords(g, u.coords))
-        raise TypeError("act expects a Covector or Vector")
+            m, make = self.mats[g], u.space.covector
+        elif isinstance(u, Vector):
+            m, make = self.ymats[g], u.space.vector
+        else:
+            raise TypeError("act expects a Covector or Vector")
+        d, coords = self.dim, u.coords
+        return make(
+            sum((coords[p] * m[p][q] for p in range(d) if m[p][q] != 0),
+                start=coords[0] * 0)
+            for q in range(d))
 
     def __repr__(self):
         return (f"ReflectionGroup({self.label}, order={self.order}, "

@@ -20,7 +20,6 @@ The spinor bitmask ranges over subsets of the isotropic plus-directions.
 from __future__ import annotations
 
 import random
-from fractions import Fraction
 
 from .core import Context, Element, Monomial
 from .geometry import Vector

@@ -26,7 +26,7 @@ from fractions import Fraction
 
 from .core import Context, Element, supercommutator
 from .geometry import Covector, beta
-from .scalars import BN_HALF_SQRT2, Scalar, as_base, as_scalar
+from .scalars import BN_HALF_SQRT2, as_scalar
 
 XPLUS = "x+"
 XMINUS = "x-"
@@ -134,11 +134,19 @@ def build_osp(ctx: Context) -> OspGenerators:
         ctx=ctx, X=X, D=D, H=H, Ep=Ep, Em=Em,
         Fp=X * BN_HALF_SQRT2, Fm=D * BN_HALF_SQRT2,
         OmegaKappa=ctx.omega_kappa())
-    for name, resid in osp_relation_residuals(gens).items():
+    relations = osp_relation_residuals(gens)
+    for name, resid in relations.items():
         if not resid.is_zero():
             raise RelationError(f"defining relation {name} failed: {resid}")
     ctx._misc_cache["osp"] = gens
+    ctx._misc_cache["osp.relations"] = relations
     return gens
+
+
+def osp_relations(ctx: Context) -> dict:
+    """The relation residuals that ``build_osp`` computed and checked."""
+    build_osp(ctx)
+    return ctx._misc_cache["osp.relations"]
 
 
 def osp_relation_residuals(gens: OspGenerators) -> dict:

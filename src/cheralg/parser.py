@@ -1,11 +1,11 @@
 """Expression language for elements of the engine's algebra.
 
-Grammar (standard precedence, carets bind tightest):
+Grammar (standard precedence, carets bind tightest, so -y^2 is -(y^2)):
 
     expr    :=  term (('+' | '-') term)*
-    term    :=  power (('*' | '/') power)*
-    power   :=  unary ('^' unary)*
-    unary   :=  '-' unary | atom
+    term    :=  unary (('*' | '/') unary)*
+    unary   :=  '-' unary | power
+    power   :=  atom ('^' unary)?
     atom    :=  NUMBER | NAME | NAME '(' expr (',' expr)* ')'
              |  '(' expr ')' | '[' expr ',' expr ']' | '{' expr ',' expr '}'
 
@@ -31,11 +31,10 @@ EvalError; gamma(zp1) names the Clifford image explicitly.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .centralizer import M as _M, central_omega, o_proj, o_top
 from .core import Context, anticommutator, antisymmetrize, supercommutator
-from .geometry import Covector, witt_basis
+from .geometry import witt_basis
 from .osp import (build_osp, casimir, gen_symmetry, p_alpha, p_minus, p_plus,
                   q_minus, q_plus, scasimir)
 from .scalars import BN_I, BN_SQRT2, Scalar, as_scalar
@@ -168,29 +167,29 @@ class _Parser:
                 return node
 
     def term(self):
-        node = self.power()
+        node = self.unary()
         while True:
             kind, val, _, _ = self.peek()
             if kind == "OP" and val in "*/":
                 self.next()
-                node = Bin(val, node, self.power())
+                node = Bin(val, node, self.unary())
             else:
                 return node
-
-    def power(self):
-        node = self.unary()
-        kind, val, _, _ = self.peek()
-        if kind == "OP" and val == "^":
-            self.next()
-            return Bin("^", node, self.power())
-        return node
 
     def unary(self):
         kind, val, _, _ = self.peek()
         if kind == "OP" and val == "-":
             self.next()
             return Neg(self.unary())
-        return self.atom()
+        return self.power()
+
+    def power(self):
+        node = self.atom()
+        kind, val, _, _ = self.peek()
+        if kind == "OP" and val == "^":
+            self.next()
+            return Bin("^", node, self.unary())
+        return node
 
     def atom(self):
         kind, val, line, col = self.next()
@@ -358,7 +357,6 @@ class Evaluator:
             if node.op == "^":
                 base = self.eval_element(node.left)
                 exp = node.right
-                neg = False
                 if isinstance(exp, Neg):
                     raise EvalError("negative powers are not defined")
                 if not isinstance(exp, Num):

@@ -21,7 +21,7 @@ makes is_zero a trivial check after every operation.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Mapping, Union
+from typing import Mapping, Union
 
 _F0 = Fraction(0)
 _F1 = Fraction(1)

@@ -19,24 +19,22 @@ import itertools
 import json
 import random
 import time
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional
 
-from .centralizer import (M, antisymmetrize_shaped, b_kappa, central_omega,
-                          o_explicit, o_proj, o_subset, o_three_explicit,
-                          o_top, o_two_explicit)
-from .core import (Context, Element, antisymmetrize, anticommutator,
-                   commutator, random_element, supercommutator)
+from .centralizer import (M, _gamma_run, antisymmetrize_shaped, b_kappa,
+                          central_omega, o_explicit, o_proj, o_subset,
+                          o_three_explicit, o_top, o_two_explicit)
+from .core import (ROOT_SCALE, Context, anticommutator, commutator,
+                   random_element, supercommutator)
 from .geometry import beta, bilinear_B
 from .groups import ReflectionGroup, parse_group_spec
 from .oracle import SpinorModule
-from .osp import (build_osp, casimir, gen_symmetry, osp_relation_residuals,
+from .osp import (build_osp, casimir, gen_symmetry, osp_relations,
                   pair_element, p_alpha, p_minus, p_plus, q_minus, q_plus,
-                  scasimir, b_form, omega_form, XPLUS, XMINUS, GAMMA,
-                  _PARITY)
-from .scalars import BaseNumber, SC_ONE, Scalar, as_base, as_scalar
+                  scasimir, b_form, XPLUS, XMINUS, GAMMA, _PARITY)
+from .scalars import BaseNumber, Scalar, as_base, as_scalar
 
 
 @dataclass
@@ -47,7 +45,6 @@ class RunOptions:
     jacobi_trials: int = 20
     roundtrip_trials: int = 20
     oracle_samples: int = 20
-    jobs: int = 1
 
 
 @dataclass(frozen=True)
@@ -140,7 +137,7 @@ def build_catalog() -> list:
     for name, anchor in relnames.items():
         def mk(name=name):
             def b(env):
-                return [(name, osp_relation_residuals(env.gens())[name])]
+                return [(name, osp_relations(env.ctx)[name])]
             return b
         _case(cases, f"osp12re.{name}", anchor, 1)(mk())
 
@@ -259,8 +256,7 @@ def build_catalog() -> list:
         out = []
         for i, refl in enumerate(ctx.group.reflections):
             root = ctx.root_covector(refl)
-            scale = {1: as_base(1), 2: BaseNumber(0, 0, Fraction(1, 2))}[
-                int(refl.root_norm)] if refl.root_norm in (1, 2) else None
+            scale = ROOT_SCALE.get(refl.root_norm)
             if scale is None:
                 continue
             lhs = p_plus(ctx, ctx.g(refl.elem))
@@ -469,15 +465,6 @@ def build_catalog() -> list:
         return out
 
     # ---- recursion and closed forms -----------------------------------------
-    def _ob1(env):
-        return lambda a: o_proj(env.ctx, [a])
-
-    def _ob2(env):
-        return lambda a, b: o_proj(env.ctx, [a, b])
-
-    def _obn(env):
-        return lambda *us: o_proj(env.ctx, us)
-
     @_case(cases, "recursion.three_n3",
            "three-index recursion: the two antisymmetrized products balance", 3)
     def _(env):
@@ -485,9 +472,9 @@ def build_catalog() -> list:
         for tup in env.tuples(3, cap=4):
             covs = [env.x(p) for p in tup]
             r = (antisymmetrize_shaped(env.ctx, covs,
-                                       [(_ob1(env), 1), (_ob2(env), 2)]) * (-4)
+                                       [(env.O, 1), (env.O, 2)]) * (-4)
                  + antisymmetrize_shaped(env.ctx, covs,
-                                         [(_ob2(env), 2), (_ob1(env), 1)]) * 4)
+                                         [(env.O, 2), (env.O, 1)]) * 4)
             out.append((f"{tup}", r))
         return out
 
@@ -499,9 +486,9 @@ def build_catalog() -> list:
             covs = [env.x(p) for p in tup]
             r = (o_proj(env.ctx, covs)
                  + antisymmetrize_shaped(env.ctx, covs,
-                                         [(_ob1(env), 1), (_obn(env), 3)]) * 8
+                                         [(env.O, 1), (env.O, 3)]) * 8
                  - antisymmetrize_shaped(env.ctx, covs,
-                                         [(_ob2(env), 2), (_ob2(env), 2)]) * 6)
+                                         [(env.O, 2), (env.O, 2)]) * 6)
             out.append((f"{tup}", r))
         return out
 
@@ -513,9 +500,9 @@ def build_catalog() -> list:
             covs = [env.x(p) for p in tup]
             r = (o_proj(env.ctx, covs)
                  - antisymmetrize_shaped(env.ctx, covs,
-                                         [(_ob2(env), 2), (_ob2(env), 2)]) * 6
+                                         [(env.O, 2), (env.O, 2)]) * 6
                  + antisymmetrize_shaped(env.ctx, covs,
-                                         [(_obn(env), 3), (_ob1(env), 1)]) * 8)
+                                         [(env.O, 3), (env.O, 1)]) * 8)
             out.append((f"{tup}", r))
         return out
 
@@ -527,13 +514,13 @@ def build_catalog() -> list:
             covs = [env.x(p) for p in tup]
             r = (o_proj(env.ctx, covs)
                  - antisymmetrize_shaped(env.ctx, covs,
-                                         [(_obn(env), 3), (_ob2(env), 2)]) * 4
+                                         [(env.O, 3), (env.O, 2)]) * 4
                  - antisymmetrize_shaped(
                      env.ctx, covs,
-                     [(_obn(env), 3), (_ob1(env), 1), (_ob1(env), 1)]) * 48
+                     [(env.O, 3), (env.O, 1), (env.O, 1)]) * 48
                  + antisymmetrize_shaped(
                      env.ctx, covs,
-                     [(_ob2(env), 2), (_ob2(env), 2), (_ob1(env), 1)]) * 36)
+                     [(env.O, 2), (env.O, 2), (env.O, 1)]) * 36)
             out.append((f"{tup}", r))
         return out
 
@@ -935,8 +922,9 @@ def build_catalog() -> list:
                 u = env.x(p)
                 out.append((f"s{i + 1}.x{p + 1}", rho * ctx.x(p) * rho
                             - ctx.from_covector(grp.act(refl.elem, u))))
+                y = ctx.space.basis_vector(p)
                 out.append((f"s{i + 1}.y{p + 1}", rho * ctx.y(p) * rho
-                            - ctx.from_vector(grp.act(refl.elem, beta(u)))))
+                            - ctx.from_vector(grp.act(refl.elem, y))))
                 out.append((f"s{i + 1}.e{p + 1}", rho * ctx.e(p) * rho
                             + ctx.gamma(grp.act(refl.elem, u))))
         return out
@@ -1029,19 +1017,11 @@ def build_catalog() -> list:
                 out.append((f"{i}{j}b", lhs - rhs))
         return out
 
-    def _gamma_run(env):
-        def run(*us):
-            acc = env.ctx.one()
-            for u in us:
-                acc = acc * env.ctx.gamma(u)
-            return acc
-        return run
-
     for n in (2, 3, 4):
         def mk(n=n):
             def b(env):
                 covs = [env.x(p) for p in range(n)]
-                run = _gamma_run(env)
+                run = _gamma_run(env.ctx)
                 shapes = []
                 for pos in range(n):
                     shape = []
@@ -1062,14 +1042,13 @@ def build_catalog() -> list:
         def mk(n=n):
             def b(env):
                 covs = [env.x(p) for p in range(n)]
-                run = _gamma_run(env)
-                o2 = lambda a, b2: o_proj(env.ctx, [a, b2])
+                run = _gamma_run(env.ctx)
                 shapes = []
                 for pos in range(n - 1):
                     shape = []
                     if pos:
                         shape.append((run, pos))
-                    shape.append((o2, 2))
+                    shape.append((env.O, 2))
                     if n - pos - 2:
                         shape.append((run, n - pos - 2))
                     shapes.append(
@@ -1355,7 +1334,7 @@ def build_catalog() -> list:
             diff = ((s1 * s2).substitute(vals)
                     - s1.substitute(vals) * s2.substitute(vals))
             out.append((f"t{i}", env.scal(diff)))
-        resid = osp_relation_residuals(env.gens())["FpFm"]
+        resid = osp_relations(env.ctx)["FpFm"]
         for i, vset in enumerate((vals, {c: BaseNumber(-2) for c in
                                          range(env.ctx.num_classes)})):
             out.append((f"resid{i}", resid.substitute_kappa(vset)))
@@ -1455,12 +1434,7 @@ def run_suite(env: SuiteEnv, suite_id: str = "all", kappa_values=None,
             kappa=kap, status="pass" if nonzero == 0 else "fail",
             residual_terms=nonzero, witness=witness, ms=round(ms, 3))
 
-    jobs = max(1, env.options.jobs)
-    if jobs == 1 or len(cases) < 2:
-        reports = [run_one(c) for c in cases]
-    else:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            reports = list(pool.map(run_one, cases))
+    reports = [run_one(c) for c in cases]
     if suite_id in ("oracle", "all"):
         reports = reports + run_oracle_crosscheck(env)
     return sorted(reports, key=lambda r: r.id)
@@ -1548,9 +1522,7 @@ def _factored_residuals(env: SuiteEnv):
             (-1, [O12]), (bilinear_B(u, v) * Fraction(1, 2), [one])]))
 
         s0 = ctx.g(env.group.reflections[0].elem)
-        scale = {1: as_base(1),
-                 2: BaseNumber(0, 0, Fraction(1, 2))}.get(
-                     int(env.group.reflections[0].root_norm))
+        scale = ROOT_SCALE.get(env.group.reflections[0].root_norm)
         if scale is not None:
             half = Fraction(1, 2)
             oal = ctx.o_frak(ctx.root_covector(env.group.reflections[0]))

@@ -2,9 +2,9 @@ from fractions import Fraction
 
 import pytest
 
-from cheralg.geometry import (QuadraticSpace, beta, bilinear_B, pairing,
-                              witt_basis)
-from cheralg.scalars import Scalar, as_scalar
+from cheralg.geometry import (QuadraticSpace, beta, bilinear_B,
+                              invert_matrix, pairing, witt_basis)
+from cheralg.scalars import BaseNumber, Scalar, as_scalar
 
 
 def test_beta_on_basis():
@@ -93,3 +93,23 @@ def test_bad_gram_rejected():
         QuadraticSpace(2, gram=[[1, 2], [3, 1]])       # not symmetric
     with pytest.raises(ValueError):
         QuadraticSpace(2, gram=[[1, 1], [1, 1]])       # singular
+
+
+def test_invert_matrix_keeps_the_entries_ring():
+    f = [[Fraction(0), Fraction(2)], [Fraction(1), Fraction(1)]]
+    inv = invert_matrix(f)
+    assert inv == ((Fraction(-1, 2), Fraction(1)), (Fraction(1, 2), 0))
+    assert all(type(v) is Fraction for row in inv for v in row)
+    b = [[BaseNumber(2), BaseNumber(1)], [BaseNumber(1), BaseNumber(0, 1)]]
+    inv = invert_matrix(b)
+    assert all(type(v) is BaseNumber for row in inv for v in row)
+    assert [[sum((b[i][k] * inv[k][j] for k in range(2)), BaseNumber())
+             for j in range(2)] for i in range(2)] == [[1, 0], [0, 1]]
+
+
+def test_invert_matrix_rejects_singular():
+    for m in ([[Fraction(1), Fraction(2)], [Fraction(2), Fraction(4)]],
+              [[BaseNumber(1), BaseNumber(0, 1)],
+               [BaseNumber(0, 1), BaseNumber(-1)]]):
+        with pytest.raises(ValueError, match="singular"):
+            invert_matrix(m)

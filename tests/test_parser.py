@@ -6,7 +6,7 @@ import pytest
 from cheralg.core import random_element, supercommutator
 from cheralg.parser import (EvalError, Evaluator, ParseError, evaluate,
                             parse_expression)
-from cheralg.parser import Bin, Bracket, Call, Name, Num
+from cheralg.parser import Bin, Bracket, Call, Name, Neg, Num
 from cheralg.scalars import Scalar
 
 
@@ -94,7 +94,7 @@ def test_parse_errors_carry_position():
 def test_eval_errors(ctx_a12):
     ctx = ctx_a12
     for bad in ("x9", "s7", "k3", "bogus", "zp1 + x1 * x1", "O(x1+1)",
-                "rho(x1)", "M(x1)", "Palpha(x1, x2)", "e1^e1"):
+                "rho(x1)", "M(x1)", "Palpha(x1, x2)", "e1^e1", "x1^-1"):
         with pytest.raises(EvalError):
             evaluate(ctx, bad)
 
@@ -125,3 +125,13 @@ def test_roundtrip_sqrt2_scalars(ctx_a12):
     ctx = ctx_a12
     r = ctx.rho([0])
     assert evaluate(ctx, str(r)) == r
+
+
+def test_negated_power_precedence(ctx_a23):
+    # the caret binds tighter than unary minus
+    y3 = ctx_a23.y(2)
+    assert evaluate(ctx_a23, "-y3^2") == -(y3 * y3)
+    assert evaluate(ctx_a23, "(-y3)^2") == y3 * y3
+    assert evaluate(ctx_a23, "-y3^2*s1 + (-y3)^2*s1").is_zero()
+    ast = parse_expression("-y3^2")
+    assert isinstance(ast, Neg) and ast.arg.op == "^"
