@@ -376,15 +376,14 @@ class Context:
                 eprod = self._cliff_pair(e1, e2)
                 g12 = group.mul(g1, g2)
                 for ax, cx in self._act_x(g1, a2):
-                    wterms = self._ycomm_word(b1, ax)
+                    wterms = [(_add(a1, xd), yd, h, group.mul(h, g12), c * cw)
+                              for xd, yd, h, cw in self._ycomm_word(b1, ax)]
                     for by, cy in self._act_y(g1, b2):
-                        f0 = cx * cy
-                        for xd, yd, h, cw in wterms:
-                            xs = _add(a1, xd)
-                            hg = group.mul(h, g12)
+                        for xs, yd, h, hg, ccw in wterms:
+                            cxy = ccw * cx * cy
                             for bz, cz in self._act_y(h, by):
                                 ys = _add(yd, bz)
-                                coef = c * cw * (f0 * cz)
+                                coef = cxy * cz
                                 for emask, ce in eprod:
                                     mono = Monomial(xs, ys, hg, emask)
                                     v = coef * ce
@@ -498,6 +497,10 @@ class Element:
         return self.ctx is other.ctx and self.terms == other.terms
 
     def __hash__(self):
+        # A scalar element hashes like the scalar it equals.
+        ident = self.ctx.ident_mono
+        if self.terms.keys() <= {ident}:
+            return hash(self.terms.get(ident, SC_ZERO))
         return hash(frozenset(self.terms.items()))
 
     def parity(self):

@@ -127,7 +127,9 @@ class ReflectionGroup:
             raise ValueError("element 0 must be the identity")
         self._check_preserves_form()
         self.ymats = tuple(invert_matrix(_transpose(m)) for m in self.mats)
-        self._mul_memo: dict = {}
+        # Row i of the multiplication table, allocated on first use: a flat
+        # list holds the products in a tenth of a dict's memory.
+        self._mul_rows: list = [None] * len(self.mats)
         self._inv_memo: dict = {}
         if len(self.mats) <= 600:
             for i in range(len(self.mats)):
@@ -142,8 +144,10 @@ class ReflectionGroup:
         return len(self.mats)
 
     def mul(self, i: int, j: int) -> int:
-        key = (i, j)
-        k = self._mul_memo.get(key)
+        row = self._mul_rows[i]
+        if row is None:
+            row = self._mul_rows[i] = [None] * len(self.mats)
+        k = row[j]
         if k is None:
             # (gh).x_p = g.(h.x_p); with rows holding basis images this
             # composes as the matrix product mats[j] @ mats[i].
@@ -151,7 +155,7 @@ class ReflectionGroup:
             k = self.index.get(prod)
             if k is None:
                 raise ValueError("group is not closed under multiplication")
-            self._mul_memo[key] = k
+            row[j] = k
         return k
 
     def inv(self, i: int) -> int:

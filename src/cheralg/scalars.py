@@ -30,7 +30,13 @@ RationalLike = Union[int, Fraction]
 
 
 class BaseNumber:
-    """An exact element a + b*i + c*sqrt2 + d*i*sqrt2 of Q(i, sqrt2)."""
+    """An exact element a + b*i + c*sqrt2 + d*i*sqrt2 of Q(i, sqrt2).
+
+    Most coefficients the engine meets are rational (b = c = d = 0), so
+    the arithmetic tests for that first: a product of two rationals takes
+    one Fraction product, a rational times a general number four, and only
+    two irrational operands take the general sixteen.
+    """
 
     __slots__ = ("a", "b", "c", "d")
 
@@ -46,28 +52,37 @@ class BaseNumber:
     # -- ring structure ----------------------------------------------------
 
     def __add__(self, other):
-        other = as_base(other)
-        return BaseNumber(self.a + other.a, self.b + other.b,
-                          self.c + other.c, self.d + other.d)
+        if type(other) is not BaseNumber:
+            other = as_base(other)
+        return _make(self.a + other.a, self.b + other.b,
+                     self.c + other.c, self.d + other.d)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        other = as_base(other)
-        return BaseNumber(self.a - other.a, self.b - other.b,
-                          self.c - other.c, self.d - other.d)
+        if type(other) is not BaseNumber:
+            other = as_base(other)
+        return _make(self.a - other.a, self.b - other.b,
+                     self.c - other.c, self.d - other.d)
 
     def __rsub__(self, other):
         return as_base(other) - self
 
     def __neg__(self):
-        return BaseNumber(-self.a, -self.b, -self.c, -self.d)
+        return _make(-self.a, -self.b, -self.c, -self.d)
 
     def __mul__(self, other):
-        other = as_base(other)
+        if type(other) is not BaseNumber:
+            if isinstance(other, (int, Fraction)):
+                return self._scale(other)
+            other = as_base(other)
+        if not (other.b or other.c or other.d):
+            return self._scale(other.a)
+        if not (self.b or self.c or self.d):
+            return other._scale(self.a)
         a1, b1, c1, d1 = self.a, self.b, self.c, self.d
         a2, b2, c2, d2 = other.a, other.b, other.c, other.d
-        return BaseNumber(
+        return _make(
             a1 * a2 - b1 * b2 + 2 * (c1 * c2 - d1 * d2),
             a1 * b2 + b1 * a2 + 2 * (c1 * d2 + d1 * c2),
             a1 * c2 + c1 * a2 - b1 * d2 - d1 * b2,
@@ -76,18 +91,31 @@ class BaseNumber:
 
     __rmul__ = __mul__
 
+    def _scale(self, r):
+        """self * r for an int or Fraction r."""
+        if r == 1:
+            return self
+        a, b, c, d = self.a, self.b, self.c, self.d
+        if not (b or c or d):
+            return _make(a * r, _F0, _F0, _F0)
+        # zero components stay zero; skip their Fraction products
+        return _make(a * r if a else a, b * r if b else b,
+                     c * r if c else c, d * r if d else d)
+
     def inverse(self):
         """Multiplicative inverse; Q(i, sqrt2) is a field."""
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero")
+        if not (self.b or self.c or self.d):
+            return _make(1 / self.a, _F0, _F0, _F0)
         # Multiply by the three Galois conjugates; the product of all four
         # conjugates is a nonzero rational.
-        ci = BaseNumber(self.a, -self.b, self.c, -self.d)    # i -> -i
-        cs = BaseNumber(self.a, self.b, -self.c, -self.d)    # sqrt2 -> -sqrt2
-        cb = BaseNumber(self.a, -self.b, -self.c, self.d)
+        ci = _make(self.a, -self.b, self.c, -self.d)    # i -> -i
+        cs = _make(self.a, self.b, -self.c, -self.d)    # sqrt2 -> -sqrt2
+        cb = _make(self.a, -self.b, -self.c, self.d)
         num = ci * cs * cb
         norm = (self * num).a
-        return BaseNumber(num.a / norm, num.b / norm, num.c / norm, num.d / norm)
+        return _make(num.a / norm, num.b / norm, num.c / norm, num.d / norm)
 
     def __truediv__(self, other):
         return self * as_base(other).inverse()
@@ -112,6 +140,9 @@ class BaseNumber:
                 and self.c == other.c and self.d == other.d)
 
     def __hash__(self):
+        # A rational hashes like the Fraction (or int) it equals.
+        if not (self.b or self.c or self.d):
+            return hash(self.a)
         return hash((self.a, self.b, self.c, self.d))
 
     def __repr__(self):
@@ -139,6 +170,24 @@ class BaseNumber:
         return out
 
 
+_new = object.__new__
+_set_a = BaseNumber.a.__set__
+_set_b = BaseNumber.b.__set__
+_set_c = BaseNumber.c.__set__
+_set_d = BaseNumber.d.__set__
+
+
+def _make(a: Fraction, b: Fraction, c: Fraction, d: Fraction) -> BaseNumber:
+    """A BaseNumber from components that are already Fractions, written
+    into the slots without the conversions of ``__init__``."""
+    x = _new(BaseNumber)
+    _set_a(x, a)
+    _set_b(x, b)
+    _set_c(x, c)
+    _set_d(x, d)
+    return x
+
+
 BN_ZERO = BaseNumber()
 BN_ONE = BaseNumber(1)
 BN_I = BaseNumber(0, 1)
@@ -150,7 +199,7 @@ def as_base(x) -> BaseNumber:
     if isinstance(x, BaseNumber):
         return x
     if isinstance(x, (int, Fraction)):
-        return BaseNumber(x)
+        return _make(Fraction(x), _F0, _F0, _F0)
     raise TypeError(f"cannot interpret {x!r} as a BaseNumber")
 
 
@@ -199,7 +248,8 @@ class Scalar:
     # -- ring structure --------------------------------------------------------
 
     def __add__(self, other):
-        other = Scalar.of(other)
+        if type(other) is not Scalar:
+            other = Scalar.of(other)
         if not self.terms:
             return other
         if not other.terms:
@@ -207,8 +257,15 @@ class Scalar:
         out = dict(self.terms)
         for k, v in other.terms.items():
             w = out.get(k)
-            out[k] = v if w is None else w + v
-        return Scalar(out)
+            if w is None:
+                out[k] = v
+            else:
+                w = w + v
+                if w.is_zero():
+                    del out[k]
+                else:
+                    out[k] = w
+        return _scalar(out)
 
     __radd__ = __add__
 
@@ -219,15 +276,32 @@ class Scalar:
         return Scalar.of(other) + (-self)
 
     def __neg__(self):
-        return Scalar({k: -v for k, v in self.terms.items()})
+        return _scalar({k: -v for k, v in self.terms.items()})
 
     def __mul__(self, other):
-        other = Scalar.of(other)
-        if not self.terms or not other.terms:
+        if type(other) is not Scalar:
+            if isinstance(other, (int, Fraction)):
+                if not other:
+                    return SC_ZERO
+            else:
+                other = as_base(other)
+                if other.is_zero():
+                    return SC_ZERO
+            return self._times(other)
+        t1, t2 = self.terms, other.terms
+        if not t1 or not t2:
             return SC_ZERO
+        if len(t2) == 1 and () in t2:
+            return self._times(t2[()])
+        if len(t1) == 1 and () in t1:
+            return other._times(t1[()])
+        if len(t1) == 1 and len(t2) == 1:
+            ((k1, v1),) = t1.items()
+            ((k2, v2),) = t2.items()
+            return _scalar({_key_mul(k1, k2): v1 * v2})
         out: dict = {}
-        for k1, v1 in self.terms.items():
-            for k2, v2 in other.terms.items():
+        for k1, v1 in t1.items():
+            for k2, v2 in t2.items():
                 k = _key_mul(k1, k2)
                 v = v1 * v2
                 w = out.get(k)
@@ -236,14 +310,24 @@ class Scalar:
 
     __rmul__ = __mul__
 
+    def _times(self, c):
+        """self * c for a nonzero int, Fraction or BaseNumber c.  Q(i, sqrt2)
+        is a field, so no product of nonzero coefficients is zero."""
+        if type(c) is BaseNumber:
+            if c.b or c.c or c.d:
+                return _scalar({k: v * c for k, v in self.terms.items()})
+            c = c.a
+        if c == 1:
+            return self
+        return _scalar({k: v * c for k, v in self.terms.items()})
+
     def __truediv__(self, other):
         """Division by a constant (degree-0) scalar or number."""
         if isinstance(other, Scalar):
             if set(other.terms) - {()}:
                 raise ZeroDivisionError("can only divide by a constant scalar")
             other = other.terms.get((), BN_ZERO)
-        inv = as_base(other).inverse()
-        return Scalar({k: v * inv for k, v in self.terms.items()})
+        return self._times(as_base(other).inverse())
 
     # -- structure ----------------------------------------------------------
 
@@ -290,7 +374,11 @@ class Scalar:
     def __hash__(self):
         h = self._hash
         if h is None:
-            h = hash(frozenset(self.terms.items()))
+            # A constant hashes like the BaseNumber (or rational) it equals.
+            if self.is_constant():
+                h = hash(self.constant_part())
+            else:
+                h = hash(frozenset(self.terms.items()))
             object.__setattr__(self, "_hash", h)
         return h
 
@@ -324,6 +412,19 @@ def render_coefficient(coef: BaseNumber, tail: str) -> str:
     if " " in s:
         return f"({s})*{tail}"
     return f"{s}*{tail}"
+
+
+_set_terms = Scalar.terms.__set__
+_set_hash = Scalar._hash.__set__
+
+
+def _scalar(terms: dict) -> Scalar:
+    """A Scalar that takes over ``terms``, which must hold no zero
+    coefficient; skips the zero filter of ``Scalar.__init__``."""
+    x = _new(Scalar)
+    _set_terms(x, terms)
+    _set_hash(x, None)
+    return x
 
 
 SC_ZERO = Scalar({})

@@ -7,10 +7,12 @@ empty combination; the runner never compares against a tolerance, only
 against structural zero.
 
 The first dotted component of an id names its suite; `run_suite` selects by
-that prefix (or "all").  Cases whose dimension prerequisite fails are
-reported as skipped with the reason.  Reports are ordered by id regardless
-of execution order, and their content is deterministic (the elapsed-time
-field aside) for fixed inputs including the seed.
+that prefix (or "all").  Cases whose dimension prerequisite fails, and
+cases stated for the orthonormal configuration when the Gram matrix is
+not the identity, are reported as skipped with the reason.  Reports are
+ordered by id regardless of execution order, and their content is
+deterministic (the elapsed-time field aside) for fixed inputs including
+the seed.
 """
 
 from __future__ import annotations
@@ -47,12 +49,16 @@ class RunOptions:
     oracle_samples: int = 20
 
 
+NEEDS_ORTHONORMAL = "needs the orthonormal configuration"
+
+
 @dataclass(frozen=True)
 class IdentityCase:
     id: str
     anchor: str
     min_dim: int
     builder: Callable
+    orthonormal: bool = False        # stated for the identity Gram only
 
 
 @dataclass
@@ -113,9 +119,9 @@ class SuiteEnv:
         return a * bilinear_B(b, u) - b * bilinear_B(a, u)
 
 
-def _case(cases, cid, anchor, min_dim):
+def _case(cases, cid, anchor, min_dim, orthonormal=False):
     def register(fn):
-        cases.append(IdentityCase(cid, anchor, min_dim, fn))
+        cases.append(IdentityCase(cid, anchor, min_dim, fn, orthonormal))
         return fn
     return register
 
@@ -960,7 +966,8 @@ def build_catalog() -> list:
         return out
 
     @_case(cases, "pin.chirality",
-           "volume element squares to one and (anti)commutes by parity", 1)
+           "volume element squares to one and (anti)commutes by parity", 1,
+           orthonormal=True)
     def _(env):
         ctx = env.ctx
         G = ctx.chirality()
@@ -1149,11 +1156,9 @@ def build_catalog() -> list:
 
     @_case(cases, "bwz.generator_forms",
            "pairings reduce to the coordinate sums in the orthonormal "
-           "configuration", 1)
+           "configuration", 1, orthonormal=True)
     def _(env):
         ctx = env.ctx
-        if not ctx.space.is_identity:
-            return [("skip", ctx.zero())]
         g = env.gens()
         d = env.dim
         X = ctx.zero()
@@ -1412,11 +1417,15 @@ def run_suite(env: SuiteEnv, suite_id: str = "all", kappa_values=None,
         subs = {i: as_base(v) for i, v in enumerate(kappa_values)}
 
     def run_one(case: IdentityCase) -> SuiteReport:
+        reason = None
         if env.dim < case.min_dim:
+            reason = f"needs dimension >= {case.min_dim}"
+        elif case.orthonormal and not env.ctx.space.is_identity:
+            reason = NEEDS_ORTHONORMAL
+        if reason is not None:
             return SuiteReport(
                 id=case.id, anchor=case.anchor, group=label, dim=env.dim,
-                kappa=kap, status="skipped",
-                reason=f"needs dimension >= {case.min_dim}")
+                kappa=kap, status="skipped", reason=reason)
         t0 = time.perf_counter()
         residues = case.builder(env)
         nonzero = 0
@@ -1542,24 +1551,40 @@ def run_oracle_crosscheck(env: SuiteEnv, seed: int = None, samples: int = None,
     Every factored catalog residual must annihilate all sampled vectors;
     engine products must compose: act(a*b, v) = act(a, act(b, v)).  A
     deliberately perturbed residual must be caught (harness self-test).
+    The module exists for the orthonormal configuration only; on a general
+    Gram matrix every check is reported as skipped.
     """
     opts = env.options
     seed = opts.seed if seed is None else seed
     samples = opts.oracle_samples if samples is None else samples
     label = env.group.label
-    mod = SpinorModule(env.ctx)
-    reports = []
+    mod = SpinorModule(env.ctx) if env.ctx.space.is_identity else None
 
-    def residual_report(name, terms, expect_fail=False):
+    def report(name, anchor, check):
+        """The report of oracle.<name>; ``check()`` returns None on
+        agreement, else a witness.  Skipped when there is no module."""
+        if mod is None:
+            return SuiteReport(
+                id=f"oracle.{name}", anchor=anchor, group=label, dim=env.dim,
+                kappa="symbolic", status="skipped", reason=NEEDS_ORTHONORMAL)
         t0 = time.perf_counter()
+        witness = check()
+        ms = (time.perf_counter() - t0) * 1000.0
+        ok = witness is None
+        return SuiteReport(
+            id=f"oracle.{name}", anchor=anchor, group=label, dim=env.dim,
+            kappa="symbolic", status="pass" if ok else "fail",
+            residual_terms=0 if ok else 1, witness=witness,
+            ms=round(ms, 3), oracle=ok)
+
+    def diverges(terms) -> bool:
+        """Is the sum nonzero in the engine or on a sampled vector?"""
         engine = env.ctx.zero()
         for c, factors in terms:
             prod = env.ctx.one()
             for f in factors:
                 prod = prod * f
             engine = engine + prod * c
-        ok_engine = engine.is_zero()
-        diverged = not ok_engine
         for i in range(samples):
             vec = mod.random_vector(seed + 7919 * i, max_degree)
             acc = None
@@ -1567,46 +1592,30 @@ def run_oracle_crosscheck(env: SuiteEnv, seed: int = None, samples: int = None,
                 w = mod.act_factors(factors, vec).scale(as_scalar(c))
                 acc = w if acc is None else acc + w
             if not acc.is_zero():
-                diverged = True
-                break
-        ms = (time.perf_counter() - t0) * 1000.0
-        status = "pass" if (diverged == expect_fail) else "fail"
-        return SuiteReport(
-            id=f"oracle.{name}", anchor="engine/module concordance",
-            group=label, dim=env.dim, kappa="symbolic", status=status,
-            residual_terms=0 if status == "pass" else 1,
-            witness=None if status == "pass" else name,
-            ms=round(ms, 3), oracle=(status == "pass"))
+                return True
+        return not engine.is_zero()
 
-    for name, terms in _factored_residuals(env):
-        reports.append(residual_report(name, terms))
+    def products():
+        rng = random.Random(seed)
+        for i in range(product_checks):
+            a = random_element(env.ctx, rng, max_degree=2)
+            b = random_element(env.ctx, rng, max_degree=2)
+            vec = mod.random_vector(rng.randrange(10 ** 9), max_degree)
+            if mod.act(a * b, vec) != mod.act(a, mod.act(b, vec)):
+                return f"trial {i}"
+        return None
 
-    t0 = time.perf_counter()
-    rng = random.Random(seed)
-    bad = None
-    for i in range(product_checks):
-        a = random_element(env.ctx, rng, max_degree=2)
-        b = random_element(env.ctx, rng, max_degree=2)
-        vec = mod.random_vector(rng.randrange(10 ** 9), max_degree)
-        if mod.act(a * b, vec) != mod.act(a, mod.act(b, vec)):
-            bad = i
-            break
-    ms = (time.perf_counter() - t0) * 1000.0
-    reports.append(SuiteReport(
-        id="oracle.products", anchor="module action is multiplicative",
-        group=label, dim=env.dim, kappa="symbolic",
-        status="pass" if bad is None else "fail",
-        residual_terms=0 if bad is None else 1,
-        witness=None if bad is None else f"trial {bad}",
-        ms=round(ms, 3), oracle=(bad is None)))
-
+    residuals = _factored_residuals(env)
+    reports = []
+    for name, terms in residuals:
+        reports.append(report(name, "engine/module concordance",
+                              lambda: name if diverges(terms) else None))
+    reports.append(report("products", "module action is multiplicative",
+                          products))
     if include_mutation:
-        name, terms = _factored_residuals(env)[0]
-        mutated = terms + [(1, [env.ctx.one()])]
-        rep = residual_report("mutation", mutated, expect_fail=True)
-        rep.anchor = "perturbed residual must be detected"
-        reports.append(rep)
-
+        mutated = residuals[0][1] + [(1, [env.ctx.one()])]
+        reports.append(report("mutation", "perturbed residual must be detected",
+                              lambda: None if diverges(mutated) else "mutation"))
     return sorted(reports, key=lambda r: r.id)
 
 

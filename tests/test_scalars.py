@@ -5,10 +5,20 @@ from hypothesis import given, settings, strategies as st
 
 from cheralg.scalars import (BN_I, BN_ONE, BN_SQRT2, BaseNumber, Scalar,
                              as_base, as_scalar)
+from cheralg.suites import make_env
 
 rationals = st.fractions(min_value=-40, max_value=40, max_denominator=8)
 base_numbers = st.builds(BaseNumber, rationals, rationals, rationals,
                          rationals)
+# Operands for every branch of the arithmetic: rationals (b = c = d = 0),
+# numbers with some zero components, and general ones.
+sparse_rationals = st.one_of(st.just(Fraction(0)), st.just(Fraction(1)),
+                             rationals)
+mixed_base_numbers = st.one_of(
+    st.builds(BaseNumber, rationals),
+    st.builds(BaseNumber, sparse_rationals, sparse_rationals,
+              sparse_rationals, sparse_rationals),
+    base_numbers)
 
 
 def small_scalars():
@@ -108,3 +118,88 @@ def test_division():
     assert (Scalar.kappa(0) * 3) / 3 == Scalar.kappa(0)
     with pytest.raises(ZeroDivisionError):
         s / Scalar.kappa(0)
+
+
+# -- the fast paths against the general formulas ---------------------------
+
+
+def _full_mul(x, y):
+    """The product by the general sixteen-term formula."""
+    return BaseNumber(
+        x.a * y.a - x.b * y.b + 2 * (x.c * y.c - x.d * y.d),
+        x.a * y.b + x.b * y.a + 2 * (x.c * y.d + x.d * y.c),
+        x.a * y.c + x.c * y.a - x.b * y.d - x.d * y.b,
+        x.a * y.d + x.d * y.a + x.b * y.c + x.c * y.b)
+
+
+def _full_inverse(x):
+    """The inverse through the three Galois conjugates."""
+    num = _full_mul(_full_mul(BaseNumber(x.a, -x.b, x.c, -x.d),
+                              BaseNumber(x.a, x.b, -x.c, -x.d)),
+                    BaseNumber(x.a, -x.b, -x.c, x.d))
+    norm = _full_mul(x, num).a
+    return BaseNumber(num.a / norm, num.b / norm, num.c / norm, num.d / norm)
+
+
+def _components_are_fractions(x):
+    return all(type(v) is Fraction for v in (x.a, x.b, x.c, x.d))
+
+
+@settings(max_examples=150, deadline=None)
+@given(mixed_base_numbers, mixed_base_numbers)
+def test_fast_paths_match_general_formulas(a, b):
+    results = [(a * b, _full_mul(a, b)),
+               (a * b.a, _full_mul(a, BaseNumber(b.a))),
+               (b.a * a, _full_mul(a, BaseNumber(b.a))),
+               (a * 3, _full_mul(a, BaseNumber(3))),
+               (a + b, BaseNumber(a.a + b.a, a.b + b.b, a.c + b.c,
+                                  a.d + b.d)),
+               (a - b, BaseNumber(a.a - b.a, a.b - b.b, a.c - b.c,
+                                  a.d - b.d)),
+               (-a, BaseNumber(-a.a, -a.b, -a.c, -a.d))]
+    if not b.is_zero():
+        results += [(b.inverse(), _full_inverse(b)),
+                    (a / b, _full_mul(a, _full_inverse(b)))]
+    if b.a:
+        results.append((a / b.a, _full_mul(a, _full_inverse(BaseNumber(b.a)))))
+    for got, want in results:
+        assert got == want
+        assert _components_are_fractions(got)
+
+
+@settings(max_examples=40, deadline=None)
+@given(small_scalars(), small_scalars())
+def test_scalar_fast_paths_match_general_product(s, t):
+    want: dict = {}
+    for k1, v1 in s.terms.items():
+        for k2, v2 in t.terms.items():
+            k = dict(k1)
+            for idx, e in k2:
+                k[idx] = k.get(idx, 0) + e
+            k = tuple(sorted(k.items()))
+            want[k] = want.get(k, BaseNumber()) + _full_mul(v1, v2)
+    for got in (s * t, t * s):
+        assert got == Scalar(want)
+        assert not any(v.is_zero() for v in got.terms.values())
+    for c in (0, 1, -1, Fraction(2, 3), BN_I, BaseNumber(Fraction(1, 2))):
+        got = s * c
+        assert got == Scalar({k: _full_mul(v, as_base(c))
+                              for k, v in s.terms.items()})
+        assert not any(v.is_zero() for v in got.terms.values())
+    diff = s - s
+    assert diff.is_zero() and not diff.terms
+
+
+def test_hash_agrees_with_equality():
+    ctx = make_env("A1@2").ctx
+    for value in (0, 1, -2, Fraction(3, 4)):
+        equal = [value, Fraction(value), BaseNumber(value), Scalar.of(value),
+                 ctx.scalar_elem(value)]
+        assert all(x == value for x in equal)
+        assert len({hash(x) for x in equal}) == 1
+        assert len(set(equal)) == 1
+    assert len({BaseNumber(1), 1}) == 1
+    irrational = [BN_I, Scalar.of(BN_I), ctx.scalar_elem(BN_I)]
+    assert len({hash(x) for x in irrational}) == 1
+    k = Scalar.kappa(0)
+    assert hash(k) == hash(ctx.scalar_elem(k)) and k == ctx.scalar_elem(k)

@@ -6,9 +6,9 @@ from jsonschema import validate
 
 from cheralg.groups import from_generators
 from cheralg.scalars import BaseNumber
-from cheralg.suites import (RunOptions, UnknownSuite, catalog, catalog_ids,
-                            make_env, run_oracle_crosscheck, run_suite,
-                            suite_names)
+from cheralg.suites import (NEEDS_ORTHONORMAL, RunOptions, UnknownSuite,
+                            catalog, catalog_ids, make_env,
+                            run_oracle_crosscheck, run_suite, suite_names)
 
 # The complete identity catalog, pinned.  Adding or removing a case is a
 # deliberate act that must update this list.
@@ -171,3 +171,36 @@ def test_rho_conj_under_general_gram():
     group = from_generators([[[0, 1], [1, 0]]], gram=[[2, 1], [1, 2]])
     reps = run_suite(make_env(group), "pin.rho_conj")
     assert [(r.status, r.witness) for r in reps] == [("pass", None)]
+
+
+def test_whole_catalog_under_general_gram():
+    import importlib.resources as resources
+    schema = json.loads(
+        resources.files("cheralg").joinpath("report_schema.json").read_text())
+    group = from_generators([[[0, 1], [1, 0]]], gram=[[2, 1], [1, 2]])
+    reps = run_suite(make_env(group), "all")
+    by_id = {r.id: r for r in reps}
+    assert set(catalog_ids()) <= set(by_id)
+    assert [r.id for r in reps if r.status == "fail"] == []
+    orthonormal_only = ["pin.chirality", "bwz.generator_forms"]
+    oracle = [rid for rid in by_id if rid.startswith("oracle.")]
+    assert {"oracle.products", "oracle.mutation",
+            "oracle.chirality.square"} <= set(oracle)
+    for rid in orthonormal_only + oracle:
+        assert (by_id[rid].status, by_id[rid].reason) \
+            == ("skipped", NEEDS_ORTHONORMAL)
+    for r in reps:
+        validate(json.loads(r.to_json()), schema)
+        if r.status == "skipped" and r.id not in orthonormal_only + oracle:
+            assert r.reason.startswith("needs dimension")
+
+
+def test_skipped_oracle_reports_keep_ids_and_anchors(env_a12):
+    group = from_generators([[[0, 1], [1, 0]]], gram=[[2, 1], [1, 2]])
+    skipped = {r.id: r.anchor
+               for r in run_oracle_crosscheck(make_env(group))}
+    run = {r.id: r.anchor for r in run_oracle_crosscheck(
+        env_a12, samples=1, product_checks=1)}
+    assert {"oracle.products", "oracle.mutation"} <= set(skipped) & set(run)
+    assert {rid: skipped[rid] for rid in run if rid in skipped} \
+        == {rid: run[rid] for rid in run if rid in skipped}
