@@ -11,7 +11,9 @@ Subcommands:
     info                show group, reflection, and parameter data
 
 Exit codes: 0 when everything evaluated/passed, 1 when any identity failed,
-2 for usage, parse, or evaluation errors.
+2 for usage, parse, or evaluation errors, arithmetic errors included
+(division by zero, a failed relation check, a projector series past its
+nilpotence bound).
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from .groups import from_generators, parse_group_spec
 from .parser import EvalError, ParseError, parse_expression, Evaluator
 from .scalars import BN_I, BaseNumber
 from .suites import (RunOptions, SuiteEnv, UnknownSuite, catalog,
-                     run_oracle_crosscheck, run_suite, suite_names)
+                     oracle_ids, run_suite, suite_names)
 
 _RAT = r"[+-]?\d+(?:/\d+)?"
 
@@ -84,7 +86,8 @@ def _add_common(p, with_run_opts=False):
                        help="seed of the random elements in the health and "
                             "oracle suites")
         p.add_argument("--max-degree", type=int, default=2,
-                       help="largest xy-degree of those random elements")
+                       help="largest xy-degree of those random elements "
+                            "(the oracle's module vectors take at least 3)")
 
 
 def _kappa_values(args, ctx: Context):
@@ -142,13 +145,8 @@ def cmd_verify(args) -> int:
     group = _load_group(args.group)
     options = RunOptions(seed=args.seed, max_degree=args.max_degree)
     env = SuiteEnv(group, options)
-    kappa = _kappa_values(args, env.ctx)
-    if args.suite == "oracle":
-        reports = run_oracle_crosscheck(env, seed=args.seed,
-                                        max_degree=max(args.max_degree, 3))
-    else:
-        reports = run_suite(env, args.suite, kappa_values=kappa,
-                            options=options)
+    reports = run_suite(env, args.suite,
+                        kappa_values=_kappa_values(args, env.ctx))
     if args.format == "json":
         for r in reports:
             print(r.to_json())
@@ -165,7 +163,7 @@ def cmd_list_suites(args) -> int:
     counts: dict = {}
     for case in catalog():
         counts[case.id.split(".")[0]] = counts.get(case.id.split(".")[0], 0) + 1
-    counts["oracle"] = counts.get("oracle", 0)
+    counts["oracle"] = len(oracle_ids())
     for name in suite_names():
         extra = " (engine/module cross-check)" if name == "oracle" else ""
         print(f"{name:12s} {counts.get(name, 0):3d} cases{extra}")
@@ -240,7 +238,8 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     try:
         return args.fn(args)
-    except (ParseError, EvalError, UnknownSuite, ValueError, OSError) as exc:
+    except (ParseError, EvalError, UnknownSuite, ValueError, OSError,
+            ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

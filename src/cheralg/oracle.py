@@ -12,6 +12,12 @@ exact agreement between the two is a meaningful cross-check.  Faithfulness
 holds in principle; sampling vectors of bounded degree is the practical
 contract, and exact zero on every sample is required.
 
+`ModuleEvaluator` reads the parser's expression language in the module:
+the engine builds only the leaves (names, scalars, and the O, M, A, R,
+gamma, rho and B calls), and every product, power, sum and bracket of them
+becomes composition of operators, so one written identity is checked by
+both the engine and the module.
+
 Polynomials are sparse dictionaries mapping exponent tuples to Scalars; a
 PolySpinor maps (exponent tuple, spinor subset bitmask) pairs to Scalars.
 The spinor bitmask ranges over subsets of the isotropic plus-directions.
@@ -23,6 +29,8 @@ import random
 
 from .core import Context, Element, Monomial
 from .geometry import Vector
+from .parser import (Bin, Bracket, Call, EvalError, Evaluator, Name, Neg, Num,
+                     reciprocal)
 from .scalars import BN_I, BaseNumber, SC_ONE, SC_ZERO, Scalar, as_scalar
 
 _NEG_I = -BN_I
@@ -325,9 +333,84 @@ class SpinorModule:
             acc = acc + self.act_monomial(mono, v).scale(coef)
         return acc
 
-    def act_factors(self, factors, v: PolySpinor) -> PolySpinor:
-        """Apply a product without multiplying it out in the engine."""
-        w = v
-        for f in reversed(list(factors)):
-            w = self.act(f, w)
-        return w
+
+# Calls whose value the engine builds as one leaf operator.
+_LEAF_CALLS = ("O", "M", "A", "R", "gamma", "rho", "B")
+
+
+class ModuleEvaluator:
+    """Act with an expression of the parser's language on module vectors.
+
+    The leaves are built once each by the engine's Evaluator and act
+    through `SpinorModule.act`; products become composition, powers
+    repeated composition, and the graded brackets ab -+ ba with the sign
+    read from the parities of the operands.  Nothing else is composed: the
+    projector-style maps (Pp, Pm, Palpha, Qp, Qm) raise EvalError.
+    """
+
+    def __init__(self, module: SpinorModule):
+        self.module = module
+        self.engine = Evaluator(module.ctx)
+        self._leaves: dict = {}
+
+    def leaf(self, node) -> Element:
+        hit = self._leaves.get(node)
+        if hit is None:
+            hit = self._leaves[node] = self.engine.eval_element(node)
+        return hit
+
+    def act(self, node, v: PolySpinor) -> PolySpinor:
+        """The value of ``node`` applied to ``v``."""
+        if _is_leaf(node):
+            return self.module.act(self.leaf(node), v)
+        if isinstance(node, Neg):
+            return -self.act(node.arg, v)
+        if isinstance(node, Bracket):
+            ab = self.act(node.left, self.act(node.right, v))
+            ba = self.act(node.right, self.act(node.left, v))
+            odd = self.parity(node.left) & self.parity(node.right)
+            return ab - ba if (node.kind == "super") != odd else ab + ba
+        if isinstance(node, Bin):
+            if node.op == "+":
+                return self.act(node.left, v) + self.act(node.right, v)
+            if node.op == "-":
+                return self.act(node.left, v) - self.act(node.right, v)
+            if node.op == "*":
+                return self.act(node.left, self.act(node.right, v))
+            if node.op == "/":
+                return self.act(node.left, v).scale(
+                    reciprocal(self.leaf(node.right)))
+            for _ in range(_exponent(node)):
+                v = self.act(node.left, v)
+            return v
+        raise EvalError(f"{node.fn} does not act by composition in the "
+                        "module")
+
+    def parity(self, node) -> int:
+        """The parity of the value of ``node``; zero counts as even."""
+        if _is_leaf(node):
+            parities = {m.parity for m in self.leaf(node).terms} or {0}
+        elif isinstance(node, Neg):
+            return self.parity(node.arg)
+        elif isinstance(node, Bracket) or node.op == "*":
+            return self.parity(node.left) ^ self.parity(node.right)
+        elif node.op == "^":
+            return self.parity(node.left) * _exponent(node) % 2
+        elif node.op == "/":
+            return self.parity(node.left)
+        else:
+            parities = {self.parity(node.left), self.parity(node.right)}
+        if len(parities) > 1:
+            raise EvalError("operand of mixed parity in a bracket")
+        return parities.pop()
+
+
+def _is_leaf(node) -> bool:
+    return isinstance(node, (Num, Name)) or (
+        isinstance(node, Call) and node.fn in _LEAF_CALLS)
+
+
+def _exponent(node) -> int:
+    if not isinstance(node.right, Num):
+        raise EvalError("exponents must be integer literals")
+    return node.right.value

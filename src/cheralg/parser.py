@@ -11,9 +11,12 @@ Grammar (standard precedence, carets bind tightest, so -y^2 is -(y^2)):
 
 Square brackets are the graded commutator, braces the graded
 anticommutator; both are atoms.  Call arguments are evaluated in covector
-mode for the index-taking operations (O, M, A, R, gamma) and in element
-mode for the projector-style maps.  The canonical printer of elements emits
-only this grammar, so print-then-parse is the identity on values.
+mode for the index-taking operations (O, M, A, R, gamma) and for the form
+B(u, v), and in element mode for the projector-style maps (Pp, Pm, Palpha,
+Qp, Qm).  B(u, v) is the symmetric form on two covectors, a scalar that
+may stand wherever a scalar may, so O(x1*B(x2, x3) - x2*B(x1, x3), x3) and
+B(x1, x2)/2 both read.  The canonical printer of elements emits only this
+grammar, so print-then-parse is the identity on values.
 
 Names are read by mode:
 
@@ -23,6 +26,10 @@ Names are read by mode:
     covector mode   x*, zp*, zm*, z0 (odd dimension), alpha*; the same
                     scalars as coefficients
 
+Every other name is unknown to the evaluator, so `substitute` can bind
+such names (placeholders like a, b, u) to parsed covectors before a
+template is evaluated.
+
 A covector has no single element image (it may stand for x, for y through
 beta, or for gamma), so zp*, zm*, z0 and alpha* in element position raise
 EvalError; gamma(zp1) names the Clifford image explicitly.
@@ -30,14 +37,14 @@ EvalError; gamma(zp1) names the Clifford image explicitly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .centralizer import M as _M, central_omega, o_proj, o_top
 from .core import Context, anticommutator, antisymmetrize, supercommutator
-from .geometry import witt_basis
+from .geometry import bilinear_B, witt_basis
 from .osp import (build_osp, casimir, gen_symmetry, p_alpha, p_minus, p_plus,
                   q_minus, q_plus, scasimir)
-from .scalars import BN_I, BN_SQRT2, Scalar, as_scalar
+from .scalars import BN_I, BN_SQRT2, SC_ZERO, Scalar, as_scalar
 
 
 class ParseError(ValueError):
@@ -231,6 +238,21 @@ def parse_expression(src: str):
     return _Parser(src).parse()
 
 
+def substitute(node, bindings: dict):
+    """The AST with every Name whose identifier is a key of ``bindings``
+    replaced by the AST bound to it."""
+    if isinstance(node, Name):
+        return bindings.get(node.ident, node)
+    if isinstance(node, Call):
+        return Call(node.fn, tuple(substitute(a, bindings) for a in node.args))
+    if isinstance(node, Neg):
+        return Neg(substitute(node.arg, bindings))
+    if isinstance(node, (Bin, Bracket)):
+        return replace(node, left=substitute(node.left, bindings),
+                       right=substitute(node.right, bindings))
+    return node
+
+
 _COV_CALLS = {"O", "M", "A", "R", "gamma"}
 
 
@@ -302,11 +324,18 @@ class Evaluator:
             raise EvalError("expected a covector-valued expression")
         return val
 
+    def _form(self, node) -> Scalar:
+        if len(node.args) != 2:
+            raise EvalError("B takes exactly two covectors")
+        return bilinear_B(*(self.eval_covector(a) for a in node.args))
+
     def _eval_cov(self, node):
         if isinstance(node, Num):
             return ("sc", as_scalar(node.value))
         if isinstance(node, Name):
             return self._cov_atom(node.ident)
+        if isinstance(node, Call) and node.fn == "B":
+            return ("sc", self._form(node))
         if isinstance(node, Neg):
             tag, v = self._eval_cov(node.arg)
             return (tag, -v)
@@ -369,10 +398,9 @@ class Evaluator:
             if node.op == "-":
                 return a - b
             if node.op == "*":
-                return a * b
+                return _times(a, b)
             if node.op == "/":
-                s = _as_constant_scalar(b)
-                return a * _scalar_inverse(s)
+                return a * reciprocal(b)
         raise EvalError(f"cannot evaluate node {node!r}")
 
     def _elem_atom(self, ident):
@@ -442,6 +470,8 @@ class Evaluator:
                 if len(covs) != 1:
                     raise EvalError("gamma takes exactly one covector")
                 return ctx.gamma(covs[0])
+        if fn == "B":
+            return ctx.scalar_elem(self._form(node))
         if fn == "rho":
             word = []
             for a in node.args:
@@ -480,7 +510,18 @@ def _scalar_inverse(s: Scalar) -> Scalar:
     return as_scalar(s.constant_part().inverse())
 
 
-def _as_constant_scalar(elem) -> Scalar:
+def _times(a, b):
+    """a*b; scalars are central, so a scalar factor only scales the other."""
+    ident = a.ctx.ident_mono
+    if b.terms.keys() <= {ident}:
+        return a * b.terms.get(ident, SC_ZERO)
+    if a.terms.keys() <= {ident}:
+        return b * a.terms.get(ident, SC_ZERO)
+    return a * b
+
+
+def reciprocal(elem) -> Scalar:
+    """1/elem for an element that is a nonzero constant scalar."""
     terms = elem.terms
     if not terms:
         raise EvalError("division by zero")
@@ -489,7 +530,7 @@ def _as_constant_scalar(elem) -> Scalar:
     (mono, coef), = terms.items()
     if mono != elem.ctx.ident_mono:
         raise EvalError("can only divide by scalar elements")
-    return coef
+    return _scalar_inverse(coef)
 
 
 def evaluate(ctx: Context, src: str):

@@ -53,7 +53,10 @@ class BaseNumber:
 
     def __add__(self, other):
         if type(other) is not BaseNumber:
-            other = as_base(other)
+            try:
+                other = as_base(other)
+            except TypeError:
+                return NotImplemented
         return _make(self.a + other.a, self.b + other.b,
                      self.c + other.c, self.d + other.d)
 
@@ -61,7 +64,10 @@ class BaseNumber:
 
     def __sub__(self, other):
         if type(other) is not BaseNumber:
-            other = as_base(other)
+            try:
+                other = as_base(other)
+            except TypeError:
+                return NotImplemented
         return _make(self.a - other.a, self.b - other.b,
                      self.c - other.c, self.d - other.d)
 
@@ -75,7 +81,10 @@ class BaseNumber:
         if type(other) is not BaseNumber:
             if isinstance(other, (int, Fraction)):
                 return self._scale(other)
-            other = as_base(other)
+            try:
+                other = as_base(other)
+            except TypeError:
+                return NotImplemented
         if not (other.b or other.c or other.d):
             return self._scale(other.a)
         if not (self.b or self.c or self.d):
@@ -249,7 +258,10 @@ class Scalar:
 
     def __add__(self, other):
         if type(other) is not Scalar:
-            other = Scalar.of(other)
+            try:
+                other = Scalar.of(other)
+            except TypeError:
+                return NotImplemented
         if not self.terms:
             return other
         if not other.terms:
@@ -270,7 +282,11 @@ class Scalar:
     __radd__ = __add__
 
     def __sub__(self, other):
-        return self + (-Scalar.of(other))
+        try:
+            other = Scalar.of(other)
+        except TypeError:
+            return NotImplemented
+        return self + (-other)
 
     def __rsub__(self, other):
         return Scalar.of(other) + (-self)
@@ -284,7 +300,10 @@ class Scalar:
                 if not other:
                     return SC_ZERO
             else:
-                other = as_base(other)
+                try:
+                    other = as_base(other)
+                except TypeError:
+                    return NotImplemented
                 if other.is_zero():
                     return SC_ZERO
             return self._times(other)

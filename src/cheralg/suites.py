@@ -6,6 +6,20 @@ human anchor, a minimum ambient dimension, and a builder producing a list of
 empty combination; the runner never compares against a tolerance, only
 against structural zero.
 
+Identities that the expression language of parser.py can state are rows
+of TEMPLATE_ROWS: the Scasimir identities, the pair- and triple-bracket
+formulas, the orthonormal-basis corollary of the O_A brackets, and a few
+projector and generalized-symmetry laws.  A row holds templates over
+placeholders and the covector patterns bound to them.  The rest are Python
+builders, since they need what the language lacks: the deformed form
+psi_kappa, the beta-embedding of covectors, the auxiliary pairings, sums
+over index subsets, shaped antisymmetrizations or seeds.
+
+The oracle cross-check reads ORACLE_ROWS, 20 identities written in the
+same language, twice: with the engine Evaluator, and with the module
+evaluator of oracle.py, which composes them as operators on the
+polynomial-tensor-spinor module.
+
 The first dotted component of an id names its suite; `run_suite` selects by
 that prefix (or "all").  Cases whose dimension prerequisite fails, and
 cases stated for the orthonormal configuration when the Gram matrix is
@@ -17,9 +31,11 @@ the seed.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import random
+import re
 import time
 from dataclasses import dataclass
 from fractions import Fraction
@@ -32,10 +48,10 @@ from .core import (ROOT_SCALE, Context, anticommutator, commutator,
                    random_element, supercommutator)
 from .geometry import beta, bilinear_B
 from .groups import ReflectionGroup, parse_group_spec
-from .oracle import SpinorModule
-from .osp import (build_osp, casimir, gen_symmetry, osp_relations,
-                  pair_element, p_alpha, p_minus, p_plus, q_minus, q_plus,
-                  scasimir, b_form, XPLUS, XMINUS, GAMMA, _PARITY)
+from .oracle import ModuleEvaluator, SpinorModule
+from .osp import (build_osp, osp_relations, pair_element, p_alpha, p_plus,
+                  b_form, XPLUS, XMINUS, GAMMA, _PARITY)
+from .parser import Evaluator, parse_expression, substitute
 from .scalars import BaseNumber, Scalar, as_base, as_scalar
 
 
@@ -97,9 +113,6 @@ class SuiteEnv:
     def x(self, p):
         return self.ctx.space.basis_covector(p)
 
-    def cov(self, coords):
-        return self.ctx.covector(coords)
-
     def O(self, *covs):
         return o_proj(self.ctx, covs)
 
@@ -115,8 +128,252 @@ class SuiteEnv:
     def tuples(self, n, cap=6):
         return list(itertools.combinations(range(self.dim), n))[:cap]
 
-    def hat(self, a, b, u):
-        return a * bilinear_B(b, u) - b * bilinear_B(a, u)
+
+# ---- template cases ---------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class TemplateRow:
+    """Catalog cases written once in the expression language of parser.py.
+
+    The placeholders are bound, in order, to the comma-separated covectors
+    of each pattern; without patterns they are bound to x1, x2, ... as far
+    as the dimension goes.  A pattern that names a coordinate beyond the
+    dimension is left out.  Once a and b are bound, a placeholder with h
+    appended (uh, vh, ...) stands for the hatted covector
+    a*B(b, u) - b*B(a, u).  Residuals are labelled by pattern and sub-label.
+    """
+    id: str
+    anchor: str
+    min_dim: int
+    templates: tuple                 # (sub-label, template) pairs
+    placeholders: str = "a b c u v w"
+    patterns: tuple = ()             # (label, covectors) pairs
+
+    def residuals(self, env: SuiteEnv) -> list:
+        ev = Evaluator(env.ctx)
+        return [(".".join(filter(None, (plabel, slabel))),
+                 ev.eval_element(substitute(_parsed(src), binding)))
+                for plabel, binding in self._bindings(env.dim)
+                for slabel, src in self.templates]
+
+    def _bindings(self, dim: int):
+        names = self.placeholders.split()
+        patterns = self.patterns or [
+            ("", ", ".join(f"x{p + 1}" for p in range(min(dim, len(names)))))]
+        for label, covs in patterns:
+            if max(map(int, re.findall(r"x(\d+)", covs)), default=0) > dim:
+                continue
+            binding = dict(zip(names, map(_parsed, covs.split(","))))
+            if "a" in binding and "b" in binding:
+                pair = {"a": binding["a"], "b": binding["b"]}
+                binding.update({
+                    n + "h": substitute(_parsed(_HAT), {**pair, "t": cov})
+                    for n, cov in binding.items() if n not in pair})
+            yield label, binding
+
+
+_HAT = "a*B(b, t) - b*B(a, t)"
+
+
+@functools.cache
+def _parsed(src: str):
+    """The AST of a template, parsed on first use rather than when the
+    catalog is built."""
+    return parse_expression(src)
+
+
+def _ix(*groups):
+    """An index pattern: labelled by its index groups, bound to the basis
+    covectors x(i + 1)."""
+    return ("".join(map(str, groups)),
+            ", ".join(f"x{i + 1}" for g in groups for i in g))
+
+
+SCASIMIR_SQUARE = "Scasimir^2 - Casimir - 1/4"
+
+_CENTRAL_SAMPLES = (("one", "1"), ("O1", "O(x1)"), ("O12", "O(x1, x2)"),
+                    ("invariant", "Omega"), ("rho", "rho(s1)"),
+                    ("mixed", "O(x1, x2)*rho(s1)"))
+_FACTOR = "(e1 + x1*y2)"
+
+_GENSYM_PATTERNS = (("x1", "x1"), ("x2", "x2"), ("x1+x2", "x1 + x2"))
+
+_PAIR_PATTERNS = (_ix((0, 1), (0, 1)), _ix((0, 1), (0, 2)),
+                  _ix((0, 2), (1, 2)), _ix((0, 1), (2, 3)))
+
+_COROLLARY = (
+    ("OijOki", "pair bracket with one repeated index", 3,
+     "[O(a, b), -O(a, c)] - (O(b, c) + {O(b), O(c)} + [O(a, b, c), O(a)])"),
+    ("OijOkl_half", "disjoint pair bracket, halved four-term form", 4,
+     "[O(a, b), O(c, u)] - ([O(a), O(b, c, u)] - [O(b), O(a, c, u)]"
+     " - [O(a, b, u), O(c)] + [O(a, b, c), O(u)])/2"),
+    ("OijOkl", "disjoint pair bracket, two-term form", 4,
+     "[O(a, b), O(c, u)] - ([O(a), O(b, c, u)] - [O(b), O(a, c, u)])"),
+    ("OjkOlmn", "pair against disjoint triple", 5,
+     "[O(a, b), O(c, u, v)] - ([O(a), O(b, c, u, v)]"
+     " - [O(b), O(a, c, u, v)])"),
+    ("OjkOjlm", "pair against triple sharing one index", 4,
+     "[O(a, b), O(a, c, u)] - (-O(b, c, u) - {O(b), O(c, u)}"
+     " - [O(a), O(a, b, c, u)])"),
+    ("OjkOjkl", "pair against triple sharing both indices", 3,
+     "[O(a, b), O(a, b, c)] - (-{O(a), O(a, c)} - {O(b), O(b, c)})"),
+    ("e24", "square of a triple element", 3,
+     "[O(a, b, c), O(a, b, c)] - (2*(O(a)^2 + O(b)^2 + O(c)^2"
+     " + O(a, b)^2 + O(a, c)^2 + O(b, c)^2) - 1/2)"),
+    ("e25", "triples sharing two indices", 4,
+     "[O(a, b, c), O(a, b, u)] - ([O(c), O(u)] + {O(a, c), O(a, u)}"
+     " + {O(b, c), O(b, u)})"),
+    ("e26", "triples sharing one index", 5,
+     "[O(a, b, c), O(a, u, v)] - (O(b, c, u, v) + {O(b, c), O(u, v)}"
+     " + [O(a), O(a, b, c, u, v)])"),
+    ("e27", "disjoint triples", 6,
+     "[O(a, b, c), O(u, v, w)] - ([O(a), O(b, c, u, v, w)]"
+     " - [O(b), O(a, c, u, v, w)] + [O(c), O(a, b, u, v, w)])"),
+    ("OjkOjklm", "pair against quadruple sharing both indices", 4,
+     "[O(a, b), O(a, b, c, u)] - (-{O(a), O(a, c, u)} - {O(b), O(b, c, u)})"),
+    ("OjkOjlmn", "pair against quadruple sharing one index", 5,
+     "[O(a, b), O(a, c, u, v)] - (-O(b, c, u, v) - {O(b), O(c, u, v)}"
+     " - [O(a), O(a, b, c, u, v)])"),
+    ("OijOklmn", "pair against disjoint quadruple", 6,
+     "[O(a, b), O(c, u, v, w)] - ([O(a), O(b, c, u, v, w)]"
+     " - [O(b), O(a, c, u, v, w)])"),
+    ("OjklOjkm", "product of triples sharing two indices", 4,
+     "{O(a, b, c), O(a, b, u)} - (-O(c, u) - {O(c), O(u)}"
+     " + {O(a, b), O(a, b, c, u)})"),
+)
+
+_LOWER_ANCHOR = ("the lowering generator intertwines the symmetry element up "
+                 "to a shift")
+_LOWER = (("", "[D, R(u)] + gamma(u)*D"),)
+
+TEMPLATE_ROWS = (
+    TemplateRow(
+        "scasimir.square", "Scasimir squares to Casimir + 1/4", 1,
+        (("S^2", SCASIMIR_SQUARE),)),
+    TemplateRow(
+        "scasimir.parity",
+        "Scasimir commutes with even and anticommutes with odd generators", 1,
+        (("X", "{Scasimir, X}"), ("D", "{Scasimir, D}"),
+         ("H", "[Scasimir, H]"), ("Ep", "[Scasimir, Ep]"),
+         ("Em", "[Scasimir, Em]"))),
+    TemplateRow(
+        "scasimir.projected",
+        "projecting the Scasimir yields twice its square", 1,
+        (("plus", "Pp(Scasimir) - 2*Scasimir^2"),
+         ("minus", "Pm(Scasimir) - 2*Scasimir^2"),
+         ("constants", "Pp(Scasimir) - 2*Casimir - 1/2"))),
+    TemplateRow(
+        "scasimir.casimir_central",
+        "the Casimir supercommutes with all five generators", 1,
+        tuple((n, f"[Casimir, {n}]") for n in ("X", "D", "H", "Ep", "Em"))),
+    TemplateRow(
+        "projector.fixes_central",
+        "supercentralizer elements are fixed points", 2,
+        tuple((n, f"Pp({a}) - {a}") for n, a in _CENTRAL_SAMPLES)),
+    TemplateRow(
+        "projector.mult_central",
+        "multiplicativity when one factor is a supercentralizer element", 2,
+        tuple(pair for n, a in _CENTRAL_SAMPLES for pair in (
+            (f"left.{n}", f"Pp({a}*{_FACTOR}) - Pp({a})*Pp({_FACTOR})"),
+            (f"right.{n}", f"Pp({_FACTOR}*{a}) - Pp({_FACTOR})*Pp({a})")))),
+    TemplateRow(
+        "projector.cliffpair",
+        "projected Clifford pair: two-index element shifted by the form", 2,
+        (("", "-Pp(gamma(u)*gamma(v))/2 - O(u, v) + B(u, v)/2"),), "u v",
+        (("pair0", "x1, x2"), ("pair1", "x1, x1 + x2"))),
+    TemplateRow(
+        "projector.sandwich",
+        "central factors pull out of the projector on both sides", 2,
+        (("abc", "Pp(O(x1, x2)*(e1*x2)*rho(s1))"
+                 " - O(x1, x2)*Pp(e1*x2)*rho(s1)"),)),
+    TemplateRow(
+        "projector.pm_agree", "both projectors agree on weight-zero arguments",
+        2, tuple((n, f"Pp({a}) - Pm({a})") for n, a in (
+            ("M12", "M(x1, x2)"), ("e1", "e1"), ("x1y1", "x1*y1"),
+            ("S", "Scasimir"), ("g", "s1")))),
+    TemplateRow("gensym.lower_x1", _LOWER_ANCHOR, 1, _LOWER, "u",
+                _GENSYM_PATTERNS[:1]),
+    TemplateRow("gensym.lower_x2", _LOWER_ANCHOR, 2, _LOWER, "u",
+                _GENSYM_PATTERNS[1:2]),
+    TemplateRow("gensym.lower_sum", _LOWER_ANCHOR, 2, _LOWER, "u",
+                _GENSYM_PATTERNS[2:]),
+    TemplateRow(
+        "gensym.qminus_def",
+        "the symmetry element is the lowering-side map of the Clifford "
+        "generator", 1, (("", "R(u) - Qm(gamma(u))"),), "u", _GENSYM_PATTERNS),
+    TemplateRow(
+        "gensym.raise_x1", "mirror identity for the raising side", 1,
+        (("", "[X, Qp(gamma(u))] - gamma(u)*X"),), "u", _GENSYM_PATTERNS),
+    TemplateRow(
+        "gensym.qplus_one", "the raising-side map fixes one up to H", 1,
+        (("one", "Qp(1) - H - 1"),)),
+    TemplateRow(
+        "p_OujOun.case4",
+        "four-term alternating bracket of triples against singles", 4,
+        (("", "[O(u, v, w), O(z)] - [O(u, v, z), O(w)] + [O(u, w, z), O(v)]"
+              " - [O(v, w, z), O(u)]"),),
+        "u v w z", (_ix((0, 1, 2, 3)), _ix((0, 1, 2, 4)))),
+    TemplateRow(
+        "p_OabOuv.form1",
+        "two-by-two bracket: pairing-weighted one-index commutators", 3,
+        (("", "[O(a, b), O(u, v)] - ("
+              "B(b, u)*(O(a, v) + {O(a), O(v)})"
+              " - B(a, u)*(O(b, v) + {O(b), O(v)})"
+              " - B(b, v)*(O(a, u) + {O(a), O(u)})"
+              " + B(a, v)*(O(b, u) + {O(b), O(u)})"
+              " + ([O(a), O(b, u, v)] - [O(b), O(a, u, v)]"
+              " + [O(a, b, u), O(v)] - [O(a, b, v), O(u)])/2)"),),
+        "a b u v", _PAIR_PATTERNS),
+    TemplateRow(
+        "p_OabOuv.form2", "two-by-two bracket: hatted-index form", 3,
+        (("", "[O(a, b), O(u, v)] - (O(uh, v) + {O(uh), O(v)}"
+              " + [O(a, b, u), O(v)] + O(u, vh) + {O(u), O(vh)}"
+              " - [O(a, b, v), O(u)])"),),
+        "a b u v",
+        tuple((f"p{i}", covs) for i, (_, covs) in enumerate(
+            _PAIR_PATTERNS + (("", "x1, x2 + x3, x1 + x2, x4"),)))),
+    TemplateRow(
+        "p_O2O34.n3",
+        "pair bracket against a triple: hatted triples and pair brackets", 5,
+        (("", "[O(a, b), O(u, v, w)] - (O(uh, v, w) + O(u, vh, w)"
+              " + O(u, v, wh) + {O(uh), O(v, w)} - {O(vh), O(u, w)}"
+              " + {O(wh), O(u, v)} + [O(a), O(b, u, v, w)]"
+              " - [O(b), O(a, u, v, w)])"),),
+        "a b u v w",
+        (("p0", "x1 + x3, x2, x2 + x4, x1, x3"),
+         ("p1", "x1, x2, x3, x4, x5"), ("p2", "x1, x2, x1, x3, x4"),
+         ("p3", "x1, x2, x1, x2, x3"))),
+    TemplateRow(
+        "p_O2O34.n4",
+        "pair bracket against a quadruple (singly-paired patterns)", 5,
+        (("", "[O(a, b), O(c, u, v, w)] - (O(ch, u, v, w) + O(c, uh, v, w)"
+              " + O(c, u, vh, w) + O(c, u, v, wh) + {O(ch), O(u, v, w)}"
+              " + {O(uh), O(c, v, w)} + {O(vh), O(c, u, w)}"
+              " + {O(wh), O(c, u, v)} + [O(a), O(b, c, u, v, w)]"
+              " - [O(b), O(a, c, u, v, w)])"),),
+        "a b c u v w",
+        (_ix((0, 1), (0, 2, 3, 4)), _ix((0, 1), (1, 2, 3, 4)),
+         _ix((0, 1), (2, 3, 4, 5)))),
+    TemplateRow(
+        "p_O3O3",
+        "triple bracket against a triple under the diagonal pairing pattern",
+        6,
+        (("", "[O(a, b, c), O(u, v, w)] - ("
+              "B(a, u)*(O(b, c, v, w) + {O(b, c), O(v, w)})"
+              " + [O(a), O(b, c, u, v, w)]"
+              " + B(b, v)*(O(a, c, u, w) + {O(a, c), O(u, w)})"
+              " - [O(b), O(a, c, u, v, w)]"
+              " + B(c, w)*(O(a, b, u, v) + {O(a, b), O(u, v)})"
+              " + [O(c), O(a, b, u, v, w)]"
+              " + B(b, v)*B(c, w)*[O(a), O(u)] + B(a, u)*B(c, w)*[O(b), O(v)]"
+              " + B(a, u)*B(b, v)*[O(c), O(w)]"
+              " - B(a, u)*B(b, v)*B(c, w)/2)"),),
+        "a b c u v w",
+        (_ix((0, 1, 2), (3, 4, 5)), _ix((0, 1, 2), (0, 1, 2)),
+         _ix((0, 1, 2), (0, 3, 4)), _ix((0, 1, 2), (0, 1, 5)))),
+) + tuple(TemplateRow(f"corollary.{name}", anchor, min_dim, (("main", src),))
+          for name, anchor, min_dim, src in _COROLLARY)
 
 
 def _case(cases, cid, anchor, min_dim, orthonormal=False):
@@ -147,48 +404,7 @@ def build_catalog() -> list:
             return b
         _case(cases, f"osp12re.{name}", anchor, 1)(mk())
 
-    # ---- Scasimir / Casimir ------------------------------------------------
-    @_case(cases, "scasimir.square", "Scasimir squares to Casimir + 1/4", 1)
-    def _(env):
-        S, Om = scasimir(env.ctx), casimir(env.ctx)
-        return [("S^2", S * S - Om - Fraction(1, 4))]
-
-    @_case(cases, "scasimir.parity",
-           "Scasimir commutes with even and anticommutes with odd generators", 1)
-    def _(env):
-        g = env.gens()
-        S = scasimir(env.ctx)
-        return [("X", S * g.X + g.X * S), ("D", S * g.D + g.D * S),
-                ("H", commutator(S, g.H)), ("Ep", commutator(S, g.Ep)),
-                ("Em", commutator(S, g.Em))]
-
-    @_case(cases, "scasimir.projected",
-           "projecting the Scasimir yields twice its square", 1)
-    def _(env):
-        S = scasimir(env.ctx)
-        Om = casimir(env.ctx)
-        return [("plus", p_plus(env.ctx, S) - S * S * 2),
-                ("minus", p_minus(env.ctx, S) - S * S * 2),
-                ("constants", p_plus(env.ctx, S) - Om * 2 - Fraction(1, 2))]
-
-    @_case(cases, "scasimir.casimir_central",
-           "the Casimir supercommutes with all five generators", 1)
-    def _(env):
-        g = env.gens()
-        Om = casimir(env.ctx)
-        return [(n, sc(Om, t)) for n, t in
-                [("X", g.X), ("D", g.D), ("H", g.H), ("Ep", g.Ep), ("Em", g.Em)]]
-
     # ---- extremal projector laws ------------------------------------------
-    def _central_samples(env):
-        out = [("one", env.ctx.one()),
-               ("O1", env.O(env.x(0))), ("O12", env.O(env.x(0), env.x(1))),
-               ("invariant", central_omega(env.ctx))]
-        if env.group.reflections:
-            out.append(("rho", env.ctx.rho([0])))
-            out.append(("mixed", env.O(env.x(0), env.x(1)) * env.ctx.rho([0])))
-        return out
-
     def _even_cent_samples(env):
         ctx = env.ctx
         out = [("M12", M(ctx, env.x(0), env.x(1)))]
@@ -216,44 +432,6 @@ def build_catalog() -> list:
         b = ctx.g(env.group.reflections[0].elem) * ctx.e(1) if env.dim > 1 \
             else ctx.one()
         return [("sum", p_plus(ctx, a + b) - p_plus(ctx, a) - p_plus(ctx, b))]
-
-    @_case(cases, "projector.fixes_central",
-           "supercentralizer elements are fixed points", 2)
-    def _(env):
-        return [(n, p_plus(env.ctx, c) - c) for n, c in _central_samples(env)]
-
-    @_case(cases, "projector.mult_central",
-           "multiplicativity when one factor is a supercentralizer element", 2)
-    def _(env):
-        ctx = env.ctx
-        out = []
-        b = ctx.e(0) + ctx.x(0) * ctx.y(1)
-        for n, a in _central_samples(env):
-            out.append((f"left.{n}",
-                        p_plus(ctx, a * b) - p_plus(ctx, a) * p_plus(ctx, b)))
-            out.append((f"right.{n}",
-                        p_plus(ctx, b * a) - p_plus(ctx, b) * p_plus(ctx, a)))
-        return out
-
-    @_case(cases, "projector.sandwich",
-           "central factors pull out of the projector on both sides", 2)
-    def _(env):
-        ctx = env.ctx
-        a = env.O(env.x(0), env.x(1))
-        c = ctx.rho([0]) if env.group.reflections else ctx.one()
-        b = ctx.e(0) * ctx.x(1)
-        return [("abc", p_plus(ctx, a * b * c) - a * p_plus(ctx, b) * c)]
-
-    @_case(cases, "projector.pm_agree",
-           "both projectors agree on weight-zero arguments", 2)
-    def _(env):
-        ctx = env.ctx
-        samples = [("M12", M(ctx, env.x(0), env.x(1))),
-                   ("e1", ctx.e(0)), ("x1y1", ctx.x(0) * ctx.y(0)),
-                   ("S", scasimir(ctx))]
-        if env.group.reflections:
-            samples.append(("g", ctx.g(env.group.reflections[0].elem)))
-        return [(n, p_plus(ctx, a) - p_minus(ctx, a)) for n, a in samples]
 
     @_case(cases, "projector.reflection",
            "a reflection projects to its one-index element times its cover image", 1)
@@ -283,18 +461,6 @@ def build_catalog() -> list:
             out.append((f"pair{i}", lhs - rhs))
         return out
 
-    @_case(cases, "projector.cliffpair",
-           "projected Clifford pair: two-index element shifted by the form", 2)
-    def _(env):
-        ctx = env.ctx
-        pairs = [(env.x(0), env.x(1)), (env.x(0), env.x(0) + env.x(1))]
-        out = []
-        for i, (u, v) in enumerate(pairs):
-            lhs = -(p_plus(ctx, ctx.gamma(u) * ctx.gamma(v)) * Fraction(1, 2))
-            rhs = env.O(u, v) - env.scal(bilinear_B(u, v) * Fraction(1, 2))
-            out.append((f"pair{i}", lhs - rhs))
-        return out
-
     @_case(cases, "projector.gammav",
            "a Clifford generator projects to minus twice its one-index element", 1)
     def _(env):
@@ -321,51 +487,6 @@ def build_catalog() -> list:
             out.append((f"Em.{n}", sc(g.Em, pa)))
             out.append((f"H.{n}", sc(g.H, pa)))
         return out
-
-    # ---- generalized symmetries ---------------------------------------------
-    def _gensym_covs(env):
-        covs = [("x1", env.x(0))]
-        if env.dim > 1:
-            covs += [("x2", env.x(1)), ("x1+x2", env.x(0) + env.x(1))]
-        return covs
-
-    for tag, pick in [("lower_x1", 0), ("lower_x2", 1), ("lower_sum", 2)]:
-        def mk(pick=pick):
-            def b(env):
-                covs = _gensym_covs(env)
-                if pick >= len(covs):
-                    return [("missing", env.ctx.zero())]
-                name, u = covs[pick]
-                g = env.gens()
-                R = gen_symmetry(env.ctx, u)
-                gu = env.ctx.gamma(u)
-                return [(name, g.D * R + (R + gu) * g.D)]
-            return b
-        _case(cases, f"gensym.{tag}",
-              "the lowering generator intertwines the symmetry element "
-              "up to a shift", 2 if tag != "lower_x1" else 1)(mk())
-
-    @_case(cases, "gensym.qminus_def",
-           "the symmetry element is the lowering-side map of the Clifford "
-           "generator", 1)
-    def _(env):
-        return [(n, gen_symmetry(env.ctx, u) - q_minus(env.ctx, env.ctx.gamma(u)))
-                for n, u in _gensym_covs(env)]
-
-    @_case(cases, "gensym.raise_x1",
-           "mirror identity for the raising side", 1)
-    def _(env):
-        g = env.gens()
-        out = []
-        for n, u in _gensym_covs(env):
-            gu = env.ctx.gamma(u)
-            Qp = q_plus(env.ctx, gu)
-            out.append((n, g.X * Qp + (Qp - gu) * g.X))
-        return out
-
-    @_case(cases, "gensym.qplus_one", "the raising-side map fixes one up to H", 1)
-    def _(env):
-        return [("one", q_plus(env.ctx, env.ctx.one()) - env.gens().H - 1)]
 
     # ---- supercentralizer membership ---------------------------------------
     for n in (1, 2, 3, 4):
@@ -577,253 +698,8 @@ def build_catalog() -> list:
                         + sc(O(v, w), O(u))))
         return out
 
-    @_case(cases, "p_OujOun.case4",
-           "four-term alternating bracket of triples against singles", 4)
-    def _(env):
-        out = []
-        for t in env.tuples(4, cap=2):
-            u, v, w, z = (env.x(p) for p in t)
-            O = lambda *cs: o_proj(env.ctx, cs)
-            out.append((f"{t}", sc(O(u, v, w), O(z)) - sc(O(u, v, z), O(w))
-                        + sc(O(u, w, z), O(v)) - sc(O(v, w, z), O(u))))
-        return out
-
-    # ---- the two-by-two bracket proposition ------------------------------------
-    def _pat22(env):
-        pats = [((0, 1), (0, 1))]
-        if env.dim >= 3:
-            pats += [((0, 1), (0, 2)), ((0, 2), (1, 2))]
-        if env.dim >= 4:
-            pats.append(((0, 1), (2, 3)))
-        return pats
-
-    @_case(cases, "p_OabOuv.form1",
-           "two-by-two bracket: pairing-weighted one-index commutators", 3)
-    def _(env):
-        ctx = env.ctx
-        O = lambda *cs: o_proj(ctx, cs)
-        out = []
-        for (ia, ib), (iu, iv) in _pat22(env):
-            a, b, u, v = env.x(ia), env.x(ib), env.x(iu), env.x(iv)
-
-            def GG(p, q):
-                return ac(O(p), O(q))
-            B = bilinear_B
-            rhs = (env.scal(B(b, u)) * (O(a, v) + GG(a, v))
-                   - env.scal(B(a, u)) * (O(b, v) + GG(b, v))
-                   - env.scal(B(b, v)) * (O(a, u) + GG(a, u))
-                   + env.scal(B(a, v)) * (O(b, u) + GG(b, u))
-                   + (sc(O(a), O(b, u, v)) - sc(O(b), O(a, u, v))
-                      + sc(O(a, b, u), O(v)) - sc(O(a, b, v), O(u)))
-                   * Fraction(1, 2))
-            out.append((f"{(ia, ib)}{(iu, iv)}", sc(O(a, b), O(u, v)) - rhs))
-        return out
-
-    @_case(cases, "p_OabOuv.form2",
-           "two-by-two bracket: hatted-index form", 3)
-    def _(env):
-        ctx = env.ctx
-        O = lambda *cs: o_proj(ctx, cs)
-        out = []
-        pats = [tuple(env.x(i) for i in p[0]) + tuple(env.x(i) for i in p[1])
-                for p in _pat22(env)]
-        if env.dim >= 4:
-            pats.append((env.x(0), env.x(1) + env.x(2),
-                         env.x(0) + env.x(1), env.x(3)))
-        for i, (a, b, u, v) in enumerate(pats):
-            uh, vh = env.hat(a, b, u), env.hat(a, b, v)
-            rhs = (O(uh, v) + ac(O(uh), O(v)) + sc(O(a, b, u), O(v))
-                   + O(u, vh) + ac(O(u), O(vh)) - sc(O(a, b, v), O(u)))
-            out.append((f"p{i}", sc(O(a, b), O(u, v)) - rhs))
-        return out
-
-    # ---- two against three / four ------------------------------------------------
-    @_case(cases, "p_O2O34.n3",
-           "pair bracket against a triple: hatted triples and pair brackets", 5)
-    def _(env):
-        ctx = env.ctx
-        O = lambda *cs: o_proj(ctx, cs)
-        pats = [((0, 1), (2, 3, 4)), ((0, 1), (0, 2, 3)), ((0, 1), (0, 1, 2))]
-        gen = [(env.x(0) + env.x(2), env.x(1),
-                env.x(1) + env.x(3), env.x(0), env.x(2))]
-        out = []
-        for (ia, ib), (iu, iv, iw) in pats:
-            a, b = env.x(ia), env.x(ib)
-            u, v, w = env.x(iu), env.x(iv), env.x(iw)
-            gen.append((a, b, u, v, w))
-        for i, (a, b, u, v, w) in enumerate(gen):
-            uh, vh, wh = env.hat(a, b, u), env.hat(a, b, v), env.hat(a, b, w)
-            rhs = (O(uh, v, w) + O(u, vh, w) + O(u, v, wh)
-                   + ac(O(uh), O(v, w)) - ac(O(vh), O(u, w))
-                   + ac(O(wh), O(u, v))
-                   + sc(O(a), O(b, u, v, w)) - sc(O(b), O(a, u, v, w)))
-            out.append((f"p{i}", sc(O(a, b), O(u, v, w)) - rhs))
-        return out
-
-    @_case(cases, "p_O2O34.n4",
-           "pair bracket against a quadruple (singly-paired patterns)", 5)
-    def _(env):
-        ctx = env.ctx
-        O = lambda *cs: o_proj(ctx, cs)
-        pats = [((0, 1), (0, 2, 3, 4)), ((0, 1), (1, 2, 3, 4))]
-        if env.dim >= 6:
-            pats.append(((0, 1), (2, 3, 4, 5)))
-        out = []
-        for (ia, ib), (ic, iu, iv, iw) in pats:
-            a, b = env.x(ia), env.x(ib)
-            c, u, v, w = (env.x(p) for p in (ic, iu, iv, iw))
-            ch, uh = env.hat(a, b, c), env.hat(a, b, u)
-            vh, wh = env.hat(a, b, v), env.hat(a, b, w)
-            rhs = (O(ch, u, v, w) + O(c, uh, v, w) + O(c, u, vh, w)
-                   + O(c, u, v, wh)
-                   + ac(O(ch), O(u, v, w)) + ac(O(uh), O(c, v, w))
-                   + ac(O(vh), O(c, u, w)) + ac(O(wh), O(c, u, v))
-                   + sc(O(a), O(b, c, u, v, w)) - sc(O(b), O(a, c, u, v, w)))
-            out.append((f"{(ia, ib)}{(ic, iu, iv, iw)}",
-                        sc(O(a, b), O(c, u, v, w)) - rhs))
-        return out
-
-    @_case(cases, "p_O3O3",
-           "triple bracket against a triple under the diagonal pairing pattern", 6)
-    def _(env):
-        ctx = env.ctx
-        O = lambda *cs: o_proj(ctx, cs)
-        B = bilinear_B
-        out = []
-        for abc, uvw in [((0, 1, 2), (3, 4, 5)), ((0, 1, 2), (0, 1, 2)),
-                         ((0, 1, 2), (0, 3, 4)), ((0, 1, 2), (0, 1, 5))]:
-            a, b, c = (env.x(p) for p in abc)
-            u, v, w = (env.x(p) for p in uvw)
-            Bau, Bbv, Bcw = B(a, u), B(b, v), B(c, w)
-            rhs = (env.scal(Bau) * (O(b, c, v, w) + ac(O(b, c), O(v, w)))
-                   + sc(O(a), O(b, c, u, v, w))
-                   + env.scal(Bbv) * (O(a, c, u, w) + ac(O(a, c), O(u, w)))
-                   - sc(O(b), O(a, c, u, v, w))
-                   + env.scal(Bcw) * (O(a, b, u, v) + ac(O(a, b), O(u, v)))
-                   + sc(O(c), O(a, b, u, v, w))
-                   + env.scal(Bbv * Bcw) * sc(O(a), O(u))
-                   + env.scal(Bau * Bcw) * sc(O(b), O(v))
-                   + env.scal(Bau * Bbv) * sc(O(c), O(w))
-                   - env.scal(Bau * Bbv * Bcw) * Fraction(1, 2))
-            out.append((f"{abc}{uvw}", sc(O(a, b, c), O(u, v, w)) - rhs))
-        return out
-
-    # ---- orthonormal-basis corollary -----------------------------------------
-    def _corollary_case(cid, anchor, min_dim, fn):
-        def b(env, fn=fn):
-            idx = list(range(min(env.dim, 6)))
-            return [("main", fn(env, *idx[:6 if env.dim >= 6 else env.dim]))]
-        _case(cases, cid, anchor, min_dim)(b)
-
-    def _add_corollary():
-        H = Fraction(1, 2)
-
-        def c_OijOki(env, i, j, k, *r):
-            Oi = env.Oi
-            return (sc(Oi(i, j), -Oi(i, k))
-                    - (Oi(j, k) + ac(Oi(j), Oi(k)) + sc(Oi(i, j, k), Oi(i))))
-
-        def c_OijOkl_half(env, i, j, k, l, *r):
-            Oi = env.Oi
-            return (sc(Oi(i, j), Oi(k, l))
-                    - (sc(Oi(i), Oi(j, k, l)) - sc(Oi(j), Oi(i, k, l))
-                       - sc(Oi(i, j, l), Oi(k)) + sc(Oi(i, j, k), Oi(l))) * H)
-
-        def c_OijOkl(env, i, j, k, l, *r):
-            Oi = env.Oi
-            return (sc(Oi(i, j), Oi(k, l))
-                    - (sc(Oi(i), Oi(j, k, l)) - sc(Oi(j), Oi(i, k, l))))
-
-        def c_OjkOlmn(env, j, k, l, m, n, *r):
-            Oi = env.Oi
-            return (sc(Oi(j, k), Oi(l, m, n))
-                    - (sc(Oi(j), Oi(k, l, m, n)) - sc(Oi(k), Oi(j, l, m, n))))
-
-        def c_OjkOjlm(env, j, k, l, m, *r):
-            Oi = env.Oi
-            return (sc(Oi(j, k), Oi(j, l, m))
-                    - (-Oi(k, l, m) - ac(Oi(k), Oi(l, m))
-                       - sc(Oi(j), Oi(j, k, l, m))))
-
-        def c_OjkOjkl(env, j, k, l, *r):
-            Oi = env.Oi
-            return (sc(Oi(j, k), Oi(j, k, l))
-                    - (-ac(Oi(j), Oi(j, l)) - ac(Oi(k), Oi(k, l))))
-
-        def c_e24(env, i, j, k, *r):
-            Oi = env.Oi
-            return (sc(Oi(i, j, k), Oi(i, j, k))
-                    - ((Oi(i) ** 2 + Oi(j) ** 2 + Oi(k) ** 2 + Oi(i, j) ** 2
-                        + Oi(i, k) ** 2 + Oi(j, k) ** 2) * 2
-                       - env.scal(H)))
-
-        def c_e25(env, i, j, k, l, *r):
-            Oi = env.Oi
-            return (sc(Oi(i, j, k), Oi(i, j, l))
-                    - (sc(Oi(k), Oi(l)) + ac(Oi(i, k), Oi(i, l))
-                       + ac(Oi(j, k), Oi(j, l))))
-
-        def c_e26(env, i, j, k, m, n, *r):
-            Oi = env.Oi
-            return (sc(Oi(i, j, k), Oi(i, m, n))
-                    - (Oi(j, k, m, n) + ac(Oi(j, k), Oi(m, n))
-                       + sc(Oi(i), Oi(i, j, k, m, n))))
-
-        def c_e27(env, i, j, k, l, m, n):
-            Oi = env.Oi
-            return (sc(Oi(i, j, k), Oi(l, m, n))
-                    - (sc(Oi(i), Oi(j, k, l, m, n))
-                       - sc(Oi(j), Oi(i, k, l, m, n))
-                       + sc(Oi(k), Oi(i, j, l, m, n))))
-
-        def c_OjkOjklm(env, j, k, l, m, *r):
-            Oi = env.Oi
-            return (sc(Oi(j, k), Oi(j, k, l, m))
-                    - (-ac(Oi(j), Oi(j, l, m)) - ac(Oi(k), Oi(k, l, m))))
-
-        def c_OjkOjlmn(env, j, k, l, m, n, *r):
-            Oi = env.Oi
-            return (sc(Oi(j, k), Oi(j, l, m, n))
-                    - (-Oi(k, l, m, n) - ac(Oi(k), Oi(l, m, n))
-                       - sc(Oi(j), Oi(j, k, l, m, n))))
-
-        def c_OijOklmn(env, i, j, k, l, m, n):
-            Oi = env.Oi
-            return (sc(Oi(i, j), Oi(k, l, m, n))
-                    - (sc(Oi(i), Oi(j, k, l, m, n))
-                       - sc(Oi(j), Oi(i, k, l, m, n))))
-
-        def c_OjklOjkm(env, j, k, l, m, *r):
-            Oi = env.Oi
-            return (ac(Oi(j, k, l), Oi(j, k, m))
-                    - (-Oi(l, m) - ac(Oi(l), Oi(m))
-                       + ac(Oi(j, k), Oi(j, k, l, m))))
-
-        rows = [
-            ("OijOki", "pair bracket with one repeated index", 3, c_OijOki),
-            ("OijOkl_half", "disjoint pair bracket, halved four-term form", 4,
-             c_OijOkl_half),
-            ("OijOkl", "disjoint pair bracket, two-term form", 4, c_OijOkl),
-            ("OjkOlmn", "pair against disjoint triple", 5, c_OjkOlmn),
-            ("OjkOjlm", "pair against triple sharing one index", 4, c_OjkOjlm),
-            ("OjkOjkl", "pair against triple sharing both indices", 3,
-             c_OjkOjkl),
-            ("e24", "square of a triple element", 3, c_e24),
-            ("e25", "triples sharing two indices", 4, c_e25),
-            ("e26", "triples sharing one index", 5, c_e26),
-            ("e27", "disjoint triples", 6, c_e27),
-            ("OjkOjklm", "pair against quadruple sharing both indices", 4,
-             c_OjkOjklm),
-            ("OjkOjlmn", "pair against quadruple sharing one index", 5,
-             c_OjkOjlmn),
-            ("OijOklmn", "pair against disjoint quadruple", 6, c_OijOklmn),
-            ("OjklOjkm", "product of triples sharing two indices", 4,
-             c_OjklOjkm),
-        ]
-        for name, anchor, md, fn in rows:
-            _corollary_case(f"corollary.{name}", anchor, md, fn)
-
-    _add_corollary()
+    for row in TEMPLATE_ROWS:
+        _case(cases, row.id, row.anchor, row.min_dim)(row.residuals)
 
     # ---- squares of subset elements -----------------------------------------
     for n in (1, 2, 3, 4):
@@ -1316,7 +1192,6 @@ def build_catalog() -> list:
     @_case(cases, "health.roundtrip",
            "parse of the canonical print evaluates back to the element", 1)
     def _(env):
-        from .parser import parse_expression, Evaluator
         rng = random.Random(env.options.seed + 4)
         ev = Evaluator(env.ctx)
         out = []
@@ -1450,113 +1325,88 @@ def run_suite(env: SuiteEnv, suite_id: str = "all", kappa_values=None,
 
 
 # ---- oracle cross-check -----------------------------------------------------------
+#
+# Identities that the engine proves to zero, written in the expression
+# language and read a second time by ModuleEvaluator, which composes them
+# as operators on the polynomial-tensor-spinor module.  The module exists
+# for the identity Gram matrix, where beta(x_p) = y_p and gamma(x_p) = e_p.
+# A row's template is a string, or a function of the group for the rows
+# that sum over its reflections or coordinates.
 
 
-def _factored_residuals(env: SuiteEnv):
-    """Catalog residuals in factored form: lists of (coefficient, factors)
-    summing to zero in the engine; the oracle evaluates the same sums by
-    operator composition without engine products."""
-    ctx = env.ctx
-    g = env.gens()
-    one = ctx.one()
-    out = []
-    X, D, H, Ep, Em = g.X, g.D, g.H, g.Ep, g.Em
-    out.append(("osp12re.FpFm", [(1, [X, D]), (1, [D, X]), (-2, [H])]))
-    out.append(("osp12re.HFp", [(1, [H, X]), (-1, [X, H]), (-1, [X])]))
-    out.append(("osp12re.FpFp", [(1, [X, X]), (-2, [Ep])]))
-    out.append(("osp12re.EpEm", [(1, [Ep, Em]), (-1, [Em, Ep]), (-1, [H])]))
-    out.append(("osp12re.HEp", [(1, [H, Ep]), (-1, [Ep, H]), (-2, [Ep])]))
-    out.append(("osp12re.XEm", [(1, [X, Em]), (-1, [Em, X]), (-1, [D])]))
-
-    for (p, q) in [(0, 0), (0, 1)]:
-        terms = [(1, [ctx.y(p), ctx.x(q)]), (-1, [ctx.x(q), ctx.y(p)])]
-        if p == q:
-            terms.append((-1, [one]))
-        for refl in env.group.reflections:
-            c = ctx.kappas[refl.class_id] * (refl.root[p] * refl.coroot[q])
-            if not c.is_zero():
-                terms.append((-c, [ctx.g(refl.elem)]))
-        out.append((f"rc.y{p + 1}x{q + 1}", terms))
-
-    u, v = env.x(0), env.x(1)
-    bu, bv = ctx.from_vector(beta(u)), ctx.from_vector(beta(v))
-    ue, ve = ctx.from_covector(u), ctx.from_covector(v)
-    out.append(("l_Buv", [(1, [bu, ve]), (-1, [ve, bu]),
-                          (-1, [bv, ue]), (1, [ue, bv])]))
-
-    gu, ov = ctx.gamma(u), ctx.o_frak(v)
-    out.append(("e_Ogamma", [(1, [gu, ov]), (1, [ov, gu]),
-                             (-1, [bu, ve]), (1, [ve, bu]),
-                             (bilinear_B(u, v), [one])]))
-
-    terms = []
-    for p in range(env.dim):
-        for q in range(env.dim):
-            bvq = ctx.space.inv_gram[p][q]
-            if not bvq.is_zero():
-                terms.append((as_scalar(bvq),
-                              [ctx.o_frak(env.x(p)), ctx.gamma(env.x(q))]))
-    for refl in env.group.reflections:
-        terms.append((-ctx.kappas[refl.class_id], [ctx.g(refl.elem)]))
-    out.append(("l_Oug", terms))
-
-    R = gen_symmetry(ctx, u)
-    out.append(("gensym.x1", [(1, [D, R]), (1, [R, D]), (1, [gu, D])]))
-
-    S = scasimir(ctx)
-    Om = casimir(ctx)
-    out.append(("scasimir.square", [(1, [S, S]), (-1, [Om]),
-                                    (Fraction(-1, 4), [one])]))
-
-    O12 = o_proj(ctx, [u, v])
-    out.append(("centmember.X_O12", [(1, [X, O12]), (-1, [O12, X])]))
-    O1 = o_proj(ctx, [u])
-    out.append(("centmember.D_O1", [(1, [D, O1]), (1, [O1, D])]))
-
-    G = ctx.chirality()
-    out.append(("chirality.square", [(1, [G, G]), (-1, [one])]))
-    if env.group.reflections:
-        rho = ctx.rho([0])
-        out.append(("pin.rho_sq", [(1, [rho, rho]), (-1, [one])]))
-        OmC = central_omega(ctx)
-        out.append(("central.omega_rho", [(1, [OmC, rho]), (-1, [rho, OmC])]))
-
-        # projected Clifford pair, fully factored through the projector
-        w1, w2 = gu, ctx.gamma(v)
-        quarter = Fraction(1, 4)
-        out.append(("projector.cliffpair", [
-            (Fraction(-1, 2), [w1, w2]),
-            (quarter, [D, X, w1, w2]), (-quarter, [D, w1, w2, X]),
-            (quarter, [X, w1, w2, D]), (-quarter, [w1, w2, X, D]),
-            (-1, [O12]), (bilinear_B(u, v) * Fraction(1, 2), [one])]))
-
-        s0 = ctx.g(env.group.reflections[0].elem)
-        scale = ROOT_SCALE.get(env.group.reflections[0].root_norm)
-        if scale is not None:
-            half = Fraction(1, 2)
-            oal = ctx.o_frak(ctx.root_covector(env.group.reflections[0]))
-            out.append(("projector.reflection", [
-                (Fraction(1, 1), [s0]),
-                (-half, [D, X, s0]), (half, [D, s0, X]),
-                (-half, [X, s0, D]), (half, [s0, X, D]),
-                (as_scalar(scale) * 2, [oal, rho])]))
-    return out
+def _commutation(p: int, q: int):
+    """[y_p, x_q] = delta_pq + sum over reflections of
+    k root_p coroot_q s."""
+    def template(group):
+        src = f"[y{p}, x{q}]" + (" - 1" if p == q else "")
+        for k, r in enumerate(group.reflections, 1):
+            c = r.root[p - 1] * r.coroot[q - 1]
+            if c:
+                src += f" - ({c})*k{r.class_id + 1}*s{k}"
+        return src
+    return template
 
 
-def run_oracle_crosscheck(env: SuiteEnv, seed: int = None, samples: int = None,
-                          max_degree: int = 3, product_checks: int = 50,
-                          include_mutation: bool = True) -> list:
+def _reflection_sum(group):
+    return " + ".join(f"O(x{p})*gamma(x{p})"
+                      for p in range(1, group.dim + 1)) + " - OmegaKappa"
+
+
+def _projected_reflection(group):
+    scale = as_scalar(ROOT_SCALE[group.reflections[0].root_norm] * 2)
+    return f"s1 - 1/2*[D, [X, s1]] + ({scale})*O(alpha1)*rho(s1)"
+
+
+ORACLE_ROWS = (
+    ("osp12re.FpFm", "[X, D] - 2*H"),
+    ("osp12re.HFp", "[H, X] - X"),
+    ("osp12re.FpFp", "X^2 - 2*Ep"),
+    ("osp12re.EpEm", "[Ep, Em] - H"),
+    ("osp12re.HEp", "[H, Ep] - 2*Ep"),
+    ("osp12re.XEm", "[X, Em] - D"),
+    ("rc.y1x1", _commutation(1, 1)),
+    ("rc.y1x2", _commutation(1, 2)),
+    ("l_Buv", "[y1, x2] - [y2, x1]"),
+    ("e_Ogamma", "[gamma(x1), O(x2)] - [y1, x2] + B(x1, x2)"),
+    ("l_Oug", _reflection_sum),
+    ("gensym.x1", "[D, R(x1)] + gamma(x1)*D"),
+    ("scasimir.square", SCASIMIR_SQUARE),
+    ("centmember.X_O12", "[X, O(x1, x2)]"),
+    ("centmember.D_O1", "[D, O(x1)]"),
+    ("chirality.square", "Gamma^2 - 1"),
+    ("pin.rho_sq", "rho(s1)^2 - 1"),
+    ("central.omega_rho", "[Omega, rho(s1)]"),
+    ("projector.cliffpair",
+     "-1/2*e1*e2 + 1/4*[D, [X, e1*e2]] - O(x1, x2) + B(x1, x2)/2"),
+    ("projector.reflection", _projected_reflection),
+)
+
+
+def oracle_template(template, group) -> str:
+    """The source text of an ORACLE_ROWS template on this group."""
+    return template if isinstance(template, str) else template(group)
+
+
+def oracle_ids() -> list:
+    return sorted([f"oracle.{name}" for name, _ in ORACLE_ROWS]
+                  + ["oracle.mutation", "oracle.products"])
+
+
+def run_oracle_crosscheck(env: SuiteEnv, samples: int = None,
+                          product_checks: int = 50) -> list:
     """Exact agreement between the engine and the concrete module.
 
-    Every factored catalog residual must annihilate all sampled vectors;
-    engine products must compose: act(a*b, v) = act(a, act(b, v)).  A
-    deliberately perturbed residual must be caught (harness self-test).
-    The module exists for the orthonormal configuration only; on a general
-    Gram matrix every check is reported as skipped.
+    Every ORACLE_ROWS template must be zero in the engine and annihilate
+    all sampled vectors in the module; engine products must compose:
+    act(a*b, v) = act(a, act(b, v)).  The first row plus one must be
+    caught (harness self-test).  Seeds and the degree of the sampled
+    vectors (at least 3) come from ``env.options``.  The module exists for
+    the orthonormal configuration only; on a general Gram matrix every
+    check is reported as skipped and nothing is evaluated.
     """
     opts = env.options
-    seed = opts.seed if seed is None else seed
     samples = opts.oracle_samples if samples is None else samples
+    max_degree = max(opts.max_degree, 3)
     label = env.group.label
     mod = SpinorModule(env.ctx) if env.ctx.space.is_identity else None
 
@@ -1577,26 +1427,18 @@ def run_oracle_crosscheck(env: SuiteEnv, seed: int = None, samples: int = None,
             residual_terms=0 if ok else 1, witness=witness,
             ms=round(ms, 3), oracle=ok)
 
-    def diverges(terms) -> bool:
-        """Is the sum nonzero in the engine or on a sampled vector?"""
-        engine = env.ctx.zero()
-        for c, factors in terms:
-            prod = env.ctx.one()
-            for f in factors:
-                prod = prod * f
-            engine = engine + prod * c
+    def diverges(src) -> bool:
+        """Is the expression nonzero on a sampled vector or in the engine?"""
+        node = parse_expression(src)
+        module_eval = ModuleEvaluator(mod)
         for i in range(samples):
-            vec = mod.random_vector(seed + 7919 * i, max_degree)
-            acc = None
-            for c, factors in terms:
-                w = mod.act_factors(factors, vec).scale(as_scalar(c))
-                acc = w if acc is None else acc + w
-            if not acc.is_zero():
+            vec = mod.random_vector(opts.seed + 7919 * i, max_degree)
+            if not module_eval.act(node, vec).is_zero():
                 return True
-        return not engine.is_zero()
+        return not module_eval.engine.eval_element(node).is_zero()
 
     def products():
-        rng = random.Random(seed)
+        rng = random.Random(opts.seed)
         for i in range(product_checks):
             a = random_element(env.ctx, rng, max_degree=2)
             b = random_element(env.ctx, rng, max_degree=2)
@@ -1605,17 +1447,18 @@ def run_oracle_crosscheck(env: SuiteEnv, seed: int = None, samples: int = None,
                 return f"trial {i}"
         return None
 
-    residuals = _factored_residuals(env)
-    reports = []
-    for name, terms in residuals:
-        reports.append(report(name, "engine/module concordance",
-                              lambda: name if diverges(terms) else None))
+    def template(row):
+        return oracle_template(row[1], env.group)
+
+    reports = [report(row[0], "engine/module concordance",
+                      lambda: row[0] if diverges(template(row)) else None)
+               for row in ORACLE_ROWS]
     reports.append(report("products", "module action is multiplicative",
                           products))
-    if include_mutation:
-        mutated = residuals[0][1] + [(1, [env.ctx.one()])]
-        reports.append(report("mutation", "perturbed residual must be detected",
-                              lambda: None if diverges(mutated) else "mutation"))
+    reports.append(report(
+        "mutation", "perturbed residual must be detected",
+        lambda: None if diverges(f"({template(ORACLE_ROWS[0])}) + 1")
+        else "mutation"))
     return sorted(reports, key=lambda r: r.id)
 
 

@@ -33,3 +33,32 @@ def test_verify_all_skips_oracle_under_general_gram(capsys, tmp_path):
                for line in capsys.readouterr().out.splitlines()]
     assert reports and all(r["status"] == "skipped" for r in reports)
     assert main(["verify", "--group", group, "--suite", "all"]) == 0
+
+
+def test_division_by_zero_is_an_evaluation_error(capsys):
+    # exit 1 means "identity failed"; an arithmetic error is exit 2
+    assert main(["eval", "--group", "A1@2", "O(x1/0)"]) == 2
+    assert "error:" in capsys.readouterr().err
+
+
+def test_list_suites_counts_the_oracle_checks(capsys):
+    from cheralg.suites import ORACLE_ROWS
+    assert main(["list-suites"]) == 0
+    line = next(ln for ln in capsys.readouterr().out.splitlines()
+                if ln.startswith("oracle "))
+    assert line.split()[1] == str(len(ORACLE_ROWS) + 2) == "22"
+
+
+def test_verify_oracle_runs_through_run_suite(monkeypatch, capsys):
+    # one entry path: the oracle takes its seed and degree from the options
+    from cheralg import suites
+    seen = []
+
+    def crosscheck(env, samples=None, product_checks=50):
+        seen.append((env.options.seed, env.options.max_degree))
+        return []
+
+    monkeypatch.setattr(suites, "run_oracle_crosscheck", crosscheck)
+    assert main(["verify", "--suite", "oracle", "--seed", "7",
+                 "--max-degree", "4"]) == 0
+    assert seen == [(7, 4)]

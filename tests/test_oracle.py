@@ -125,3 +125,37 @@ def test_identity_gram_required():
     ctx = Context(trivial_group(2, gram=[[2, 0], [0, 1]]))
     with pytest.raises(ValueError):
         SpinorModule(ctx)
+
+
+def test_module_evaluator_composes_without_engine_products(
+        ctx_a12, mod, monkeypatch):
+    from cheralg.core import Context
+    from cheralg.oracle import ModuleEvaluator
+    from cheralg.parser import evaluate, parse_expression
+    src = ("[D, [X, e1*e2]] + B(x1, x1)/2*x1 - 3*O(x1)^2 + {gamma(x2), O(x1)}"
+           " - k1*rho(s1)*y2")
+    node = parse_expression(src)
+    engine = evaluate(ctx_a12, src)
+    module_eval = ModuleEvaluator(mod)
+    vecs = [mod.random_vector(seed) for seed in range(4)]
+    expected = [mod.act(engine, v) for v in vecs]
+    module_eval.act(node, vecs[0])        # builds the leaves
+
+    def no_products(*args, **kwargs):
+        raise AssertionError("the module evaluator multiplied in the engine")
+
+    monkeypatch.setattr(Context, "_mul_terms", no_products)
+    assert [module_eval.act(node, v) for v in vecs] == expected
+
+
+def test_module_evaluator_rejects_projector_maps(mod):
+    from cheralg.oracle import ModuleEvaluator
+    from cheralg.parser import EvalError, parse_expression
+    module_eval = ModuleEvaluator(mod)
+    for src in ("Pp(x1)", "x1*Pm(e1)", "[X, Qp(e1)]", "Palpha(1)", "Qm(e1)"):
+        with pytest.raises(EvalError, match="composition"):
+            module_eval.act(parse_expression(src), mod.vacuum())
+    # a bracket needs the parity of each operand
+    for src in ("[X, x1 + e1]", "{x1*e1 + 1, D}"):
+        with pytest.raises(EvalError, match="mixed parity"):
+            module_eval.act(parse_expression(src), mod.vacuum())

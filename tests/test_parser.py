@@ -135,3 +135,30 @@ def test_negated_power_precedence(ctx_a23):
     assert evaluate(ctx_a23, "-y3^2*s1 + (-y3)^2*s1").is_zero()
     ast = parse_expression("-y3^2")
     assert isinstance(ast, Neg) and ast.arg.op == "^"
+
+
+def test_form_in_covector_and_element_position(ctx_a23):
+    from cheralg.centralizer import o_proj
+    from cheralg.geometry import bilinear_B
+    from cheralg.groups import from_generators
+    from cheralg.suites import make_env
+    ctx = ctx_a23
+    x = ctx.space.basis_covector
+    # orthonormal basis: the hat of x3 against (x1, x2) vanishes
+    assert evaluate(ctx, "O(x1*B(x2, x3) - x2*B(x1, x3), x3)").is_zero()
+    u = x(0) + x(1)
+    hat = x(0) * bilinear_B(x(1), u) - x(1) * bilinear_B(x(0), u)
+    assert evaluate(ctx, "O(x1*B(x2, x1 + x2) - x2*B(x1, x1 + x2), x3)") \
+        == o_proj(ctx, [hat, x(2)])
+    assert evaluate(ctx, "B(x1, x1 + x2)*y1 - B(x2, x3)") == ctx.y(0)
+    # a general Gram matrix: B(x1, x2) = 1 and B(x1, x1) = 2
+    gen = make_env(from_generators([[[0, 1], [1, 0]]],
+                                   gram=[[2, 1], [1, 2]])).ctx
+    assert evaluate(gen, "B(x1, x2)") == gen.one()
+    assert evaluate(gen, "B(x1, x1)/2*x1") == gen.x(0)
+    y = gen.space.basis_covector
+    assert evaluate(gen, "O(x1*B(x2, x2) - x2*B(x1, x2), x1)") \
+        == o_proj(gen, [y(0) * 2 - y(1), y(0)])
+    for bad in ("B(x1)", "B(x1, 2)", "B(x1, x2, x1)", "B(e1, x1)"):
+        with pytest.raises(EvalError):
+            evaluate(ctx, bad)

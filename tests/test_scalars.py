@@ -203,3 +203,19 @@ def test_hash_agrees_with_equality():
     assert len({hash(x) for x in irrational}) == 1
     k = Scalar.kappa(0)
     assert hash(k) == hash(ctx.scalar_elem(k)) and k == ctx.scalar_elem(k)
+
+
+def test_scalar_on_the_left_of_an_element():
+    # an operand the scalar ring cannot read falls through to the Element's
+    # reflected method instead of raising TypeError
+    ctx = make_env("A1@2").ctx
+    x = ctx.x(0) + ctx.e(1)
+    for s in (BaseNumber(2), BN_I + BN_SQRT2, Scalar.of(2),
+              Scalar.kappa(0) + 3):
+        assert s * x == x * s
+        assert s + x == x + s
+        assert s - x == -(x - s)
+    with pytest.raises(TypeError):
+        BaseNumber(1) + "x1"
+    with pytest.raises(TypeError):
+        Scalar.of(1) * "x1"

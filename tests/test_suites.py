@@ -6,8 +6,11 @@ from jsonschema import validate
 
 from cheralg.groups import from_generators
 from cheralg.scalars import BaseNumber
-from cheralg.suites import (NEEDS_ORTHONORMAL, RunOptions, UnknownSuite,
-                            catalog, catalog_ids, make_env,
+from cheralg import suites
+from cheralg.parser import EvalError, evaluate
+from cheralg.suites import (NEEDS_ORTHONORMAL, ORACLE_ROWS, TEMPLATE_ROWS,
+                            RunOptions, UnknownSuite, catalog, catalog_ids,
+                            make_env, oracle_ids, oracle_template,
                             run_oracle_crosscheck, run_suite, suite_names)
 
 # The complete identity catalog, pinned.  Adding or removing a case is a
@@ -59,6 +62,21 @@ PINNED_IDS = [
     "scasimir.casimir_central", "scasimir.parity", "scasimir.projected",
     "scasimir.square",
 ]
+
+
+# The oracle checks, pinned like the catalog.
+ORACLE_IDS = [
+    "oracle.centmember.D_O1", "oracle.centmember.X_O12",
+    "oracle.central.omega_rho", "oracle.chirality.square", "oracle.e_Ogamma",
+    "oracle.gensym.x1", "oracle.l_Buv", "oracle.l_Oug", "oracle.mutation",
+    "oracle.osp12re.EpEm", "oracle.osp12re.FpFm", "oracle.osp12re.FpFp",
+    "oracle.osp12re.HEp", "oracle.osp12re.HFp", "oracle.osp12re.XEm",
+    "oracle.pin.rho_sq", "oracle.products", "oracle.projector.cliffpair",
+    "oracle.projector.reflection", "oracle.rc.y1x1", "oracle.rc.y1x2",
+    "oracle.scasimir.square",
+]
+
+GENERAL_GRAM = dict(gram=[[2, 1], [1, 2]])
 
 
 def test_catalog_is_pinned():
@@ -204,3 +222,62 @@ def test_skipped_oracle_reports_keep_ids_and_anchors(env_a12):
     assert {"oracle.products", "oracle.mutation"} <= set(skipped) & set(run)
     assert {rid: skipped[rid] for rid in run if rid in skipped} \
         == {rid: run[rid] for rid in run if rid in skipped}
+
+
+def test_oracle_ids_are_pinned():
+    assert oracle_ids() == ORACLE_IDS
+    group = from_generators([[[0, 1], [1, 0]]], **GENERAL_GRAM)
+    assert [r.id for r in run_oracle_crosscheck(make_env(group))] \
+        == ORACLE_IDS
+
+
+def test_template_cases_on_a16(env_a16):
+    # dimension 6: no row is skipped and no pattern is left out
+    assert {row.id for row in TEMPLATE_ROWS} <= set(PINNED_IDS)
+    for row in TEMPLATE_ROWS:
+        assert row.min_dim <= env_a16.dim
+        residuals = row.residuals(env_a16)
+        assert len(residuals) == len(row.templates) * max(1, len(row.patterns))
+        assert [label for label, r in residuals if not r.is_zero()] == [], \
+            row.id
+
+
+def test_template_placeholders_are_not_language_names(ctx_a23):
+    names = set()
+    for row in TEMPLATE_ROWS:
+        names |= {n for n in row.placeholders.split()}
+    names |= {n + "h" for n in names} | {"t"}
+    for name in names:
+        with pytest.raises(EvalError, match="unknown identifier"):
+            evaluate(ctx_a23, name)
+        with pytest.raises(EvalError, match="not a covector"):
+            evaluate(ctx_a23, f"gamma({name})")
+
+
+def test_every_oracle_row_plus_one_is_detected(env_a12, monkeypatch):
+    perturbed = tuple(
+        (name, lambda group, t=template:
+         f"({oracle_template(t, group)}) + 1")
+        for name, template in ORACLE_ROWS)
+    monkeypatch.setattr(suites, "ORACLE_ROWS", perturbed)
+    reps = run_oracle_crosscheck(env_a12, samples=2, product_checks=1)
+    rows = {f"oracle.{name}" for name, _ in ORACLE_ROWS}
+    for r in reps:
+        if r.id in rows:
+            assert (r.status, r.witness) == ("fail", r.id[len("oracle."):])
+        else:
+            assert r.status == "pass", r.id
+
+
+def test_skipped_oracle_evaluates_nothing(monkeypatch):
+    from cheralg.parser import Evaluator
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the skipped oracle evaluated a template")
+
+    monkeypatch.setattr(suites, "parse_expression", refuse)
+    monkeypatch.setattr(Evaluator, "eval_element", refuse)
+    group = from_generators([[[0, 1], [1, 0]]], **GENERAL_GRAM)
+    reps = run_oracle_crosscheck(make_env(group))
+    assert {r.status for r in reps} == {"skipped"}
+
