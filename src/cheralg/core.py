@@ -300,23 +300,27 @@ class Context:
         return res
 
     def _ycomm_single(self, b: tuple, r: int):
-        """y^b * x_r in normal order: terms (xd, yd, g, Scalar)."""
+        """y^b * x_r in normal order: terms (xd, yd, g, Scalar), from
+        y^(b - e_j) x_r with j the last index of b, memoised bottom-up."""
+        memo = self._ycomm1
         key = (b, r)
-        hit = self._ycomm1.get(key)
-        if hit is not None:
-            return hit
-        if not any(b):
-            res = ((self._unit_t[r], b, 0, SC_ONE),)
-        else:
+        chain = []
+        while (b, r) not in memo:
+            if not any(b):
+                memo[(b, r)] = ((self._unit_t[r], b, 0, SC_ONE),)
+                break
             j = max(p for p in range(self.dim) if b[p])
             b2 = tuple(v - int(p == j) for p, v in enumerate(b))
+            chain.append((b, j, b2))
+            b = b2
+        for b, j, b2 in reversed(chain):
             out: dict = {}
 
             def put(k, v):
                 prev = out.get(k)
                 out[k] = v if prev is None else prev + v
 
-            for xd, yd, h, c in self._ycomm_single(b2, r):
+            for xd, yd, h, c in memo[(b2, r)]:
                 for bz, w in self._act_y(h, self._unit_t[j]):
                     put((xd, _add(yd, bz), h), c * w)
             if j == r:
@@ -326,27 +330,44 @@ class Context:
                 if f:
                     put((self._zero_t, b2, refl.elem),
                         self.kappas[refl.class_id] * f)
-            res = tuple((xd, yd, h, c) for (xd, yd, h), c in out.items()
-                        if not c.is_zero())
-        self._ycomm1[key] = res
-        return res
+            memo[(b, r)] = tuple((xd, yd, h, c)
+                                 for (xd, yd, h), c in out.items()
+                                 if not c.is_zero())
+        return memo[key]
 
     def _ycomm_word(self, b: tuple, ax: tuple):
-        """y^b * x^ax in normal order: terms (xd, yd, g, Scalar)."""
+        """y^b * x^ax in normal order: terms (xd, yd, g, Scalar), from
+        y^b x_r x^(ax - e_r) with r the first index of ax.  The words
+        y^yd x^av left of one degree less are memoised first, on a stack."""
         if not any(ax):
             return ((self._zero_t, b, 0, SC_ONE),)
         if not any(b):
             return ((ax, b, 0, SC_ONE),)
-        key = (b, ax)
-        hit = self._ycommw.get(key)
+        memo = self._ycommw
+        top = (b, ax)
+        hit = memo.get(top)
         if hit is not None:
             return hit
-        r = next(p for p in range(self.dim) if ax[p])
-        ax2 = tuple(v - int(p == r) for p, v in enumerate(ax))
-        base = self._ycomm_single(b, r)
-        if not any(ax2):
-            res = base
-        else:
+        stack = [top]
+        while stack:
+            key = stack[-1]
+            if key in memo:
+                stack.pop()
+                continue
+            b, ax = key
+            r = next(p for p in range(self.dim) if ax[p])
+            ax2 = tuple(v - int(p == r) for p, v in enumerate(ax))
+            base = self._ycomm_single(b, r)
+            if not any(ax2):
+                memo[key] = base
+                stack.pop()
+                continue
+            missing = [(yd, av) for _, yd, h, _ in base if any(yd)
+                       for av, _ in self._act_x(h, ax2)
+                       if any(av) and (yd, av) not in memo]
+            if missing:
+                stack.extend(missing)
+                continue
             out: dict = {}
             for xd, yd, h, c in base:
                 for av, cx in self._act_x(h, ax2):
@@ -355,10 +376,10 @@ class Context:
                         v = c * c2 * cx
                         prev = out.get(k)
                         out[k] = v if prev is None else prev + v
-            res = tuple((xd, yd, h, c) for (xd, yd, h), c in out.items()
-                        if not c.is_zero())
-        self._ycommw[key] = res
-        return res
+            memo[key] = tuple((xd, yd, h, c) for (xd, yd, h), c in out.items()
+                              if not c.is_zero())
+            stack.pop()
+        return memo[top]
 
     # -- the product -----------------------------------------------------------
 

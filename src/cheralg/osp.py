@@ -250,15 +250,22 @@ def gen_symmetry(ctx: Context, u: Covector) -> Element:
 
 def scasimir(ctx: Context) -> Element:
     """The odd-commuting central element: (XD - DX)/2 + 1/2."""
-    gens = build_osp(ctx)
-    return ((gens.X * gens.D - gens.D * gens.X) * Fraction(1, 2)
+    hit = ctx._misc_cache.get("scasimir")
+    if hit is None:
+        gens = build_osp(ctx)
+        hit = ctx._misc_cache["scasimir"] = (
+            (gens.X * gens.D - gens.D * gens.X) * Fraction(1, 2)
             + ctx.scalar_elem(Fraction(1, 2)))
+    return hit
 
 
 def casimir(ctx: Context) -> Element:
     """The quadratic Casimir element of the realization."""
-    gens = build_osp(ctx)
-    ff = (gens.X * gens.D - gens.D * gens.X) * Fraction(1, 2)
-    return (gens.H * gens.H
-            + (gens.Ep * gens.Em + gens.Em * gens.Ep) * 2
+    hit = ctx._misc_cache.get("casimir")
+    if hit is None:
+        gens = build_osp(ctx)
+        ff = (gens.X * gens.D - gens.D * gens.X) * Fraction(1, 2)
+        hit = ctx._misc_cache["casimir"] = (
+            gens.H * gens.H + (gens.Ep * gens.Em + gens.Em * gens.Ep) * 2
             - ff)
+    return hit

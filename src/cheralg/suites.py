@@ -7,23 +7,37 @@ empty combination; the runner never compares against a tolerance, only
 against structural zero.
 
 Identities that the expression language of parser.py can state are rows
-of TEMPLATE_ROWS: the Scasimir identities, the pair- and triple-bracket
-formulas, the orthonormal-basis corollary of the O_A brackets, and a few
-projector and generalized-symmetry laws.  A row holds templates over
-placeholders and the covector patterns bound to them.  The rest are Python
-builders, since they need what the language lacks: the deformed form
-psi_kappa, the beta-embedding of covectors, the auxiliary pairings, sums
-over index subsets, shaped antisymmetrizations or seeds.
+of TEMPLATE_ROWS: membership and centrality of the elements O_A over index
+subsets A, the covered reflections rho(s) over the reflections, the
+Scasimir identities, the pair- and triple-bracket formulas, the
+orthonormal-basis corollary of the O_A brackets, and a few projector and
+generalized-symmetry laws.  A row holds templates over placeholders and
+the patterns bound to them.  The rest are Python builders, for one of
+these reasons:
 
-The oracle cross-check reads ORACLE_ROWS, 20 identities written in the
-same language, twice: with the engine Evaluator, and with the module
-evaluator of oracle.py, which composes them as operators on the
-polynomial-tensor-spinor module.
+  * they call a routine the language has no name for: the one-index
+    element o_frak (as against the projector route O), the explicit
+    routes, the minus projector route, shaped antisymmetrizations, the
+    auxiliary pairings, the deformed forms b_kappa and psi_kappa, beta,
+    or the group action on covectors; stated with O or Pp instead, the
+    case would test another identity;
+  * they evaluate a projection once where a template would evaluate it at
+    every use (projector.membership, projector.series);
+  * they draw seeded random elements (health.*), read the relations that
+    build_osp already checked (osp12re.*), or take operands that depend on
+    the group (projector.additivity, pin.chirality).
+
+The oracle cross-check reads ORACLE_ROWS, 20 rows in the same language,
+some of them catalog rows read at their first binding, twice: with the
+engine Evaluator, and with the module evaluator of oracle.py, which
+composes them as operators on the polynomial-tensor-spinor module.
 
 The first dotted component of an id names its suite; `run_suite` selects by
-that prefix (or "all").  Cases whose dimension prerequisite fails, and
-cases stated for the orthonormal configuration when the Gram matrix is
-not the identity, are reported as skipped with the reason.  Reports are
+that prefix (or "all").  Cases whose dimension prerequisite fails, cases
+stated for the orthonormal configuration when the Gram matrix is not the
+identity, and cases with nothing to check on the group (a row whose every
+pattern names a reflection the group lacks) are reported as skipped with
+the reason.  Reports are
 ordered by id regardless of execution order, and their content is
 deterministic (the elapsed-time field aside) for fixed inputs including
 the seed.
@@ -42,16 +56,15 @@ from fractions import Fraction
 from typing import Callable, Optional
 
 from .centralizer import (M, _gamma_run, antisymmetrize_shaped, b_kappa,
-                          central_omega, o_explicit, o_proj, o_subset,
-                          o_three_explicit, o_top, o_two_explicit)
-from .core import (ROOT_SCALE, Context, anticommutator, commutator,
-                   random_element, supercommutator)
+                          o_explicit, o_proj, o_three_explicit,
+                          o_two_explicit)
+from .core import Context, random_element, supercommutator
 from .geometry import beta, bilinear_B
 from .groups import ReflectionGroup, parse_group_spec
 from .oracle import ModuleEvaluator, SpinorModule
 from .osp import (build_osp, osp_relations, pair_element, p_alpha, p_plus,
                   b_form, XPLUS, XMINUS, GAMMA, _PARITY)
-from .parser import Evaluator, parse_expression, substitute
+from .parser import Bin, Evaluator, Num, parse_expression, substitute
 from .scalars import BaseNumber, Scalar, as_base, as_scalar
 
 
@@ -66,6 +79,7 @@ class RunOptions:
 
 
 NEEDS_ORTHONORMAL = "needs the orthonormal configuration"
+NOTHING_TO_CHECK = "nothing to check on this group"
 
 
 @dataclass(frozen=True)
@@ -116,9 +130,6 @@ class SuiteEnv:
     def O(self, *covs):
         return o_proj(self.ctx, covs)
 
-    def Oi(self, *idx):
-        return o_subset(self.ctx, idx)
-
     def gens(self):
         return build_osp(self.ctx)
 
@@ -128,41 +139,64 @@ class SuiteEnv:
     def tuples(self, n, cap=6):
         return list(itertools.combinations(range(self.dim), n))[:cap]
 
+    def sample_covectors(self):
+        """Up to three basis covectors, then x1 + x2 in dimension 2 on."""
+        covs = [self.x(p) for p in range(min(self.dim, 3))]
+        return covs + [self.x(0) + self.x(1)] if self.dim > 1 else covs
+
 
 # ---- template cases ---------------------------------------------------------
 
 
 @dataclass(frozen=True)
 class TemplateRow:
-    """Catalog cases written once in the expression language of parser.py.
+    """Identities written once in the expression language of parser.py.
 
-    The placeholders are bound, in order, to the comma-separated covectors
-    of each pattern; without patterns they are bound to x1, x2, ... as far
-    as the dimension goes.  A pattern that names a coordinate beyond the
-    dimension is left out.  Once a and b are bound, a placeholder with h
-    appended (uh, vh, ...) stands for the hatted covector
-    a*B(b, u) - b*B(a, u).  Residuals are labelled by pattern and sub-label.
+    The placeholders are bound, in order, to the comma-separated names of
+    each pattern; without patterns they are bound to x1, x2, ... as far as
+    the dimension goes.  The patterns may also be a function of the group
+    (`_subsets`, `_reflections`), and a template a function of the group
+    that returns its text.  A pattern or template that names a coordinate
+    past the dimension or a reflection the group does not have is left
+    out.  Once a and b are bound, a placeholder with h appended (uh, vh,
+    ...) stands for the hatted covector a*B(b, u) - b*B(a, u).  Residuals
+    are labelled by pattern and sub-label.
     """
     id: str
     anchor: str
     min_dim: int
     templates: tuple                 # (sub-label, template) pairs
     placeholders: str = "a b c u v w"
-    patterns: tuple = ()             # (label, covectors) pairs
+    patterns: object = ()            # (label, names) pairs, or a function
+                                     # of the group returning them
 
     def residuals(self, env: SuiteEnv) -> list:
         ev = Evaluator(env.ctx)
-        return [(".".join(filter(None, (plabel, slabel))),
-                 ev.eval_element(substitute(_parsed(src), binding)))
-                for plabel, binding in self._bindings(env.dim)
-                for slabel, src in self.templates]
+        return [(label, ev.eval_element(node))
+                for label, node in self.instances(env.group)]
 
-    def _bindings(self, dim: int):
+    def instances(self, group) -> list:
+        """(label, AST) of every template at every binding that fits."""
+        sources = [(slabel, src(group) if callable(src) else src)
+                   for slabel, src in self.templates]
+        return [(".".join(filter(None, (plabel, slabel))),
+                 substitute(_parsed(src), binding))
+                for plabel, binding in self._bindings(group)
+                for slabel, src in sources if _fits(src, group)]
+
+    def pattern_list(self, group) -> tuple:
+        """The (label, names) patterns of the row on the group."""
+        if callable(self.patterns):
+            return self.patterns(group)
         names = self.placeholders.split()
-        patterns = self.patterns or [
-            ("", ", ".join(f"x{p + 1}" for p in range(min(dim, len(names)))))]
-        for label, covs in patterns:
-            if max(map(int, re.findall(r"x(\d+)", covs)), default=0) > dim:
+        return self.patterns or (
+            ("", ", ".join(f"x{p + 1}"
+                           for p in range(min(group.dim, len(names))))),)
+
+    def _bindings(self, group):
+        names = self.placeholders.split()
+        for label, covs in self.pattern_list(group):
+            if not _fits(covs, group):
                 continue
             binding = dict(zip(names, map(_parsed, covs.split(","))))
             if "a" in binding and "b" in binding:
@@ -174,6 +208,14 @@ class TemplateRow:
 
 
 _HAT = "a*B(b, t) - b*B(a, t)"
+_INDEXED = re.compile(r"\b(x|y|e|s|alpha)(\d+)\b")
+
+
+def _fits(text: str, group) -> bool:
+    """Does the text name only coordinates and reflections of the group?"""
+    limit = {"s": len(group.reflections), "alpha": len(group.reflections)}
+    return all(int(k) <= limit.get(name, group.dim)
+               for name, k in _INDEXED.findall(text))
 
 
 @functools.cache
@@ -190,7 +232,39 @@ def _ix(*groups):
             ", ".join(f"x{i + 1}" for g in groups for i in g))
 
 
-SCASIMIR_SQUARE = "Scasimir^2 - Casimir - 1/4"
+def _subsets(n: int, cap: int = 6, *extra):
+    """Patterns over index subsets: the first ``cap`` n-subsets A of the
+    coordinates, labelled like (0, 1) and bound to the basis covectors of
+    A, then the ``extra`` patterns."""
+    return lambda group: tuple(
+        _ix(A) for A in itertools.combinations(range(group.dim), n))[:cap] \
+        + extra
+
+
+def _reflections(cap: int = None):
+    """Patterns over reflections for the placeholders s and alpha: the
+    first ``cap`` reflections sk, labelled sk, with their roots alphak."""
+    return lambda group: tuple(
+        (f"s{k}", f"s{k}, alpha{k}")
+        for k in range(1, len(group.reflections) + 1))[:cap]
+
+
+def _o(n: int) -> str:
+    """O of the first n subset placeholders."""
+    return f"O({', '.join('abcu'[:n])})"
+
+
+def _square(n: int) -> str:
+    """O_A^2 against the squares of the one- and two-index elements of A,
+    |A| = n."""
+    names = "abcu"[:n]
+    singles = " + ".join(f"O({a})^2" for a in names)
+    pairs = " + ".join(f"O({a}, {b})^2"
+                       for a, b in itertools.combinations(names, 2)) or "0"
+    return (f"{_o(n)}*{_o(n)} - ({(-1) ** (n * (n - 1) // 2)})*("
+            f"{Fraction((n - 1) * (n - 2), 8)} - ({n - 2})*({singles})"
+            f" - ({pairs}))")
+
 
 _CENTRAL_SAMPLES = (("one", "1"), ("O1", "O(x1)"), ("O12", "O(x1, x2)"),
                     ("invariant", "Omega"), ("rho", "rho(s1)"),
@@ -250,7 +324,7 @@ _LOWER = (("", "[D, R(u)] + gamma(u)*D"),)
 TEMPLATE_ROWS = (
     TemplateRow(
         "scasimir.square", "Scasimir squares to Casimir + 1/4", 1,
-        (("S^2", SCASIMIR_SQUARE),)),
+        (("S^2", "Scasimir^2 - Casimir - 1/4"),)),
     TemplateRow(
         "scasimir.parity",
         "Scasimir commutes with even and anticommutes with odd generators", 1,
@@ -280,8 +354,15 @@ TEMPLATE_ROWS = (
     TemplateRow(
         "projector.cliffpair",
         "projected Clifford pair: two-index element shifted by the form", 2,
-        (("", "-Pp(gamma(u)*gamma(v))/2 - O(u, v) + B(u, v)/2"),), "u v",
+        (("", "-1/2*gamma(u)*gamma(v) + 1/4*[D, [X, gamma(u)*gamma(v)]]"
+              " - O(u, v) + B(u, v)/2"),), "u v",
         (("pair0", "x1, x2"), ("pair1", "x1, x1 + x2"))),
+    TemplateRow(
+        "projector.reflection",
+        "a reflection projects to its one-index element times its cover image",
+        1, (("", "s - [D, [X, s]]/2"
+                 " + 2*O(alpha)*s*gamma(alpha)/B(alpha, alpha)"),),
+        "s alpha", _reflections()),
     TemplateRow(
         "projector.sandwich",
         "central factors pull out of the projector on both sides", 2,
@@ -308,6 +389,13 @@ TEMPLATE_ROWS = (
     TemplateRow(
         "gensym.qplus_one", "the raising-side map fixes one up to H", 1,
         (("one", "Qp(1) - H - 1"),)),
+    TemplateRow(
+        "p_OujOun.case3",
+        "three-term alternating bracket of pairs against singles", 3,
+        (("", "[O(u, v), O(w)] - [O(u, w), O(v)] + [O(v, w), O(u)]"),),
+        "u v w", lambda group: tuple(
+            (f"t{i}", covs) for i, (_, covs) in enumerate(
+                _subsets(3, 3, ("", "x1, x2, x1 + x3"))(group)))),
     TemplateRow(
         "p_OujOun.case4",
         "four-term alternating bracket of triples against singles", 4,
@@ -372,6 +460,40 @@ TEMPLATE_ROWS = (
         "a b c u v w",
         (_ix((0, 1, 2), (3, 4, 5)), _ix((0, 1, 2), (0, 1, 2)),
          _ix((0, 1, 2), (0, 3, 4)), _ix((0, 1, 2), (0, 1, 5)))),
+    *(TemplateRow(f"p_OA2.n{n}", "square of a subset element from lower squares",
+                  n, (("", _square(n)),), patterns=_subsets(n, 4))
+      for n in (1, 2, 3, 4)),
+    *(TemplateRow(f"centmember.{g}.n{n}",
+                  f"projected elements supercommute with the {side} partner",
+                  n, (("", f"[{g}, {_o(n)}]"),), patterns=_subsets(n))
+      for g, side in (("X", "raising"), ("D", "lowering"))
+      for n in (1, 2, 3, 4)),
+    TemplateRow(
+        "centmember.angular", "angular momenta centralize the even subalgebra",
+        2, tuple((g, f"[{g}, M(a, b)]") for g in ("H", "Ep", "Em")),
+        patterns=_subsets(2, 6, ("nonorth", "x1, x1 + x2"))),
+    TemplateRow(
+        "centmember.group", "group elements centralize the even subalgebra", 1,
+        tuple((g, f"[{g}, s]") for g in ("H", "Ep", "Em")), "s alpha",
+        _reflections(4)),
+    *(TemplateRow(f"central.omega_{word}",
+                  "the quadratic invariant commutes with projected elements",
+                  n, (("", f"[Omega, {_o(n)}]"),), patterns=_subsets(n, 4))
+      for n, word in ((1, "one"), (2, "two"), (3, "three"))),
+    TemplateRow(
+        "central.omega_pin",
+        "the quadratic invariant commutes with the covered reflections", 1,
+        (("", "[Omega, rho(s)]"),), "s alpha", _reflections()),
+    *(TemplateRow(f"central.OD_{word}",
+                  "the top element (anti)commutes per the dimension parity",
+                  max(n, 2), (("", src),), patterns=_subsets(n, 4, *extra))
+      for n, word, src, extra in (
+          (1, "one", "{Otop, O(a)}", (("nonorth", "x1 + x2"),)),
+          (2, "two", "[Otop, O(a, b)]", ()),
+          (3, "three", "{Otop, O(a, b, c)}", ()))),
+    TemplateRow(
+        "pin.rho_involution", "covered reflections square to one", 1,
+        (("", "rho(s)*rho(s) - 1"),), "s alpha", _reflections()),
 ) + tuple(TemplateRow(f"corollary.{name}", anchor, min_dim, (("main", src),))
           for name, anchor, min_dim, src in _COROLLARY)
 
@@ -386,7 +508,7 @@ def _case(cases, cid, anchor, min_dim, orthonormal=False):
 def build_catalog() -> list:
     """The full identity catalog; order fixes the report order within ties."""
     cases: list = []
-    sc, ac = supercommutator, anticommutator
+    sc = supercommutator
 
     # ---- defining relations of the realized superalgebra ------------------
     relnames = {
@@ -429,24 +551,10 @@ def build_catalog() -> list:
     def _(env):
         ctx = env.ctx
         a = ctx.x(0) * ctx.y(0) + ctx.e(0)
-        b = ctx.g(env.group.reflections[0].elem) * ctx.e(1) if env.dim > 1 \
+        refls = env.group.reflections
+        b = ctx.g(refls[0].elem) * ctx.e(1) if env.dim > 1 and refls \
             else ctx.one()
         return [("sum", p_plus(ctx, a + b) - p_plus(ctx, a) - p_plus(ctx, b))]
-
-    @_case(cases, "projector.reflection",
-           "a reflection projects to its one-index element times its cover image", 1)
-    def _(env):
-        ctx = env.ctx
-        out = []
-        for i, refl in enumerate(ctx.group.reflections):
-            root = ctx.root_covector(refl)
-            scale = ROOT_SCALE.get(refl.root_norm)
-            if scale is None:
-                continue
-            lhs = p_plus(ctx, ctx.g(refl.elem))
-            rhs = ctx.o_frak(root) * ctx.rho([i]) * (-2) * scale
-            out.append((f"s{i + 1}", lhs - rhs))
-        return out
 
     @_case(cases, "projector.angular",
            "projected angular momentum: two-index element plus one-index bracket", 2)
@@ -465,9 +573,7 @@ def build_catalog() -> list:
            "a Clifford generator projects to minus twice its one-index element", 1)
     def _(env):
         ctx = env.ctx
-        covs = [env.x(p) for p in range(min(env.dim, 3))]
-        if env.dim > 1:
-            covs.append(env.x(0) + env.x(1))
+        covs = env.sample_covectors()
         return [(f"v{i}", p_plus(ctx, ctx.gamma(v)) + ctx.o_frak(v) * 2)
                 for i, v in enumerate(covs)]
 
@@ -486,54 +592,6 @@ def build_catalog() -> list:
             out.append((f"Ep.{n}", sc(g.Ep, pa)))
             out.append((f"Em.{n}", sc(g.Em, pa)))
             out.append((f"H.{n}", sc(g.H, pa)))
-        return out
-
-    # ---- supercentralizer membership ---------------------------------------
-    for n in (1, 2, 3, 4):
-        def mk(n=n):
-            def b(env):
-                g = env.gens()
-                out = []
-                for tup in env.tuples(n):
-                    o = env.Oi(*tup)
-                    out.append((f"{tup}", sc(g.X, o)))
-                return out
-            return b
-        _case(cases, f"centmember.X.n{n}",
-              "projected elements supercommute with the raising partner", n)(mk())
-
-        def mk2(n=n):
-            def b(env):
-                g = env.gens()
-                return [(f"{tup}", sc(g.D, env.Oi(*tup)))
-                        for tup in env.tuples(n)]
-            return b
-        _case(cases, f"centmember.D.n{n}",
-              "projected elements supercommute with the lowering partner", n)(mk2())
-
-    @_case(cases, "centmember.angular",
-           "angular momenta centralize the even subalgebra", 2)
-    def _(env):
-        g = env.gens()
-        out = []
-        for (i, j) in env.tuples(2):
-            m = M(env.ctx, env.x(i), env.x(j))
-            out += [(f"H{i}{j}", sc(g.H, m)), (f"Ep{i}{j}", sc(g.Ep, m)),
-                    (f"Em{i}{j}", sc(g.Em, m))]
-        m = M(env.ctx, env.x(0), env.x(0) + env.x(1))
-        out.append(("nonorth", sc(g.Ep, m)))
-        return out
-
-    @_case(cases, "centmember.group",
-           "group elements centralize the even subalgebra", 1)
-    def _(env):
-        g = env.gens()
-        out = []
-        for refl in env.group.reflections[:4]:
-            ge = env.ctx.g(refl.elem)
-            out += [(f"H.g{refl.elem}", sc(g.H, ge)),
-                    (f"Ep.g{refl.elem}", sc(g.Ep, ge)),
-                    (f"Em.g{refl.elem}", sc(g.Em, ge))]
         return out
 
     # ---- route agreement ------------------------------------------------------
@@ -592,133 +650,51 @@ def build_catalog() -> list:
         return out
 
     # ---- recursion and closed forms -----------------------------------------
-    @_case(cases, "recursion.three_n3",
-           "three-index recursion: the two antisymmetrized products balance", 3)
-    def _(env):
-        out = []
-        for tup in env.tuples(3, cap=4):
-            covs = [env.x(p) for p in tup]
-            r = (antisymmetrize_shaped(env.ctx, covs,
-                                       [(env.O, 1), (env.O, 2)]) * (-4)
-                 + antisymmetrize_shaped(env.ctx, covs,
-                                         [(env.O, 2), (env.O, 1)]) * 4)
-            out.append((f"{tup}", r))
-        return out
-
-    @_case(cases, "recursion.three_n4",
-           "four-index element from one- and two-index products", 4)
-    def _(env):
-        out = []
-        for tup in env.tuples(4, cap=2):
-            covs = [env.x(p) for p in tup]
-            r = (o_proj(env.ctx, covs)
-                 + antisymmetrize_shaped(env.ctx, covs,
-                                         [(env.O, 1), (env.O, 3)]) * 8
-                 - antisymmetrize_shaped(env.ctx, covs,
-                                         [(env.O, 2), (env.O, 2)]) * 6)
-            out.append((f"{tup}", r))
-        return out
-
-    @_case(cases, "recursion.closed_n4",
-           "four-index closed form via pair products", 4)
-    def _(env):
-        out = []
-        for tup in env.tuples(4, cap=2):
-            covs = [env.x(p) for p in tup]
-            r = (o_proj(env.ctx, covs)
-                 - antisymmetrize_shaped(env.ctx, covs,
-                                         [(env.O, 2), (env.O, 2)]) * 6
-                 + antisymmetrize_shaped(env.ctx, covs,
-                                         [(env.O, 3), (env.O, 1)]) * 8)
-            out.append((f"{tup}", r))
-        return out
-
-    @_case(cases, "recursion.closed_n5",
-           "five-index closed form via mixed products", 5)
-    def _(env):
-        out = []
-        for tup in env.tuples(5, cap=1):
-            covs = [env.x(p) for p in tup]
-            r = (o_proj(env.ctx, covs)
-                 - antisymmetrize_shaped(env.ctx, covs,
-                                         [(env.O, 3), (env.O, 2)]) * 4
-                 - antisymmetrize_shaped(
-                     env.ctx, covs,
-                     [(env.O, 3), (env.O, 1), (env.O, 1)]) * 48
-                 + antisymmetrize_shaped(
-                     env.ctx, covs,
-                     [(env.O, 2), (env.O, 2), (env.O, 1)]) * 36)
-            out.append((f"{tup}", r))
-        return out
+    # (name, anchor, n, cap, with O_A, [(coefficient, arities of the
+    # antisymmetrized product of O's)])
+    recursions = (
+        ("three_n3", "three-index recursion: the two antisymmetrized "
+         "products balance", 3, 4, False, ((-4, (1, 2)), (4, (2, 1)))),
+        ("three_n4", "four-index element from one- and two-index products",
+         4, 2, True, ((8, (1, 3)), (-6, (2, 2)))),
+        ("closed_n4", "four-index closed form via pair products", 4, 2, True,
+         ((-6, (2, 2)), (8, (3, 1)))),
+        ("closed_n5", "five-index closed form via mixed products", 5, 1, True,
+         ((-4, (3, 2)), (-48, (3, 1, 1)), (36, (2, 2, 1)))),
+    )
+    for name, anchor, n, cap, with_o, terms in recursions:
+        def mk(n=n, cap=cap, with_o=with_o, terms=terms):
+            def b(env):
+                out = []
+                for tup in env.tuples(n, cap=cap):
+                    covs = [env.x(p) for p in tup]
+                    r = o_proj(env.ctx, covs) if with_o else env.ctx.zero()
+                    for coef, arities in terms:
+                        r = r + antisymmetrize_shaped(
+                            env.ctx, covs, [(env.O, a) for a in arities]) * coef
+                    out.append((f"{tup}", r))
+                return out
+            return b
+        _case(cases, f"recursion.{name}", anchor, n)(mk())
 
     # ---- antisymmetrized bracket vanishing ------------------------------------
-    for n in (2, 3, 4, 5):
-        def mk(n=n):
-            def b(env):
-                out = []
-                for tup in env.tuples(n, cap=2 if n >= 4 else 4):
-                    covs = [env.x(p) for p in tup]
-                    r = antisymmetrize_shaped(
-                        env.ctx, covs,
-                        [(lambda *u: sc(o_proj(env.ctx, [u[0]]),
-                                        o_proj(env.ctx, u[1:])), n)])
-                    out.append((f"{tup}", r))
-                return out
-            return b
-        _case(cases, f"p_OujOun.n{n}",
-              "antisymmetrized bracket of one-index against rest vanishes",
-              n)(mk())
-    for n in (3, 4, 5):
-        def mk(n=n):
-            def b(env):
-                out = []
-                for tup in env.tuples(n, cap=2 if n >= 4 else 4):
-                    covs = [env.x(p) for p in tup]
-                    r = antisymmetrize_shaped(
-                        env.ctx, covs,
-                        [(lambda *u: sc(o_proj(env.ctx, u[:2]),
-                                        o_proj(env.ctx, u[2:])), n)])
-                    out.append((f"{tup}", r))
-                return out
-            return b
-        _case(cases, f"p_OujOun.two.n{n}",
-              "antisymmetrized bracket of two-index against rest vanishes",
-              n)(mk())
-
-    @_case(cases, "p_OujOun.case3",
-           "three-term alternating bracket of pairs against singles", 3)
-    def _(env):
-        out = []
-        tups = [tuple(env.x(p) for p in t) for t in env.tuples(3, cap=3)]
-        if env.dim >= 3:
-            tups.append((env.x(0), env.x(1), env.x(0) + env.x(2)))
-        for i, (u, v, w) in enumerate(tups):
-            O = lambda *cs: o_proj(env.ctx, cs)
-            out.append((f"t{i}", sc(O(u, v), O(w)) - sc(O(u, w), O(v))
-                        + sc(O(v, w), O(u))))
-        return out
+    for k, word, ns in ((1, "one", (2, 3, 4, 5)), (2, "two", (3, 4, 5))):
+        for n in ns:
+            def mk(n=n, k=k):
+                def b(env):
+                    def bracket(*u):
+                        return sc(env.O(*u[:k]), env.O(*u[k:]))
+                    return [(f"{tup}", antisymmetrize_shaped(
+                                env.ctx, [env.x(p) for p in tup],
+                                [(bracket, n)]))
+                            for tup in env.tuples(n, cap=2 if n >= 4 else 4)]
+                return b
+            _case(cases, f"p_OujOun.{'two.' if k == 2 else ''}n{n}",
+                  f"antisymmetrized bracket of {word}-index against rest "
+                  "vanishes", n)(mk())
 
     for row in TEMPLATE_ROWS:
         _case(cases, row.id, row.anchor, row.min_dim)(row.residuals)
-
-    # ---- squares of subset elements -----------------------------------------
-    for n in (1, 2, 3, 4):
-        def mk(n=n):
-            def b(env):
-                out = []
-                for A in env.tuples(n, cap=4):
-                    OA = env.Oi(*A)
-                    sign = (-1) ** (n * (n - 1) // 2)
-                    rhs = env.scal(Fraction((n - 1) * (n - 2), 8))
-                    for a in A:
-                        rhs = rhs - env.Oi(a) ** 2 * (n - 2)
-                    for a, b2 in itertools.combinations(A, 2):
-                        rhs = rhs - env.Oi(a, b2) ** 2
-                    out.append((f"{A}", OA * OA - rhs * sign))
-                return out
-            return b
-        _case(cases, f"p_OA2.n{n}",
-              "square of a subset element from lower squares", n)(mk())
 
     # ---- deformed rotation bracket ---------------------------------------------
     @_case(cases, "p_bbH", "bracket of angular momenta closes with the "
@@ -741,56 +717,7 @@ def build_catalog() -> list:
             out.append((f"p{i}", lhs - rhs))
         return out
 
-    # ---- centrality -------------------------------------------------------------
-    for n, md in (("one", 1), ("two", 2), ("three", 3)):
-        def mk(n=n):
-            def b(env):
-                Om = central_omega(env.ctx)
-                sz = {"one": 1, "two": 2, "three": 3}[n]
-                return [(f"{t}", commutator(Om, env.Oi(*t)))
-                        for t in env.tuples(sz, cap=4)]
-            return b
-        _case(cases, f"central.omega_{n}",
-              "the quadratic invariant commutes with projected elements",
-              md)(mk())
-
-    @_case(cases, "central.omega_pin",
-           "the quadratic invariant commutes with the covered reflections", 1)
-    def _(env):
-        Om = central_omega(env.ctx)
-        return [(f"s{i + 1}", commutator(Om, env.ctx.rho([i])))
-                for i in range(len(env.group.reflections))]
-
-    for n, md in (("one", 1), ("two", 2), ("three", 3)):
-        def mk(n=n):
-            def b(env):
-                top = o_top(env.ctx)
-                sz = {"one": 1, "two": 2, "three": 3}[n]
-                out = []
-                for t in env.tuples(sz, cap=4):
-                    o = env.Oi(*t)
-                    if sz == 2:
-                        out.append((f"{t}", sc(top, o)))
-                    else:
-                        out.append((f"{t}", ac(top, o)))
-                covs = [env.x(0) + env.x(1)] if env.dim >= 2 else []
-                for u in covs:
-                    if sz == 1:
-                        out.append(("nonorth", ac(top, o_proj(env.ctx, [u]))))
-                return out
-            return b
-        _case(cases, f"central.OD_{n}",
-              "the top element (anti)commutes per the dimension parity",
-              max(md, 2))(mk())
-
     # ---- double cover ------------------------------------------------------------
-    @_case(cases, "pin.rho_involution",
-           "covered reflections square to one", 1)
-    def _(env):
-        return [(f"s{i + 1}", env.ctx.rho([i]) * env.ctx.rho([i])
-                 - env.ctx.one())
-                for i in range(len(env.group.reflections))]
-
     @_case(cases, "pin.rho_conj",
            "conjugation by a covered reflection acts by the signed "
            "geometric action", 1)
@@ -874,9 +801,7 @@ def build_catalog() -> list:
     def _(env):
         ctx = env.ctx
         Dp = pair_element(ctx, XMINUS, GAMMA)
-        covs = [env.x(p) for p in range(min(env.dim, 3))]
-        if env.dim >= 2:
-            covs.append(env.x(0) + env.x(1))
+        covs = env.sample_covectors()
         return [(f"u{i}",
                  (sc(Dp, ctx.from_covector(u)) - ctx.gamma(u))
                  * Fraction(1, 2) - ctx.o_frak(u))
@@ -887,8 +812,7 @@ def build_catalog() -> list:
            "deformed form", 2)
     def _(env):
         ctx = env.ctx
-        covs = [env.x(p) for p in range(min(env.dim, 3))]
-        covs.append(env.x(0) + env.x(1))
+        covs = env.sample_covectors()
         out = []
         for i, u in enumerate(covs):
             for j, v in enumerate(covs):
@@ -900,47 +824,23 @@ def build_catalog() -> list:
                 out.append((f"{i}{j}b", lhs - rhs))
         return out
 
-    for n in (2, 3, 4):
-        def mk(n=n):
-            def b(env):
-                covs = [env.x(p) for p in range(n)]
-                run = _gamma_run(env.ctx)
-                shapes = []
-                for pos in range(n):
-                    shape = []
-                    if pos:
-                        shape.append((run, pos))
-                    shape.append((env.ctx.o_frak, 1))
-                    if n - pos - 1:
-                        shape.append((run, n - pos - 1))
-                    shapes.append(
-                        antisymmetrize_shaped(env.ctx, covs, shape))
-                return [(f"slot{i}", a - b2)
-                        for i, (a, b2) in enumerate(zip(shapes, shapes[1:]))]
-            return b
-        _case(cases, f"pin.slide_one.n{n}",
-              "one-index elements slide through antisymmetrized words", n)(mk())
-
-    for n in (3, 4):
-        def mk(n=n):
-            def b(env):
-                covs = [env.x(p) for p in range(n)]
-                run = _gamma_run(env.ctx)
-                shapes = []
-                for pos in range(n - 1):
-                    shape = []
-                    if pos:
-                        shape.append((run, pos))
-                    shape.append((env.O, 2))
-                    if n - pos - 2:
-                        shape.append((run, n - pos - 2))
-                    shapes.append(
-                        antisymmetrize_shaped(env.ctx, covs, shape))
-                return [(f"slot{i}", a - b2)
-                        for i, (a, b2) in enumerate(zip(shapes, shapes[1:]))]
-            return b
-        _case(cases, f"pin.slide_two.n{n}",
-              "two-index elements slide through antisymmetrized words", n)(mk())
+    for k, word, ns in ((1, "one", (2, 3, 4)), (2, "two", (3, 4))):
+        for n in ns:
+            def mk(n=n, k=k):
+                def b(env):
+                    covs = [env.x(p) for p in range(n)]
+                    run = _gamma_run(env.ctx)
+                    part = env.ctx.o_frak if k == 1 else env.O
+                    shapes = [antisymmetrize_shaped(env.ctx, covs, [
+                        (f, a) for f, a in ((run, pos), (part, k),
+                                            (run, n - pos - k)) if a])
+                        for pos in range(n - k + 1)]
+                    return [(f"slot{i}", a - b2) for i, (a, b2)
+                            in enumerate(zip(shapes, shapes[1:]))]
+                return b
+            _case(cases, f"pin.slide_{word}.n{n}",
+                  f"{word}-index elements slide through antisymmetrized words",
+                  n)(mk())
 
     # ---- the auxiliary-superspace pairing ---------------------------------------
     @_case(cases, "bwz.structure",
@@ -1061,8 +961,7 @@ def build_catalog() -> list:
            "the mixed bracket is symmetric under the involution", 2)
     def _(env):
         ctx = env.ctx
-        covs = [env.x(p) for p in range(min(env.dim, 3))]
-        covs.append(env.x(0) + env.x(1))
+        covs = env.sample_covectors()
         out = []
         for i, u in enumerate(covs):
             for j, v in enumerate(covs):
@@ -1082,8 +981,7 @@ def build_catalog() -> list:
     def _(env):
         ctx = env.ctx
         from .centralizer import psi_kappa
-        covs = [env.x(p) for p in range(min(env.dim, 3))]
-        covs.append(env.x(0) + env.x(1))
+        covs = env.sample_covectors()
         out = []
         for i, u in enumerate(covs):
             for j, v in enumerate(covs):
@@ -1270,6 +1168,16 @@ def _kappa_label(kappa_values) -> str:
     return ",".join(str(v) for v in kappa_values)
 
 
+def _unmet(env: SuiteEnv, min_dim: int, orthonormal: bool):
+    """Why a case stated for ``min_dim`` (and, if ``orthonormal``, for the
+    identity Gram matrix) cannot run on the group; None if it can."""
+    if env.dim < min_dim:
+        return f"needs dimension >= {min_dim}"
+    if orthonormal and not env.ctx.space.is_identity:
+        return NEEDS_ORTHONORMAL
+    return None
+
+
 def run_suite(env: SuiteEnv, suite_id: str = "all", kappa_values=None,
               options: RunOptions = None) -> list:
     """Evaluate the selected identity cases to exact zero.
@@ -1292,17 +1200,15 @@ def run_suite(env: SuiteEnv, suite_id: str = "all", kappa_values=None,
         subs = {i: as_base(v) for i, v in enumerate(kappa_values)}
 
     def run_one(case: IdentityCase) -> SuiteReport:
-        reason = None
-        if env.dim < case.min_dim:
-            reason = f"needs dimension >= {case.min_dim}"
-        elif case.orthonormal and not env.ctx.space.is_identity:
-            reason = NEEDS_ORTHONORMAL
+        reason = _unmet(env, case.min_dim, case.orthonormal)
+        if reason is None:
+            t0 = time.perf_counter()
+            residues = case.builder(env)
+            reason = None if residues else NOTHING_TO_CHECK
         if reason is not None:
             return SuiteReport(
                 id=case.id, anchor=case.anchor, group=label, dim=env.dim,
                 kappa=kap, status="skipped", reason=reason)
-        t0 = time.perf_counter()
-        residues = case.builder(env)
         nonzero = 0
         witness = None
         for sub_label, r in residues:
@@ -1330,8 +1236,9 @@ def run_suite(env: SuiteEnv, suite_id: str = "all", kappa_values=None,
 # language and read a second time by ModuleEvaluator, which composes them
 # as operators on the polynomial-tensor-spinor module.  The module exists
 # for the identity Gram matrix, where beta(x_p) = y_p and gamma(x_p) = e_p.
-# A row's template is a string, or a function of the group for the rows
-# that sum over its reflections or coordinates.
+# Each row is read at its first binding on the group.  Rows the catalog
+# states too are the catalog's TemplateRows; the others sum over the
+# group's reflections or coordinates or state a relation in another form.
 
 
 def _commutation(p: int, q: int):
@@ -1352,39 +1259,37 @@ def _reflection_sum(group):
                       for p in range(1, group.dim + 1)) + " - OmegaKappa"
 
 
-def _projected_reflection(group):
-    scale = as_scalar(ROOT_SCALE[group.reflections[0].root_norm] * 2)
-    return f"s1 - 1/2*[D, [X, s1]] + ({scale})*O(alpha1)*rho(s1)"
+_CONCORDANCE = "engine/module concordance"
 
+
+def _oracle(name: str, min_dim: int, template):
+    return name, TemplateRow(name, _CONCORDANCE, min_dim, (("", template),))
+
+
+_ROWS = {row.id: row for row in TEMPLATE_ROWS}
 
 ORACLE_ROWS = (
-    ("osp12re.FpFm", "[X, D] - 2*H"),
-    ("osp12re.HFp", "[H, X] - X"),
-    ("osp12re.FpFp", "X^2 - 2*Ep"),
-    ("osp12re.EpEm", "[Ep, Em] - H"),
-    ("osp12re.HEp", "[H, Ep] - 2*Ep"),
-    ("osp12re.XEm", "[X, Em] - D"),
-    ("rc.y1x1", _commutation(1, 1)),
-    ("rc.y1x2", _commutation(1, 2)),
-    ("l_Buv", "[y1, x2] - [y2, x1]"),
-    ("e_Ogamma", "[gamma(x1), O(x2)] - [y1, x2] + B(x1, x2)"),
-    ("l_Oug", _reflection_sum),
-    ("gensym.x1", "[D, R(x1)] + gamma(x1)*D"),
-    ("scasimir.square", SCASIMIR_SQUARE),
-    ("centmember.X_O12", "[X, O(x1, x2)]"),
-    ("centmember.D_O1", "[D, O(x1)]"),
-    ("chirality.square", "Gamma^2 - 1"),
-    ("pin.rho_sq", "rho(s1)^2 - 1"),
-    ("central.omega_rho", "[Omega, rho(s1)]"),
-    ("projector.cliffpair",
-     "-1/2*e1*e2 + 1/4*[D, [X, e1*e2]] - O(x1, x2) + B(x1, x2)/2"),
-    ("projector.reflection", _projected_reflection),
+    _oracle("osp12re.FpFm", 1, "[X, D] - 2*H"),
+    _oracle("osp12re.HFp", 1, "[H, X] - X"),
+    _oracle("osp12re.FpFp", 1, "X^2 - 2*Ep"),
+    _oracle("osp12re.EpEm", 1, "[Ep, Em] - H"),
+    _oracle("osp12re.HEp", 1, "[H, Ep] - 2*Ep"),
+    _oracle("osp12re.XEm", 1, "[X, Em] - D"),
+    _oracle("rc.y1x1", 1, _commutation(1, 1)),
+    _oracle("rc.y1x2", 2, _commutation(1, 2)),
+    _oracle("l_Buv", 2, "[y1, x2] - [y2, x1]"),
+    _oracle("e_Ogamma", 2, "[gamma(x1), O(x2)] - [y1, x2] + B(x1, x2)"),
+    _oracle("l_Oug", 1, _reflection_sum),
+    ("gensym.x1", _ROWS["gensym.lower_x1"]),
+    ("scasimir.square", _ROWS["scasimir.square"]),
+    ("centmember.X_O12", _ROWS["centmember.X.n2"]),
+    ("centmember.D_O1", _ROWS["centmember.D.n1"]),
+    _oracle("chirality.square", 1, "Gamma^2 - 1"),
+    ("pin.rho_sq", _ROWS["pin.rho_involution"]),
+    ("central.omega_rho", _ROWS["central.omega_pin"]),
+    ("projector.cliffpair", _ROWS["projector.cliffpair"]),
+    ("projector.reflection", _ROWS["projector.reflection"]),
 )
-
-
-def oracle_template(template, group) -> str:
-    """The source text of an ORACLE_ROWS template on this group."""
-    return template if isinstance(template, str) else template(group)
 
 
 def oracle_ids() -> list:
@@ -1396,13 +1301,15 @@ def run_oracle_crosscheck(env: SuiteEnv, samples: int = None,
                           product_checks: int = 50) -> list:
     """Exact agreement between the engine and the concrete module.
 
-    Every ORACLE_ROWS template must be zero in the engine and annihilate
-    all sampled vectors in the module; engine products must compose:
-    act(a*b, v) = act(a, act(b, v)).  The first row plus one must be
-    caught (harness self-test).  Seeds and the degree of the sampled
-    vectors (at least 3) come from ``env.options``.  The module exists for
-    the orthonormal configuration only; on a general Gram matrix every
-    check is reported as skipped and nothing is evaluated.
+    Every ORACLE_ROWS row, at its first binding, must be zero in the
+    engine and annihilate all sampled vectors in the module; engine
+    products must compose: act(a*b, v) = act(a, act(b, v)).  The first
+    row plus one must be caught (harness self-test).  Seeds and the degree
+    of the sampled vectors (at least 3) come from ``env.options``.  A row
+    is skipped, with the catalog's reason, below its minimum dimension or
+    with nothing to check on the group; the module exists for the
+    orthonormal configuration only, so on a general Gram matrix every
+    check is skipped and nothing is evaluated.
     """
     opts = env.options
     samples = opts.oracle_samples if samples is None else samples
@@ -1410,15 +1317,24 @@ def run_oracle_crosscheck(env: SuiteEnv, samples: int = None,
     label = env.group.label
     mod = SpinorModule(env.ctx) if env.ctx.space.is_identity else None
 
-    def report(name, anchor, check):
-        """The report of oracle.<name>; ``check()`` returns None on
-        agreement, else a witness.  Skipped when there is no module."""
-        if mod is None:
+    def report(name, anchor, check, row=None):
+        """The report of oracle.<name>; ``check(node)`` returns None on
+        agreement, else a witness.  ``node`` is the first binding of
+        ``row``, if a row is given."""
+        node = None
+        reason = _unmet(env, row.min_dim if row else 1, orthonormal=True)
+        if reason is None and row is not None:
+            found = row.instances(env.group)
+            if found:
+                node = found[0][1]
+            else:
+                reason = NOTHING_TO_CHECK
+        if reason is not None:
             return SuiteReport(
                 id=f"oracle.{name}", anchor=anchor, group=label, dim=env.dim,
-                kappa="symbolic", status="skipped", reason=NEEDS_ORTHONORMAL)
+                kappa="symbolic", status="skipped", reason=reason)
         t0 = time.perf_counter()
-        witness = check()
+        witness = check(node)
         ms = (time.perf_counter() - t0) * 1000.0
         ok = witness is None
         return SuiteReport(
@@ -1427,9 +1343,8 @@ def run_oracle_crosscheck(env: SuiteEnv, samples: int = None,
             residual_terms=0 if ok else 1, witness=witness,
             ms=round(ms, 3), oracle=ok)
 
-    def diverges(src) -> bool:
+    def diverges(node) -> bool:
         """Is the expression nonzero on a sampled vector or in the engine?"""
-        node = parse_expression(src)
         module_eval = ModuleEvaluator(mod)
         for i in range(samples):
             vec = mod.random_vector(opts.seed + 7919 * i, max_degree)
@@ -1437,7 +1352,7 @@ def run_oracle_crosscheck(env: SuiteEnv, samples: int = None,
                 return True
         return not module_eval.engine.eval_element(node).is_zero()
 
-    def products():
+    def products(_):
         rng = random.Random(opts.seed)
         for i in range(product_checks):
             a = random_element(env.ctx, rng, max_degree=2)
@@ -1447,18 +1362,16 @@ def run_oracle_crosscheck(env: SuiteEnv, samples: int = None,
                 return f"trial {i}"
         return None
 
-    def template(row):
-        return oracle_template(row[1], env.group)
-
-    reports = [report(row[0], "engine/module concordance",
-                      lambda: row[0] if diverges(template(row)) else None)
-               for row in ORACLE_ROWS]
+    reports = [report(name, _CONCORDANCE,
+                      lambda node, name=name: name if diverges(node) else None,
+                      row)
+               for name, row in ORACLE_ROWS]
     reports.append(report("products", "module action is multiplicative",
                           products))
     reports.append(report(
         "mutation", "perturbed residual must be detected",
-        lambda: None if diverges(f"({template(ORACLE_ROWS[0])}) + 1")
-        else "mutation"))
+        lambda node: None if diverges(Bin("+", node, Num(1))) else "mutation",
+        row=ORACLE_ROWS[0][1]))
     return sorted(reports, key=lambda r: r.id)
 
 

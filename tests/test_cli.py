@@ -62,3 +62,27 @@ def test_verify_oracle_runs_through_run_suite(monkeypatch, capsys):
     assert main(["verify", "--suite", "oracle", "--seed", "7",
                  "--max-degree", "4"]) == 0
     assert seen == [(7, 4)]
+
+
+def test_deep_power_evaluates(capsys):
+    # the y-x commutation memo is built iteratively, not one stack frame
+    # per degree
+    assert main(["eval", "--group", "A1@2", "y1^1200*x1"]) == 0
+    out = capsys.readouterr().out
+    assert out.startswith("x1*y1^1200 + 1200*y1^1199 + k1*y1^1199*s1")
+
+
+@pytest.mark.parametrize("generators", [[[[-1]]], [[[1, 0], [0, 1]]]],
+                         ids=["one_dimensional", "reflection_free"])
+@pytest.mark.parametrize("suite", ["all", "oracle"])
+def test_verify_on_edge_groups(capsys, tmp_path, generators, suite):
+    spec = tmp_path / "group.json"
+    spec.write_text(json.dumps({"generators": generators}))
+    assert main(["verify", "--group", f"custom:{spec}", "--suite", suite,
+                 "--format", "json"]) == 0
+    reports = [json.loads(line)
+               for line in capsys.readouterr().out.splitlines()]
+    assert reports
+    for r in reports:
+        assert r["status"] == "pass" or (r["status"] == "skipped"
+                                         and r["reason"]), r["id"]

@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -8,9 +9,9 @@ from cheralg.groups import from_generators
 from cheralg.scalars import BaseNumber
 from cheralg import suites
 from cheralg.parser import EvalError, evaluate
-from cheralg.suites import (NEEDS_ORTHONORMAL, ORACLE_ROWS, TEMPLATE_ROWS,
-                            RunOptions, UnknownSuite, catalog, catalog_ids,
-                            make_env, oracle_ids, oracle_template,
+from cheralg.suites import (NEEDS_ORTHONORMAL, NOTHING_TO_CHECK, ORACLE_ROWS,
+                            TEMPLATE_ROWS, RunOptions, UnknownSuite, catalog,
+                            catalog_ids, make_env, oracle_ids,
                             run_oracle_crosscheck, run_suite, suite_names)
 
 # The complete identity catalog, pinned.  Adding or removing a case is a
@@ -237,15 +238,18 @@ def test_template_cases_on_a16(env_a16):
     for row in TEMPLATE_ROWS:
         assert row.min_dim <= env_a16.dim
         residuals = row.residuals(env_a16)
-        assert len(residuals) == len(row.templates) * max(1, len(row.patterns))
+        assert len(residuals) \
+            == len(row.templates) * len(row.pattern_list(env_a16.group))
         assert [label for label, r in residuals if not r.is_zero()] == [], \
             row.id
 
 
 def test_template_placeholders_are_not_language_names(ctx_a23):
     names = set()
-    for row in TEMPLATE_ROWS:
+    for row in TEMPLATE_ROWS + tuple(row for _, row in ORACLE_ROWS):
         names |= {n for n in row.placeholders.split()}
+    # the subset patterns bind a b c u, the reflection patterns s and alpha
+    assert {"a", "b", "c", "u", "s", "alpha"} <= names
     names |= {n + "h" for n in names} | {"t"}
     for name in names:
         with pytest.raises(EvalError, match="unknown identifier"):
@@ -255,10 +259,14 @@ def test_template_placeholders_are_not_language_names(ctx_a23):
 
 
 def test_every_oracle_row_plus_one_is_detected(env_a12, monkeypatch):
+    def plus_one(src):
+        return lambda group: \
+            f"({src(group) if callable(src) else src}) + 1"
+
     perturbed = tuple(
-        (name, lambda group, t=template:
-         f"({oracle_template(t, group)}) + 1")
-        for name, template in ORACLE_ROWS)
+        (name, replace(row, templates=tuple(
+            (label, plus_one(src)) for label, src in row.templates)))
+        for name, row in ORACLE_ROWS)
     monkeypatch.setattr(suites, "ORACLE_ROWS", perturbed)
     reps = run_oracle_crosscheck(env_a12, samples=2, product_checks=1)
     rows = {f"oracle.{name}" for name, _ in ORACLE_ROWS}
@@ -281,3 +289,107 @@ def test_skipped_oracle_evaluates_nothing(monkeypatch):
     reps = run_oracle_crosscheck(make_env(group))
     assert {r.status for r in reps} == {"skipped"}
 
+
+# The residual labels of the cases stated by subset and reflection
+# patterns, as the Python builders they replace produced them, except
+# centmember.angular and centmember.group: the row format puts the pattern
+# label first ((0, 1).H for H01, s1.H for H.g1) and centmember.angular
+# checks all three generators at the non-orthogonal pair.
+MOVED_LABELS = {
+    "A1@2": {
+        "centmember.X.n1": ["(0,)", "(1,)"],
+        "centmember.X.n2": ["(0, 1)"],
+        "centmember.D.n1": ["(0,)", "(1,)"],
+        "centmember.D.n2": ["(0, 1)"],
+        "centmember.angular": ["(0, 1).H", "(0, 1).Ep", "(0, 1).Em",
+                               "nonorth.H", "nonorth.Ep", "nonorth.Em"],
+        "centmember.group": ["s1.H", "s1.Ep", "s1.Em"],
+        "central.omega_one": ["(0,)", "(1,)"],
+        "central.omega_two": ["(0, 1)"],
+        "central.omega_pin": ["s1"],
+        "central.OD_one": ["(0,)", "(1,)", "nonorth"],
+        "central.OD_two": ["(0, 1)"],
+        "pin.rho_involution": ["s1"],
+        "projector.reflection": ["s1"],
+        "p_OA2.n1": ["(0,)", "(1,)"],
+        "p_OA2.n2": ["(0, 1)"],
+    },
+    "A2@3": {
+        "centmember.X.n1": ["(0,)", "(1,)", "(2,)"],
+        "centmember.X.n2": ["(0, 1)", "(0, 2)", "(1, 2)"],
+        "centmember.X.n3": ["(0, 1, 2)"],
+        "centmember.D.n1": ["(0,)", "(1,)", "(2,)"],
+        "centmember.D.n2": ["(0, 1)", "(0, 2)", "(1, 2)"],
+        "centmember.D.n3": ["(0, 1, 2)"],
+        "centmember.angular": ["(0, 1).H", "(0, 1).Ep", "(0, 1).Em",
+                               "(0, 2).H", "(0, 2).Ep", "(0, 2).Em",
+                               "(1, 2).H", "(1, 2).Ep", "(1, 2).Em",
+                               "nonorth.H", "nonorth.Ep", "nonorth.Em"],
+        "centmember.group": ["s1.H", "s1.Ep", "s1.Em", "s2.H", "s2.Ep",
+                             "s2.Em", "s3.H", "s3.Ep", "s3.Em"],
+        "central.omega_one": ["(0,)", "(1,)", "(2,)"],
+        "central.omega_two": ["(0, 1)", "(0, 2)", "(1, 2)"],
+        "central.omega_three": ["(0, 1, 2)"],
+        "central.omega_pin": ["s1", "s2", "s3"],
+        "central.OD_one": ["(0,)", "(1,)", "(2,)", "nonorth"],
+        "central.OD_two": ["(0, 1)", "(0, 2)", "(1, 2)"],
+        "central.OD_three": ["(0, 1, 2)"],
+        "pin.rho_involution": ["s1", "s2", "s3"],
+        "projector.reflection": ["s1", "s2", "s3"],
+        "p_OA2.n1": ["(0,)", "(1,)", "(2,)"],
+        "p_OA2.n2": ["(0, 1)", "(0, 2)", "(1, 2)"],
+        "p_OA2.n3": ["(0, 1, 2)"],
+        "p_OujOun.case3": ["t0", "t1"],
+    },
+}
+MOVED_IDS = {
+    *(f"centmember.{g}.n{n}" for g in "XD" for n in (1, 2, 3, 4)),
+    "centmember.angular", "centmember.group",
+    *(f"central.omega_{n}" for n in ("one", "two", "three", "pin")),
+    *(f"central.OD_{n}" for n in ("one", "two", "three")),
+    "pin.rho_involution", "projector.reflection",
+    *(f"p_OA2.n{n}" for n in (1, 2, 3, 4)), "p_OujOun.case3",
+}
+
+
+@pytest.mark.parametrize("spec", sorted(MOVED_LABELS))
+def test_moved_case_labels_are_pinned(spec, env_a12, env_a23):
+    env = {"A1@2": env_a12, "A2@3": env_a23}[spec]
+    rows = {row.id: row for row in TEMPLATE_ROWS}
+    assert MOVED_IDS <= set(rows)
+    got = {cid: [label for label, _ in rows[cid].instances(env.group)]
+           for cid in sorted(MOVED_IDS) if rows[cid].min_dim <= env.dim}
+    assert got == MOVED_LABELS[spec]
+
+
+EDGE_GROUPS = {
+    "one_dimensional": ([[[-1]]], None),
+    "reflection_free": ([[[1, 0], [0, 1]]], None),
+    "general_gram": ([[[0, 1], [1, 0]]], GENERAL_GRAM["gram"]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(EDGE_GROUPS))
+def test_every_row_evaluates_on_edge_groups(name):
+    import importlib.resources as resources
+    schema = json.loads(
+        resources.files("cheralg").joinpath("report_schema.json").read_text())
+    generators, gram = EDGE_GROUPS[name]
+    env = make_env(from_generators(generators, gram=gram))
+    # run_suite evaluates every template row; the oracle reads its rows
+    # only at the first binding, and only for the identity Gram matrix
+    for _, row in ORACLE_ROWS:
+        if row.min_dim <= env.dim:
+            row.residuals(env)      # some hold for the identity Gram only
+    reports = run_suite(env, "all")
+    assert [r.id for r in reports] == sorted(catalog_ids() + oracle_ids())
+    for r in reports:
+        validate(json.loads(r.to_json()), schema)
+        assert r.status == "pass" or (r.status == "skipped" and r.reason), \
+            r.id
+    skipped = {r.id for r in reports if r.reason == NOTHING_TO_CHECK}
+    if name == "reflection_free":
+        assert {"pin.rho_involution", "projector.reflection",
+                "projector.sandwich", "oracle.pin.rho_sq"} <= skipped
+    else:
+        assert skipped == set()
