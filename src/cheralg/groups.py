@@ -9,6 +9,16 @@ construction inside the scalar ring.  Arbitrary finite subgroups of the
 orthogonal group can be supplied as generator matrices; the closure is
 enumerated up to a cap.
 
+Element indices follow the order in which the elements are enumerated
+(element 0 is the identity); the multiplication table, the inverses and the
+reflection data all refer to them, and witnesses print them.  The table is
+filled by generator closure.  The generators are the reflections, plus the
+first element a breadth-first search from the identity misses, as long as
+one does.  One matrix product per element and generator gives that
+generator's column of the table and checks closure.  The search tree writes
+each element as a parent times a generator, so a row of the table is filled
+on first use by integer lookups alone.
+
 A group may be embedded in an ambient dimension larger than its natural one;
 the extra coordinates are fixed pointwise.  This keeps identities that need
 many distinct orthonormal directions affordable with a tiny group.
@@ -17,11 +27,11 @@ many distinct orthonormal directions affordable with a tiny group.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
 
-from .geometry import Covector, QuadraticSpace, Vector, invert_matrix
+from .geometry import Covector, QuadraticSpace, Vector
 from .scalars import BN_ZERO, as_base
 
 DEFAULT_ORDER_CAP = 10_000
@@ -38,15 +48,41 @@ def _identity_matrix(d: int) -> Matrix:
 def _mat_mul(a: Matrix, b: Matrix) -> Matrix:
     # Row p of the product is the image of x_p under "first a, then b":
     # (ab).x_p = a(b.x_p) requires composing actions; we store plain matrix
-    # products and fix the composition order at the call sites.
+    # products and fix the composition order at the call sites.  Zero
+    # entries are skipped: a signed permutation has one nonzero per row.
     n = len(a)
-    return tuple(
-        tuple(sum(a[i][k] * b[k][j] for k in range(n)) for j in range(n))
-        for i in range(n))
+    zero = Fraction(0)
+    out = []
+    for arow in a:
+        acc = [zero] * n
+        for k, v in enumerate(arow):
+            if v:
+                for j, w in enumerate(b[k]):
+                    if w:
+                        acc[j] += v * w
+        out.append(tuple(acc))
+    return tuple(out)
 
 
 def _transpose(m: Matrix) -> Matrix:
     return tuple(zip(*m))
+
+
+def _check_preserves_form(m: Matrix, gram):
+    d = len(m)
+    for p in range(d):
+        for q in range(p, d):
+            acc = BN_ZERO
+            for k in range(d):
+                if m[p][k] == 0:
+                    continue
+                for l in range(d):
+                    if m[q][l] == 0:
+                        continue
+                    acc = acc + as_base(m[p][k] * m[q][l]) * gram[k][l]
+            if acc != gram[p][q]:
+                raise ValueError(
+                    "group element does not preserve the bilinear form")
 
 
 def _primitive(vec):
@@ -56,11 +92,11 @@ def _primitive(vec):
         raise ValueError("zero vector has no primitive form")
     mult = 1
     for dnm in denls:
-        mult = mult * dnm // gcd(mult, dnm)
+        mult = mult * dnm // math.gcd(mult, dnm)
     ints = [int(c * mult) for c in vec]
     g = 0
     for v in ints:
-        g = gcd(g, abs(v))
+        g = math.gcd(g, abs(v))
     ints = [v // g for v in ints]
     first = next(v for v in ints if v != 0)
     if first < 0:
@@ -125,17 +161,20 @@ class ReflectionGroup:
         ident = _identity_matrix(self.dim)
         if self.mats[0] != ident:
             raise ValueError("element 0 must be the identity")
-        self._check_preserves_form()
-        self.ymats = tuple(invert_matrix(_transpose(m)) for m in self.mats)
-        # Row i of the multiplication table, allocated on first use: a flat
-        # list holds the products in a tenth of a dict's memory.
+        for m in self.mats:
+            _check_preserves_form(m, space.gram)
+        # A reflection is an involution fixing a hyperplane: trace d - 2.
+        d = self.dim
+        refl_elems = [i for i, m in enumerate(self.mats)
+                      if sum(m[p][p] for p in range(d)) == d - 2
+                      and _mat_mul(m, m) == ident]
+        self._tree, gens = self._closure_tree(refl_elems)
+        # Row i of the multiplication table, filled on first use from the
+        # tree; a flat list holds the products in a tenth of a dict's memory.
         self._mul_rows: list = [None] * len(self.mats)
-        self._inv_memo: dict = {}
-        if len(self.mats) <= 600:
-            for i in range(len(self.mats)):
-                for j in range(len(self.mats)):
-                    self.mul(i, j)
-        self._find_reflections()
+        self.ymats = tuple(_transpose(self.mats[self.inv(i)])
+                           for i in range(len(self.mats)))
+        self._find_reflections(refl_elems, gens)
 
     # -- group structure ------------------------------------------------------
 
@@ -143,68 +182,87 @@ class ReflectionGroup:
     def order(self) -> int:
         return len(self.mats)
 
+    def _right_column(self, s: int) -> list:
+        """mul(x, s) for every x: the only matrix products of the table, and
+        with the generators the closure check."""
+        col = []
+        for m in self.mats:
+            # (gh).x_p = g.(h.x_p); with rows holding basis images this
+            # composes as the matrix product mats[h] @ mats[g].
+            k = self.index.get(_mat_mul(self.mats[s], m))
+            if k is None:
+                raise ValueError("group is not closed under multiplication")
+            col.append(k)
+        return col
+
+    def _closure_tree(self, gens: list):
+        """A breadth-first tree from the identity, as entries
+        (j, parent, column of s) with j = mul(parent, s) for a generator s,
+        and the generators.  The reflections generate a reflection group; an
+        element the search misses joins the generators, so rotation-only and
+        trivial groups take the same path."""
+        gens = list(gens)
+        cols = [self._right_column(s) for s in gens]
+        n = len(self.mats)
+        while True:
+            seen = [True] + [False] * (n - 1)
+            reached = [0]
+            tree = []
+            for x in reached:
+                for col in cols:
+                    j = col[x]
+                    if not seen[j]:
+                        seen[j] = True
+                        reached.append(j)
+                        tree.append((j, x, col))
+            if len(reached) == n:
+                return tree, gens
+            missed = seen.index(False)
+            gens.append(missed)
+            cols.append(self._right_column(missed))
+
+    def _row(self, i: int) -> list:
+        row = self._mul_rows[i]
+        if row is None:
+            # i.(x.s) = (i.x).s: integer lookups along the tree.
+            row = [0] * len(self.mats)
+            row[0] = i
+            for j, parent, col in self._tree:
+                row[j] = col[row[parent]]
+            self._mul_rows[i] = row
+        return row
+
     def mul(self, i: int, j: int) -> int:
         row = self._mul_rows[i]
         if row is None:
-            row = self._mul_rows[i] = [None] * len(self.mats)
-        k = row[j]
-        if k is None:
-            # (gh).x_p = g.(h.x_p); with rows holding basis images this
-            # composes as the matrix product mats[j] @ mats[i].
-            prod = _mat_mul(self.mats[j], self.mats[i])
-            k = self.index.get(prod)
-            if k is None:
-                raise ValueError("group is not closed under multiplication")
-            row[j] = k
-        return k
+            row = self._row(i)
+        return row[j]
 
     def inv(self, i: int) -> int:
-        k = self._inv_memo.get(i)
-        if k is None:
-            k = self.index[invert_matrix(self.mats[i])]
-            self._inv_memo[i] = k
-        return k
-
-    def _check_preserves_form(self):
-        gram = self.space.gram
-        d = self.dim
-        for m in self.mats:
-            for p in range(d):
-                for q in range(p, d):
-                    acc = BN_ZERO
-                    for k in range(d):
-                        if m[p][k] == 0:
-                            continue
-                        for l in range(d):
-                            if m[q][l] == 0:
-                                continue
-                            acc = acc + as_base(m[p][k] * m[q][l]) * gram[k][l]
-                    if acc != gram[p][q]:
-                        raise ValueError(
-                            "group element does not preserve the bilinear form")
+        return self._row(i).index(0)
 
     # -- reflections ----------------------------------------------------------
 
-    def _find_reflections(self):
+    def _find_reflections(self, refl_elems: list, gens: list):
         d = self.dim
-        refl_elems = []
-        for i, m in enumerate(self.mats):
-            if i == 0 or self.mul(i, i) != 0:
-                continue
-            if sum(m[p][p] for p in range(d)) == d - 2:
-                refl_elems.append(i)
         roots = {i: _minus_one_eigenvector(self.mats[i]) for i in refl_elems}
         order = sorted(refl_elems, key=lambda i: roots[i])
-        # Conjugacy classes, numbered by first appearance in root order.
+        # Conjugacy classes, numbered by first appearance in root order; a
+        # class is an orbit under conjugation by the generators.
+        conj = [(g, self.inv(g)) for g in gens]
         class_of: dict = {}
         next_id = 0
         for i in order:
             if i in class_of:
                 continue
             class_of[i] = next_id
-            for g in range(self.order):
-                j = self.mul(self.mul(g, i), self.inv(g))
-                class_of.setdefault(j, next_id)
+            orbit = [i]
+            for r in orbit:
+                for g, g_inv in conj:
+                    j = self.mul(self.mul(g, r), g_inv)
+                    if j not in class_of:
+                        class_of[j] = next_id
+                        orbit.append(j)
             next_id += 1
         self.num_classes = next_id
         gram = self.space.gram
@@ -282,7 +340,6 @@ def build_group(family: str, rank: int, ambient_dim: int,
     if ambient_dim < natural:
         raise ValueError(f"{family}{rank} needs ambient dimension >= {natural}")
 
-    import math
     if family == "A":
         order = math.factorial(rank + 1)
     elif family == "B":
@@ -322,6 +379,9 @@ def from_generators(matrices, gram=None, closure_cap: int = DEFAULT_ORDER_CAP,
         if len(rows) != d or any(len(r) != d for r in rows):
             raise ValueError("generator matrices must be square, same size")
         gens.append(rows)
+    space = QuadraticSpace(d, gram)
+    for g in gens:
+        _check_preserves_form(g, space.gram)
     ident = _identity_matrix(d)
     seen = {ident}
     frontier = [ident]
@@ -339,7 +399,6 @@ def from_generators(matrices, gram=None, closure_cap: int = DEFAULT_ORDER_CAP,
                     ordered.append(prod)
                     nxt.append(prod)
         frontier = nxt
-    space = QuadraticSpace(d, gram)
     return ReflectionGroup(space, ordered, label=label)
 
 

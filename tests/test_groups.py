@@ -1,11 +1,20 @@
+import hashlib
+import json
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from cheralg.geometry import bilinear_B, pairing, beta
+from cheralg.cli import main
+from cheralg.core import Context
+from cheralg.geometry import bilinear_B, invert_matrix, pairing, beta
 from cheralg.groups import (build_group, from_generators, parse_group_spec,
                             trivial_group)
+from cheralg.parser import Evaluator, parse_expression
+
+EVAL_POOL = (Path(__file__).resolve().parents[1] / "perfbench" / "reference"
+             / "eval_D4_4.json")
 
 
 def test_orders_and_reflection_counts():
@@ -117,6 +126,12 @@ def test_custom_group_must_preserve_form():
         from_generators([[[2, 0], [0, 1]]])
 
 
+def test_generator_not_preserving_form_fails_before_closure():
+    # the closure of diag(2, 1) is infinite; the generator check stops it
+    with pytest.raises(ValueError, match="does not preserve the bilinear form"):
+        from_generators([[[2, 0], [0, 1]]])
+
+
 def test_trivial_group():
     g = trivial_group(3)
     assert g.order == 1 and g.num_classes == 0 and not g.reflections
@@ -135,3 +150,69 @@ def test_multiplication_closure_and_inverses():
     for i in range(g.order):
         for j in range(g.order):
             assert g.act(g.mul(i, j), u) == g.act(i, g.act(j, u))
+
+
+def _dense_product(a, b):
+    n = len(a)
+    return tuple(tuple(sum(a[i][k] * b[k][j] for k in range(n))
+                       for j in range(n)) for i in range(n))
+
+
+CLOSURE_GROUPS = {
+    "A2@3": lambda: parse_group_spec("A2@3"),
+    "B3@3": lambda: parse_group_spec("B3@3"),
+    "D3@3": lambda: parse_group_spec("D3@3"),
+    "D4@4": lambda: parse_group_spec("D4@4"),
+    "rotation90": lambda: from_generators([[[0, -1], [1, 0]]]),
+    "B2xrotation": lambda: from_generators(
+        [[[0, -1, 0], [1, 0, 0], [0, 0, 1]], [[1, 0, 0], [0, 1, 0], [0, 0, -1]]]),
+    "flip1": lambda: from_generators([[[-1]]]),
+    "trivial3": lambda: trivial_group(3),
+    "A1_general_gram": lambda: from_generators([[[0, 1], [1, 0]]],
+                                               gram=[[2, 1], [1, 2]]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CLOSURE_GROUPS))
+def test_closure_table_matches_matrix_products(name):
+    g = CLOSURE_GROUPS[name]()
+    n = g.order
+    pairs = [(i, j) for i in range(n) for j in range(n)]
+    if len(pairs) > 2000:
+        pairs = random.Random(7).sample(pairs, 2000)
+    for i, j in pairs:
+        assert g.mul(i, j) == g.index[_dense_product(g.mats[j], g.mats[i])]
+    for i in range(n):
+        assert g.mul(i, g.inv(i)) == 0
+        assert g.ymats[i] == invert_matrix(tuple(zip(*g.mats[i])))
+    for r in g.reflections:
+        for h in range(n):
+            conj = g.mul(g.mul(h, r.elem), g.inv(h))
+            assert g.reflection_by_elem[conj].class_id == r.class_id
+
+
+# Element indices are part of the output: witnesses print g<index>, and the
+# benchmark's eval digests depend on them.  Both digests were taken from the
+# dense-table implementation that preceded the generator closure.
+D4_MATS_SHA256 = "66d841a65282c70e49266ec938b2b2116198d5d49c34b21846a76103c9ce53d4"
+D4_INFO_SHA256 = "5f639f7c06bb78117cd63d016abfd2f2321eee1a453d512f93c17df201ecc0da"
+
+
+def test_d4_indexing_is_pinned(capsys):
+    g = build_group("D", 4, 4)
+    assert hashlib.sha256(repr(g.mats).encode()).hexdigest() == D4_MATS_SHA256
+    assert main(["info", "--group", "D4@4", "--format", "json"]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == D4_INFO_SHA256
+
+
+def test_d4_eval_pool_one_entry_per_shape():
+    pool = json.loads(EVAL_POOL.read_text())["pool"]
+    first = {}
+    for shape, expr, terms, ref in pool:
+        first.setdefault(shape, (expr, terms, ref))
+    g = parse_group_spec("D4@4")
+    for shape, (expr, terms, ref) in sorted(first.items()):
+        value = Evaluator(Context(g)).eval_element(parse_expression(expr))
+        digest = hashlib.sha256(str(value).encode()).hexdigest()[:16]
+        assert (digest, len(value.terms)) == (ref, terms), (shape, expr)
