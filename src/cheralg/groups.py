@@ -68,19 +68,28 @@ def _transpose(m: Matrix) -> Matrix:
     return tuple(zip(*m))
 
 
-def _check_preserves_form(m: Matrix, gram):
+def _check_preserves_form(m: Matrix, space: QuadraticSpace):
+    """Raise unless m G m^T = G for the Gram matrix G of ``space``; under
+    the identity Gram matrix, unless the rows of m are orthonormal, summed
+    in plain Fraction arithmetic."""
     d = len(m)
+    gram = space.gram
     for p in range(d):
         for q in range(p, d):
-            acc = BN_ZERO
-            for k in range(d):
-                if m[p][k] == 0:
-                    continue
-                for l in range(d):
-                    if m[q][l] == 0:
+            if space.is_identity:
+                dot = sum(a * b for a, b in zip(m[p], m[q]))
+                ok = dot == (1 if p == q else 0)
+            else:
+                acc = BN_ZERO
+                for k in range(d):
+                    if m[p][k] == 0:
                         continue
-                    acc = acc + as_base(m[p][k] * m[q][l]) * gram[k][l]
-            if acc != gram[p][q]:
+                    for l in range(d):
+                        if m[q][l] == 0:
+                            continue
+                        acc = acc + as_base(m[p][k] * m[q][l]) * gram[k][l]
+                ok = acc == gram[p][q]
+            if not ok:
                 raise ValueError(
                     "group element does not preserve the bilinear form")
 
@@ -162,7 +171,7 @@ class ReflectionGroup:
         if self.mats[0] != ident:
             raise ValueError("element 0 must be the identity")
         for m in self.mats:
-            _check_preserves_form(m, space.gram)
+            _check_preserves_form(m, space)
         # A reflection is an involution fixing a hyperplane: trace d - 2.
         d = self.dim
         refl_elems = [i for i, m in enumerate(self.mats)
@@ -381,7 +390,7 @@ def from_generators(matrices, gram=None, closure_cap: int = DEFAULT_ORDER_CAP,
         gens.append(rows)
     space = QuadraticSpace(d, gram)
     for g in gens:
-        _check_preserves_form(g, space.gram)
+        _check_preserves_form(g, space)
     ident = _identity_matrix(d)
     seen = {ident}
     frontier = [ident]

@@ -21,19 +21,40 @@ both the engine and the module.
 Polynomials are sparse dictionaries mapping exponent tuples to Scalars; a
 PolySpinor maps (exponent tuple, spinor subset bitmask) pairs to Scalars.
 The spinor bitmask ranges over subsets of the isotropic plus-directions.
+
+Every operator here is linear in the vector, so it is known from its images
+of basis vectors, and `apply_linear` sums those images scaled by the
+vector's coefficients.  Three memos hold such images:
+
+- `SpinorModule` keeps g . x^e per (g, e), as rational pairs, from the
+  substitution x_p -> sum_q mats[g][p][q] x_q read from the group's
+  matrices;
+- `SpinorModule` keeps D_p(x^e) per (p, e): the partial derivative plus, per
+  reflection s with root alpha, k_c alpha_p (x^e - s.x^e) / alpha;
+- `ModuleEvaluator` keeps, per leaf of an expression and per basis key
+  (e, spinor mask), the leaf's action on that basis vector.  An evaluator
+  serves one expression on one module, so the samples of one oracle row,
+  its nested compositions and both orders of a bracket share the images,
+  and nothing is shared between modules or rows.
+
+The memos are keyed by module data alone (p, exponents, spinor masks, group
+element indices, expression nodes) and filled by the module's own
+arithmetic.  The module reads the group's matrices, reflections and roots
+and the kappa of each class from the context, and asks the engine only to
+build the leaves; it never calls the engine's exponent action or its
+product, so a fault in either cannot show on both sides of the cross-check.
 """
 
 from __future__ import annotations
 
 import random
+from fractions import Fraction
 
 from .core import Context, Element, Monomial
 from .geometry import Vector
 from .parser import (Bin, Bracket, Call, EvalError, Evaluator, Name, Neg, Num,
                      reciprocal)
-from .scalars import BN_I, BaseNumber, SC_ONE, SC_ZERO, Scalar, as_scalar
-
-_NEG_I = -BN_I
+from .scalars import BaseNumber, SC_ONE, SC_ZERO, Scalar, as_scalar
 
 
 class PolySpinor:
@@ -92,6 +113,13 @@ class PolySpinor:
 PS_ZERO = PolySpinor({})
 
 
+def _times_i(c: Scalar) -> Scalar:
+    """i * c, by moving components: i (a + b i + c r + d i r) with r = sqrt2
+    is -b + a i - d r + c i r."""
+    return Scalar({k: BaseNumber(-v.b, v.a, -v.d, v.c)
+                   for k, v in c.terms.items()})
+
+
 # -- sparse polynomial helpers (exponent tuple -> Scalar) -------------------------
 
 
@@ -109,6 +137,18 @@ def poly_add(a, b):
 
 def poly_sub(a, b):
     return poly_add(a, {k: -v for k, v in b.items()})
+
+
+def apply_linear(vec, image):
+    """The image of ``vec`` (basis key -> Scalar) under the linear map that
+    sends the basis vector ``key`` to the pairs ``image(key)``."""
+    out: dict = {}
+    for key, c in vec.items():
+        for k2, t in image(key):
+            v = c * t
+            prev = out.get(k2)
+            out[k2] = v if prev is None else prev + v
+    return {k: v for k, v in out.items() if not v.is_zero()}
 
 
 def poly_partial(poly, p):
@@ -177,6 +217,8 @@ class SpinorModule:
         self.odd = ctx.dim % 2 == 1
         self.sector = sector
         self._zero_exp = (0,) * ctx.dim
+        self._act_memo: dict = {}       # (g, exp) -> g . x^exp
+        self._dunkl_memo: dict = {}     # (p, exp) -> D_p(x^exp)
 
     # -- building vectors ---------------------------------------------------
 
@@ -206,28 +248,6 @@ class SpinorModule:
 
     # -- spinor-side operators ----------------------------------------------
 
-    def _theta_plus(self, j, v: PolySpinor) -> PolySpinor:
-        out = {}
-        bit = 1 << j
-        below = bit - 1
-        for (exp, sm), c in v.terms.items():
-            if sm & bit:
-                continue
-            sign = -1 if (sm & below).bit_count() & 1 else 1
-            out[(exp, sm | bit)] = c if sign > 0 else -c
-        return PolySpinor(out)
-
-    def _theta_minus(self, j, v: PolySpinor) -> PolySpinor:
-        out = {}
-        bit = 1 << j
-        below = bit - 1
-        for (exp, sm), c in v.terms.items():
-            if not sm & bit:
-                continue
-            sign = -1 if (sm & below).bit_count() & 1 else 1
-            out[(exp, sm ^ bit)] = c if sign > 0 else -c
-        return PolySpinor(out)
-
     def _theta0(self, v: PolySpinor) -> PolySpinor:
         out = {}
         for (exp, sm), c in v.terms.items():
@@ -236,44 +256,73 @@ class SpinorModule:
         return PolySpinor(out)
 
     def apply_e(self, p: int, v: PolySpinor) -> PolySpinor:
-        """Action of the p-th Clifford generator via the isotropic basis."""
+        """Action of the p-th Clifford generator via the isotropic basis:
+        e_2j = t+_j + t-_j and e_2j+1 = -i (t+_j - t-_j), where t+_j wedges
+        the j-th plus direction (a term without bit j) and t-_j contracts
+        it (a term with bit j).  The two halves never meet on one term."""
         if self.odd and p == self.dim - 1:
             return self._theta0(v)
-        j = p // 2
-        plus = self._theta_plus(j, v)
-        minus = self._theta_minus(j, v)
-        if p % 2 == 0:
-            return plus + minus
-        return (plus - minus).scale(Scalar.of(_NEG_I))
+        bit = 1 << p // 2
+        below = bit - 1
+        out = {}
+        for (exp, sm), c in v.terms.items():
+            negate = (sm & below).bit_count() & 1
+            if p % 2:
+                c = _times_i(c)
+                negate ^= not sm & bit
+            out[(exp, sm ^ bit)] = -c if negate else c
+        return PolySpinor(out)
 
     # -- polynomial-side operators -----------------------------------------------
+
+    def _act_exp(self, g: int, exp: tuple) -> tuple:
+        """g . x^exp as (exponent, Fraction) pairs, by the substitution
+        x_p -> sum_q mats[g][p][q] x_q read from the group's matrices."""
+        key = (g, exp)
+        hit = self._act_memo.get(key)
+        if hit is None:
+            mat = self.ctx.group.mats[g]
+            poly = {self._zero_exp: Fraction(1)}
+            for p, k in enumerate(exp):
+                lin = [(q, r) for q, r in enumerate(mat[p]) if r]
+                for _ in range(k):
+                    nxt: dict = {}
+                    for e, c in poly.items():
+                        for q, r in lin:
+                            e2 = e[:q] + (e[q] + 1,) + e[q + 1:]
+                            nxt[e2] = nxt.get(e2, 0) + c * r
+                    poly = {e: c for e, c in nxt.items() if c}
+            hit = self._act_memo[key] = tuple(poly.items())
+        return hit
 
     def _act_group_poly(self, g: int, poly: dict) -> dict:
         if g == 0:
             return poly
-        out: dict = {}
-        for exp, c in poly.items():
-            for exp2, f in self.ctx._act_x(g, exp):
-                v = c * f
-                prev = out.get(exp2)
-                out[exp2] = v if prev is None else prev + v
-        return {k: v for k, v in out.items() if not v.is_zero()}
+        return apply_linear(poly, lambda exp: self._act_exp(g, exp))
+
+    def _dunkl_image(self, p: int, exp: tuple) -> tuple:
+        """D_p(x^exp) as (exponent, Scalar) pairs: the partial derivative
+        plus sum over reflections of k_c alpha_p (x^e - s.x^e) / alpha."""
+        key = (p, exp)
+        hit = self._dunkl_memo.get(key)
+        if hit is None:
+            mono = {exp: SC_ONE}
+            out = poly_partial(mono, p)
+            for refl in self.ctx.group.reflections:
+                ap = refl.root[p]
+                if ap == 0:
+                    continue
+                diff = poly_sub(mono, self._act_group_poly(refl.elem, mono))
+                quot = poly_div_linear(diff, refl.root)
+                w = self.ctx.kappas[refl.class_id] * ap
+                out = poly_add(out, {k: v * w for k, v in quot.items()})
+            hit = self._dunkl_memo[key] = tuple(out.items())
+        return hit
 
     def dunkl(self, p: int, poly: dict) -> dict:
         """The deformed directional derivative along the p-th dual basis
-        vector: the plain partial plus reflection difference quotients."""
-        out = poly_partial(poly, p)
-        for refl in self.ctx.group.reflections:
-            ap = refl.root[p]
-            if ap == 0 or not poly:
-                continue
-            diff = poly_sub(poly, self._act_group_poly(refl.elem, poly))
-            if not diff:
-                continue
-            quot = poly_div_linear(diff, refl.root)
-            w = self.ctx.kappas[refl.class_id] * ap
-            out = poly_add(out, {k: v * w for k, v in quot.items()})
-        return out
+        vector, summed from the memoized images of the monomials."""
+        return apply_linear(poly, lambda exp: self._dunkl_image(p, exp))
 
     def dunkl_apply(self, y: Vector, poly: dict) -> dict:
         """Dunkl operator of a general vector, by linearity in the direction."""
@@ -328,10 +377,9 @@ class SpinorModule:
     def act(self, element: Element, v: PolySpinor) -> PolySpinor:
         if element.ctx is not self.ctx:
             raise ValueError("element from a different context")
-        acc = PS_ZERO
-        for mono, coef in element.terms.items():
-            acc = acc + self.act_monomial(mono, v).scale(coef)
-        return acc
+        return PolySpinor(apply_linear(
+            element.terms,
+            lambda mono: self.act_monomial(mono, v).terms.items()))
 
 
 # Calls whose value the engine builds as one leaf operator.
@@ -342,16 +390,18 @@ class ModuleEvaluator:
     """Act with an expression of the parser's language on module vectors.
 
     The leaves are built once each by the engine's Evaluator and act
-    through `SpinorModule.act`; products become composition, powers
-    repeated composition, and the graded brackets ab -+ ba with the sign
-    read from the parities of the operands.  Nothing else is composed: the
-    projector-style maps (Pp, Pm, Palpha, Qp, Qm) raise EvalError.
+    through `SpinorModule.act`, once per basis vector they meet; products
+    become composition, powers repeated composition, and the graded
+    brackets ab -+ ba with the sign read from the parities of the operands.
+    Nothing else is composed: the projector-style maps (Pp, Pm, Palpha, Qp,
+    Qm) raise EvalError.
     """
 
     def __init__(self, module: SpinorModule):
         self.module = module
         self.engine = Evaluator(module.ctx)
         self._leaves: dict = {}
+        self._images: dict = {}     # leaf -> {(exp, sm): leaf . basis vector}
 
     def leaf(self, node) -> Element:
         hit = self._leaves.get(node)
@@ -359,10 +409,20 @@ class ModuleEvaluator:
             hit = self._leaves[node] = self.engine.eval_element(node)
         return hit
 
+    def _leaf_image(self, node, key) -> tuple:
+        images = self._images.setdefault(node, {})
+        hit = images.get(key)
+        if hit is None:
+            basis = PolySpinor({key: SC_ONE})
+            hit = images[key] = tuple(
+                self.module.act(self.leaf(node), basis).terms.items())
+        return hit
+
     def act(self, node, v: PolySpinor) -> PolySpinor:
         """The value of ``node`` applied to ``v``."""
         if _is_leaf(node):
-            return self.module.act(self.leaf(node), v)
+            return PolySpinor(apply_linear(
+                v.terms, lambda key: self._leaf_image(node, key)))
         if isinstance(node, Neg):
             return -self.act(node.arg, v)
         if isinstance(node, Bracket):

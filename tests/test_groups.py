@@ -132,6 +132,31 @@ def test_generator_not_preserving_form_fails_before_closure():
         from_generators([[[2, 0], [0, 1]]])
 
 
+@pytest.mark.parametrize("gen", [
+    [[1, 1], [0, 1]],                          # a shear
+    [[0, 2], [Fraction(1, 2), 0]],             # orthogonal rows, order 2
+    [[Fraction(3, 5), Fraction(4, 5)], [1, 0]],  # unit rows, not orthogonal
+])
+def test_identity_gram_rejects_non_orthogonal_generator(gen):
+    with pytest.raises(ValueError, match="does not preserve the bilinear form"):
+        from_generators([gen])
+
+
+def test_identity_gram_accepts_orthogonal_generators():
+    rot = [[Fraction(3, 5), Fraction(-4, 5)], [Fraction(4, 5), Fraction(3, 5)]]
+    with pytest.raises(ValueError, match="cap"):
+        from_generators([rot], closure_cap=50)   # infinite order, but orthogonal
+    assert from_generators([[[0, -1], [1, 0]]]).order == 4
+
+
+def test_general_gram_rejects_generator_breaking_it():
+    gram = [[2, 1], [1, 2]]
+    assert from_generators([[[0, 1], [1, 0]]], gram=gram).order == 2
+    # orthogonal for the identity form, but not for this one
+    with pytest.raises(ValueError, match="does not preserve the bilinear form"):
+        from_generators([[[-1, 0], [0, 1]]], gram=gram)
+
+
 def test_trivial_group():
     g = trivial_group(3)
     assert g.order == 1 and g.num_classes == 0 and not g.reflections

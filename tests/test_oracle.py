@@ -3,10 +3,14 @@ from fractions import Fraction
 
 import pytest
 
+from cheralg import oracle
 from cheralg.core import Context, random_element, supercommutator
 from cheralg.groups import build_group
-from cheralg.oracle import SpinorModule, poly_div_linear
-from cheralg.scalars import Scalar, as_scalar
+from cheralg.oracle import (ModuleEvaluator, SpinorModule, poly_add,
+                            poly_div_linear, poly_partial, poly_sub)
+from cheralg.parser import parse_expression
+from cheralg.scalars import BaseNumber, Scalar, as_scalar
+from cheralg.suites import ORACLE_ROWS
 
 
 def k(c=0):
@@ -19,6 +23,10 @@ def mod(ctx_a12):
 
 
 def test_dunkl_examples(mod):
+    _assert_dunkl_examples(mod)
+
+
+def _assert_dunkl_examples(mod):
     one = as_scalar(1)
     assert mod.dunkl(0, {(1, 0): one}) == {(0, 0): one + k()}
     assert mod.dunkl(0, {(2, 0): one}) == {(1, 0): as_scalar(2) + k(),
@@ -88,8 +96,9 @@ def test_odd_dimension_sector():
         vac = mod.vacuum()
         assert mod.apply_e(2, vac) == vac.scale(as_scalar(sector))
         assert mod.apply_e(2, mod.apply_e(2, vac)) == vac
-        # one theta-plus flips the degree sign
-        up = mod._theta_plus(0, vac)
+        # e1 wedges the vacuum; one wedge flips the degree sign
+        up = mod.apply_e(0, vac)
+        assert up == mod.vector({((0, 0, 0), 1): 1})
         assert mod.apply_e(2, up) == up.scale(as_scalar(-sector))
     rng = random.Random(3)
     mod = SpinorModule(ctx, -1)
@@ -159,3 +168,126 @@ def test_module_evaluator_rejects_projector_maps(mod):
     for src in ("[X, x1 + e1]", "{x1*e1 + 1, D}"):
         with pytest.raises(EvalError, match="mixed parity"):
             module_eval.act(parse_expression(src), mod.vacuum())
+
+
+def test_module_has_its_own_exponent_action(ctx_a12, monkeypatch):
+    """A wrong engine exponent action must not reach the module."""
+    ctx = ctx_a12
+    s = ctx.g(ctx.group.reflections[0].elem)
+    y1 = ctx.y(0)
+
+    def wrong_image(self, g, xs):
+        return ((xs, Fraction(3)),)
+
+    monkeypatch.setattr(Context, "_act_x", wrong_image)
+    assert ctx._act_x(1, (2, 1)) == (((2, 1), Fraction(3)),)
+    mod = SpinorModule(ctx)
+    _assert_dunkl_examples(mod)
+    assert mod.act(s, mod.vector({((2, 1), 0): 1})) == \
+        mod.vector({((1, 2), 0): 1})
+    assert mod.act(y1, mod.vector({((2, 0), 1): 1})) == \
+        mod.vector({((1, 0), 1): as_scalar(2) + k(), ((0, 1), 1): k()})
+
+
+def _kappa_poly(ctx, rng, n_terms=5, max_degree=4):
+    """A seeded polynomial whose coefficients are kappa-polynomials."""
+    poly = {}
+    for _ in range(n_terms):
+        exp = [0] * ctx.dim
+        for _ in range(rng.randint(0, max_degree)):
+            exp[rng.randrange(ctx.dim)] += 1
+        c = as_scalar(BaseNumber(rng.randint(-3, 3), rng.randint(-1, 1)))
+        for cls in range(ctx.num_classes):
+            c = c + k(cls) * rng.randint(-2, 2) + Scalar.kappa(cls, 2)
+        poly = poly_add(poly, {tuple(exp): c})
+    return poly
+
+
+def _reference_dunkl(ctx, p, poly):
+    """The partial derivative plus, per reflection, k alpha_p times the
+    difference quotient (f - s.f)/alpha, with s.f from the engine."""
+    out = poly_partial(poly, p)
+    for refl in ctx.group.reflections:
+        if refl.root[p] == 0:
+            continue
+        sf = {}
+        for exp, c in poly.items():
+            for exp2, f in ctx._act_x(refl.elem, exp):
+                sf = poly_add(sf, {exp2: c * f})
+        quot = poly_div_linear(poly_sub(poly, sf), refl.root)
+        w = ctx.kappas[refl.class_id] * refl.root[p]
+        out = poly_add(out, {e: v * w for e, v in quot.items()})
+    return out
+
+
+@pytest.mark.parametrize("env", ["env_a12", "env_b22", "env_a23", "env_a15"])
+def test_dunkl_memo_matches_reference(env, request, monkeypatch):
+    ctx = request.getfixturevalue(env).ctx
+    rng = random.Random(8)
+    polys = [_kappa_poly(ctx, rng) for _ in range(3)]
+    mod = SpinorModule(ctx)
+    expected = {(p, i): _reference_dunkl(ctx, p, f)
+                for p in range(ctx.dim) for i, f in enumerate(polys)}
+    for (p, i), value in expected.items():
+        assert mod.dunkl(p, polys[i]) == value
+    def no_division(*args):
+        raise AssertionError("the second call divided again")
+
+    # the second call reads the memo: it divides nothing
+    monkeypatch.setattr(oracle, "poly_div_linear", no_division)
+    for (p, i), value in expected.items():
+        assert mod.dunkl(p, polys[i]) == value
+
+
+@pytest.mark.parametrize("env", ["env_a12", "env_b22", "env_a23", "env_a15"])
+def test_dunkl_operators_commute(env, request):
+    ctx = request.getfixturevalue(env).ctx
+    mod = SpinorModule(ctx)
+    rng = random.Random(9)
+    for f in [_kappa_poly(ctx, rng) for _ in range(2)]:
+        for p in range(ctx.dim):
+            for q in range(p + 1, ctx.dim):
+                assert mod.dunkl(p, mod.dunkl(q, f)) == \
+                    mod.dunkl(q, mod.dunkl(p, f))
+
+
+class _LeafByLeaf(ModuleEvaluator):
+    """Every leaf acts on the whole vector through SpinorModule.act."""
+
+    def act(self, node, v):
+        if oracle._is_leaf(node):
+            return self.module.act(self.leaf(node), v)
+        return super().act(node, v)
+
+
+@pytest.mark.parametrize("env", ["env_a12", "env_b22"])
+def test_leaf_memo_matches_memo_free_composition(env, request):
+    group_env = request.getfixturevalue(env)
+    mod = SpinorModule(group_env.ctx)
+    base = mod.random_vector(5, 3, 6)
+    # the second vector has the first one's keys, the third adds more
+    vecs = [base, base.scale(k(0) + 2), base + mod.random_vector(6, 3, 6)]
+    for name, row in ORACLE_ROWS:
+        node = row.instances(group_env.group)[0][1]
+        memo = ModuleEvaluator(mod)
+        reference = _LeafByLeaf(mod)
+        for i, v in enumerate(vecs):
+            filled = sum(len(images) for images in memo._images.values())
+            assert memo.act(node, v) == reference.act(node, v), name
+            if i == 1:      # same keys as the first: every image was a hit
+                assert filled == sum(len(images)
+                                     for images in memo._images.values())
+
+
+def test_leaf_memo_stays_with_its_module(env_a15):
+    ctx = env_a15.ctx
+    node = parse_expression("e5*x1 + O(x1)*e5*y2 - Gamma*e1")
+    plus = ModuleEvaluator(SpinorModule(ctx, 1))
+    minus = ModuleEvaluator(SpinorModule(ctx, -1))
+    vecs = [minus.module.random_vector(seed, 2, 5) for seed in range(3)]
+    on_plus = [plus.act(node, v) for v in vecs]     # filled first
+    on_minus = [minus.act(node, v) for v in vecs]
+    fresh = [ModuleEvaluator(SpinorModule(ctx, -1)).act(node, v)
+             for v in vecs]
+    assert on_minus == fresh
+    assert on_minus != on_plus
