@@ -4,9 +4,10 @@ Subcommands:
 
     eval EXPR           print the normal form of an expression
     commute A B         print the normal form of the graded commutator
-    verify              run identity suites to exact zero; --suite picks a
-                        suite or case id, --seed and --max-degree shape the
-                        seeded random elements
+    verify              run identity suites and oracle checks to exact
+                        zero; --suite picks a suite, case id or id prefix,
+                        --seed and --max-degree shape the seeded random
+                        elements
     list-suites         show suite names and case counts
     info                show group, reflection, and parameter data
 
@@ -28,7 +29,7 @@ from .core import Context, supercommutator
 from .groups import from_generators, parse_group_spec
 from .parser import EvalError, ParseError, parse_expression, Evaluator
 from .scalars import BN_I, BaseNumber
-from .suites import (RunOptions, SuiteEnv, UnknownSuite, catalog,
+from .suites import (RunOptions, SuiteEnv, UnknownSuite, catalog_ids,
                      oracle_ids, run_suite, suite_names)
 
 _RAT = r"[+-]?\d+(?:/\d+)?"
@@ -160,13 +161,10 @@ def cmd_verify(args) -> int:
 
 
 def cmd_list_suites(args) -> int:
-    counts: dict = {}
-    for case in catalog():
-        counts[case.id.split(".")[0]] = counts.get(case.id.split(".")[0], 0) + 1
-    counts["oracle"] = len(oracle_ids())
+    prefixes = [cid.split(".")[0] for cid in catalog_ids() + oracle_ids()]
     for name in suite_names():
         extra = " (engine/module cross-check)" if name == "oracle" else ""
-        print(f"{name:12s} {counts.get(name, 0):3d} cases{extra}")
+        print(f"{name:12s} {prefixes.count(name):3d} cases{extra}")
     return 0
 
 
@@ -220,7 +218,8 @@ def build_arg_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run identity suites")
     p.add_argument("--suite", default="all",
-                   help="suite name, case id, or 'all' (see list-suites)")
+                   help="suite name, case id or id prefix (oracle.l_Buv), "
+                        "or 'all' (see list-suites)")
     _add_common(p, with_run_opts=True)
     p.set_defaults(fn=cmd_verify)
 

@@ -149,9 +149,6 @@ class Context:
     def root_covector(self, refl) -> Covector:
         return self.space.covector(refl.root)
 
-    def coroot_vector(self, refl) -> Vector:
-        return self.space.vector(refl.coroot)
-
     def omega_kappa(self) -> "Element":
         """The central group-algebra element: class parameter times each
         reflection, summed."""

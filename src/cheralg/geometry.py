@@ -22,25 +22,38 @@ COVECTOR = "V*"
 VECTOR = "V"
 
 
+def row_reduce(rows):
+    """Reduced row echelon form by Gauss-Jordan elimination: the reduced
+    rows and the pivot column of each nonzero row.  The entries may be
+    Fractions or BaseNumbers; they stay in the entries' ring."""
+    rows = [list(row) for row in rows]
+    pivots = []
+    for col in range(len(rows[0]) if rows else 0):
+        r = len(pivots)
+        piv = next((k for k in range(r, len(rows)) if rows[k][col] != 0), None)
+        if piv is None:
+            continue
+        rows[r], rows[piv] = rows[piv], rows[r]
+        inv = 1 / rows[r][col]
+        rows[r] = [v * inv for v in rows[r]]
+        for k in range(len(rows)):
+            if k != r and rows[k][col] != 0:
+                f = rows[k][col]
+                rows[k] = [vk - f * vc for vk, vc in zip(rows[k], rows[r])]
+        pivots.append(col)
+    return rows, pivots
+
+
 def invert_matrix(rows):
-    """Exact inverse of a square matrix (Gauss-Jordan).  The entries may be
-    Fractions or BaseNumbers; the inverse stays in the entries' ring."""
+    """Exact inverse of a square matrix, in the entries' ring."""
     n = len(rows)
     zero = rows[0][0] * 0
     one = zero + 1
-    aug = [list(rows[i]) + [one if i == j else zero for j in range(n)]
-           for i in range(n)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if aug[r][col] != 0), None)
-        if piv is None:
-            raise ValueError("matrix is singular")
-        aug[col], aug[piv] = aug[piv], aug[col]
-        inv = 1 / aug[col][col]
-        aug[col] = [v * inv for v in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col] != 0:
-                f = aug[r][col]
-                aug[r] = [vr - f * vc for vr, vc in zip(aug[r], aug[col])]
+    aug, pivots = row_reduce(
+        list(rows[i]) + [one if i == j else zero for j in range(n)]
+        for i in range(n))
+    if pivots[:n] != list(range(n)):
+        raise ValueError("matrix is singular")
     return tuple(tuple(row[n:]) for row in aug)
 
 
@@ -209,18 +222,17 @@ class WittBasis:
     """Isotropic pairs z_j^+/z_j^- (plus anisotropic z0 when the dimension
     is odd) with B(z_j^+, z_k^-) = delta_jk / 2."""
 
-    __slots__ = ("space", "ell", "zplus", "zminus", "z0", "sector")
+    __slots__ = ("space", "ell", "zplus", "zminus", "z0")
 
-    def __init__(self, space, ell, zplus, zminus, z0, sector):
+    def __init__(self, space, ell, zplus, zminus, z0):
         self.space = space
         self.ell = ell
         self.zplus = zplus
         self.zminus = zminus
         self.z0 = z0
-        self.sector = sector
 
 
-def witt_basis(space: QuadraticSpace, sector: int = 1) -> WittBasis:
+def witt_basis(space: QuadraticSpace) -> WittBasis:
     """z_j^+- = (x_{2j-1} +- i x_{2j})/2, and z0 = x_d for odd dimension.
 
     Defined for the orthonormal configuration only; the pairing invariants
@@ -228,8 +240,6 @@ def witt_basis(space: QuadraticSpace, sector: int = 1) -> WittBasis:
     """
     if not space.is_identity:
         raise ValueError("Witt basis requires the identity Gram matrix")
-    if sector not in (1, -1):
-        raise ValueError("sector must be +1 or -1")
     d = space.dim
     ell = d // 2
     h = Fraction(1, 2)
@@ -241,4 +251,4 @@ def witt_basis(space: QuadraticSpace, sector: int = 1) -> WittBasis:
         zplus.append(a + b * ih)
         zminus.append(a - b * ih)
     z0 = space.basis_covector(d - 1) if d % 2 else None
-    return WittBasis(space, ell, tuple(zplus), tuple(zminus), z0, sector)
+    return WittBasis(space, ell, tuple(zplus), tuple(zminus), z0)

@@ -31,7 +31,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .geometry import Covector, QuadraticSpace, Vector
+from .geometry import Covector, QuadraticSpace, Vector, row_reduce
 from .scalars import BN_ZERO, as_base
 
 DEFAULT_ORDER_CAP = 10_000
@@ -116,24 +116,8 @@ def _primitive(vec):
 def _minus_one_eigenvector(mat: Matrix):
     """Kernel of (M^T + I); one-dimensional for a reflection matrix."""
     n = len(mat)
-    rows = [[mat[j][i] + (1 if i == j else 0) for j in range(n)]
-            for i in range(n)]
-    # Gaussian elimination to row echelon form.
-    pivots = []
-    r = 0
-    for c in range(n):
-        piv = next((k for k in range(r, n) if rows[k][c] != 0), None)
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        inv = 1 / rows[r][c]
-        rows[r] = [v * inv for v in rows[r]]
-        for k in range(n):
-            if k != r and rows[k][c] != 0:
-                f = rows[k][c]
-                rows[k] = [vk - f * vc for vk, vc in zip(rows[k], rows[r])]
-        pivots.append(c)
-        r += 1
+    rows, pivots = row_reduce([[mat[j][i] + (1 if i == j else 0)
+                                for j in range(n)] for i in range(n)])
     free = [c for c in range(n) if c not in pivots]
     if len(free) != 1:
         raise ValueError("matrix is not a reflection (fixed space too small)")

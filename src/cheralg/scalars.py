@@ -21,12 +21,10 @@ makes is_zero a trivial check after every operation.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Mapping, Union
+from typing import Mapping
 
 _F0 = Fraction(0)
 _F1 = Fraction(1)
-
-RationalLike = Union[int, Fraction]
 
 
 class BaseNumber:
@@ -448,13 +446,7 @@ def _scalar(terms: dict) -> Scalar:
 
 SC_ZERO = Scalar({})
 SC_ONE = Scalar({(): BN_ONE})
-SC_I = Scalar({(): BN_I})
-SC_SQRT2 = Scalar({(): BN_SQRT2})
 
 
 def as_scalar(x) -> Scalar:
     return Scalar.of(x)
-
-
-def half(x=1) -> Scalar:
-    return Scalar.of(Fraction(x, 2))

@@ -30,17 +30,20 @@ these reasons:
 The oracle cross-check reads ORACLE_ROWS, 20 rows in the same language,
 some of them catalog rows read at their first binding, twice: with the
 engine Evaluator, and with the module evaluator of oracle.py, which
-composes them as operators on the polynomial-tensor-spinor module.
+composes them as operators on the polynomial-tensor-spinor module.  Its
+checks are IdentityCases too, with ids oracle.<name>; only how a result
+is counted differs (one term on failure, witnessed by the check's name).
 
-The first dotted component of an id names its suite; `run_suite` selects by
-that prefix (or "all").  Cases whose dimension prerequisite fails, cases
-stated for the orthonormal configuration when the Gram matrix is not the
-identity, and cases with nothing to check on the group (a row whose every
-pattern names a reflection the group lacks) are reported as skipped with
-the reason.  Reports are
-ordered by id regardless of execution order, and their content is
-deterministic (the elapsed-time field aside) for fixed inputs including
-the seed.
+One routine, `_report`, runs every case.  The first dotted component of
+an id names its suite; `run_suite` selects catalog cases and oracle checks
+by one prefix rule (a suite, a case id, an id prefix such as
+oracle.osp12re, or "all").  Cases whose dimension prerequisite fails,
+cases stated for the orthonormal configuration when the Gram matrix is not
+the identity (every oracle check), and cases with nothing to check on the
+group (a row whose every pattern names a reflection the group lacks) are
+reported as skipped with the reason.  Reports are ordered by id regardless
+of execution order, and their content is deterministic (the elapsed-time
+field aside) for fixed inputs including the seed.
 """
 
 from __future__ import annotations
@@ -76,6 +79,7 @@ class RunOptions:
     jacobi_trials: int = 20
     roundtrip_trials: int = 20
     oracle_samples: int = 20
+    oracle_products: int = 50
 
 
 NEEDS_ORTHONORMAL = "needs the orthonormal configuration"
@@ -89,6 +93,8 @@ class IdentityCase:
     min_dim: int
     builder: Callable
     orthonormal: bool = False        # stated for the identity Gram only
+    oracle: bool = False             # an engine/module check: the builder
+                                     # returns (label, holds) pairs
 
 
 @dataclass
@@ -1130,103 +1136,102 @@ def _random_scalar(rng, num_classes: int) -> Scalar:
     return acc
 
 
-_CATALOG = None
-
-
+@functools.cache
 def catalog() -> list:
-    global _CATALOG
-    if _CATALOG is None:
-        _CATALOG = build_catalog()
-    return _CATALOG
+    return build_catalog()
 
 
 def catalog_ids() -> list:
     return [c.id for c in catalog()]
 
 
+@functools.cache
+def _cases() -> list:
+    """Every case run_suite selects from: the catalog, then the oracle's
+    checks, built without a module for selection only (each
+    run_oracle_crosscheck call builds them again, on its own module)."""
+    return catalog() + oracle_cases()
+
+
 def suite_names() -> list:
-    return sorted({c.id.split(".")[0] for c in catalog()} | {"oracle"})
+    return sorted({c.id.split(".")[0] for c in _cases()})
 
 
 class UnknownSuite(ValueError):
     pass
 
 
-def _select(suite_id: str):
+def _select(suite_id: str) -> list:
     if suite_id == "all":
-        return list(catalog())
-    got = [c for c in catalog()
+        return _cases()
+    got = [c for c in _cases()
            if c.id == suite_id or c.id.startswith(suite_id + ".")]
-    if not got and suite_id != "oracle":
+    if not got:
         raise UnknownSuite(f"unknown suite or case id {suite_id!r}")
     return got
 
 
-def _kappa_label(kappa_values) -> str:
-    if kappa_values is None:
-        return "symbolic"
-    return ",".join(str(v) for v in kappa_values)
+def _report(env: SuiteEnv, case: IdentityCase, kappa: str = "symbolic",
+            subs=None) -> SuiteReport:
+    """Run one case: skipped with the reason, else pass or fail.
+
+    A catalog residual is an element, specialized by ``subs`` if given; a
+    nonzero one counts its terms.  An oracle residual is a bool; a false
+    one counts one term and is witnessed by its label.
+    """
+    report = functools.partial(SuiteReport, id=case.id, anchor=case.anchor,
+                               group=env.group.label, dim=env.dim,
+                               kappa=kappa)
+    if env.dim < case.min_dim:
+        reason = f"needs dimension >= {case.min_dim}"
+    elif case.orthonormal and not env.ctx.space.is_identity:
+        reason = NEEDS_ORTHONORMAL
+    else:
+        t0 = time.perf_counter()
+        residues = case.builder(env)
+        reason = None if residues else NOTHING_TO_CHECK
+    if reason is not None:
+        return report(status="skipped", reason=reason)
+    nonzero = 0
+    witness = None
+    for sub_label, r in residues:
+        if case.oracle:
+            terms, note = (0, None) if r else (1, sub_label)
+        else:
+            if subs is not None:
+                r = r.substitute_kappa(subs)
+            terms = len(r.terms)
+            note = f"{sub_label}: {r.witness()}" if terms else None
+        nonzero += terms
+        witness = witness or note
+    ms = (time.perf_counter() - t0) * 1000.0
+    return report(status="pass" if nonzero == 0 else "fail",
+                  residual_terms=nonzero, witness=witness, ms=round(ms, 3),
+                  oracle=(nonzero == 0) if case.oracle else None)
 
 
-def _unmet(env: SuiteEnv, min_dim: int, orthonormal: bool):
-    """Why a case stated for ``min_dim`` (and, if ``orthonormal``, for the
-    identity Gram matrix) cannot run on the group; None if it can."""
-    if env.dim < min_dim:
-        return f"needs dimension >= {min_dim}"
-    if orthonormal and not env.ctx.space.is_identity:
-        return NEEDS_ORTHONORMAL
-    return None
-
-
-def run_suite(env: SuiteEnv, suite_id: str = "all", kappa_values=None,
-              options: RunOptions = None) -> list:
-    """Evaluate the selected identity cases to exact zero.
+def run_suite(env: SuiteEnv, suite_id: str = "all",
+              kappa_values=None) -> list:
+    """Evaluate the selected catalog cases and oracle checks to exact zero.
 
     ``kappa_values`` of None keeps the deformation parameters symbolic
-    (the stronger check); otherwise every residual is specialized at the
-    given per-class values before the zero test.
+    (the stronger check); otherwise every catalog residual is specialized
+    at the given per-class values before the zero test.  The oracle reads
+    its checks with symbolic parameters either way.
     """
-    if options is not None:
-        env.options = options
     cases = _select(suite_id)
-    label = env.group.label
-    kap = _kappa_label(kappa_values)
-    subs = None
+    kappa, subs = "symbolic", None
     if kappa_values is not None:
         if len(kappa_values) != env.ctx.num_classes:
             raise ValueError(
                 f"group has {env.ctx.num_classes} reflection classes, "
                 f"got {len(kappa_values)} deformation values")
+        kappa = ",".join(str(v) for v in kappa_values)
         subs = {i: as_base(v) for i, v in enumerate(kappa_values)}
-
-    def run_one(case: IdentityCase) -> SuiteReport:
-        reason = _unmet(env, case.min_dim, case.orthonormal)
-        if reason is None:
-            t0 = time.perf_counter()
-            residues = case.builder(env)
-            reason = None if residues else NOTHING_TO_CHECK
-        if reason is not None:
-            return SuiteReport(
-                id=case.id, anchor=case.anchor, group=label, dim=env.dim,
-                kappa=kap, status="skipped", reason=reason)
-        nonzero = 0
-        witness = None
-        for sub_label, r in residues:
-            if subs is not None:
-                r = r.substitute_kappa(subs)
-            if not r.is_zero():
-                nonzero += len(r.terms)
-                if witness is None:
-                    witness = f"{sub_label}: {r.witness()}"
-        ms = (time.perf_counter() - t0) * 1000.0
-        return SuiteReport(
-            id=case.id, anchor=case.anchor, group=label, dim=env.dim,
-            kappa=kap, status="pass" if nonzero == 0 else "fail",
-            residual_terms=nonzero, witness=witness, ms=round(ms, 3))
-
-    reports = [run_one(c) for c in cases]
-    if suite_id in ("oracle", "all"):
-        reports = reports + run_oracle_crosscheck(env)
+    reports = [_report(env, c, kappa, subs) for c in cases if not c.oracle]
+    oracle = [c.id for c in cases if c.oracle]
+    if oracle:
+        reports += run_oracle_crosscheck(env, oracle)
     return sorted(reports, key=lambda r: r.id)
 
 
@@ -1292,92 +1297,79 @@ ORACLE_ROWS = (
 )
 
 
-def oracle_ids() -> list:
-    return sorted([f"oracle.{name}" for name, _ in ORACLE_ROWS]
-                  + ["oracle.mutation", "oracle.products"])
-
-
-def run_oracle_crosscheck(env: SuiteEnv, samples: int = None,
-                          product_checks: int = 50) -> list:
-    """Exact agreement between the engine and the concrete module.
+def oracle_cases(mod: SpinorModule = None) -> list:
+    """The oracle checks, as cases whose builders act on ``mod``.
 
     Every ORACLE_ROWS row, at its first binding, must be zero in the
     engine and annihilate all sampled vectors in the module; engine
     products must compose: act(a*b, v) = act(a, act(b, v)).  The first
-    row plus one must be caught (harness self-test).  Seeds and the degree
-    of the sampled vectors (at least 3) come from ``env.options``.  A row
-    is skipped, with the catalog's reason, below its minimum dimension or
-    with nothing to check on the group; the module exists for the
-    orthonormal configuration only, so on a general Gram matrix every
-    check is skipped and nothing is evaluated.
+    row plus one must be caught (harness self-test).  Seeds, the number
+    and degree (at least 3) of the sampled vectors and the number of
+    products come from the env's options.
     """
-    opts = env.options
-    samples = opts.oracle_samples if samples is None else samples
-    max_degree = max(opts.max_degree, 3)
-    label = env.group.label
-    mod = SpinorModule(env.ctx) if env.ctx.space.is_identity else None
-
-    def report(name, anchor, check, row=None):
-        """The report of oracle.<name>; ``check(node)`` returns None on
-        agreement, else a witness.  ``node`` is the first binding of
-        ``row``, if a row is given."""
-        node = None
-        reason = _unmet(env, row.min_dim if row else 1, orthonormal=True)
-        if reason is None and row is not None:
-            found = row.instances(env.group)
-            if found:
-                node = found[0][1]
-            else:
-                reason = NOTHING_TO_CHECK
-        if reason is not None:
-            return SuiteReport(
-                id=f"oracle.{name}", anchor=anchor, group=label, dim=env.dim,
-                kappa="symbolic", status="skipped", reason=reason)
-        t0 = time.perf_counter()
-        witness = check(node)
-        ms = (time.perf_counter() - t0) * 1000.0
-        ok = witness is None
-        return SuiteReport(
-            id=f"oracle.{name}", anchor=anchor, group=label, dim=env.dim,
-            kappa="symbolic", status="pass" if ok else "fail",
-            residual_terms=0 if ok else 1, witness=witness,
-            ms=round(ms, 3), oracle=ok)
-
-    def diverges(node) -> bool:
+    def diverges(env, node) -> bool:
         """Is the expression nonzero on a sampled vector or in the engine?"""
+        opts = env.options
         module_eval = ModuleEvaluator(mod)
-        for i in range(samples):
-            vec = mod.random_vector(opts.seed + 7919 * i, max_degree)
+        for i in range(opts.oracle_samples):
+            vec = mod.random_vector(opts.seed + 7919 * i,
+                                    max(opts.max_degree, 3))
             if not module_eval.act(node, vec).is_zero():
                 return True
         return not module_eval.engine.eval_element(node).is_zero()
 
-    def products(_):
+    def agrees(name, row, perturb=False):
+        """The row's first binding must vanish in the module and in the
+        engine; plus one (``perturb``), it must not."""
+        def build(env):
+            found = row.instances(env.group)
+            if not found:
+                return []
+            node = found[0][1]
+            if perturb:
+                node = Bin("+", node, Num(1))
+            return [(name, diverges(env, node) == perturb)]
+        return build
+
+    def products(env):
+        opts = env.options
         rng = random.Random(opts.seed)
-        for i in range(product_checks):
+        for i in range(opts.oracle_products):
             a = random_element(env.ctx, rng, max_degree=2)
             b = random_element(env.ctx, rng, max_degree=2)
-            vec = mod.random_vector(rng.randrange(10 ** 9), max_degree)
+            vec = mod.random_vector(rng.randrange(10 ** 9),
+                                    max(opts.max_degree, 3))
             if mod.act(a * b, vec) != mod.act(a, mod.act(b, vec)):
-                return f"trial {i}"
-        return None
+                return [(f"trial {i}", False)]
+        return [("products", True)]
 
-    reports = [report(name, _CONCORDANCE,
-                      lambda node, name=name: name if diverges(node) else None,
-                      row)
-               for name, row in ORACLE_ROWS]
-    reports.append(report("products", "module action is multiplicative",
-                          products))
-    reports.append(report(
-        "mutation", "perturbed residual must be detected",
-        lambda node: None if diverges(Bin("+", node, Num(1))) else "mutation",
-        row=ORACLE_ROWS[0][1]))
-    return sorted(reports, key=lambda r: r.id)
+    first = ORACLE_ROWS[0][1]
+    checks = [(f"oracle.{name}", _CONCORDANCE, row.min_dim, agrees(name, row))
+              for name, row in ORACLE_ROWS]
+    checks += [
+        ("oracle.products", "module action is multiplicative", 1, products),
+        ("oracle.mutation", "perturbed residual must be detected",
+         first.min_dim, agrees("mutation", first, perturb=True))]
+    return sorted((IdentityCase(*c, orthonormal=True, oracle=True)
+                   for c in checks), key=lambda c: c.id)
+
+
+def oracle_ids() -> list:
+    return [c.id for c in oracle_cases()]
+
+
+def run_oracle_crosscheck(env: SuiteEnv, ids=None) -> list:
+    """Exact agreement between the engine and the concrete module: the
+    reports of the oracle checks named in ``ids`` (all if None), on one
+    module.  The module exists for the orthonormal configuration only, so
+    on a general Gram matrix every check is skipped and nothing is
+    evaluated."""
+    mod = SpinorModule(env.ctx) if env.ctx.space.is_identity else None
+    return [_report(env, c) for c in oracle_cases(mod)
+            if ids is None or c.id in ids]
 
 
 def make_env(spec, options: RunOptions = None) -> SuiteEnv:
-    if isinstance(spec, SuiteEnv):
-        return spec
     if isinstance(spec, ReflectionGroup):
         return SuiteEnv(spec, options)
     return SuiteEnv(parse_group_spec(spec), options)

@@ -1,34 +1,42 @@
 import pytest
 
-from cheralg.suites import make_env
+from cheralg.suites import RunOptions, make_env
 
 
 # Session-scoped environments so expensive per-context caches (osp
-# generators, projected elements) are shared across test modules.
+# generators, projected elements) are shared across test modules.  Options
+# are set when an env is built, so a test that needs others builds its own
+# env; at teardown each shared env must still have the defaults.
+
+def _shared_env(spec):
+    env = make_env(spec)
+    yield env
+    assert env.options == RunOptions(), f"a test changed {spec}'s options"
+
 
 @pytest.fixture(scope="session")
 def env_a12():
-    return make_env("A1@2")
+    yield from _shared_env("A1@2")
 
 
 @pytest.fixture(scope="session")
 def env_b22():
-    return make_env("B2@2")
+    yield from _shared_env("B2@2")
 
 
 @pytest.fixture(scope="session")
 def env_a23():
-    return make_env("A2@3")
+    yield from _shared_env("A2@3")
 
 
 @pytest.fixture(scope="session")
 def env_a15():
-    return make_env("A1@5")
+    yield from _shared_env("A1@5")
 
 
 @pytest.fixture(scope="session")
 def env_a16():
-    return make_env("A1@6")
+    yield from _shared_env("A1@6")
 
 
 @pytest.fixture(scope="session")

@@ -54,14 +54,28 @@ def test_verify_oracle_runs_through_run_suite(monkeypatch, capsys):
     from cheralg import suites
     seen = []
 
-    def crosscheck(env, samples=None, product_checks=50):
-        seen.append((env.options.seed, env.options.max_degree))
+    def crosscheck(env, ids=None):
+        seen.append((env.options.seed, env.options.max_degree, ids))
         return []
 
     monkeypatch.setattr(suites, "run_oracle_crosscheck", crosscheck)
     assert main(["verify", "--suite", "oracle", "--seed", "7",
                  "--max-degree", "4"]) == 0
-    assert seen == [(7, 4)]
+    assert seen == [(7, 4, suites.oracle_ids())]
+
+
+def test_verify_selects_one_oracle_check(capsys):
+    assert main(["verify", "--suite", "oracle.l_Buv", "--format",
+                 "json"]) == 0
+    reports = [json.loads(line)
+               for line in capsys.readouterr().out.splitlines()]
+    assert [(r["id"], r["status"], r["oracle"]) for r in reports] \
+        == [("oracle.l_Buv", "pass", True)]
+
+
+def test_verify_unknown_oracle_check_is_a_usage_error(capsys):
+    assert main(["verify", "--suite", "oracle.nope"]) == 2
+    assert "unknown suite or case id 'oracle.nope'" in capsys.readouterr().err
 
 
 def test_deep_power_evaluates(capsys):

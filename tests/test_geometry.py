@@ -3,7 +3,8 @@ from fractions import Fraction
 import pytest
 
 from cheralg.geometry import (QuadraticSpace, beta, bilinear_B,
-                              invert_matrix, pairing, witt_basis)
+                              invert_matrix, pairing, row_reduce,
+                              witt_basis)
 from cheralg.scalars import BaseNumber, Scalar, as_scalar
 
 
@@ -113,3 +114,12 @@ def test_invert_matrix_rejects_singular():
                [BaseNumber(0, 1), BaseNumber(-1)]]):
         with pytest.raises(ValueError, match="singular"):
             invert_matrix(m)
+
+
+def test_row_reduce_returns_pivots_of_a_rank_deficient_matrix():
+    rows, pivots = row_reduce([[Fraction(0), Fraction(2), Fraction(4)],
+                               [Fraction(0), Fraction(1), Fraction(2)],
+                               [Fraction(3), Fraction(0), Fraction(3)]])
+    assert pivots == [0, 1]
+    assert rows == [[1, 0, 1], [0, 1, 2], [0, 0, 0]]
+    assert row_reduce([]) == ([], [])

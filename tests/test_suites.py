@@ -103,6 +103,26 @@ def test_unknown_suite():
         run_suite(env, "no_such_suite")
 
 
+def test_oracle_selection_by_prefix(env_a12):
+    env = make_env(env_a12.group,
+                   RunOptions(oracle_samples=2, oracle_products=2))
+
+    def strip_ms(report):
+        return {**json.loads(report.to_json()), "ms": 0}
+
+    one = run_suite(env, "oracle.l_Buv")
+    whole = {r.id: r for r in run_suite(env, "oracle")}
+    assert [r.id for r in one] == ["oracle.l_Buv"]
+    assert strip_ms(one[0]) == strip_ms(whole["oracle.l_Buv"])
+    assert (one[0].status, one[0].oracle) == ("pass", True)
+    osp = run_suite(env, "oracle.osp12re")
+    assert [r.id for r in osp] == [rid for rid in ORACLE_IDS
+                                   if rid.startswith("oracle.osp12re.")]
+    assert len(osp) == 6 and all(r.status == "pass" for r in osp)
+    with pytest.raises(UnknownSuite):
+        run_suite(env, "oracle.nope")
+
+
 def test_selection_by_case_id(env_a12):
     reps = run_suite(env_a12, "osp12re.FpFm")
     assert [r.id for r in reps] == ["osp12re.FpFm"]
@@ -123,9 +143,9 @@ def test_skip_semantics(env_a12):
 
 
 def test_reports_sorted_and_deterministic(env_a12):
-    opts = RunOptions(seed=5)
-    r1 = run_suite(env_a12, "hk", options=opts)
-    r2 = run_suite(env_a12, "hk", options=opts)
+    env = make_env(env_a12.group, RunOptions(seed=5))
+    r1 = run_suite(env, "hk")
+    r2 = run_suite(env, "hk")
     assert [r.id for r in r1] == sorted(r.id for r in r1)
 
     def strip_ms(reports):
@@ -153,13 +173,15 @@ def test_report_schema(env_a12):
     schema = json.loads(
         resources.files("cheralg").joinpath("report_schema.json").read_text())
     reps = run_suite(env_a12, "gensym")
-    reps += run_oracle_crosscheck(env_a12, samples=2, product_checks=2)
+    reps += run_oracle_crosscheck(make_env(
+        env_a12.group, RunOptions(oracle_samples=2, oracle_products=2)))
     for r in reps:
         validate(json.loads(r.to_json()), schema)
 
 
 def test_oracle_crosscheck_and_mutation(env_a12):
-    reps = run_oracle_crosscheck(env_a12, samples=5, product_checks=10)
+    reps = run_oracle_crosscheck(make_env(
+        env_a12.group, RunOptions(oracle_samples=5, oracle_products=10)))
     by_id = {r.id: r for r in reps}
     assert by_id["oracle.mutation"].status == "pass"   # perturbation caught
     assert by_id["oracle.products"].status == "pass"
@@ -169,10 +191,10 @@ def test_oracle_crosscheck_and_mutation(env_a12):
 
 
 def test_health_suite(env_a12):
-    reps = run_suite(env_a12, "health",
-                     options=RunOptions(seed=1, assoc_trials=10,
-                                        jacobi_trials=6,
-                                        roundtrip_trials=6))
+    env = make_env(env_a12.group,
+                   RunOptions(seed=1, assoc_trials=10, jacobi_trials=6,
+                              roundtrip_trials=6))
+    reps = run_suite(env, "health")
     assert all(r.status == "pass" for r in reps)
 
 
@@ -180,8 +202,8 @@ def test_health_suite(env_a12):
 def test_roundtrip_with_negated_powers(env_a23, seed):
     # these seeds print terms like -y3^2*g4*e2*e3, which must parse back
     # as -(y3^2), not (-y3)^2
-    reps = run_suite(env_a23, "health.roundtrip",
-                     options=RunOptions(seed=seed))
+    reps = run_suite(make_env(env_a23.group, RunOptions(seed=seed)),
+                     "health.roundtrip")
     assert [(r.status, r.witness) for r in reps] == [("pass", None)]
 
 
@@ -218,8 +240,8 @@ def test_skipped_oracle_reports_keep_ids_and_anchors(env_a12):
     group = from_generators([[[0, 1], [1, 0]]], gram=[[2, 1], [1, 2]])
     skipped = {r.id: r.anchor
                for r in run_oracle_crosscheck(make_env(group))}
-    run = {r.id: r.anchor for r in run_oracle_crosscheck(
-        env_a12, samples=1, product_checks=1)}
+    run = {r.id: r.anchor for r in run_oracle_crosscheck(make_env(
+        env_a12.group, RunOptions(oracle_samples=1, oracle_products=1)))}
     assert {"oracle.products", "oracle.mutation"} <= set(skipped) & set(run)
     assert {rid: skipped[rid] for rid in run if rid in skipped} \
         == {rid: run[rid] for rid in run if rid in skipped}
@@ -268,7 +290,8 @@ def test_every_oracle_row_plus_one_is_detected(env_a12, monkeypatch):
             (label, plus_one(src)) for label, src in row.templates)))
         for name, row in ORACLE_ROWS)
     monkeypatch.setattr(suites, "ORACLE_ROWS", perturbed)
-    reps = run_oracle_crosscheck(env_a12, samples=2, product_checks=1)
+    reps = run_oracle_crosscheck(make_env(
+        env_a12.group, RunOptions(oracle_samples=2, oracle_products=1)))
     rows = {f"oracle.{name}" for name, _ in ORACLE_ROWS}
     for r in reps:
         if r.id in rows:
