@@ -14,7 +14,9 @@ Subcommands:
 Exit codes: 0 when everything evaluated/passed, 1 when any identity failed,
 2 for usage, parse, or evaluation errors, arithmetic errors included
 (division by zero, a failed relation check, a projector series past its
-nilpotence bound).
+nilpotence bound).  A case of `verify` whose evaluation raises is reported
+with status "error" and the run goes on; any such report makes the exit
+code 2.
 """
 
 from __future__ import annotations
@@ -156,8 +158,11 @@ def cmd_verify(args) -> int:
         npass = sum(r.status == "pass" for r in reports)
         nskip = sum(r.status == "skipped" for r in reports)
         nfail = sum(r.status == "fail" for r in reports)
-        print(f"-- {npass} pass, {nfail} fail, {nskip} skipped")
-    return 1 if any(r.status == "fail" for r in reports) else 0
+        nerr = sum(r.status == "error" for r in reports)
+        print(f"-- {npass} pass, {nfail} fail, {nskip} skipped"
+              + (f", {nerr} error" if nerr else ""))
+    statuses = {r.status for r in reports}
+    return 2 if "error" in statuses else 1 if "fail" in statuses else 0
 
 
 def cmd_list_suites(args) -> int:

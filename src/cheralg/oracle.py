@@ -54,7 +54,7 @@ from .core import Context, Element, Monomial
 from .geometry import Vector
 from .parser import (Bin, Bracket, Call, EvalError, Evaluator, Name, Neg, Num,
                      reciprocal)
-from .scalars import BaseNumber, SC_ONE, SC_ZERO, Scalar, as_scalar
+from .scalars import BN_I, BaseNumber, SC_ONE, SC_ZERO, Scalar, as_scalar
 
 
 class PolySpinor:
@@ -111,13 +111,6 @@ class PolySpinor:
 
 
 PS_ZERO = PolySpinor({})
-
-
-def _times_i(c: Scalar) -> Scalar:
-    """i * c, by moving components: i (a + b i + c r + d i r) with r = sqrt2
-    is -b + a i - d r + c i r."""
-    return Scalar({k: BaseNumber(-v.b, v.a, -v.d, v.c)
-                   for k, v in c.terms.items()})
 
 
 # -- sparse polynomial helpers (exponent tuple -> Scalar) -------------------------
@@ -268,7 +261,7 @@ class SpinorModule:
         for (exp, sm), c in v.terms.items():
             negate = (sm & below).bit_count() & 1
             if p % 2:
-                c = _times_i(c)
+                c = c * BN_I
                 negate ^= not sm & bit
             out[(exp, sm ^ bit)] = -c if negate else c
         return PolySpinor(out)

@@ -7,45 +7,67 @@ Every coefficient in the engine lives in the commutative ring
 where i^2 = -1, (sqrt2)^2 = 2, and k1..kr are commuting deformation
 indeterminates, one per conjugacy class of reflections.  Two layers:
 
-  BaseNumber -- an element a + b*i + c*sqrt2 + d*i*sqrt2 with rational
-                components; a 4-dimensional Q-algebra, in fact a field.
+  BaseNumber -- an element (a + b*i + c*sqrt2 + d*i*sqrt2) / q of the field
+                Q(i, sqrt2), stored as four integer numerators a, b, c, d
+                over one integer denominator q > 0 with
+                gcd(a, b, c, d, q) == 1 (zero is (0, 0, 0, 0, 1)).
   Scalar     -- a sparse polynomial in the k-indeterminates over BaseNumber.
                 Keys are sorted tuples of (class_index, exponent) pairs with
                 positive exponents, so scalars from rings with different
                 numbers of classes mix freely (the constant key is ()).
 
-Both types are immutable; canonical form stores no zero coefficients, which
-makes is_zero a trivial check after every operation.
+Both types are immutable and canonical: a BaseNumber has one integer form
+per value, so equality and hashing compare components, and a Scalar stores
+no zero coefficient, which makes is_zero a trivial check after every
+operation.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Mapping
 
 _F0 = Fraction(0)
-_F1 = Fraction(1)
+
+
+def _component(index: int, name: str) -> property:
+    def get(self) -> Fraction:
+        v = self._v
+        return Fraction(v[index], v[4]) if v[index] else _F0
+    return property(get, doc=f"The {name} component, as a Fraction.")
 
 
 class BaseNumber:
-    """An exact element a + b*i + c*sqrt2 + d*i*sqrt2 of Q(i, sqrt2).
+    """An exact element (a + b*i + c*sqrt2 + d*i*sqrt2) / q of Q(i, sqrt2).
 
-    Most coefficients the engine meets are rational (b = c = d = 0), so
-    the arithmetic tests for that first: a product of two rationals takes
-    one Fraction product, a rational times a general number four, and only
-    two irrational operands take the general sixteen.
+    The slot ``_v`` holds the Python ints (a, b, c, d, q) with q > 0 and
+    gcd(a, b, c, d, q) == 1, so each value has one form.  Every operation
+    ends in one ``math.gcd`` over the five, skipped when q == 1.  The
+    components a, b, c, d read back as Fractions through properties.
+
+    Products take the first branch that applies: a rational operand
+    (b = c = d = 0) scales the other by n/m in four int products; two
+    operands in Q(i) (c = d = 0) take four; only the rest take the general
+    sixteen.  The inverse of a rational swaps numerator and denominator; a
+    general inverse multiplies by the conjugates in ints.
     """
 
-    __slots__ = ("a", "b", "c", "d")
+    __slots__ = ("_v",)
 
     def __init__(self, a=0, b=0, c=0, d=0):
-        object.__setattr__(self, "a", Fraction(a))
-        object.__setattr__(self, "b", Fraction(b))
-        object.__setattr__(self, "c", Fraction(c))
-        object.__setattr__(self, "d", Fraction(d))
+        parts = [Fraction(x) for x in (a, b, c, d)]
+        q = lcm(*(p.denominator for p in parts))
+        object.__setattr__(self, "_v", tuple(
+            p.numerator * (q // p.denominator) for p in parts) + (q,))
 
     def __setattr__(self, *_):
         raise AttributeError("BaseNumber is immutable")
+
+    a = _component(0, "rational")
+    b = _component(1, "i")
+    c = _component(2, "sqrt2")
+    d = _component(3, "i*sqrt2")
 
     # -- ring structure ----------------------------------------------------
 
@@ -55,8 +77,12 @@ class BaseNumber:
                 other = as_base(other)
             except TypeError:
                 return NotImplemented
-        return _make(self.a + other.a, self.b + other.b,
-                     self.c + other.c, self.d + other.d)
+        a1, b1, c1, d1, q1 = self._v
+        a2, b2, c2, d2, q2 = other._v
+        if q1 == q2:
+            return _reduced(a1 + a2, b1 + b2, c1 + c2, d1 + d2, q1)
+        return _reduced(a1 * q2 + a2 * q1, b1 * q2 + b2 * q1,
+                        c1 * q2 + c2 * q1, d1 * q2 + d2 * q1, q1 * q2)
 
     __radd__ = __add__
 
@@ -66,63 +92,67 @@ class BaseNumber:
                 other = as_base(other)
             except TypeError:
                 return NotImplemented
-        return _make(self.a - other.a, self.b - other.b,
-                     self.c - other.c, self.d - other.d)
+        return self + -other
 
     def __rsub__(self, other):
         return as_base(other) - self
 
     def __neg__(self):
-        return _make(-self.a, -self.b, -self.c, -self.d)
+        a, b, c, d, q = self._v
+        return _bn(-a, -b, -c, -d, q)
 
     def __mul__(self, other):
         if type(other) is not BaseNumber:
             if isinstance(other, (int, Fraction)):
-                return self._scale(other)
+                return self._scale(other.numerator, other.denominator)
             try:
                 other = as_base(other)
             except TypeError:
                 return NotImplemented
-        if not (other.b or other.c or other.d):
-            return self._scale(other.a)
-        if not (self.b or self.c or self.d):
-            return other._scale(self.a)
-        a1, b1, c1, d1 = self.a, self.b, self.c, self.d
-        a2, b2, c2, d2 = other.a, other.b, other.c, other.d
-        return _make(
+        a1, b1, c1, d1, q1 = self._v
+        a2, b2, c2, d2, q2 = other._v
+        if not (b2 or c2 or d2):
+            return self._scale(a2, q2)
+        if not (b1 or c1 or d1):
+            return other._scale(a1, q1)
+        if not (c1 or d1 or c2 or d2):
+            return _reduced(a1 * a2 - b1 * b2, a1 * b2 + b1 * a2, 0, 0,
+                            q1 * q2)
+        return _reduced(
             a1 * a2 - b1 * b2 + 2 * (c1 * c2 - d1 * d2),
             a1 * b2 + b1 * a2 + 2 * (c1 * d2 + d1 * c2),
             a1 * c2 + c1 * a2 - b1 * d2 - d1 * b2,
             a1 * d2 + d1 * a2 + b1 * c2 + c1 * b2,
-        )
+            q1 * q2)
 
     __rmul__ = __mul__
 
-    def _scale(self, r):
-        """self * r for an int or Fraction r."""
-        if r == 1:
-            return self
-        a, b, c, d = self.a, self.b, self.c, self.d
-        if not (b or c or d):
-            return _make(a * r, _F0, _F0, _F0)
-        # zero components stay zero; skip their Fraction products
-        return _make(a * r if a else a, b * r if b else b,
-                     c * r if c else c, d * r if d else d)
+    def _scale(self, n: int, m: int):
+        """self * n/m for ints n and m > 0, n/m in lowest terms (the
+        numerator and denominator of an int or a Fraction)."""
+        a, b, c, d, q = self._v
+        if m == 1:
+            if n == 1:
+                return self
+            if q == 1:
+                return _bn(a * n, b * n, c * n, d * n, 1)
+        return _reduced(a * n, b * n, c * n, d * n, q * m)
 
     def inverse(self):
         """Multiplicative inverse; Q(i, sqrt2) is a field."""
-        if self.is_zero():
-            raise ZeroDivisionError("inverse of zero")
-        if not (self.b or self.c or self.d):
-            return _make(1 / self.a, _F0, _F0, _F0)
-        # Multiply by the three Galois conjugates; the product of all four
-        # conjugates is a nonzero rational.
-        ci = _make(self.a, -self.b, self.c, -self.d)    # i -> -i
-        cs = _make(self.a, self.b, -self.c, -self.d)    # sqrt2 -> -sqrt2
-        cb = _make(self.a, -self.b, -self.c, self.d)
-        num = ci * cs * cb
-        norm = (self * num).a
-        return _make(num.a / norm, num.b / norm, num.c / norm, num.d / norm)
+        a, b, c, d, q = self._v
+        if not (b or c or d):
+            if not a:
+                raise ZeroDivisionError("inverse of zero")
+            return _bn(q, 0, 0, 0, a) if a > 0 else _bn(-q, 0, 0, 0, -a)
+        # With u = a + b i and v = c + d i, the numerator is u + v sqrt2.
+        # Its sqrt2-conjugate u - v sqrt2 makes w = u^2 - 2 v^2 in Z[i], and
+        # the i-conjugate of w makes the positive integer |w|^2.
+        wr = a * a - b * b - 2 * (c * c - d * d)
+        wi = 2 * (a * b - 2 * c * d)
+        return _reduced(q * (a * wr + b * wi), q * (b * wr - a * wi),
+                        -q * (c * wr + d * wi), q * (c * wi - d * wr),
+                        wr * wr + wi * wi)
 
     def __truediv__(self, other):
         return self * as_base(other).inverse()
@@ -133,24 +163,26 @@ class BaseNumber:
     # -- structure ----------------------------------------------------------
 
     def is_zero(self):
-        return not (self.a or self.b or self.c or self.d)
+        v = self._v
+        return not (v[0] or v[1] or v[2] or v[3])
 
     def is_rational(self):
-        return not (self.b or self.c or self.d)
+        v = self._v
+        return not (v[1] or v[2] or v[3])
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if type(other) is not BaseNumber:
+            if not isinstance(other, (int, Fraction)):
+                return NotImplemented
             other = as_base(other)
-        if not isinstance(other, BaseNumber):
-            return NotImplemented
-        return (self.a == other.a and self.b == other.b
-                and self.c == other.c and self.d == other.d)
+        return self._v == other._v
 
     def __hash__(self):
         # A rational hashes like the Fraction (or int) it equals.
-        if not (self.b or self.c or self.d):
-            return hash(self.a)
-        return hash((self.a, self.b, self.c, self.d))
+        a, b, c, d, q = self._v
+        if b or c or d:
+            return hash(self._v)
+        return hash(a) if q == 1 else hash(Fraction(a, q))
 
     def __repr__(self):
         return f"BaseNumber({self})"
@@ -178,23 +210,32 @@ class BaseNumber:
 
 
 _new = object.__new__
-_set_a = BaseNumber.a.__set__
-_set_b = BaseNumber.b.__set__
-_set_c = BaseNumber.c.__set__
-_set_d = BaseNumber.d.__set__
+_set_v = BaseNumber._v.__set__
 
 
-def _make(a: Fraction, b: Fraction, c: Fraction, d: Fraction) -> BaseNumber:
-    """A BaseNumber from components that are already Fractions, written
-    into the slots without the conversions of ``__init__``."""
+def _bn(a: int, b: int, c: int, d: int, q: int) -> BaseNumber:
+    """A BaseNumber from integer parts already in canonical form."""
     x = _new(BaseNumber)
-    _set_a(x, a)
-    _set_b(x, b)
-    _set_c(x, c)
-    _set_d(x, d)
+    _set_v(x, (a, b, c, d, q))
     return x
 
 
+def _reduced(a: int, b: int, c: int, d: int, q: int) -> BaseNumber:
+    """A BaseNumber from integer parts with q > 0, divided by their gcd."""
+    if q != 1:
+        g = gcd(a, b, c, d, q)
+        if g != 1:
+            a //= g
+            b //= g
+            c //= g
+            d //= g
+            q //= g
+    x = _new(BaseNumber)
+    _set_v(x, (a, b, c, d, q))
+    return x
+
+
+_ONE = (1, 0, 0, 0, 1)
 BN_ZERO = BaseNumber()
 BN_ONE = BaseNumber(1)
 BN_I = BaseNumber(0, 1)
@@ -206,7 +247,7 @@ def as_base(x) -> BaseNumber:
     if isinstance(x, BaseNumber):
         return x
     if isinstance(x, (int, Fraction)):
-        return _make(Fraction(x), _F0, _F0, _F0)
+        return _bn(x.numerator, 0, 0, 0, x.denominator)
     raise TypeError(f"cannot interpret {x!r} as a BaseNumber")
 
 
@@ -331,10 +372,9 @@ class Scalar:
         """self * c for a nonzero int, Fraction or BaseNumber c.  Q(i, sqrt2)
         is a field, so no product of nonzero coefficients is zero."""
         if type(c) is BaseNumber:
-            if c.b or c.c or c.d:
-                return _scalar({k: v * c for k, v in self.terms.items()})
-            c = c.a
-        if c == 1:
+            if c._v == _ONE:
+                return self
+        elif c == 1:
             return self
         return _scalar({k: v * c for k, v in self.terms.items()})
 

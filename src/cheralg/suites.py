@@ -104,7 +104,7 @@ class SuiteReport:
     group: str
     dim: int
     kappa: str
-    status: str                      # pass | fail | skipped
+    status: str                      # pass | fail | skipped | error
     residual_terms: int = 0
     witness: Optional[str] = None
     ms: float = 0.0
@@ -1173,41 +1173,52 @@ def _select(suite_id: str) -> list:
 
 def _report(env: SuiteEnv, case: IdentityCase, kappa: str = "symbolic",
             subs=None) -> SuiteReport:
-    """Run one case: skipped with the reason, else pass or fail.
+    """Run one case: skipped with the reason, else pass or fail, or error
+    when building or reading its residuals raises.
 
     A catalog residual is an element, specialized by ``subs`` if given; a
     nonzero one counts its terms.  An oracle residual is a bool; a false
-    one counts one term and is witnessed by its label.
+    one counts one term and is witnessed by its label.  An error report
+    carries "<Type>: <text>" of the exception as its reason, and the run
+    goes on with the next case.
     """
     report = functools.partial(SuiteReport, id=case.id, anchor=case.anchor,
                                group=env.group.label, dim=env.dim,
                                kappa=kappa)
     if env.dim < case.min_dim:
-        reason = f"needs dimension >= {case.min_dim}"
-    elif case.orthonormal and not env.ctx.space.is_identity:
-        reason = NEEDS_ORTHONORMAL
-    else:
-        t0 = time.perf_counter()
+        return report(status="skipped",
+                      reason=f"needs dimension >= {case.min_dim}")
+    if case.orthonormal and not env.ctx.space.is_identity:
+        return report(status="skipped", reason=NEEDS_ORTHONORMAL)
+    t0 = time.perf_counter()
+    try:
         residues = case.builder(env)
-        reason = None if residues else NOTHING_TO_CHECK
-    if reason is not None:
-        return report(status="skipped", reason=reason)
-    nonzero = 0
-    witness = None
-    for sub_label, r in residues:
-        if case.oracle:
-            terms, note = (0, None) if r else (1, sub_label)
-        else:
-            if subs is not None:
-                r = r.substitute_kappa(subs)
-            terms = len(r.terms)
-            note = f"{sub_label}: {r.witness()}" if terms else None
-        nonzero += terms
-        witness = witness or note
-    ms = (time.perf_counter() - t0) * 1000.0
+        if not residues:
+            return report(status="skipped", reason=NOTHING_TO_CHECK)
+        nonzero = 0
+        witness = None
+        for sub_label, r in residues:
+            if case.oracle:
+                terms, note = (0, None) if r else (1, sub_label)
+            else:
+                if subs is not None:
+                    r = r.substitute_kappa(subs)
+                terms = len(r.terms)
+                note = f"{sub_label}: {r.witness()}" if terms else None
+            nonzero += terms
+            witness = witness or note
+    except Exception as exc:
+        # the boundary of one case: the report names the error and the
+        # remaining cases still run
+        return report(status="error", reason=f"{type(exc).__name__}: {exc}",
+                      ms=_ms_since(t0))
     return report(status="pass" if nonzero == 0 else "fail",
-                  residual_terms=nonzero, witness=witness, ms=round(ms, 3),
+                  residual_terms=nonzero, witness=witness, ms=_ms_since(t0),
                   oracle=(nonzero == 0) if case.oracle else None)
+
+
+def _ms_since(t0: float) -> float:
+    return round((time.perf_counter() - t0) * 1000.0, 3)
 
 
 def run_suite(env: SuiteEnv, suite_id: str = "all",

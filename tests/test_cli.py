@@ -100,3 +100,44 @@ def test_verify_on_edge_groups(capsys, tmp_path, generators, suite):
     for r in reports:
         assert r["status"] == "pass" or (r["status"] == "skipped"
                                          and r["reason"]), r["id"]
+
+
+def test_raising_builder_is_one_error_report(monkeypatch, capsys):
+    # a case whose evaluation raises is reported as an error with the
+    # exception's type and text; the other cases still run, and exit 2
+    import dataclasses
+    import importlib.resources as resources
+
+    from jsonschema import validate
+
+    from cheralg import suites
+
+    def without_ms(lines):
+        return [{k: v for k, v in json.loads(line).items() if k != "ms"}
+                for line in lines.splitlines()]
+
+    assert main(["verify", "--suite", "pin", "--format", "json"]) == 0
+    before = without_ms(capsys.readouterr().out)
+    broken = next(r["id"] for r in before if r["status"] == "pass")
+
+    def raising(env):
+        raise ArithmeticError("no inverse here")
+
+    cases = [dataclasses.replace(c, builder=raising) if c.id == broken else c
+             for c in suites._cases()]
+    monkeypatch.setattr(suites, "_cases", lambda: cases)
+    assert main(["verify", "--suite", "pin", "--format", "json"]) == 2
+    lines = capsys.readouterr().out
+    after = without_ms(lines)
+    assert [r["id"] for r in after] == [r["id"] for r in before]
+    errors = [r for r in after if r["status"] == "error"]
+    assert [(r["id"], r["reason"]) for r in errors] \
+        == [(broken, "ArithmeticError: no inverse here")]
+    assert [r for r in after if r["id"] != broken] \
+        == [r for r in before if r["id"] != broken]
+    schema = json.loads(
+        resources.files("cheralg").joinpath("report_schema.json").read_text())
+    for line in lines.splitlines():
+        validate(json.loads(line), schema)
+    assert main(["verify", "--suite", "pin"]) == 2
+    assert capsys.readouterr().out.splitlines()[-1].endswith(", 1 error")

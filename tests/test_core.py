@@ -6,7 +6,7 @@ import pytest
 from cheralg.core import (Context, anticommutator, antisymmetrize,
                           commutator, random_element, supercommutator)
 from cheralg.geometry import beta, bilinear_B
-from cheralg.groups import build_group, trivial_group
+from cheralg.groups import build_group, from_generators, trivial_group
 from cheralg.scalars import BN_I, Scalar, as_scalar
 
 
@@ -72,8 +72,10 @@ def test_mixed_parity_brackets(ctx_a12):
 
 
 def test_associativity_seeded():
-    for spec in (("A", 1, 2), ("B", 2, 2)):
-        ctx = Context(build_group(*spec))
+    groups = [build_group("A", 1, 2), build_group("B", 2, 2),
+              from_generators([[[0, 1], [1, 0]]], gram=[[2, 1], [1, 2]])]
+    for group in groups:
+        ctx = Context(group)
         rng = random.Random(7)
         for _ in range(30):
             a = random_element(ctx, rng)

@@ -1,7 +1,8 @@
 from fractions import Fraction
+from math import gcd
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from cheralg.scalars import (BN_I, BN_ONE, BN_SQRT2, BaseNumber, Scalar,
                              as_base, as_scalar)
@@ -10,12 +11,22 @@ from cheralg.suites import make_env
 rationals = st.fractions(min_value=-40, max_value=40, max_denominator=8)
 base_numbers = st.builds(BaseNumber, rationals, rationals, rationals,
                          rationals)
+# Large numerators over denominators up to 10**12, where a missed common
+# factor between numerators and denominator shows in the integer form.
+big_rationals = st.fractions(min_value=-10**15, max_value=10**15,
+                             max_denominator=10**12)
+ring_operands = st.one_of(
+    base_numbers,
+    st.builds(BaseNumber, big_rationals, big_rationals, big_rationals,
+              big_rationals))
 # Operands for every branch of the arithmetic: rationals (b = c = d = 0),
-# numbers with some zero components, and general ones.
+# Q(i) numbers (c = d = 0), numbers with some zero components, and general
+# ones.
 sparse_rationals = st.one_of(st.just(Fraction(0)), st.just(Fraction(1)),
                              rationals)
 mixed_base_numbers = st.one_of(
     st.builds(BaseNumber, rationals),
+    st.builds(BaseNumber, rationals, rationals),
     st.builds(BaseNumber, sparse_rationals, sparse_rationals,
               sparse_rationals, sparse_rationals),
     base_numbers)
@@ -45,7 +56,7 @@ def test_polynomial_identity():
 
 
 @settings(max_examples=60, deadline=None)
-@given(base_numbers, base_numbers, base_numbers)
+@given(ring_operands, ring_operands, ring_operands)
 def test_base_ring_axioms(a, b, c):
     assert (a + b) + c == a + (b + c)
     assert a * b == b * a
@@ -145,8 +156,16 @@ def _components_are_fractions(x):
     return all(type(v) is Fraction for v in (x.a, x.b, x.c, x.d))
 
 
+def _canonical(x):
+    """The stored integers: denominator positive, no common factor."""
+    return x._v[4] > 0 and gcd(*x._v) == 1
+
+
 @settings(max_examples=150, deadline=None)
 @given(mixed_base_numbers, mixed_base_numbers)
+@example(BaseNumber(Fraction(1, 2), Fraction(3, 2)),      # Q(i) times Q(i)
+         BaseNumber(Fraction(-2, 3), Fraction(5, 6)))
+@example(BaseNumber(1, 1), BaseNumber(1, -1))             # Q(i), rational value
 def test_fast_paths_match_general_formulas(a, b):
     results = [(a * b, _full_mul(a, b)),
                (a * b.a, _full_mul(a, BaseNumber(b.a))),
@@ -164,6 +183,10 @@ def test_fast_paths_match_general_formulas(a, b):
         results.append((a / b.a, _full_mul(a, _full_inverse(BaseNumber(b.a)))))
     for got, want in results:
         assert got == want
+        assert hash(got) == hash(want)
+        if got.is_rational():
+            assert hash(got) == hash(got.a)
+        assert _canonical(got)
         assert _components_are_fractions(got)
 
 
