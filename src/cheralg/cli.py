@@ -68,12 +68,26 @@ def _load_group(spec: str):
         with open(path) as fh:
             data = json.load(fh)
         gens = data["generators"] if isinstance(data, dict) else data
-        mats = [[[Fraction(v) for v in row] for row in mat] for mat in gens]
+        mats = [[[_file_entry(v, f"generators[{k}][{i}][{j}]")
+                  for j, v in enumerate(row)] for i, row in enumerate(mat)]
+                for k, mat in enumerate(gens)]
         gram = None
         if isinstance(data, dict) and data.get("gram") is not None:
-            gram = [[Fraction(v) for v in row] for row in data["gram"]]
+            gram = [[_file_entry(v, f"gram[{i}][{j}]")
+                     for j, v in enumerate(row)]
+                    for i, row in enumerate(data["gram"])]
         return from_generators(mats, gram=gram, label=f"custom:{path}")
     return parse_group_spec(spec)
+
+
+def _file_entry(v, where: str) -> Fraction:
+    """A group-file entry: a JSON integer or a "p/q" string.  A JSON
+    float is refused, since its exact value is already a binary fraction
+    (0.1 would read as 3602879701896397/36028797018963968)."""
+    if type(v) is int or (isinstance(v, str) and re.fullmatch(_RAT, v)):
+        return Fraction(v)
+    raise ValueError(f"{where} is {json.dumps(v)}; group file entries must "
+                     'be integers or "p/q" strings')
 
 
 def _add_common(p, with_run_opts=False):

@@ -25,6 +25,13 @@ Every rule application strictly reduces (total xy-degree, misordered pairs),
 so iteration terminates; associativity of the resulting product is exercised
 as the executable surrogate for confluence.
 
+The product folds coefficients before it touches a Scalar.  The group-action
+memos (``_act``) and the Clifford-pair memo (``_cliff_pair``) store every
+integral coefficient as a Python int and keep the others as Fraction or
+BaseNumber, so the four factors of an output term multiply to one number,
+mostly in int arithmetic, and the running Scalar is multiplied at most once
+per term.
+
 Elements are immutable values and all operations are pure; the only shared
 state is the per-context cache of rewrite fragments, which is append-only.
 """
@@ -34,14 +41,13 @@ from __future__ import annotations
 import itertools
 import math
 from fractions import Fraction
+from operator import add
 from typing import NamedTuple
 
 from .geometry import Covector, QuadraticSpace, Vector, bilinear_B
 from .groups import ReflectionGroup
 from .scalars import (BN_HALF_SQRT2, BN_I, BN_ONE, BaseNumber, SC_ONE,
                       SC_ZERO, Scalar, as_scalar, render_coefficient)
-
-_F1 = Fraction(1)
 
 # 1/sqrt(B(root, root)) for the squared root lengths the scalar ring holds.
 ROOT_SCALE = {1: BN_ONE, 2: BN_HALF_SQRT2}
@@ -62,8 +68,22 @@ class Monomial(NamedTuple):
         return sum(self.xs) + sum(self.ys)
 
 
+# Builds a Monomial without the Python frame of NamedTuple.__new__.
+_tuple_new = tuple.__new__
+
+
 def _add(t1, t2):
-    return tuple(a + b for a, b in zip(t1, t2))
+    return tuple(map(add, t1, t2))
+
+
+def _int_if_integral(c):
+    """A memoised action or Clifford coefficient (a Fraction or a
+    BaseNumber) as a Python int when it is an integer, else unchanged."""
+    if type(c) is BaseNumber:
+        if not c.is_rational():
+            return c
+        c = c.a
+    return c.numerator if c.denominator == 1 else c
 
 
 class Context:
@@ -243,9 +263,9 @@ class Context:
         if hit is not None:
             return hit
         if e1 == 0:
-            res = ((e2, BN_ONE),)
+            res = ((e2, 1),)
         elif e2 == 0:
-            res = ((e1, BN_ONE),)
+            res = ((e1, 1),)
         else:
             terms = {e1: BN_ONE}
             m2 = e2
@@ -259,13 +279,13 @@ class Context:
                         prev = nxt.get(m3)
                         nxt[m3] = v if prev is None else prev + v
                 terms = {m: c for m, c in nxt.items() if not c.is_zero()}
-            res = tuple(terms.items())
+            res = tuple((m, _int_if_integral(c)) for m, c in terms.items())
         self._cliff_pairs[key] = res
         return res
 
     def _act_x(self, g: int, xs: tuple):
         """Expansion of g . x^xs as covector-exponent terms with rational
-        coefficients."""
+        coefficients: ints where integral, Fractions otherwise."""
         return self._act(self._act_x_memo, self.group.mats, g, xs)
 
     def _act_y(self, g: int, ys: tuple):
@@ -273,13 +293,13 @@ class Context:
 
     def _act(self, memo: dict, mats, g: int, exps: tuple):
         if g == 0:
-            return ((exps, _F1),)
+            return ((exps, 1),)
         key = (g, exps)
         hit = memo.get(key)
         if hit is not None:
             return hit
         mat = mats[g]
-        poly = {self._zero_t: _F1}
+        poly = {self._zero_t: 1}
         for p, k in enumerate(exps):
             row = mat[p]
             lin = tuple((self._unit_t[q], row[q])
@@ -293,7 +313,8 @@ class Context:
                         prev = nxt.get(m)
                         nxt[m] = v if prev is None else prev + v
                 poly = {m: c for m, c in nxt.items() if c != 0}
-        res = memo[key] = tuple(poly.items())
+        res = memo[key] = tuple((m, _int_if_integral(c))
+                                for m, c in poly.items())
         return res
 
     def _ycomm_single(self, b: tuple, r: int):
@@ -381,7 +402,16 @@ class Context:
     # -- the product -----------------------------------------------------------
 
     def _mul_terms(self, t1, t2, graded_sign: bool = False) -> dict:
+        """The product of two term dicts, as a term dict without zeros.
+
+        An output term's coefficient is c1*c2*cw, a Scalar, times the
+        group-action factors cx, cy, cz and the Clifford factor ce.  Those
+        four are folded into one number f first; since the memos hold them
+        as ints where integral, that is mostly an int product.  The Scalar
+        then takes at most one multiplication: none when f is 1 or -1, and
+        c1*c2 is reused as it is when cw is SC_ONE."""
         group = self.group
+        act_y = self._act_y
         out: dict = {}
         for m1, c1 in t1.items():
             a1, b1, g1, e1 = m1
@@ -393,18 +423,27 @@ class Context:
                     c = -c
                 eprod = self._cliff_pair(e1, e2)
                 g12 = group.mul(g1, g2)
+                yterms = act_y(g1, b2)
                 for ax, cx in self._act_x(g1, a2):
-                    wterms = [(_add(a1, xd), yd, h, group.mul(h, g12), c * cw)
+                    wterms = [(_add(a1, xd), yd, h, group.mul(h, g12),
+                               c if cw is SC_ONE else c * cw)
                               for xd, yd, h, cw in self._ycomm_word(b1, ax)]
-                    for by, cy in self._act_y(g1, b2):
+                    for by, cy in yterms:
+                        fxy = cx * cy
                         for xs, yd, h, hg, ccw in wterms:
-                            cxy = ccw * cx * cy
-                            for bz, cz in self._act_y(h, by):
+                            for bz, cz in act_y(h, by):
                                 ys = _add(yd, bz)
-                                coef = cxy * cz
+                                fz = fxy * cz
                                 for emask, ce in eprod:
-                                    mono = Monomial(xs, ys, hg, emask)
-                                    v = coef * ce
+                                    mono = _tuple_new(Monomial,
+                                                      (xs, ys, hg, emask))
+                                    f = fz * ce
+                                    if f == 1:
+                                        v = ccw
+                                    elif f == -1:
+                                        v = -ccw
+                                    else:
+                                        v = ccw * f
                                     prev = out.get(mono)
                                     out[mono] = v if prev is None else prev + v
         return {m: c for m, c in out.items() if not c.is_zero()}

@@ -234,8 +234,14 @@ class _Parser:
 
 
 def parse_expression(src: str):
-    """Parse source text to an AST; raises ParseError with position."""
-    return _Parser(src).parse()
+    """Parse source text to an AST; raises ParseError with position, also
+    when the nesting is deeper than the interpreter's recursion limit."""
+    parser = _Parser(src)
+    try:
+        return parser.parse()
+    except RecursionError:
+        _, _, line, col = parser.toks[min(parser.pos, len(parser.toks) - 1)]
+        raise ParseError("expression nested too deeply", line, col) from None
 
 
 def substitute(node, bindings: dict):

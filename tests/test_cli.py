@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import cheralg
 from cheralg.cli import main
 
 
@@ -76,6 +81,38 @@ def test_verify_selects_one_oracle_check(capsys):
 def test_verify_unknown_oracle_check_is_a_usage_error(capsys):
     assert main(["verify", "--suite", "oracle.nope"]) == 2
     assert "unknown suite or case id 'oracle.nope'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("expr", ["(" * 200 + "x1" + ")" * 200,
+                                  "x1" + "^1" * 1500],
+                         ids=["parentheses", "powers"])
+def test_deep_nesting_is_a_parse_error(capsys, expr):
+    # exit 1 means "identity failed"; a RecursionError is a usage error
+    assert main(["eval", "--group", "A1@2", expr]) == 2
+    assert "expression nested too deeply" in capsys.readouterr().err
+
+
+def test_group_file_refuses_floats(capsys, tmp_path):
+    spec = tmp_path / "group.json"
+    spec.write_text(json.dumps({"generators": [[[0, 1], [1, 0]]],
+                                "gram": [[2, 0.1], [0.1, 2]]}))
+    assert main(["info", "--group", f"custom:{spec}"]) == 2
+    assert "gram[0][1] is 0.1" in capsys.readouterr().err
+    spec.write_text(json.dumps({"generators": [[[0, 1], [1, 0]]],
+                                "gram": [[2, "1/3"], ["1/3", 2]]}))
+    assert main(["info", "--group", f"custom:{spec}"]) == 0
+    assert "|root|^2 = 10/3" in capsys.readouterr().out
+
+
+def test_python_dash_m_runs_the_cli():
+    src = str(Path(cheralg.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-m", "cheralg", "eval", "x1"],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "x1"
 
 
 def test_deep_power_evaluates(capsys):

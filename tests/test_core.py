@@ -1,3 +1,4 @@
+import hashlib
 import random
 from fractions import Fraction
 
@@ -71,10 +72,28 @@ def test_mixed_parity_brackets(ctx_a12):
         assert supercommutator(a, b) == split
 
 
+_SWAP = [[[0, 1], [1, 0]]]
+_THIRD = Fraction(1, 3)
+
+
+def _product_groups():
+    """Groups whose product factors are not all units: a general Gram
+    matrix gives Clifford factors 2 and 1 (ints) or 2/3, and the reflection
+    through (2, 1) gives group-action coefficients in fifths."""
+    return {
+        "A1@2": build_group("A", 1, 2),
+        "B2@2": build_group("B", 2, 2),
+        "swap-gram-int": from_generators(_SWAP, gram=[[2, 1], [1, 2]]),
+        "swap-gram-third": from_generators(
+            _SWAP, gram=[[2, _THIRD], [_THIRD, 2]]),
+        "reflection-fifths": from_generators(
+            [[[Fraction(-3, 5), Fraction(-4, 5)],
+              [Fraction(-4, 5), Fraction(3, 5)]]]),
+    }
+
+
 def test_associativity_seeded():
-    groups = [build_group("A", 1, 2), build_group("B", 2, 2),
-              from_generators([[[0, 1], [1, 0]]], gram=[[2, 1], [1, 2]])]
-    for group in groups:
+    for group in _product_groups().values():
         ctx = Context(group)
         rng = random.Random(7)
         for _ in range(30):
@@ -82,6 +101,30 @@ def test_associativity_seeded():
             b = random_element(ctx, rng)
             c = random_element(ctx, rng)
             assert (a * b) * c == a * (b * c)
+
+
+# sha256 prefixes of str(a*b) and str(supercommutator(a, b)) over 40 seeded
+# pairs, recorded before the product folded its factors into one number.
+_PRODUCT_DIGESTS = {
+    "A1@2": "d4f13162638a6f7e",
+    "B2@2": "b11be7607904026c",
+    "swap-gram-int": "068a18cdf36b3e25",
+    "swap-gram-third": "2561f8034d39a75a",
+    "reflection-fifths": "cee3add61c7226e9",
+}
+
+
+@pytest.mark.parametrize("name", sorted(_PRODUCT_DIGESTS))
+def test_product_digests_pinned(name):
+    ctx = Context(_product_groups()[name])
+    rng = random.Random(2024)
+    h = hashlib.sha256()
+    for _ in range(40):
+        a = random_element(ctx, rng, max_degree=3)
+        b = random_element(ctx, rng, max_degree=3)
+        h.update(str(a * b).encode())
+        h.update(str(supercommutator(a, b)).encode())
+    assert h.hexdigest()[:16] == _PRODUCT_DIGESTS[name]
 
 
 def test_antisymmetrize_examples(ctx_a12):
