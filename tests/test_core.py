@@ -104,7 +104,8 @@ def test_associativity_seeded():
 
 
 # sha256 prefixes of str(a*b) and str(supercommutator(a, b)) over 40 seeded
-# pairs, recorded before the product folded its factors into one number.
+# pairs.  They pin exact normal forms, so a change in how the product forms
+# its coefficients must leave them as they are.
 _PRODUCT_DIGESTS = {
     "A1@2": "d4f13162638a6f7e",
     "B2@2": "b11be7607904026c",
