@@ -67,17 +67,30 @@ def _load_group(spec: str):
         path = spec[len("custom:"):]
         with open(path) as fh:
             data = json.load(fh)
-        gens = data["generators"] if isinstance(data, dict) else data
-        mats = [[[_file_entry(v, f"generators[{k}][{i}][{j}]")
-                  for j, v in enumerate(row)] for i, row in enumerate(mat)]
-                for k, mat in enumerate(gens)]
         gram = None
-        if isinstance(data, dict) and data.get("gram") is not None:
-            gram = [[_file_entry(v, f"gram[{i}][{j}]")
-                     for j, v in enumerate(row)]
-                    for i, row in enumerate(data["gram"])]
+        if isinstance(data, dict):
+            if "generators" not in data:
+                raise ValueError(f"group file {path} has no \"generators\" "
+                                 "key")
+            if data.get("gram") is not None:
+                gram = _file_matrix(data["gram"], "gram")
+            data = data["generators"]
+        if not isinstance(data, list):
+            raise ValueError(f"generators is {json.dumps(data)}; expected a "
+                             "list of matrices")
+        mats = [_file_matrix(m, f"generators[{k}]")
+                for k, m in enumerate(data)]
         return from_generators(mats, gram=gram, label=f"custom:{path}")
     return parse_group_spec(spec)
+
+
+def _file_matrix(m, where: str) -> list:
+    """A group-file matrix: a list of rows, each a list of entries."""
+    if not isinstance(m, list) or not all(isinstance(r, list) for r in m):
+        raise ValueError(f"{where} is {json.dumps(m)}; expected a list of "
+                         "rows")
+    return [[_file_entry(v, f"{where}[{i}][{j}]") for j, v in enumerate(row)]
+            for i, row in enumerate(m)]
 
 
 def _file_entry(v, where: str) -> Fraction:

@@ -32,6 +32,13 @@ BaseNumber, so the four factors of an output term multiply to one number,
 mostly in int arithmetic, and the running Scalar is multiplied at most once
 per term.
 
+A miss in those memos reads the group's integer views, not its Fraction
+matrices: ``x_rows``/``y_rows`` give each matrix row's nonzero entries and
+``reflection_factors`` the nonzero products root[j] * coroot[r] per
+reflection, as ints where integral.  The group fills them once on first
+use, so a cold Context (a fresh one per request, or a large group) expands
+group actions and Dunkl reflection sums mostly in int arithmetic too.
+
 Elements are immutable values and all operations are pure; the only shared
 state is the per-context cache of rewrite fragments, which is append-only.
 """
@@ -47,7 +54,8 @@ from typing import NamedTuple
 from .geometry import Covector, QuadraticSpace, Vector, bilinear_B
 from .groups import ReflectionGroup
 from .scalars import (BN_HALF_SQRT2, BN_I, BN_ONE, BaseNumber, SC_ONE,
-                      SC_ZERO, Scalar, as_scalar, render_coefficient)
+                      SC_ZERO, Scalar, as_scalar, int_if_integral,
+                      render_coefficient)
 
 # 1/sqrt(B(root, root)) for the squared root lengths the scalar ring holds.
 ROOT_SCALE = {1: BN_ONE, 2: BN_HALF_SQRT2}
@@ -74,16 +82,6 @@ _tuple_new = tuple.__new__
 
 def _add(t1, t2):
     return tuple(map(add, t1, t2))
-
-
-def _int_if_integral(c):
-    """A memoised action or Clifford coefficient (a Fraction or a
-    BaseNumber) as a Python int when it is an integer, else unchanged."""
-    if type(c) is BaseNumber:
-        if not c.is_rational():
-            return c
-        c = c.a
-    return c.numerator if c.denominator == 1 else c
 
 
 class Context:
@@ -279,31 +277,32 @@ class Context:
                         prev = nxt.get(m3)
                         nxt[m3] = v if prev is None else prev + v
                 terms = {m: c for m, c in nxt.items() if not c.is_zero()}
-            res = tuple((m, _int_if_integral(c)) for m, c in terms.items())
+            res = tuple((m, int_if_integral(c)) for m, c in terms.items())
         self._cliff_pairs[key] = res
         return res
 
     def _act_x(self, g: int, xs: tuple):
         """Expansion of g . x^xs as covector-exponent terms with rational
         coefficients: ints where integral, Fractions otherwise."""
-        return self._act(self._act_x_memo, self.group.mats, g, xs)
+        return self._act(self._act_x_memo, self.group.x_rows, g, xs)
 
     def _act_y(self, g: int, ys: tuple):
-        return self._act(self._act_y_memo, self.group.ymats, g, ys)
+        return self._act(self._act_y_memo, self.group.y_rows, g, ys)
 
-    def _act(self, memo: dict, mats, g: int, exps: tuple):
+    def _act(self, memo: dict, rows_of, g: int, exps: tuple):
         if g == 0:
             return ((exps, 1),)
         key = (g, exps)
         hit = memo.get(key)
         if hit is not None:
             return hit
-        mat = mats[g]
+        rows = rows_of(g)
+        unit = self._unit_t
         poly = {self._zero_t: 1}
         for p, k in enumerate(exps):
-            row = mat[p]
-            lin = tuple((self._unit_t[q], row[q])
-                        for q in range(self.dim) if row[q] != 0)
+            if not k:
+                continue
+            lin = tuple((unit[q], v) for q, v in rows[p])
             for _ in range(k):
                 nxt: dict = {}
                 for mono, c in poly.items():
@@ -313,7 +312,7 @@ class Context:
                         prev = nxt.get(m)
                         nxt[m] = v if prev is None else prev + v
                 poly = {m: c for m, c in nxt.items() if c != 0}
-        res = memo[key] = tuple((m, _int_if_integral(c))
+        res = memo[key] = tuple((m, int_if_integral(c))
                                 for m, c in poly.items())
         return res
 
@@ -343,11 +342,8 @@ class Context:
                     put((xd, _add(yd, bz), h), c * w)
             if j == r:
                 put((self._zero_t, b2, 0), SC_ONE)
-            for refl in self.group.reflections:
-                f = refl.root[j] * refl.coroot[r]
-                if f:
-                    put((self._zero_t, b2, refl.elem),
-                        self.kappas[refl.class_id] * f)
+            for elem, cls, f in self.group.reflection_factors(j, r):
+                put((self._zero_t, b2, elem), self.kappas[cls] * f)
             memo[(b, r)] = tuple((xd, yd, h, c)
                                  for (xd, yd, h), c in out.items()
                                  if not c.is_zero())

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .geometry import Covector, QuadraticSpace, Vector, row_reduce
-from .scalars import BN_ZERO, as_base
+from .scalars import BN_ZERO, as_base, int_if_integral
 
 DEFAULT_ORDER_CAP = 10_000
 
@@ -164,7 +164,15 @@ class ReflectionGroup:
         self._tree, gens = self._closure_tree(refl_elems)
         # Row i of the multiplication table, filled on first use from the
         # tree; a flat list holds the products in a tenth of a dict's memory.
+        # The integer views of the matrices and of the reflection data are
+        # filled on first use the same way: the engine's rewrite memos read
+        # them on every miss, so the Fraction entries are scanned and
+        # converted once per group, not once per miss.
         self._mul_rows: list = [None] * len(self.mats)
+        self._x_rows: list = [None] * len(self.mats)
+        self._y_rows: list = [None] * len(self.mats)
+        self._shared_rows: dict = {}
+        self._refl_factors = None
         self.ymats = tuple(_transpose(self.mats[self.inv(i)])
                            for i in range(len(self.mats)))
         self._find_reflections(refl_elems, gens)
@@ -280,6 +288,49 @@ class ReflectionGroup:
                                    root_norm=norm, class_id=class_of[i]))
         self.reflections = tuple(refs)
         self.reflection_by_elem = {r.elem: r for r in refs}
+
+    # -- integer views ----------------------------------------------------------
+
+    def x_rows(self, g: int) -> tuple:
+        """The rows of ``mats[g]`` without their zeros: row p holds the
+        pairs (q, entry) with entry != 0, an int when integral and a
+        Fraction otherwise."""
+        return self._sparse(self._x_rows, self.mats, g)
+
+    def y_rows(self, g: int) -> tuple:
+        """The rows of ``ymats[g]`` in the form of ``x_rows``."""
+        return self._sparse(self._y_rows, self.ymats, g)
+
+    def _sparse(self, views: list, mats: tuple, g: int) -> tuple:
+        rows = views[g]
+        if rows is None:
+            # Rows repeat across elements (a signed permutation matrix has
+            # one of 2d rows), so each distinct row is stored once.
+            rows = []
+            for row in mats[g]:
+                sparse = tuple((q, int_if_integral(v))
+                               for q, v in enumerate(row) if v)
+                rows.append(self._shared_rows.setdefault(sparse, sparse))
+            rows = views[g] = tuple(rows)
+        return rows
+
+    def reflection_factors(self, j: int, r: int) -> tuple:
+        """The triples (reflection element, class id, root[j] * coroot[r])
+        over the reflections where that product is nonzero, in reflection
+        order; the product is an int when integral, else a Fraction."""
+        table = self._refl_factors
+        if table is None:
+            d = self.dim
+            table = [[[] for _ in range(d)] for _ in range(d)]
+            for refl in self.reflections:
+                for jj, a in enumerate(refl.root):
+                    for rr, c in enumerate(refl.coroot):
+                        if a and c:
+                            table[jj][rr].append((refl.elem, refl.class_id,
+                                                  int_if_integral(a * c)))
+            table = self._refl_factors = [[tuple(f) for f in row]
+                                          for row in table]
+        return table[j][r]
 
     # -- actions ----------------------------------------------------------------
 

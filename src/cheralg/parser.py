@@ -346,29 +346,11 @@ class Evaluator:
             tag, v = self._eval_cov(node.arg)
             return (tag, -v)
         if isinstance(node, Bin):
-            lt, lv = self._eval_cov(node.left)
-            rt, rv = self._eval_cov(node.right)
-            if node.op in "+-":
-                if lt != rt:
-                    raise EvalError("cannot add a scalar and a covector")
-                return (lt, lv + rv if node.op == "+" else lv - rv)
-            if node.op == "*":
-                if lt == "sc" and rt == "sc":
-                    return ("sc", lv * rv)
-                if lt == "sc":
-                    return ("cov", rv * lv)
-                if rt == "sc":
-                    return ("cov", lv * rv)
-                raise EvalError("cannot multiply two covectors")
-            if node.op == "/":
-                if rt != "sc":
-                    raise EvalError("can only divide by a scalar")
-                inv = _scalar_inverse(rv)
-                return (lt, lv * inv)
-            if node.op == "^":
-                if lt != "sc" or rt != "sc":
-                    raise EvalError("powers apply to scalars here")
-                return ("sc", _scalar_pow(lv, rv))
+            first, steps = _left_run(node)
+            acc = self._eval_cov(first)
+            for op, right in steps:
+                acc = _cov_op(op, acc, self._eval_cov(right))
+            return acc
         raise EvalError("expression form not allowed in covector position")
 
     # -- element layer -----------------------------------------------------------
@@ -397,16 +379,19 @@ class Evaluator:
                 if not isinstance(exp, Num):
                     raise EvalError("exponents must be integer literals")
                 return base ** exp.value
-            a = self.eval_element(node.left)
-            b = self.eval_element(node.right)
-            if node.op == "+":
-                return a + b
-            if node.op == "-":
-                return a - b
-            if node.op == "*":
-                return _times(a, b)
-            if node.op == "/":
-                return a * reciprocal(b)
+            first, steps = _left_run(node)
+            acc = self.eval_element(first)
+            for op, right in steps:
+                b = self.eval_element(right)
+                if op == "+":
+                    acc = acc + b
+                elif op == "-":
+                    acc = acc - b
+                elif op == "*":
+                    acc = _times(acc, b)
+                else:
+                    acc = acc * reciprocal(b)
+            return acc
         raise EvalError(f"cannot evaluate node {node!r}")
 
     def _elem_atom(self, ident):
@@ -497,6 +482,46 @@ class Evaluator:
                 raise EvalError(f"{fn} takes exactly one argument")
             return unary[fn](ctx, self.eval_element(node.args[0]))
         raise EvalError(f"unknown operation {fn!r}")
+
+
+def _left_run(node: Bin):
+    """The left spine of ``node`` as its leftmost operand and the
+    (operator, right operand) pairs in order, so that folding the pairs
+    from the left gives the node's value.  The parser builds chains like
+    x1+x1+... in a loop, so they are walked in one too, not one stack frame
+    per operand.  The spine stops at a '^' below the top, which stays an
+    operand."""
+    steps = [(node.op, node.right)]
+    node = node.left
+    while isinstance(node, Bin) and node.op != "^":
+        steps.append((node.op, node.right))
+        node = node.left
+    steps.reverse()
+    return node, steps
+
+
+def _cov_op(op: str, left, right):
+    """One binary step on tagged covector-mode values ("cov" or "sc")."""
+    (lt, lv), (rt, rv) = left, right
+    if op in "+-":
+        if lt != rt:
+            raise EvalError("cannot add a scalar and a covector")
+        return (lt, lv + rv if op == "+" else lv - rv)
+    if op == "*":
+        if lt == "sc" and rt == "sc":
+            return ("sc", lv * rv)
+        if lt == "sc":
+            return ("cov", rv * lv)
+        if rt == "sc":
+            return ("cov", lv * rv)
+        raise EvalError("cannot multiply two covectors")
+    if op == "/":
+        if rt != "sc":
+            raise EvalError("can only divide by a scalar")
+        return (lt, lv * _scalar_inverse(rv))
+    if lt != "sc" or rt != "sc":
+        raise EvalError("powers apply to scalars here")
+    return ("sc", _scalar_pow(lv, rv))
 
 
 def _scalar_pow(s: Scalar, e: Scalar) -> Scalar:

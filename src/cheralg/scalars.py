@@ -188,19 +188,21 @@ class BaseNumber:
         return f"BaseNumber({self})"
 
     def __str__(self):
+        # Each nonzero numerator n renders as the reduced fraction n/q, as
+        # str(Fraction(n, q)) would, without building the Fraction.
+        *nums, q = self._v
         parts = []
-        for comp, unit in ((self.a, ""), (self.b, "i"),
-                           (self.c, "sqrt2"), (self.d, "i*sqrt2")):
-            if comp == 0:
+        for n, unit in zip(nums, ("", "i", "sqrt2", "i*sqrt2")):
+            if not n:
                 continue
-            if not unit:
-                parts.append(str(comp))
-            elif comp == 1:
+            if unit and n == q:
                 parts.append(unit)
-            elif comp == -1:
+            elif unit and n == -q:
                 parts.append("-" + unit)
             else:
-                parts.append(f"{comp}*{unit}")
+                g = gcd(n, q)
+                comp = str(n // g) if g == q else f"{n // g}/{q // g}"
+                parts.append(f"{comp}*{unit}" if unit else comp)
         if not parts:
             return "0"
         out = parts[0]
@@ -241,6 +243,17 @@ BN_ONE = BaseNumber(1)
 BN_I = BaseNumber(0, 1)
 BN_SQRT2 = BaseNumber(0, 0, 1)
 BN_HALF_SQRT2 = BaseNumber(0, 0, Fraction(1, 2))   # 1/sqrt2
+
+
+def int_if_integral(c):
+    """A Fraction or a BaseNumber as a Python int when it is an integer,
+    else unchanged: the form the engine's rewrite memos and the group's
+    integer views store coefficients in."""
+    if type(c) is BaseNumber:
+        if not c.is_rational():
+            return c
+        c = c.a
+    return c.numerator if c.denominator == 1 else c
 
 
 def as_base(x) -> BaseNumber:

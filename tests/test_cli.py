@@ -178,3 +178,41 @@ def test_raising_builder_is_one_error_report(monkeypatch, capsys):
         validate(json.loads(line), schema)
     assert main(["verify", "--suite", "pin"]) == 2
     assert capsys.readouterr().out.splitlines()[-1].endswith(", 1 error")
+
+
+_CHAIN = 3000
+
+
+@pytest.mark.parametrize("expr, out", [
+    ("+".join(["x1"] * _CHAIN), f"{_CHAIN}*x1"),
+    ("x1" + "*1" * _CHAIN, "x1"),
+    ("x1" + "/1" * _CHAIN, "x1"),
+    ("O(" + "+".join(["x1"] * _CHAIN) + ")",
+     f"{_CHAIN // 2}*k1*s1*e1 - {_CHAIN // 2}*k1*s1*e2"),
+], ids=["sum", "product", "quotient", "covector_sum"])
+def test_long_chains_evaluate(capsys, expr, out):
+    # left-deep chains are folded in a loop, not one stack frame per operand
+    assert main(["eval", "--group", "A1@2", expr]) == 0
+    assert capsys.readouterr().out.strip() == out
+
+
+def test_commute_with_a_long_operand(capsys):
+    assert main(["commute", "--group", "A1@2",
+                 "+".join(["x1"] * _CHAIN), "y1"]) == 0
+    assert capsys.readouterr().out.strip() == f"-{_CHAIN} - {_CHAIN}*k1*s1"
+
+
+@pytest.mark.parametrize("content, message", [
+    ({"gram": [[1, 0], [0, 1]]}, 'has no "generators" key'),
+    ([1, 2], "generators[0] is 1; expected a list of rows"),
+    ({"generators": [[[0, 1], [1, 0]]], "gram": [1, 2]},
+     "gram is [1, 2]; expected a list of rows"),
+    ({"generators": 3}, "generators is 3; expected a list of matrices"),
+], ids=["no_generators", "entry_not_a_matrix", "gram_not_a_matrix",
+        "generators_not_a_list"])
+def test_malformed_group_file_is_a_usage_error(capsys, tmp_path, content,
+                                               message):
+    spec = tmp_path / "group.json"
+    spec.write_text(json.dumps(content))
+    assert main(["info", "--group", f"custom:{spec}"]) == 2
+    assert message in capsys.readouterr().err

@@ -92,6 +92,33 @@ def _product_groups():
     }
 
 
+def _integral(v):
+    return v == int(v)
+
+
+@pytest.mark.parametrize("name", [*_product_groups(), "D4@4"])
+def test_integer_views_match_dense_data(name):
+    group = (build_group("D", 4, 4) if name == "D4@4"
+             else _product_groups()[name])
+    for g in range(group.order):
+        for view, mats in ((group.x_rows(g), group.mats[g]),
+                           (group.y_rows(g), group.ymats[g])):
+            assert len(view) == group.dim
+            for sparse, row in zip(view, mats):
+                assert list(sparse) == [(q, v) for q, v in enumerate(row)
+                                        if v != 0]
+                for _, v in sparse:
+                    assert type(v) is (int if _integral(v) else Fraction)
+    for j in range(group.dim):
+        for r in range(group.dim):
+            want = [(s.elem, s.class_id, s.root[j] * s.coroot[r])
+                    for s in group.reflections if s.root[j] * s.coroot[r]]
+            got = group.reflection_factors(j, r)
+            assert list(got) == want
+            for _, _, f in got:
+                assert type(f) is (int if _integral(f) else Fraction)
+
+
 def test_associativity_seeded():
     for group in _product_groups().values():
         ctx = Context(group)

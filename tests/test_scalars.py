@@ -4,6 +4,7 @@ from math import gcd
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from cheralg.parser import evaluate
 from cheralg.scalars import (BN_I, BN_ONE, BN_SQRT2, BaseNumber, Scalar,
                              as_base, as_scalar)
 from cheralg.suites import make_env
@@ -242,3 +243,35 @@ def test_scalar_on_the_left_of_an_element():
         BaseNumber(1) + "x1"
     with pytest.raises(TypeError):
         Scalar.of(1) * "x1"
+
+
+def _reference_str(x):
+    """BaseNumber rendering over its components as Fractions."""
+    parts = []
+    for comp, unit in ((x.a, ""), (x.b, "i"), (x.c, "sqrt2"),
+                       (x.d, "i*sqrt2")):
+        if comp == 0:
+            continue
+        if not unit:
+            parts.append(str(comp))
+        elif comp == 1:
+            parts.append(unit)
+        elif comp == -1:
+            parts.append("-" + unit)
+        else:
+            parts.append(f"{comp}*{unit}")
+    if not parts:
+        return "0"
+    out = parts[0]
+    for p in parts[1:]:
+        out += " - " + p[1:] if p.startswith("-") else " + " + p
+    return out
+
+
+@settings(max_examples=150, deadline=None)
+@given(mixed_base_numbers)
+@example(BaseNumber())
+@example(BaseNumber(Fraction(-1, 2), -1, 1, Fraction(-6, 4)))
+def test_rendering_matches_fraction_reference(ctx_a12, x):
+    assert str(x) == _reference_str(x)
+    assert evaluate(ctx_a12, str(as_scalar(x))) == ctx_a12.scalar_elem(x)
