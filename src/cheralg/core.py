@@ -628,9 +628,9 @@ def _mono_str(ctx: Context, m: Monomial) -> str:
         if k:
             bits.append(f"y{p + 1}" + (f"^{k}" if k > 1 else ""))
     if m.g:
-        refl = ctx.group.reflection_by_elem.get(m.g)
-        if refl is not None:
-            bits.append(f"s{ctx.group.reflections.index(refl) + 1}")
+        k = ctx.group.reflection_number.get(m.g)
+        if k is not None:
+            bits.append(f"s{k}")
         else:
             bits.append(f"g{m.g}")
     mask = m.e

@@ -288,6 +288,8 @@ class ReflectionGroup:
                                    root_norm=norm, class_id=class_of[i]))
         self.reflections = tuple(refs)
         self.reflection_by_elem = {r.elem: r for r in refs}
+        # element index -> 1-based position in `reflections`, the k of s{k}
+        self.reflection_number = {r.elem: k for k, r in enumerate(refs, 1)}
 
     # -- integer views ----------------------------------------------------------
 

@@ -31,11 +31,15 @@ vector's coefficients.  Three memos hold such images:
   matrices;
 - `SpinorModule` keeps D_p(x^e) per (p, e): the partial derivative plus, per
   reflection s with root alpha, k_c alpha_p (x^e - s.x^e) / alpha;
-- `ModuleEvaluator` keeps, per leaf of an expression and per basis key
-  (e, spinor mask), the leaf's action on that basis vector.  An evaluator
-  serves one expression on one module, so the samples of one oracle row,
-  its nested compositions and both orders of a bracket share the images,
-  and nothing is shared between modules or rows.
+- `ModuleEvaluator` keeps, per node of an expression and per basis key
+  (e, spinor mask), the node's action on that basis vector.  A leaf's
+  image is `SpinorModule.act` of the engine's element; a compound node's
+  image is its composition (negation, bracket, sum, difference, product,
+  quotient by a scalar, power) applied once to the basis vector, with the
+  children read through their own images.  So a vector whose keys were
+  seen before costs one `apply_linear` at the root, and the vectors of an
+  oracle row share every image below it.  An evaluator serves one
+  expression on one module: nothing is shared between modules or rows.
 
 The memos are keyed by module data alone (p, exponents, spinor masks, group
 element indices, expression nodes) and filled by the module's own
@@ -382,19 +386,23 @@ _LEAF_CALLS = ("O", "M", "A", "R", "gamma", "rho", "B")
 class ModuleEvaluator:
     """Act with an expression of the parser's language on module vectors.
 
-    The leaves are built once each by the engine's Evaluator and act
-    through `SpinorModule.act`, once per basis vector they meet; products
-    become composition, powers repeated composition, and the graded
-    brackets ab -+ ba with the sign read from the parities of the operands.
-    Nothing else is composed: the projector-style maps (Pp, Pm, Palpha, Qp,
-    Qm) raise EvalError.
+    Every node, leaf or compound, acts through its memoized images of
+    basis vectors: ``act(node, v)`` sums, over the keys of ``v``, the
+    node's image of each basis vector, and an image is computed once per
+    node and key.  The leaves are built once each by the engine's Evaluator
+    and their images come from `SpinorModule.act`; a compound node's image
+    composes its children's: products become composition, powers repeated
+    composition, and the graded brackets ab -+ ba with the sign read from
+    the parities of the operands.  This is sound because every operator
+    here is linear in the vector.  Nothing else is composed: the
+    projector-style maps (Pp, Pm, Palpha, Qp, Qm) raise EvalError.
     """
 
     def __init__(self, module: SpinorModule):
         self.module = module
         self.engine = Evaluator(module.ctx)
         self._leaves: dict = {}
-        self._images: dict = {}     # leaf -> {(exp, sm): leaf . basis vector}
+        self._images: dict = {}     # node -> {(exp, sm): node . basis vector}
 
     def leaf(self, node) -> Element:
         hit = self._leaves.get(node)
@@ -402,20 +410,26 @@ class ModuleEvaluator:
             hit = self._leaves[node] = self.engine.eval_element(node)
         return hit
 
-    def _leaf_image(self, node, key) -> tuple:
-        images = self._images.setdefault(node, {})
-        hit = images.get(key)
-        if hit is None:
-            basis = PolySpinor({key: SC_ONE})
-            hit = images[key] = tuple(
-                self.module.act(self.leaf(node), basis).terms.items())
-        return hit
-
     def act(self, node, v: PolySpinor) -> PolySpinor:
         """The value of ``node`` applied to ``v``."""
+        images = self._images.get(node)
+        if images is None:
+            images = self._images[node] = {}
+
+        def image(key):
+            hit = images.get(key)
+            if hit is None:
+                basis = PolySpinor({key: SC_ONE})
+                hit = images[key] = tuple(
+                    self._compose(node, basis).terms.items())
+            return hit
+        return PolySpinor(apply_linear(v.terms, image))
+
+    def _compose(self, node, v: PolySpinor) -> PolySpinor:
+        """``node`` applied to ``v`` by its own operation, the children
+        read through `act`."""
         if _is_leaf(node):
-            return PolySpinor(apply_linear(
-                v.terms, lambda key: self._leaf_image(node, key)))
+            return self.module.act(self.leaf(node), v)
         if isinstance(node, Neg):
             return -self.act(node.arg, v)
         if isinstance(node, Bracket):

@@ -261,6 +261,24 @@ def substitute(node, bindings: dict):
 
 _COV_CALLS = {"O", "M", "A", "R", "gamma"}
 
+# The element names that take no index, each built from the context.  Each
+# entry reads its builder from this module's globals when called.
+_NAMED_ELEMENTS = {
+    "Casimir": lambda ctx: casimir(ctx),
+    "Scasimir": lambda ctx: scasimir(ctx),
+    "OmegaKappa": lambda ctx: ctx.omega_kappa(),
+    "Omega": lambda ctx: central_omega(ctx),
+    "Otop": lambda ctx: o_top(ctx),
+    "Gamma": lambda ctx: ctx.chirality(),
+    "X": lambda ctx: build_osp(ctx).X,
+    "D": lambda ctx: build_osp(ctx).D,
+    "H": lambda ctx: build_osp(ctx).H,
+    "Ep": lambda ctx: build_osp(ctx).Ep,
+    "Em": lambda ctx: build_osp(ctx).Em,
+    "Fp": lambda ctx: build_osp(ctx).Fp,
+    "Fm": lambda ctx: build_osp(ctx).Fm,
+}
+
 
 class Evaluator:
     """Resolve an AST against a context, producing a normal-form element."""
@@ -397,23 +415,9 @@ class Evaluator:
     def _elem_atom(self, ident):
         ctx = self.ctx
         d = ctx.dim
-        simple = {
-            "Casimir": lambda: casimir(ctx),
-            "Scasimir": lambda: scasimir(ctx),
-            "OmegaKappa": lambda: ctx.omega_kappa(),
-            "Omega": lambda: central_omega(ctx),
-            "Otop": lambda: o_top(ctx),
-            "Gamma": lambda: ctx.chirality(),
-            "X": lambda: build_osp(ctx).X,
-            "D": lambda: build_osp(ctx).D,
-            "H": lambda: build_osp(ctx).H,
-            "Ep": lambda: build_osp(ctx).Ep,
-            "Em": lambda: build_osp(ctx).Em,
-            "Fp": lambda: build_osp(ctx).Fp,
-            "Fm": lambda: build_osp(ctx).Fm,
-        }
-        if ident in simple:
-            return simple[ident]()
+        named = _NAMED_ELEMENTS.get(ident)
+        if named is not None:
+            return named(ctx)
         for prefix, mk in (("x", ctx.x), ("y", ctx.y), ("e", ctx.e)):
             if ident.startswith(prefix) and ident[1:].isdigit():
                 p = int(ident[1:])

@@ -1316,15 +1316,20 @@ def oracle_cases(mod: SpinorModule = None) -> list:
     products must compose: act(a*b, v) = act(a, act(b, v)).  The first
     row plus one must be caught (harness self-test).  Seeds, the number
     and degree (at least 3) of the sampled vectors and the number of
-    products come from the env's options.
+    products come from the env's options.  The sampled vectors are drawn
+    once, on the first row, and every row acts on the same ones.
     """
+    samples = []
+
     def diverges(env, node) -> bool:
         """Is the expression nonzero on a sampled vector or in the engine?"""
-        opts = env.options
+        if not samples:
+            opts = env.options
+            samples.extend(mod.random_vector(opts.seed + 7919 * i,
+                                             max(opts.max_degree, 3))
+                           for i in range(opts.oracle_samples))
         module_eval = ModuleEvaluator(mod)
-        for i in range(opts.oracle_samples):
-            vec = mod.random_vector(opts.seed + 7919 * i,
-                                    max(opts.max_degree, 3))
+        for vec in samples:
             if not module_eval.act(node, vec).is_zero():
                 return True
         return not module_eval.engine.eval_element(node).is_zero()

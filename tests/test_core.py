@@ -7,7 +7,8 @@ import pytest
 from cheralg.core import (Context, anticommutator, antisymmetrize,
                           commutator, random_element, supercommutator)
 from cheralg.geometry import beta, bilinear_B
-from cheralg.groups import build_group, from_generators, trivial_group
+from cheralg.groups import (build_group, from_generators, parse_group_spec,
+                            trivial_group)
 from cheralg.scalars import BN_I, Scalar, as_scalar
 
 
@@ -237,6 +238,20 @@ def test_rendering_deterministic(ctx_a12):
     assert str(e) == "x1*y1 + 1 + k1*s1"
     assert e.witness() == "x1*y1"
     assert str(ctx.zero()) == "0"
+
+
+@pytest.mark.parametrize("spec", ["A2@3", "D4@4"])
+def test_reflections_print_by_position(spec):
+    group = parse_group_spec(spec)
+    ctx = Context(group)
+    numbered = {r.elem: k for k, r in enumerate(group.reflections, 1)}
+    for k, refl in enumerate(group.reflections, 1):
+        assert str(ctx.g(refl.elem)) == f"s{k}"
+        assert str(ctx.x(0) * ctx.g(refl.elem)) == f"x1*s{k}"
+    others = [g for g in range(1, group.order) if g not in numbered]
+    assert others
+    for g in others:
+        assert str(ctx.g(g)) == f"g{g}"
 
 
 def test_substitute_kappa(ctx_b22):

@@ -8,7 +8,8 @@ from cheralg.core import Context, random_element, supercommutator
 from cheralg.groups import build_group
 from cheralg.oracle import (ModuleEvaluator, SpinorModule, poly_add,
                             poly_div_linear, poly_partial, poly_sub)
-from cheralg.parser import parse_expression
+from cheralg.parser import (Bin, Bracket, Neg, Num, parse_expression,
+                            reciprocal)
 from cheralg.scalars import BaseNumber, Scalar, as_scalar
 from cheralg.suites import ORACLE_ROWS
 
@@ -251,32 +252,75 @@ def test_dunkl_operators_commute(env, request):
                     mod.dunkl(q, mod.dunkl(p, f))
 
 
-class _LeafByLeaf(ModuleEvaluator):
-    """Every leaf acts on the whole vector through SpinorModule.act."""
+class _MemoFree(ModuleEvaluator):
+    """Every node composes its children on the whole vector, with no image
+    memo; every leaf acts on it through SpinorModule.act."""
 
     def act(self, node, v):
+        act = self.act
         if oracle._is_leaf(node):
             return self.module.act(self.leaf(node), v)
-        return super().act(node, v)
+        if isinstance(node, Neg):
+            return -act(node.arg, v)
+        if isinstance(node, Bracket):
+            ab = act(node.left, act(node.right, v))
+            ba = act(node.right, act(node.left, v))
+            odd = self.parity(node.left) & self.parity(node.right)
+            return ab - ba if (node.kind == "super") != odd else ab + ba
+        if node.op == "+":
+            return act(node.left, v) + act(node.right, v)
+        if node.op == "-":
+            return act(node.left, v) - act(node.right, v)
+        if node.op == "*":
+            return act(node.left, act(node.right, v))
+        if node.op == "/":
+            return act(node.left, v).scale(reciprocal(self.leaf(node.right)))
+        assert node.op == "^"
+        for _ in range(node.right.value):
+            v = act(node.left, v)
+        return v
 
 
-@pytest.mark.parametrize("env", ["env_a12", "env_b22"])
-def test_leaf_memo_matches_memo_free_composition(env, request):
+def _image_keys(module_eval):
+    return {node: set(images) for node, images in module_eval._images.items()}
+
+
+@pytest.mark.parametrize("env", ["env_a12", "env_b22", "env_a23"])
+def test_node_memo_fills_only_new_keys(env, request):
+    """Per oracle row (and the perturbed first row): the memoized action
+    equals the memo-free composition, a vector of known keys adds no image
+    at any node, and new keys add images only where a fresh evaluator on
+    those keys alone would."""
     group_env = request.getfixturevalue(env)
     mod = SpinorModule(group_env.ctx)
     base = mod.random_vector(5, 3, 6)
-    # the second vector has the first one's keys, the third adds more
-    vecs = [base, base.scale(k(0) + 2), base + mod.random_vector(6, 3, 6)]
-    for name, row in ORACLE_ROWS:
-        node = row.instances(group_env.group)[0][1]
+    extra = mod.random_vector(6, 3, 6)
+    new = mod.vector({key: c for key, c in extra.terms.items()
+                      if key not in base.terms})
+    assert not new.is_zero()
+    nodes = [(name, row.instances(group_env.group)[0][1])
+             for name, row in ORACLE_ROWS]
+    nodes.append(("mutation", Bin("+", nodes[0][1], Num(1))))
+    for name, node in nodes:
         memo = ModuleEvaluator(mod)
-        reference = _LeafByLeaf(mod)
-        for i, v in enumerate(vecs):
-            filled = sum(len(images) for images in memo._images.values())
-            assert memo.act(node, v) == reference.act(node, v), name
-            if i == 1:      # same keys as the first: every image was a hit
-                assert filled == sum(len(images)
-                                     for images in memo._images.values())
+        reference = _MemoFree(mod)
+        assert memo.act(node, base) == reference.act(node, base), name
+        first = _image_keys(memo)
+        assert first[node] == set(base.terms), name
+        same_keys = base.scale(k(0) + 2)
+        assert memo.act(node, same_keys) == \
+            reference.act(node, same_keys), name
+        assert _image_keys(memo) == first, name
+        assert memo.act(node, base + new) == \
+            reference.act(node, base + new), name
+        alone = ModuleEvaluator(mod)
+        alone.act(node, new)
+        only_new = _image_keys(alone)
+        after = _image_keys(memo)
+        assert after[node] - first[node] == set(new.terms), name
+        for sub, keys in after.items():
+            assert keys - first.get(sub, set()) <= only_new.get(sub, set()), \
+                (name, sub)
 
 
 def test_leaf_memo_stays_with_its_module(env_a15):

@@ -190,6 +190,26 @@ def test_oracle_crosscheck_and_mutation(env_a12):
     assert all(r.oracle for r in reps)
 
 
+def test_oracle_rows_share_one_draw_of_samples(env_a12, monkeypatch):
+    """The row checks draw the sampled vectors once per module, not once per
+    row; oracle.products draws its own vector per trial."""
+    from cheralg.oracle import SpinorModule
+    seeds = []
+    draw = SpinorModule.random_vector
+
+    def counted(self, seed, *args, **kwargs):
+        seeds.append(seed)
+        return draw(self, seed, *args, **kwargs)
+
+    monkeypatch.setattr(SpinorModule, "random_vector", counted)
+    opts = env_a12.options
+    reps = run_oracle_crosscheck(env_a12)
+    assert {r.status for r in reps} == {"pass"}
+    row_seeds = [opts.seed + 7919 * i for i in range(opts.oracle_samples)]
+    assert sorted(s for s in seeds if s in row_seeds) == sorted(row_seeds)
+    assert len(seeds) == opts.oracle_samples + opts.oracle_products
+
+
 def test_health_suite(env_a12):
     env = make_env(env_a12.group,
                    RunOptions(seed=1, assoc_trials=10, jacobi_trials=6,
