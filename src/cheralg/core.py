@@ -39,6 +39,16 @@ reflection, as ints where integral.  The group fills them once on first
 use, so a cold Context (a fresh one per request, or a large group) expands
 group actions and Dunkl reflection sums mostly in int arithmetic too.
 
+A graded bracket ab -+ (-1)^(|a||b|) ba is one call of the same product
+routine with a sign, and takes each pair of words (m1, m2) once.  Both
+orders of the pair are expanded into one dict that holds, per output word,
+the folded number, or a Scalar where the commutation rewrite's coefficient
+is not one.  So the leading terms that cancel between m1*m2 and m2*m1
+vanish there as numbers.  The pair's c1*c2 is formed once, and only if a
+word survives, and each survivor takes one Scalar product.  Plain products
+keep their own loop, which applies c1*c2*cw once per rewrite term as it
+goes; routing them through per-pair dicts made cold-cache products slower.
+
 Elements are immutable values and all operations are pure; the only shared
 state is the per-context cache of rewrite fragments, which is append-only.
 """
@@ -397,26 +407,58 @@ class Context:
 
     # -- the product -----------------------------------------------------------
 
-    def _mul_terms(self, t1, t2, graded_sign: bool = False) -> dict:
-        """The product of two term dicts, as a term dict without zeros.
+    def _mul_terms(self, t1, t2, sign: int = 0) -> dict:
+        """The product of two term dicts when sign is 0, and their graded
+        bracket t1*t2 + sign*(-1)^(|t1||t2|) t2*t1 when sign is 1 or -1; a
+        term dict without zeros either way.
 
         An output term's coefficient is c1*c2*cw, a Scalar, times the
         group-action factors cx, cy, cz and the Clifford factor ce.  Those
         four are folded into one number f first; since the memos hold them
         as ints where integral, that is mostly an int product.  The Scalar
         then takes at most one multiplication: none when f is 1 or -1, and
-        c1*c2 is reused as it is when cw is SC_ONE."""
+        c1*c2 is reused as it is when cw is SC_ONE.
+
+        A bracket takes each word pair once: ``_expand_pair`` writes both
+        orders of the pair into one dict of coefficients without c1*c2,
+        where the terms that cancel between them vanish; c1*c2 is formed
+        only if a term survives, then applied once to each survivor.  The
+        sign is the third positional parameter, so a wrapper that forwards
+        (t1, t2, x) with x = 0 or False still gets the plain product."""
+        out: dict = {}
+        if sign:
+            expand = self._expand_pair
+            for m1, c1 in t1.items():
+                p1 = m1.parity
+                for m2, c2 in t2.items():
+                    pair: dict = {}
+                    expand(m1, m2, 1, pair)
+                    expand(m2, m1, -sign if p1 and m2.parity else sign, pair)
+                    c = None
+                    for mono, w in pair.items():
+                        if type(w) is Scalar:
+                            if not w.terms:
+                                continue
+                        elif w == 0:
+                            continue
+                        if c is None:
+                            c = c1 * c2
+                        prev = out.get(mono)
+                        if type(w) is not int or (w != 1 and w != -1):
+                            v = c * w
+                            out[mono] = v if prev is None else prev + v
+                        elif prev is None:
+                            out[mono] = c if w == 1 else -c
+                        else:
+                            out[mono] = prev + c if w == 1 else prev - c
+            return {m: c for m, c in out.items() if not c.is_zero()}
         group = self.group
         act_y = self._act_y
-        out: dict = {}
         for m1, c1 in t1.items():
             a1, b1, g1, e1 = m1
-            p1 = m1.parity
             for m2, c2 in t2.items():
                 a2, b2, g2, e2 = m2
                 c = c1 * c2
-                if graded_sign and p1 and m2.parity:
-                    c = -c
                 eprod = self._cliff_pair(e1, e2)
                 g12 = group.mul(g1, g2)
                 yterms = act_y(g1, b2)
@@ -443,6 +485,38 @@ class Context:
                                     prev = out.get(mono)
                                     out[mono] = v if prev is None else prev + v
         return {m: c for m, c in out.items() if not c.is_zero()}
+
+    def _expand_pair(self, m1, m2, s: int, pair: dict) -> None:
+        """Add s * m1*m2 to ``pair``, coefficients taken without c1*c2:
+        the folded number f where the rewrite coefficient cw is SC_ONE,
+        else the Scalar cw*f.  The words are expanded as in the product."""
+        group = self.group
+        act = self._act
+        ymemo = self._act_y_memo
+        yrows = group.y_rows
+        a1, b1, g1, e1 = m1
+        a2, b2, g2, e2 = m2
+        eprod = self._cliff_pair(e1, e2)
+        g12 = group.mul(g1, g2)
+        yterms = act(ymemo, yrows, g1, b2)
+        for ax, cx in self._act_x(g1, a2):
+            fx = s * cx
+            for xd, yd, h, cw in self._ycomm_word(b1, ax):
+                xs = _add(a1, xd)
+                hg = group.mul(h, g12)
+                for by, cy in yterms:
+                    fy = fx * cy
+                    for bz, cz in act(ymemo, yrows, h, by):
+                        ys = _add(yd, bz)
+                        fz = fy * cz
+                        for emask, ce in eprod:
+                            mono = _tuple_new(Monomial, (xs, ys, hg, emask))
+                            f = fz * ce
+                            if cw is not SC_ONE:
+                                f = (cw if f == 1 else -cw if f == -1
+                                     else cw * f)
+                            prev = pair.get(mono)
+                            pair[mono] = f if prev is None else prev + f
 
 
 class Element:
@@ -474,29 +548,37 @@ class Element:
         return None
 
     def __add__(self, other):
+        return self._merge(other, False)
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        return self._merge(other, True)
+
+    def __rsub__(self, other):
+        other = self._lift(other)
+        if other is None:
+            return NotImplemented
+        return other._merge(self, True)
+
+    def _merge(self, other, subtract: bool):
+        """self + other, or self - other in the same pass over other's
+        terms, dropping the coefficients that cancel."""
         other = self._lift(other)
         if other is None:
             return NotImplemented
         out = dict(self.terms)
         for m, c in other.terms.items():
             prev = out.get(m)
-            s = c if prev is None else prev + c
+            if prev is None:
+                out[m] = -c if subtract else c
+                continue
+            s = prev - c if subtract else prev + c
             if s.is_zero():
-                out.pop(m, None)
+                del out[m]
             else:
                 out[m] = s
         return Element(self.ctx, out, normalized=True)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        other = self._lift(other)
-        if other is None:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
 
     def __neg__(self):
         return Element(self.ctx, {m: -c for m, c in self.terms.items()},
@@ -668,18 +750,8 @@ def anticommutator(a: Element, b: Element) -> Element:
 
 
 def _graded_bracket(a: Element, b: Element, sign: int) -> Element:
-    ctx = a.ctx
-    out = ctx._mul_terms(a.terms, b.terms)
-    for m, c in ctx._mul_terms(b.terms, a.terms, graded_sign=True).items():
-        if sign < 0:
-            c = -c
-        prev = out.get(m)
-        s = c if prev is None else prev + c
-        if s.is_zero():
-            out.pop(m, None)
-        else:
-            out[m] = s
-    return Element(ctx, out, normalized=True)
+    return Element(a.ctx, a.ctx._mul_terms(a.terms, b.terms, sign),
+                   normalized=True)
 
 
 def commutator(a: Element, b: Element) -> Element:

@@ -334,14 +334,26 @@ class Scalar:
     __radd__ = __add__
 
     def __sub__(self, other):
-        try:
-            other = Scalar.of(other)
-        except TypeError:
-            return NotImplemented
-        return self + (-other)
+        if type(other) is not Scalar:
+            try:
+                other = Scalar.of(other)
+            except TypeError:
+                return NotImplemented
+        out = dict(self.terms)
+        for k, v in other.terms.items():
+            w = out.get(k)
+            if w is None:
+                out[k] = -v
+            else:
+                w = w - v
+                if w.is_zero():
+                    del out[k]
+                else:
+                    out[k] = w
+        return _scalar(out)
 
     def __rsub__(self, other):
-        return Scalar.of(other) + (-self)
+        return Scalar.of(other) - self
 
     def __neg__(self):
         return _scalar({k: -v for k, v in self.terms.items()})

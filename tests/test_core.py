@@ -131,6 +131,73 @@ def test_associativity_seeded():
             assert (a * b) * c == a * (b * c)
 
 
+def _two_product_bracket(a, b, sign):
+    """sum over parity components a_i, b_j of a_i b_j + sign (-1)^(ij) b_j a_i,
+    from plain products only."""
+    acc = a.ctx.zero()
+    for i, ai in enumerate((a.even_part(), a.odd_part())):
+        for j, bj in enumerate((b.even_part(), b.odd_part())):
+            acc = acc + ai * bj + bj * ai * (-sign if i and j else sign)
+    return acc
+
+
+def _bracket_pairs(ctx, seed, n=8):
+    """Seeded mixed-parity pairs, with b = a after each drawn pair."""
+    rng = random.Random(seed)
+    for _ in range(n):
+        a = random_element(ctx, rng, n_terms=4)
+        b = random_element(ctx, rng, n_terms=4)
+        yield a, b
+        yield a, a
+
+
+@pytest.mark.parametrize("name", [*_product_groups(), "A2@3"])
+def test_brackets_match_two_products(name, ctx_a23):
+    ctx = ctx_a23 if name == "A2@3" else Context(_product_groups()[name])
+    mixed = grouped = 0
+    for a, b in _bracket_pairs(ctx, 31):
+        mixed += a.parity() is None and b.parity() is None
+        grouped += any(m.g for m in a.terms) and any(m.g for m in b.terms)
+        for bracket, sign in ((supercommutator, -1), (anticommutator, 1)):
+            got = bracket(a, b)
+            want = _two_product_bracket(a, b, sign)
+            assert got.even_part() == want.even_part()
+            assert got.odd_part() == want.odd_part()
+            assert not any(c.is_zero() for c in got.terms.values())
+    assert mixed and grouped
+
+
+def test_mul_terms_sign_is_the_third_positional_argument(ctx_a12, ctx_a23):
+    """The product boundary takes the bracket sign positionally: -1 and 1
+    give the two graded brackets, and 0 (or False, forwarded by a wrapper
+    with the old flag's default) the plain product, which is half their
+    sum."""
+    for ctx in (ctx_a12, ctx_a23):
+        for a, b in _bracket_pairs(ctx, 5, n=4):
+            sc = supercommutator(a, b)
+            ac = anticommutator(a, b)
+            assert ctx._mul_terms(a.terms, b.terms, -1) == sc.terms
+            assert ctx._mul_terms(a.terms, b.terms, 1) == ac.terms
+            plain = (sc + ac) * Fraction(1, 2)
+            assert ctx._mul_terms(a.terms, b.terms) == plain.terms
+            assert ctx._mul_terms(a.terms, b.terms, 0) == plain.terms
+            assert ctx._mul_terms(a.terms, b.terms, False) == plain.terms
+
+
+def test_subtraction_is_one_normal_form(ctx_a12):
+    ctx = ctx_a12
+    rng = random.Random(3)
+    for _ in range(10):
+        a = random_element(ctx, rng)
+        b = random_element(ctx, rng) + a * 2
+        for got, want in ((a - b, a + (-b)), (b - a, b + (-a)),
+                          (3 - a, -a + 3), (a - k(), a + (-k()))):
+            assert got.terms == want.terms
+            assert not any(c.is_zero() for c in got.terms.values())
+        assert (a - a).terms == {}
+        assert (b - (b - a)).terms == a.terms
+
+
 # sha256 prefixes of str(a*b) and str(supercommutator(a, b)) over 40 seeded
 # pairs.  They pin exact normal forms, so a change in how the product forms
 # its coefficients must leave them as they are.

@@ -214,6 +214,17 @@ def test_scalar_fast_paths_match_general_product(s, t):
     assert diff.is_zero() and not diff.terms
 
 
+@settings(max_examples=40, deadline=None)
+@given(small_scalars(), small_scalars())
+def test_subtraction_matches_adding_the_negation(s, t):
+    for x, y in ((s, t), (t, s), (s, s + t), (s, 3), (s, BN_I)):
+        got = x - y
+        assert got.terms == (x + (-as_scalar(y))).terms
+        assert not any(v.is_zero() for v in got.terms.values())
+    assert (2 - s).terms == (-s + 2).terms
+    assert not (s - s).terms
+
+
 def test_hash_agrees_with_equality():
     ctx = make_env("A1@2").ctx
     for value in (0, 1, -2, Fraction(3, 4)):
