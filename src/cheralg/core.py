@@ -750,6 +750,8 @@ def anticommutator(a: Element, b: Element) -> Element:
 
 
 def _graded_bracket(a: Element, b: Element, sign: int) -> Element:
+    if b.ctx is not a.ctx:
+        raise ValueError("elements from different contexts")
     return Element(a.ctx, a.ctx._mul_terms(a.terms, b.terms, sign),
                    normalized=True)
 

@@ -336,3 +336,6 @@ def test_context_mismatch():
     c2 = Context(build_group("A", 1, 2))
     with pytest.raises(ValueError):
         c1.x(0) * c2.x(0)
+    for bracket in (supercommutator, anticommutator):
+        with pytest.raises(ValueError):
+            bracket(c1.y(0), c2.x(0))
