@@ -39,15 +39,13 @@ reflection, as ints where integral.  The group fills them once on first
 use, so a cold Context (a fresh one per request, or a large group) expands
 group actions and Dunkl reflection sums mostly in int arithmetic too.
 
-A graded bracket ab -+ (-1)^(|a||b|) ba is one call of the same product
-routine with a sign, and takes each pair of words (m1, m2) once.  Both
-orders of the pair are expanded into one dict that holds, per output word,
-the folded number, or a Scalar where the commutation rewrite's coefficient
-is not one.  So the leading terms that cancel between m1*m2 and m2*m1
-vanish there as numbers.  The pair's c1*c2 is formed once, and only if a
-word survives, and each survivor takes one Scalar product.  Plain products
-keep their own loop, which applies c1*c2*cw once per rewrite term as it
-goes; routing them through per-pair dicts made cold-cache products slower.
+A product expands each pair of words (m1, m2) into one dict that holds,
+per output word, the folded number, or a Scalar where the commutation
+rewrite's coefficient is not one; the pair's c1*c2 is formed once, and
+only if a word survives, and each survivor takes one Scalar product.  A
+graded bracket ab -+ (-1)^(|a||b|) ba is one call of the same routine with
+a sign: it expands both orders of the pair into that dict, so the leading
+terms that cancel between m1*m2 and m2*m1 vanish there as numbers.
 
 Elements are immutable values and all operations are pure; the only shared
 state is the per-context cache of rewrite fragments, which is append-only.
@@ -412,84 +410,51 @@ class Context:
         bracket t1*t2 + sign*(-1)^(|t1||t2|) t2*t1 when sign is 1 or -1; a
         term dict without zeros either way.
 
-        An output term's coefficient is c1*c2*cw, a Scalar, times the
-        group-action factors cx, cy, cz and the Clifford factor ce.  Those
-        four are folded into one number f first; since the memos hold them
-        as ints where integral, that is mostly an int product.  The Scalar
-        then takes at most one multiplication: none when f is 1 or -1, and
-        c1*c2 is reused as it is when cw is SC_ONE.
-
-        A bracket takes each word pair once: ``_expand_pair`` writes both
-        orders of the pair into one dict of coefficients without c1*c2,
-        where the terms that cancel between them vanish; c1*c2 is formed
-        only if a term survives, then applied once to each survivor.  The
-        sign is the third positional parameter, so a wrapper that forwards
-        (t1, t2, x) with x = 0 or False still gets the plain product."""
+        Each word pair (m1, m2) is taken once.  ``_expand_pair`` writes
+        m1*m2 into one dict of coefficients without c1*c2, and for a
+        bracket also s*m2*m1, so the terms that cancel between the two
+        orders vanish there as numbers.  c1*c2 is formed only if a term
+        survives, then applied once to each survivor: a unit factor adds
+        or subtracts c1*c2 as it is.  The sign is the third positional
+        parameter, so a wrapper that forwards (t1, t2, x) with x = 0 or
+        False still gets the plain product."""
         out: dict = {}
-        if sign:
-            expand = self._expand_pair
-            for m1, c1 in t1.items():
-                p1 = m1.parity
-                for m2, c2 in t2.items():
-                    pair: dict = {}
-                    expand(m1, m2, 1, pair)
-                    expand(m2, m1, -sign if p1 and m2.parity else sign, pair)
-                    c = None
-                    for mono, w in pair.items():
-                        if type(w) is Scalar:
-                            if not w.terms:
-                                continue
-                        elif w == 0:
-                            continue
-                        if c is None:
-                            c = c1 * c2
-                        prev = out.get(mono)
-                        if type(w) is not int or (w != 1 and w != -1):
-                            v = c * w
-                            out[mono] = v if prev is None else prev + v
-                        elif prev is None:
-                            out[mono] = c if w == 1 else -c
-                        else:
-                            out[mono] = prev + c if w == 1 else prev - c
-            return {m: c for m, c in out.items() if not c.is_zero()}
-        group = self.group
-        act_y = self._act_y
+        expand = self._expand_pair
         for m1, c1 in t1.items():
-            a1, b1, g1, e1 = m1
             for m2, c2 in t2.items():
-                a2, b2, g2, e2 = m2
-                c = c1 * c2
-                eprod = self._cliff_pair(e1, e2)
-                g12 = group.mul(g1, g2)
-                yterms = act_y(g1, b2)
-                for ax, cx in self._act_x(g1, a2):
-                    wterms = [(_add(a1, xd), yd, h, group.mul(h, g12),
-                               c if cw is SC_ONE else c * cw)
-                              for xd, yd, h, cw in self._ycomm_word(b1, ax)]
-                    for by, cy in yterms:
-                        fxy = cx * cy
-                        for xs, yd, h, hg, ccw in wterms:
-                            for bz, cz in act_y(h, by):
-                                ys = _add(yd, bz)
-                                fz = fxy * cz
-                                for emask, ce in eprod:
-                                    mono = _tuple_new(Monomial,
-                                                      (xs, ys, hg, emask))
-                                    f = fz * ce
-                                    if f == 1:
-                                        v = ccw
-                                    elif f == -1:
-                                        v = -ccw
-                                    else:
-                                        v = ccw * f
-                                    prev = out.get(mono)
-                                    out[mono] = v if prev is None else prev + v
+                pair: dict = {}
+                expand(m1, m2, 1, pair)
+                if sign:
+                    expand(m2, m1, -sign if m1.parity and m2.parity
+                           else sign, pair)
+                c = None
+                for mono, w in pair.items():
+                    if type(w) is Scalar:
+                        if not w.terms:
+                            continue
+                    elif w == 0:
+                        continue
+                    if c is None:
+                        c = c1 * c2
+                    prev = out.get(mono)
+                    if type(w) is not int or (w != 1 and w != -1):
+                        v = c * w
+                        out[mono] = v if prev is None else prev + v
+                    elif prev is None:
+                        out[mono] = c if w == 1 else -c
+                    else:
+                        out[mono] = prev + c if w == 1 else prev - c
         return {m: c for m, c in out.items() if not c.is_zero()}
 
     def _expand_pair(self, m1, m2, s: int, pair: dict) -> None:
-        """Add s * m1*m2 to ``pair``, coefficients taken without c1*c2:
-        the folded number f where the rewrite coefficient cw is SC_ONE,
-        else the Scalar cw*f.  The words are expanded as in the product."""
+        """Add s * m1*m2 to ``pair``, coefficients taken without c1*c2.
+
+        An output term's coefficient is the rewrite coefficient cw, a
+        Scalar, times the group-action factors cx, cy, cz and the Clifford
+        factor ce.  Those four are folded into one number f first; since
+        the memos hold them as ints where integral, that is mostly an int
+        product.  ``pair`` keeps f itself where cw is SC_ONE, else the
+        Scalar cw*f, which costs no multiplication when f is 1 or -1."""
         group = self.group
         act = self._act
         ymemo = self._act_y_memo
@@ -547,21 +512,7 @@ class Element:
             return self.ctx.scalar_elem(other)
         return None
 
-    def __add__(self, other):
-        return self._merge(other, False)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return self._merge(other, True)
-
-    def __rsub__(self, other):
-        other = self._lift(other)
-        if other is None:
-            return NotImplemented
-        return other._merge(self, True)
-
-    def _merge(self, other, subtract: bool):
+    def _merge(self, other, subtract=False):
         """self + other, or self - other in the same pass over other's
         terms, dropping the coefficients that cancel."""
         other = self._lift(other)
@@ -579,6 +530,17 @@ class Element:
             else:
                 out[m] = s
         return Element(self.ctx, out, normalized=True)
+
+    __add__ = __radd__ = _merge
+
+    def __sub__(self, other):
+        return self._merge(other, True)
+
+    def __rsub__(self, other):
+        other = self._lift(other)
+        if other is None:
+            return NotImplemented
+        return other._merge(self, True)
 
     def __neg__(self):
         return Element(self.ctx, {m: -c for m, c in self.terms.items()},

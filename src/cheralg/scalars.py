@@ -308,49 +308,35 @@ class Scalar:
 
     # -- ring structure --------------------------------------------------------
 
-    def __add__(self, other):
+    def _merge(self, other, subtract=False):
+        """self + other, or self - other in the same pass over other's
+        terms, dropping the coefficients that cancel."""
         if type(other) is not Scalar:
             try:
                 other = Scalar.of(other)
             except TypeError:
                 return NotImplemented
-        if not self.terms:
-            return other
         if not other.terms:
             return self
+        if not self.terms:
+            return -other if subtract else other
         out = dict(self.terms)
         for k, v in other.terms.items():
             w = out.get(k)
             if w is None:
-                out[k] = v
+                out[k] = -v if subtract else v
             else:
-                w = w + v
+                w = w - v if subtract else w + v
                 if w.is_zero():
                     del out[k]
                 else:
                     out[k] = w
         return _scalar(out)
 
-    __radd__ = __add__
+    __add__ = __radd__ = _merge
 
     def __sub__(self, other):
-        if type(other) is not Scalar:
-            try:
-                other = Scalar.of(other)
-            except TypeError:
-                return NotImplemented
-        out = dict(self.terms)
-        for k, v in other.terms.items():
-            w = out.get(k)
-            if w is None:
-                out[k] = -v
-            else:
-                w = w - v
-                if w.is_zero():
-                    del out[k]
-                else:
-                    out[k] = w
-        return _scalar(out)
+        return self._merge(other, True)
 
     def __rsub__(self, other):
         return Scalar.of(other) - self

@@ -223,6 +223,9 @@ def test_subtraction_matches_adding_the_negation(s, t):
         assert not any(v.is_zero() for v in got.terms.values())
     assert (2 - s).terms == (-s + 2).terms
     assert not (s - s).terms
+    zero = Scalar({})
+    assert (zero - s).terms == (-s).terms and (s - zero).terms == s.terms
+    assert (zero + s).terms == s.terms and (s + zero).terms == s.terms
 
 
 def test_hash_agrees_with_equality():
