@@ -20,8 +20,7 @@ from .oracle import PolySpinor, SpinorModule
 from .osp import (OspGenerators, build_osp, casimir, gen_symmetry,
                   pair_element, p_alpha, p_minus, p_plus, q_minus, q_plus,
                   scasimir)
-from .centralizer import (M, central_omega, o_explicit, o_proj, o_subset,
-                          o_top)
+from .centralizer import M, central_omega, o_proj, o_subset, o_top
 from .parser import Evaluator, ParseError, evaluate, parse_expression
 from .suites import (IdentityCase, RunOptions, SuiteEnv, SuiteReport,
                      catalog, catalog_ids, make_env, run_oracle_crosscheck,

@@ -60,7 +60,8 @@ def invert_matrix(rows):
 class QuadraticSpace:
     """Dimension, Gram matrix on V*, and its cached inverse (form on V)."""
 
-    __slots__ = ("dim", "gram", "inv_gram", "is_identity")
+    __slots__ = ("dim", "gram", "inv_gram", "is_identity", "_basis_covs",
+                 "_basis_vecs")
 
     def __init__(self, dim: int, gram=None):
         if dim < 1:
@@ -85,18 +86,21 @@ class QuadraticSpace:
             self.is_identity = all(
                 rows[i][j] == (BN_ONE if i == j else BN_ZERO)
                 for i in range(dim) for j in range(dim))
+        units = [[1 if q == p else 0 for q in range(dim)] for p in range(dim)]
+        self._basis_covs = tuple(Covector(self, u) for u in units)
+        self._basis_vecs = tuple(Vector(self, u) for u in units)
 
     def covector(self, coords) -> "Covector":
-        return Covector(self, tuple(as_scalar(c) for c in coords))
+        return Covector(self, coords)
 
     def vector(self, coords) -> "Vector":
-        return Vector(self, tuple(as_scalar(c) for c in coords))
+        return Vector(self, coords)
 
     def basis_covector(self, p: int) -> "Covector":
-        return self.covector([1 if q == p else 0 for q in range(self.dim)])
+        return self._basis_covs[p]
 
     def basis_vector(self, p: int) -> "Vector":
-        return self.vector([1 if q == p else 0 for q in range(self.dim)])
+        return self._basis_vecs[p]
 
     def __repr__(self):
         tag = "identity" if self.is_identity else "general"

@@ -14,9 +14,9 @@ contract, and exact zero on every sample is required.
 
 `ModuleEvaluator` reads the parser's expression language in the module:
 the engine builds only the leaves (names, scalars, and the O, M, A, R,
-gamma, rho and B calls), and every product, power, sum and bracket of them
-becomes composition of operators, so one written identity is checked by
-both the engine and the module.
+gamma, Of, x, beta, psi, rho and B calls), and every product, power, sum
+and bracket of them becomes composition of operators, so one written
+identity is checked by both the engine and the module.
 
 Polynomials are sparse dictionaries mapping exponent tuples to Scalars; a
 PolySpinor maps (exponent tuple, spinor subset bitmask) pairs to Scalars.
@@ -67,22 +67,16 @@ class PolySpinor:
 
     __slots__ = ("terms",)
 
-    def __init__(self, terms):
-        self.terms = {k: v for k, v in terms.items() if not v.is_zero()}
+    def __init__(self, terms, normalized=False):
+        self.terms = terms if normalized else {
+            k: v for k, v in terms.items() if not v.is_zero()}
 
     def __add__(self, other):
-        out = dict(self.terms)
-        for k, v in other.terms.items():
-            prev = out.get(k)
-            s = v if prev is None else prev + v
-            if s.is_zero():
-                out.pop(k, None)
-            else:
-                out[k] = s
-        return PolySpinor(out)
+        return PolySpinor(poly_add(self.terms, other.terms), normalized=True)
 
     def __sub__(self, other):
-        return self + (-other)
+        return PolySpinor(poly_add(self.terms, other.terms, subtract=True),
+                          normalized=True)
 
     def __neg__(self):
         return PolySpinor({k: -v for k, v in self.terms.items()})
@@ -120,20 +114,25 @@ PS_ZERO = PolySpinor({})
 # -- sparse polynomial helpers (exponent tuple -> Scalar) -------------------------
 
 
-def poly_add(a, b):
+def poly_add(a, b, subtract=False):
+    """a + b, or a - b in the same pass over b's terms, dropping the
+    coefficients that cancel; a and b hold no zero coefficient."""
     out = dict(a)
     for k, v in b.items():
         prev = out.get(k)
-        s = v if prev is None else prev + v
+        if prev is None:
+            out[k] = -v if subtract else v
+            continue
+        s = prev - v if subtract else prev + v
         if s.is_zero():
-            out.pop(k, None)
+            del out[k]
         else:
             out[k] = s
     return out
 
 
 def poly_sub(a, b):
-    return poly_add(a, {k: -v for k, v in b.items()})
+    return poly_add(a, b, subtract=True)
 
 
 def apply_linear(vec, image):
@@ -380,7 +379,8 @@ class SpinorModule:
 
 
 # Calls whose value the engine builds as one leaf operator.
-_LEAF_CALLS = ("O", "M", "A", "R", "gamma", "rho", "B")
+_LEAF_CALLS = ("O", "M", "A", "R", "gamma", "Of", "x", "beta", "psi", "rho",
+               "B")
 
 
 class ModuleEvaluator:

@@ -177,10 +177,6 @@ def p_minus(ctx: Context, a: Element) -> Element:
     return a + supercommutator(gens.X, supercommutator(gens.D, a)) * Fraction(1, 2)
 
 
-def p_pm(ctx: Context, a: Element, sign: int = 1) -> Element:
-    return p_plus(ctx, a) if sign > 0 else p_minus(ctx, a)
-
-
 class NotWeightZero(ValueError):
     """The series projector only applies to elements commuting with H."""
 

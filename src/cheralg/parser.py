@@ -11,10 +11,22 @@ Grammar (standard precedence, carets bind tightest, so -y^2 is -(y^2)):
 
 Square brackets are the graded commutator, braces the graded
 anticommutator; both are atoms.  Call arguments are evaluated in covector
-mode for the index-taking operations (O, M, A, R, gamma) and for the form
-B(u, v), and in element mode for the projector-style maps (Pp, Pm, Palpha,
-Qp, Qm).  B(u, v) is the symmetric form on two covectors, a scalar that
-may stand wherever a scalar may, so O(x1*B(x2, x3) - x2*B(x1, x3), x3) and
+mode for the index-taking operations and for the form B(u, v), and in
+element mode for the projector-style maps (Pp, Pm, Palpha, Qp, Qm).  The
+index-taking operations are
+
+    O(u, ...)   the projected element -P(antisymmetrized word)/2
+    A(u, ...)   the antisymmetrized Clifford word
+    M(u, v)     the angular momentum u beta(v) - v beta(u)
+    R(u)        the generalized symmetry (H - 1) gamma(u) - X beta(u)
+    gamma(u)    the Clifford image of u
+    Of(u)       the one-index element of u, from its reflection sum
+    x(u)        u itself, a degree-one element
+    beta(u)     the vector beta(u), a degree-one element
+    psi(u, v)   the group-algebra part of the deformed form
+
+B(u, v) is the symmetric form on two covectors, a scalar that may stand
+wherever a scalar may, so O(x1*B(x2, x3) - x2*B(x1, x3), x3) and
 B(x1, x2)/2 both read.  The canonical printer of elements emits only this
 grammar, so print-then-parse is the identity on values.
 
@@ -32,16 +44,17 @@ template is evaluated.
 
 A covector has no single element image (it may stand for x, for y through
 beta, or for gamma), so zp*, zm*, z0 and alpha* in element position raise
-EvalError; gamma(zp1) names the Clifford image explicitly.
+EvalError; gamma(zp1) names the Clifford image explicitly, x(zp1) the
+degree-one element and beta(zp1) the vector.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
-from .centralizer import M as _M, central_omega, o_proj, o_top
+from .centralizer import M as _M, central_omega, o_proj, o_top, psi_kappa
 from .core import Context, anticommutator, antisymmetrize, supercommutator
-from .geometry import bilinear_B, witt_basis
+from .geometry import beta, bilinear_B, witt_basis
 from .osp import (build_osp, casimir, gen_symmetry, p_alpha, p_minus, p_plus,
                   q_minus, q_plus, scasimir)
 from .scalars import BN_I, BN_SQRT2, SC_ZERO, Scalar, as_scalar
@@ -259,7 +272,21 @@ def substitute(node, bindings: dict):
     return node
 
 
-_COV_CALLS = {"O", "M", "A", "R", "gamma"}
+# The calls that take covectors: name -> (number of covectors, None for
+# any, and the routine).  Each entry reads its routine from this module's
+# globals when called.
+_COV_CALLS = {
+    "O": (None, lambda ctx, *covs: o_proj(ctx, covs)),
+    "A": (None, lambda ctx, *covs: antisymmetrize(ctx, covs)),
+    "M": (2, lambda ctx, u, v: _M(ctx, u, v)),
+    "R": (1, lambda ctx, u: gen_symmetry(ctx, u)),
+    "gamma": (1, lambda ctx, u: ctx.gamma(u)),
+    "Of": (1, lambda ctx, u: ctx.o_frak(u)),
+    "x": (1, lambda ctx, u: ctx.from_covector(u)),
+    "beta": (1, lambda ctx, u: ctx.from_vector(beta(u))),
+    "psi": (2, lambda ctx, u, v: psi_kappa(ctx, u, v)),
+}
+_COUNTS = {1: "one covector", 2: "two covectors"}
 
 # The element names that take no index, each built from the context.  Each
 # entry reads its builder from this module's globals when called.
@@ -441,30 +468,17 @@ class Evaluator:
         if ident == "z0" or (ident[:2] in ("zp", "zm") and ident[2:].isdigit()) \
                 or (ident.startswith("alpha") and ident[5:].isdigit()):
             raise EvalError(f"{ident!r} is a covector name, allowed only "
-                            "inside O/M/A/R/gamma(...)")
+                            "inside O/M/A/R/gamma/Of/x/beta/psi(...)")
         raise EvalError(f"unknown identifier {ident!r}")
 
     def _call(self, node):
         ctx = self.ctx
         fn = node.fn
         if fn in _COV_CALLS:
-            covs = [self.eval_covector(a) for a in node.args]
-            if fn == "O":
-                return o_proj(ctx, covs)
-            if fn == "M":
-                if len(covs) != 2:
-                    raise EvalError("M takes exactly two covectors")
-                return _M(ctx, covs[0], covs[1])
-            if fn == "A":
-                return antisymmetrize(ctx, covs)
-            if fn == "R":
-                if len(covs) != 1:
-                    raise EvalError("R takes exactly one covector")
-                return gen_symmetry(ctx, covs[0])
-            if fn == "gamma":
-                if len(covs) != 1:
-                    raise EvalError("gamma takes exactly one covector")
-                return ctx.gamma(covs[0])
+            count, routine = _COV_CALLS[fn]
+            if count is not None and len(node.args) != count:
+                raise EvalError(f"{fn} takes exactly {_COUNTS[count]}")
+            return routine(ctx, *(self.eval_covector(a) for a in node.args))
         if fn == "B":
             return ctx.scalar_elem(self._form(node))
         if fn == "rho":

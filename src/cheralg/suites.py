@@ -10,22 +10,20 @@ Identities that the expression language of parser.py can state are rows
 of TEMPLATE_ROWS: membership and centrality of the elements O_A over index
 subsets A, the covered reflections rho(s) over the reflections, the
 Scasimir identities, the pair- and triple-bracket formulas, the
-orthonormal-basis corollary of the O_A brackets, and a few projector and
+orthonormal-basis corollary of the O_A brackets, the closed formulas and
+recursions of O_A against the projector route, the antisymmetrized bracket
+and slide laws, the Dunkl commutation laws, and a few projector and
 generalized-symmetry laws.  A row holds templates over placeholders and
 the patterns bound to them.  The rest are Python builders, for one of
 these reasons:
 
-  * they call a routine the language has no name for: the one-index
-    element o_frak (as against the projector route O), the explicit
-    routes, the minus projector route, shaped antisymmetrizations, the
-    auxiliary pairings, the deformed forms b_kappa and psi_kappa, beta,
-    or the group action on covectors; stated with O or Pp instead, the
-    case would test another identity;
-  * they evaluate a projection once where a template would evaluate it at
-    every use (projector.membership, projector.series);
-  * they draw seeded random elements (health.*), read the relations that
-    build_osp already checked (osp12re.*), or take operands that depend on
-    the group (projector.additivity, pin.chirality).
+  * osp12re.* reads the relations that build_osp already checked;
+  * projector.membership and projector.series evaluate one projection
+    once, where a template would evaluate it at every use;
+  * health.* draws seeded random elements;
+  * bwz.* and pin.invariant_pairs use the auxiliary pairing;
+  * pin.rho_conj and pin.group_action use the group's matrix action;
+  * pin.chirality holds for the orthonormal configuration only.
 
 The oracle cross-check reads ORACLE_ROWS, 20 rows in the same language,
 some of them catalog rows read at their first binding, twice: with the
@@ -51,6 +49,7 @@ from __future__ import annotations
 import functools
 import itertools
 import json
+import math
 import random
 import re
 import time
@@ -58,11 +57,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional
 
-from .centralizer import (M, _gamma_run, antisymmetrize_shaped, b_kappa,
-                          o_explicit, o_proj, o_three_explicit,
-                          o_two_explicit)
-from .core import Context, random_element, supercommutator
-from .geometry import beta, bilinear_B
+from .centralizer import M, o_proj
+from .core import Context, _perm_sign, random_element, supercommutator
+from .geometry import beta
 from .groups import ReflectionGroup, parse_group_spec
 from .oracle import ModuleEvaluator, SpinorModule
 from .osp import (build_osp, osp_relations, pair_element, p_alpha, p_plus,
@@ -133,22 +130,11 @@ class SuiteEnv:
     def x(self, p):
         return self.ctx.space.basis_covector(p)
 
-    def O(self, *covs):
-        return o_proj(self.ctx, covs)
-
     def gens(self):
         return build_osp(self.ctx)
 
     def scal(self, v):
         return self.ctx.scalar_elem(v)
-
-    def tuples(self, n, cap=6):
-        return list(itertools.combinations(range(self.dim), n))[:cap]
-
-    def sample_covectors(self):
-        """Up to three basis covectors, then x1 + x2 in dimension 2 on."""
-        covs = [self.x(p) for p in range(min(self.dim, 3))]
-        return covs + [self.x(0) + self.x(1)] if self.dim > 1 else covs
 
 
 # ---- template cases ---------------------------------------------------------
@@ -255,15 +241,18 @@ def _reflections(cap: int = None):
         for k in range(1, len(group.reflections) + 1))[:cap]
 
 
+_NAMES = "a b c u v w".split()
+
+
 def _o(n: int) -> str:
     """O of the first n subset placeholders."""
-    return f"O({', '.join('abcu'[:n])})"
+    return f"O({', '.join(_NAMES[:n])})"
 
 
 def _square(n: int) -> str:
     """O_A^2 against the squares of the one- and two-index elements of A,
     |A| = n."""
-    names = "abcu"[:n]
+    names = _NAMES[:n]
     singles = " + ".join(f"O({a})^2" for a in names)
     pairs = " + ".join(f"O({a}, {b})^2"
                        for a, b in itertools.combinations(names, 2)) or "0"
@@ -271,6 +260,239 @@ def _square(n: int) -> str:
             f"{Fraction((n - 1) * (n - 2), 8)} - ({n - 2})*({singles})"
             f" - ({pairs}))")
 
+
+def _antisym(*factors) -> str:
+    """(1/n!) sum over the permutations sigma of the first n placeholders
+    a, b, c, u, v, w of sgn(sigma) times the product of the factors, as
+    template text.  A factor is a pair (text, arity) whose text has format
+    slots for its arity indices; the factors take the permuted placeholders
+    in order, so n is the sum of the arities."""
+    n = sum(arity for _, arity in factors)
+    text = ""
+    for perm in itertools.permutations(range(n)):
+        names = [_NAMES[i] for i in perm]
+        parts = []
+        for src, arity in factors:
+            parts.append(src.format(*names[:arity]))
+            names = names[arity:]
+        text += (" - " if _perm_sign(perm) < 0 else " + ") + "*".join(parts)
+    return f"({text[3:]})/{math.factorial(n)}"
+
+
+def _slots(fn: str, k: int) -> str:
+    return f"{fn}({', '.join(['{}'] * k)})"
+
+
+_GAMMA = ("gamma({})", 1)
+_OF = ("Of({})", 1)
+_ANGULAR = ("M({}, {})", 2)
+# the closed forms of O of two and of three indices
+_O_TWO = ("(M({0}, {1}) + (gamma({0})*gamma({1}) - B({0}, {1}))/2"
+          " + Of({0})*gamma({1}) - Of({1})*gamma({0}))", 2)
+_O_THREE = ("A(a, b, c) + M(b, c)*gamma(a) - M(a, c)*gamma(b)"
+            " + M(a, b)*gamma(c) + Of(a)*A(b, c) - Of(b)*A(a, c)"
+            " + Of(c)*A(a, b)")
+
+
+def _routes(n: int, *extra) -> tuple:
+    """O of the first n placeholders against each of its closed forms:
+    ``first`` expands over the plain word, one-index elements and angular
+    momenta, ``second`` trades the momenta for two-index elements; then
+    the ``extra`` templates."""
+    forms = ["Of(a)"] * 2
+    if n > 1:
+        word = f"A({', '.join(_NAMES[:n])})"
+        run = (_GAMMA,) * (n - 2)
+        one = _antisym(_OF, _GAMMA, *run)
+        pairs = n * (n - 1) // 2
+        forms = [f"{Fraction(n - 1, 2)}*{word} + {n}*{one}"
+                 f" + {pairs}*{_antisym(_ANGULAR, *run)}",
+                 f"({Fraction(-(n - 1) * (n - 2), 4)})*{word}"
+                 f" - {n * (n - 2)}*{one} + {pairs}*{_antisym(_O_TWO, *run)}"]
+    return tuple((label, f"{_o(n)} - ({form})")
+                 for label, form in zip(("first", "second"), forms)) + extra
+
+
+def _recursion(n: int, with_o: bool, terms) -> str:
+    """O_A, if ``with_o``, plus the coefficient-weighted antisymmetrized
+    products of O's of the given arities."""
+    parts = [f"({coef})*{_antisym(*((_slots('O', k), k) for k in arities))}"
+             for coef, arities in terms]
+    return " + ".join(([_o(n)] if with_o else []) + parts)
+
+
+def _slide(n: int, part) -> tuple:
+    """The sub-labelled differences of the antisymmetrized words with
+    ``part`` in consecutive slots of a run of Clifford generators."""
+    k = part[1]
+    shapes = [_antisym(*(_GAMMA,) * pos, part, *(_GAMMA,) * (n - pos - k))
+              for pos in range(n - k + 1)]
+    return tuple((f"slot{i}", f"{a} - {b}")
+                 for i, (a, b) in enumerate(zip(shapes, shapes[1:])))
+
+
+def _inverse_form_sum(left: str, right: str):
+    """The template sum over p, q of B^pq left(x_p)*right(x_q) minus
+    OmegaKappa, where B^pq is the form on vectors."""
+    def template(group):
+        inv = group.space.inv_gram
+        terms = (("" if inv[p][q] == 1 else f"({inv[p][q]})*")
+                 + f"{left}(x{p + 1})*{right}(x{q + 1})"
+                 for p in range(group.dim) for q in range(group.dim)
+                 if not inv[p][q].is_zero())
+        return " + ".join(terms) + " - OmegaKappa"
+    return template
+
+
+def _additivity(group) -> str:
+    b = "s1*e2" if group.dim > 1 and group.reflections else "1"
+    return f"Pp(x1*y1 + e1 + {b}) - Pp(x1*y1 + e1) - Pp({b})"
+
+
+def _samples(group) -> list:
+    """Up to three basis covectors, then x1 + x2 in dimension 2 on."""
+    covs = [f"x{p + 1}" for p in range(min(group.dim, 3))]
+    return covs + ["x1 + x2"] if group.dim > 1 else covs
+
+
+def _sample_patterns(prefix: str):
+    return lambda group: tuple((f"{prefix}{i}", u)
+                               for i, u in enumerate(_samples(group)))
+
+
+def _sample_pairs(group) -> tuple:
+    return tuple((f"{i}{j}", f"{u}, {v}") for (i, u), (j, v)
+                 in itertools.product(enumerate(_samples(group)), repeat=2))
+
+
+def _basis_triples(group) -> tuple:
+    covs = [f"x{p + 1}" for p in range(min(group.dim, 3))]
+    return tuple(("", ", ".join(t))
+                 for t in itertools.product(covs, repeat=3))
+
+
+_PAIRS = (("pair0", "x1, x2"), ("pair1", "x1, x1 + x2"))
+
+_RECURSIONS = (
+    ("three_n3", "three-index recursion: the two antisymmetrized "
+     "products balance", 3, 4, False, ((-4, (1, 2)), (4, (2, 1)))),
+    ("three_n4", "four-index element from one- and two-index products",
+     4, 2, True, ((8, (1, 3)), (-6, (2, 2)))),
+    ("closed_n4", "four-index closed form via pair products", 4, 2, True,
+     ((-6, (2, 2)), (8, (3, 1)))),
+    ("closed_n5", "five-index closed form via mixed products", 5, 1, True,
+     ((-4, (3, 2)), (-48, (3, 1, 1)), (36, (2, 2, 1)))),
+)
+
+
+def _bracket_vanishing(k: int, n: int) -> TemplateRow:
+    word = "one" if k == 1 else "two"
+    return TemplateRow(
+        f"p_OujOun.{'two.' if k == 2 else ''}n{n}",
+        f"antisymmetrized bracket of {word}-index against rest vanishes", n,
+        (("", _antisym((f"[{_slots('O', k)}, {_slots('O', n - k)}]", n))),),
+        patterns=_subsets(n, 2 if n >= 4 else 4))
+
+
+_KAPPA_FORM = "(B({0}, {1}) + psi({0}, {1}))"
+
+# the rows restating cases that precede, and follow, the other rows in
+# the catalog's order
+_FIRST_ROWS = (
+    TemplateRow("projector.additivity", "the projector is additive", 1,
+                (("sum", _additivity),)),
+    TemplateRow(
+        "projector.angular",
+        "projected angular momentum: two-index element plus one-index bracket",
+        2, (("", "Pp(M(u, v)) - (2*O(u, v) + 2*Of(u)*Of(v)"
+                 " - 2*Of(v)*Of(u))"),), "u v", _PAIRS),
+    TemplateRow(
+        "projector.gammav",
+        "a Clifford generator projects to minus twice its one-index element",
+        1, (("", "Pp(gamma(u)) + 2*Of(u)"),), "u", _sample_patterns("v")),
+    *(TemplateRow(f"routes.n{n}", "projector route equals both explicit "
+                  "routes", n, _routes(n), patterns=_subsets(n, 4))
+      for n in (1, 2, 3, 4)),
+    TemplateRow(
+        "routes.nonorth2", "route agreement on a non-orthogonal pair", 2,
+        _routes(2, ("two", f"O(a, b) - {_O_TWO[0].format('a', 'b')}")),
+        patterns=(("", "x1, x1 + x2"),)),
+    TemplateRow(
+        "routes.nonorth3", "route agreement on a non-orthogonal triple", 3,
+        _routes(3, ("three", f"O(a, b, c) - ({_O_THREE})")),
+        patterns=(("", "x1, x2, x1 + x3"),)),
+    TemplateRow("routes.pm", "both projector signs define the same elements",
+                2, (("", "O(a, b) + Pm(A(a, b))/2"),),
+                patterns=_subsets(2, 3)),
+    TemplateRow("routes.triple",
+                "three-index closed form matches the projector route", 3,
+                (("", f"O(a, b, c) - ({_O_THREE})"),),
+                patterns=_subsets(3, 3)),
+    *(TemplateRow(f"recursion.{name}", anchor, n,
+                  (("", _recursion(n, with_o, terms)),),
+                  patterns=_subsets(n, cap))
+      for name, anchor, n, cap, with_o, terms in _RECURSIONS),
+    *(_bracket_vanishing(1, n) for n in (2, 3, 4, 5)),
+    *(_bracket_vanishing(2, n) for n in (3, 4, 5)),
+)
+
+_LAST_ROWS = (
+    TemplateRow(
+        "p_bbH", "bracket of angular momenta closes with the deformed form "
+        "as coefficients", 2,
+        (("", "[M(u, v), M(w, z)] - ("
+              f"M(v, w)*{_KAPPA_FORM.format('u', 'z')}"
+              f" - M(u, w)*{_KAPPA_FORM.format('v', 'z')}"
+              f" - M(v, z)*{_KAPPA_FORM.format('u', 'w')}"
+              f" + M(u, z)*{_KAPPA_FORM.format('v', 'w')})"),),
+        "u v w z",
+        (("p0", "x1, x2, x1, x2"), ("p1", "x1, x2, x2, x3"),
+         ("p2", "x1, x2, x3, x1"), ("p3", "x1, x1 + x2, x2, x3"))),
+    TemplateRow(
+        "pin.reflection_sum", "pairing one-index elements against Clifford "
+        "generators gives the class-sum element", 1,
+        (("left", _inverse_form_sum("Of", "gamma")),
+         ("right", _inverse_form_sum("gamma", "Of")))),
+    TemplateRow(
+        "pin.commutator_form",
+        "one-index elements from the lowering-pair commutator", 1,
+        (("", "([D, x(u)] - gamma(u))/2 - Of(u)"),), "u",
+        _sample_patterns("u")),
+    TemplateRow(
+        "pin.cross_anticomm", "Clifford generators against one-index "
+        "elements close on the deformed form", 2,
+        (("a", "[gamma(u), Of(v)] - ([beta(u), x(v)] - B(u, v))"),
+         ("b", "[gamma(u), Of(v)] - [gamma(v), Of(u)]")), "u v",
+        _sample_pairs),
+    *(TemplateRow(f"pin.slide_{word}.n{n}",
+                  f"{word}-index elements slide through antisymmetrized words",
+                  n, _slide(n, part))
+      for word, part, ns in (("one", _OF, (2, 3, 4)),
+                             ("two", (_slots("O", 2), 2), (3, 4)))
+      for n in ns),
+    TemplateRow(
+        "hk.symmetric_bracket",
+        "the mixed bracket is symmetric under the involution", 2,
+        (("c", "[beta(u), x(v)] - [beta(v), x(u)]"),
+         ("v", "[x(u), beta(v)] - [x(v), beta(u)]")), "u v", _sample_pairs),
+    TemplateRow(
+        "hk.deformed_form",
+        "the mixed bracket equals the form plus the reflection sum", 2,
+        (("", "[beta(u), x(v)] - B(u, v) - psi(u, v)"),), "u v",
+        _sample_pairs),
+    TemplateRow(
+        "hk.double_bracket",
+        "iterated mixed brackets are symmetric in the outer slots", 2,
+        (("a", "[[x(u), beta(v)], beta(w)] - [[x(u), beta(w)], beta(v)]"),
+         ("b", "[[x(u), beta(v)], x(w)] - [[x(w), beta(v)], x(u)]")),
+        "u v w", _basis_triples),
+    TemplateRow(
+        "hk.angular_forms",
+        "all four displayed forms of the angular momentum coincide", 2,
+        (("rev", "M(u, v) - (beta(v)*x(u) - beta(u)*x(v))"),
+         ("half", "M(u, v) - (x(u)*beta(v) - beta(u)*x(v) - x(v)*beta(u)"
+                  " + beta(v)*x(u))/2")), "u v", _PAIRS),
+)
 
 _CENTRAL_SAMPLES = (("one", "1"), ("O1", "O(x1)"), ("O12", "O(x1, x2)"),
                     ("invariant", "Omega"), ("rho", "rho(s1)"),
@@ -327,7 +549,7 @@ _LOWER_ANCHOR = ("the lowering generator intertwines the symmetry element up "
                  "to a shift")
 _LOWER = (("", "[D, R(u)] + gamma(u)*D"),)
 
-TEMPLATE_ROWS = (
+TEMPLATE_ROWS = _FIRST_ROWS + (
     TemplateRow(
         "scasimir.square", "Scasimir squares to Casimir + 1/4", 1,
         (("S^2", "Scasimir^2 - Casimir - 1/4"),)),
@@ -501,7 +723,7 @@ TEMPLATE_ROWS = (
         "pin.rho_involution", "covered reflections square to one", 1,
         (("", "rho(s)*rho(s) - 1"),), "s alpha", _reflections()),
 ) + tuple(TemplateRow(f"corollary.{name}", anchor, min_dim, (("main", src),))
-          for name, anchor, min_dim, src in _COROLLARY)
+          for name, anchor, min_dim, src in _COROLLARY) + _LAST_ROWS
 
 
 def _case(cases, cid, anchor, min_dim, orthonormal=False):
@@ -553,36 +775,6 @@ def build_catalog() -> list:
             out.append((f"D.{name}", sc(g.D, pa)))
         return out
 
-    @_case(cases, "projector.additivity", "the projector is additive", 1)
-    def _(env):
-        ctx = env.ctx
-        a = ctx.x(0) * ctx.y(0) + ctx.e(0)
-        refls = env.group.reflections
-        b = ctx.g(refls[0].elem) * ctx.e(1) if env.dim > 1 and refls \
-            else ctx.one()
-        return [("sum", p_plus(ctx, a + b) - p_plus(ctx, a) - p_plus(ctx, b))]
-
-    @_case(cases, "projector.angular",
-           "projected angular momentum: two-index element plus one-index bracket", 2)
-    def _(env):
-        ctx = env.ctx
-        pairs = [(env.x(0), env.x(1)), (env.x(0), env.x(0) + env.x(1))]
-        out = []
-        for i, (u, v) in enumerate(pairs):
-            ou, ov = ctx.o_frak(u), ctx.o_frak(v)
-            lhs = p_plus(ctx, M(ctx, u, v))
-            rhs = env.O(u, v) * 2 + ou * ov * 2 - ov * ou * 2
-            out.append((f"pair{i}", lhs - rhs))
-        return out
-
-    @_case(cases, "projector.gammav",
-           "a Clifford generator projects to minus twice its one-index element", 1)
-    def _(env):
-        ctx = env.ctx
-        covs = env.sample_covectors()
-        return [(f"v{i}", p_plus(ctx, ctx.gamma(v)) + ctx.o_frak(v) * 2)
-                for i, v in enumerate(covs)]
-
     @_case(cases, "projector.series",
            "the series projector lands in the even-subalgebra centralizer", 2)
     def _(env):
@@ -600,128 +792,8 @@ def build_catalog() -> list:
             out.append((f"H.{n}", sc(g.H, pa)))
         return out
 
-    # ---- route agreement ------------------------------------------------------
-    for n in (1, 2, 3, 4):
-        def mk(n=n):
-            def b(env):
-                out = []
-                for tup in env.tuples(n, cap=4):
-                    covs = [env.x(p) for p in tup]
-                    op = o_proj(env.ctx, covs)
-                    out.append((f"first{tup}",
-                                op - o_explicit(env.ctx, covs, "first")))
-                    out.append((f"second{tup}",
-                                op - o_explicit(env.ctx, covs, "second")))
-                return out
-            return b
-        _case(cases, f"routes.n{n}",
-              "projector route equals both explicit routes", n)(mk())
-
-    @_case(cases, "routes.nonorth2",
-           "route agreement on a non-orthogonal pair", 2)
-    def _(env):
-        covs = [env.x(0), env.x(0) + env.x(1)]
-        op = o_proj(env.ctx, covs)
-        return [("first", op - o_explicit(env.ctx, covs, "first")),
-                ("second", op - o_explicit(env.ctx, covs, "second")),
-                ("two", op - o_two_explicit(env.ctx, *covs))]
-
-    @_case(cases, "routes.nonorth3",
-           "route agreement on a non-orthogonal triple", 3)
-    def _(env):
-        covs = [env.x(0), env.x(1), env.x(0) + env.x(2)]
-        op = o_proj(env.ctx, covs)
-        return [("first", op - o_explicit(env.ctx, covs, "first")),
-                ("second", op - o_explicit(env.ctx, covs, "second")),
-                ("three", op - o_three_explicit(env.ctx, *covs))]
-
-    @_case(cases, "routes.pm",
-           "both projector signs define the same elements", 2)
-    def _(env):
-        out = []
-        for tup in env.tuples(2, cap=3):
-            covs = [env.x(p) for p in tup]
-            out.append((f"{tup}", o_proj(env.ctx, covs, 1)
-                        - o_proj(env.ctx, covs, -1)))
-        return out
-
-    @_case(cases, "routes.triple",
-           "three-index closed form matches the projector route", 3)
-    def _(env):
-        out = []
-        for tup in env.tuples(3, cap=3):
-            covs = [env.x(p) for p in tup]
-            out.append((f"{tup}", o_proj(env.ctx, covs)
-                        - o_three_explicit(env.ctx, *covs)))
-        return out
-
-    # ---- recursion and closed forms -----------------------------------------
-    # (name, anchor, n, cap, with O_A, [(coefficient, arities of the
-    # antisymmetrized product of O's)])
-    recursions = (
-        ("three_n3", "three-index recursion: the two antisymmetrized "
-         "products balance", 3, 4, False, ((-4, (1, 2)), (4, (2, 1)))),
-        ("three_n4", "four-index element from one- and two-index products",
-         4, 2, True, ((8, (1, 3)), (-6, (2, 2)))),
-        ("closed_n4", "four-index closed form via pair products", 4, 2, True,
-         ((-6, (2, 2)), (8, (3, 1)))),
-        ("closed_n5", "five-index closed form via mixed products", 5, 1, True,
-         ((-4, (3, 2)), (-48, (3, 1, 1)), (36, (2, 2, 1)))),
-    )
-    for name, anchor, n, cap, with_o, terms in recursions:
-        def mk(n=n, cap=cap, with_o=with_o, terms=terms):
-            def b(env):
-                out = []
-                for tup in env.tuples(n, cap=cap):
-                    covs = [env.x(p) for p in tup]
-                    r = o_proj(env.ctx, covs) if with_o else env.ctx.zero()
-                    for coef, arities in terms:
-                        r = r + antisymmetrize_shaped(
-                            env.ctx, covs, [(env.O, a) for a in arities]) * coef
-                    out.append((f"{tup}", r))
-                return out
-            return b
-        _case(cases, f"recursion.{name}", anchor, n)(mk())
-
-    # ---- antisymmetrized bracket vanishing ------------------------------------
-    for k, word, ns in ((1, "one", (2, 3, 4, 5)), (2, "two", (3, 4, 5))):
-        for n in ns:
-            def mk(n=n, k=k):
-                def b(env):
-                    def bracket(*u):
-                        return sc(env.O(*u[:k]), env.O(*u[k:]))
-                    return [(f"{tup}", antisymmetrize_shaped(
-                                env.ctx, [env.x(p) for p in tup],
-                                [(bracket, n)]))
-                            for tup in env.tuples(n, cap=2 if n >= 4 else 4)]
-                return b
-            _case(cases, f"p_OujOun.{'two.' if k == 2 else ''}n{n}",
-                  f"antisymmetrized bracket of {word}-index against rest "
-                  "vanishes", n)(mk())
-
     for row in TEMPLATE_ROWS:
         _case(cases, row.id, row.anchor, row.min_dim)(row.residuals)
-
-    # ---- deformed rotation bracket ---------------------------------------------
-    @_case(cases, "p_bbH", "bracket of angular momenta closes with the "
-           "deformed form as coefficients", 2)
-    def _(env):
-        ctx = env.ctx
-        pats = [((0, 1), (0, 1))]
-        if env.dim >= 3:
-            pats += [((0, 1), (1, 2)), ((0, 1), (2, 0))]
-        covpats = [tuple(env.x(i) for i in p[0] + p[1]) for p in pats]
-        if env.dim >= 3:
-            covpats.append((env.x(0), env.x(0) + env.x(1), env.x(1), env.x(2)))
-        out = []
-        for i, (u, v, xx, yy) in enumerate(covpats):
-            lhs = sc(M(ctx, u, v), M(ctx, xx, yy))
-            rhs = (M(ctx, v, xx) * b_kappa(ctx, u, yy)
-                   - M(ctx, u, xx) * b_kappa(ctx, v, yy)
-                   - M(ctx, v, yy) * b_kappa(ctx, u, xx)
-                   + M(ctx, u, yy) * b_kappa(ctx, v, xx))
-            out.append((f"p{i}", lhs - rhs))
-        return out
 
     # ---- double cover ------------------------------------------------------------
     @_case(cases, "pin.rho_conj",
@@ -785,68 +857,6 @@ def build_catalog() -> list:
         for p in range(env.dim):
             out.append((f"e{p + 1}", G * ctx.e(p) - ctx.e(p) * G * sgn))
         return out
-
-    @_case(cases, "pin.reflection_sum",
-           "pairing one-index elements against Clifford generators gives "
-           "the class-sum element", 1)
-    def _(env):
-        ctx = env.ctx
-        acc1, acc2 = ctx.zero(), ctx.zero()
-        for p in range(env.dim):
-            for q in range(env.dim):
-                bv = ctx.space.inv_gram[p][q]
-                if bv.is_zero():
-                    continue
-                acc1 = acc1 + ctx.o_frak(env.x(p)) * ctx.gamma(env.x(q)) * bv
-                acc2 = acc2 + ctx.gamma(env.x(p)) * ctx.o_frak(env.x(q)) * bv
-        ok = ctx.omega_kappa()
-        return [("left", acc1 - ok), ("right", acc2 - ok)]
-
-    @_case(cases, "pin.commutator_form",
-           "one-index elements from the lowering-pair commutator", 1)
-    def _(env):
-        ctx = env.ctx
-        Dp = pair_element(ctx, XMINUS, GAMMA)
-        covs = env.sample_covectors()
-        return [(f"u{i}",
-                 (sc(Dp, ctx.from_covector(u)) - ctx.gamma(u))
-                 * Fraction(1, 2) - ctx.o_frak(u))
-                for i, u in enumerate(covs)]
-
-    @_case(cases, "pin.cross_anticomm",
-           "Clifford generators against one-index elements close on the "
-           "deformed form", 2)
-    def _(env):
-        ctx = env.ctx
-        covs = env.sample_covectors()
-        out = []
-        for i, u in enumerate(covs):
-            for j, v in enumerate(covs):
-                lhs = sc(ctx.gamma(u), ctx.o_frak(v))
-                mid = (sc(ctx.from_vector(beta(u)), ctx.from_covector(v))
-                       - bilinear_B(u, v))
-                rhs = sc(ctx.gamma(v), ctx.o_frak(u))
-                out.append((f"{i}{j}a", lhs - mid))
-                out.append((f"{i}{j}b", lhs - rhs))
-        return out
-
-    for k, word, ns in ((1, "one", (2, 3, 4)), (2, "two", (3, 4))):
-        for n in ns:
-            def mk(n=n, k=k):
-                def b(env):
-                    covs = [env.x(p) for p in range(n)]
-                    run = _gamma_run(env.ctx)
-                    part = env.ctx.o_frak if k == 1 else env.O
-                    shapes = [antisymmetrize_shaped(env.ctx, covs, [
-                        (f, a) for f, a in ((run, pos), (part, k),
-                                            (run, n - pos - k)) if a])
-                        for pos in range(n - k + 1)]
-                    return [(f"slot{i}", a - b2) for i, (a, b2)
-                            in enumerate(zip(shapes, shapes[1:]))]
-                return b
-            _case(cases, f"pin.slide_{word}.n{n}",
-                  f"{word}-index elements slide through antisymmetrized words",
-                  n)(mk())
 
     # ---- the auxiliary-superspace pairing ---------------------------------------
     @_case(cases, "bwz.structure",
@@ -961,73 +971,6 @@ def build_catalog() -> list:
            "the odd direction pairs with itself to zero", 1)
     def _(env):
         return [("gg", pair_element(env.ctx, GAMMA, GAMMA))]
-
-    # ---- deformed commutation laws ------------------------------------------------
-    @_case(cases, "hk.symmetric_bracket",
-           "the mixed bracket is symmetric under the involution", 2)
-    def _(env):
-        ctx = env.ctx
-        covs = env.sample_covectors()
-        out = []
-        for i, u in enumerate(covs):
-            for j, v in enumerate(covs):
-                lhs = sc(ctx.from_vector(beta(u)), ctx.from_covector(v))
-                rhs = sc(ctx.from_vector(beta(v)), ctx.from_covector(u))
-                out.append((f"c{i}{j}", lhs - rhs))
-        vecs = [beta(u) for u in covs]
-        for i, u in enumerate(vecs):
-            for j, v in enumerate(vecs):
-                lhs = sc(ctx.from_covector(beta(u)), ctx.from_vector(v))
-                rhs = sc(ctx.from_covector(beta(v)), ctx.from_vector(u))
-                out.append((f"v{i}{j}", lhs - rhs))
-        return out
-
-    @_case(cases, "hk.deformed_form",
-           "the mixed bracket equals the form plus the reflection sum", 2)
-    def _(env):
-        ctx = env.ctx
-        from .centralizer import psi_kappa
-        covs = env.sample_covectors()
-        out = []
-        for i, u in enumerate(covs):
-            for j, v in enumerate(covs):
-                lhs = sc(ctx.from_vector(beta(u)), ctx.from_covector(v))
-                rhs = env.scal(bilinear_B(u, v)) + psi_kappa(ctx, u, v)
-                out.append((f"{i}{j}", lhs - rhs))
-        return out
-
-    @_case(cases, "hk.double_bracket",
-           "iterated mixed brackets are symmetric in the outer slots", 2)
-    def _(env):
-        ctx = env.ctx
-        covs = [env.x(p) for p in range(min(env.dim, 3))]
-        vecs = [beta(u) for u in covs]
-        out = []
-        for xs, u, v in itertools.product(covs, vecs, vecs):
-            X_ = ctx.from_covector(xs)
-            U, V = ctx.from_vector(u), ctx.from_vector(v)
-            out.append(("a", sc(sc(X_, U), V) - sc(sc(X_, V), U)))
-        for xs, v, ys in itertools.product(covs, vecs, covs):
-            X_, Y = ctx.from_covector(xs), ctx.from_covector(ys)
-            V = ctx.from_vector(v)
-            out.append(("b", sc(sc(X_, V), Y) - sc(sc(Y, V), X_)))
-        return out
-
-    @_case(cases, "hk.angular_forms",
-           "all four displayed forms of the angular momentum coincide", 2)
-    def _(env):
-        ctx = env.ctx
-        pairs = [(env.x(0), env.x(1)), (env.x(0), env.x(0) + env.x(1))]
-        out = []
-        for i, (u, v) in enumerate(pairs):
-            ue, ve = ctx.from_covector(u), ctx.from_covector(v)
-            bu, bv = ctx.from_vector(beta(u)), ctx.from_vector(beta(v))
-            m = M(ctx, u, v)
-            out.append((f"rev{i}", m - (bv * ue - bu * ve)))
-            out.append((f"half{i}",
-                        m - (ue * bv - bu * ve - ve * bu + bv * ue)
-                        * Fraction(1, 2)))
-        return out
 
     # ---- engine health ---------------------------------------------------------------
     @_case(cases, "health.assoc",
@@ -1270,11 +1213,6 @@ def _commutation(p: int, q: int):
     return template
 
 
-def _reflection_sum(group):
-    return " + ".join(f"O(x{p})*gamma(x{p})"
-                      for p in range(1, group.dim + 1)) + " - OmegaKappa"
-
-
 _CONCORDANCE = "engine/module concordance"
 
 
@@ -1295,7 +1233,7 @@ ORACLE_ROWS = (
     _oracle("rc.y1x2", 2, _commutation(1, 2)),
     _oracle("l_Buv", 2, "[y1, x2] - [y2, x1]"),
     _oracle("e_Ogamma", 2, "[gamma(x1), O(x2)] - [y1, x2] + B(x1, x2)"),
-    _oracle("l_Oug", 1, _reflection_sum),
+    _oracle("l_Oug", 1, _inverse_form_sum("O", "gamma")),
     ("gensym.x1", _ROWS["gensym.lower_x1"]),
     ("scasimir.square", _ROWS["scasimir.square"]),
     ("centmember.X_O12", _ROWS["centmember.X.n2"]),

@@ -3,13 +3,13 @@ from fractions import Fraction
 
 import pytest
 
-from cheralg.centralizer import (M, antisymmetrize_shaped, b_kappa,
-                                 central_omega, o_explicit, o_proj, o_subset,
-                                 o_three_explicit, o_top, o_two_explicit,
+from cheralg import suites
+from cheralg.centralizer import (M, central_omega, o_proj, o_subset, o_top,
                                  psi_kappa)
 from cheralg.core import anticommutator as ac, supercommutator as sc
 from cheralg.geometry import beta, bilinear_B
 from cheralg.osp import build_osp
+from cheralg.parser import Evaluator, evaluate, parse_expression, substitute
 from cheralg.scalars import Scalar
 
 
@@ -29,8 +29,9 @@ def test_one_index_element(ctx_a12):
     ctx = ctx_a12
     u = ctx.space.basis_covector(0)
     assert o_proj(ctx, [u]) == ctx.o_frak(u)
-    assert o_explicit(ctx, [u], "first") == ctx.o_frak(u)
-    assert o_explicit(ctx, [u], "second") == ctx.o_frak(u)
+    # both closed forms of one index are the one-index element itself
+    assert suites._routes(1) == (("first", "O(a) - (Of(a))"),
+                                 ("second", "O(a) - (Of(a))"))
 
 
 def test_two_index_value(ctx_a12):
@@ -42,7 +43,8 @@ def test_two_index_value(ctx_a12):
               + ctx.scalar_elem(Scalar.kappa(0)) * s * ctx.e(0) * ctx.e(1))
     O12 = o_proj(ctx, [u, v])
     assert O12 == expect
-    assert o_two_explicit(ctx, u, v) == expect
+    two = suites._O_TWO[0].format("x1", "x2")
+    assert evaluate(ctx, two) == expect
     # undeformed limit drops the reflection term
     assert O12.substitute_kappa([0]) == \
         (ctx.x(0) * ctx.y(1) - ctx.x(1) * ctx.y(0)
@@ -70,16 +72,12 @@ def test_index_count_bounds(ctx_a12):
         o_subset(ctx, [])
 
 
-def test_route_agreement_nonorthogonal(ctx_a23):
-    ctx = ctx_a23
-    b = [ctx.space.basis_covector(p) for p in range(3)]
-    covs = [b[0], b[1], b[0] + b[2]]
-    ref = o_proj(ctx, covs)
-    assert o_explicit(ctx, covs, "first") == ref
-    assert o_explicit(ctx, covs, "second") == ref
-    assert o_three_explicit(ctx, *covs) == ref
-    with pytest.raises(ValueError):
-        o_explicit(ctx, covs, "third")
+def test_route_agreement_nonorthogonal(env_a23):
+    # the closed forms are the templates of the routes.nonorth3 row
+    row = {r.id: r for r in suites.TEMPLATE_ROWS}["routes.nonorth3"]
+    residuals = row.residuals(env_a23)
+    assert [label for label, _ in residuals] == ["first", "second", "three"]
+    assert all(r.is_zero() for _, r in residuals)
 
 
 def test_membership(ctx_a23):
@@ -117,7 +115,7 @@ def test_psi_kappa_matches_commutator(ctx_b22):
     for u, v in itertools.product(covs, repeat=2):
         lhs = sc(ctx.from_vector(beta(u)), ctx.from_covector(v))
         assert lhs == ctx.scalar_elem(bilinear_B(u, v)) + psi_kappa(ctx, u, v)
-        assert b_kappa(ctx, u, v) == b_kappa(ctx, v, u)
+        assert psi_kappa(ctx, u, v) == psi_kappa(ctx, v, u)
 
 
 def test_square_formula_spot(ctx_a23):
@@ -149,11 +147,22 @@ def test_corrected_triple_product_relation(env_a15):
 
 def test_shaped_antisymmetrization(ctx_a23):
     ctx = ctx_a23
+    one, two = ("O({})", 1), ("O({}, {})", 2)
+    text = suites._antisym(one, two)
+    assert text.startswith("(O(a)*O(b, c) - O(a)*O(c, b) - O(b)*O(a, c)")
+    assert text.endswith(")/6") and text.count("O(") == 12
+    bind = {n: parse_expression(f"x{p}") for p, n in enumerate("abc", 1)}
+
+    def shaped(*factors):
+        node = substitute(parse_expression(suites._antisym(*factors)), bind)
+        return Evaluator(ctx).eval_element(node)
+    # the recursion.three_n3 identity, at the orthonormal triple
     b = [ctx.space.basis_covector(p) for p in range(3)]
-    one = lambda a: o_proj(ctx, [a])
-    two = lambda a, c: o_proj(ctx, [a, c])
-    r = (antisymmetrize_shaped(ctx, b, [(one, 1), (two, 2)]) * (-4)
-         + antisymmetrize_shaped(ctx, b, [(two, 2), (one, 1)]) * 4)
+    r = shaped(one, two) * (-4) + shaped(two, one) * 4
     assert r.is_zero()
-    with pytest.raises(ValueError):
-        antisymmetrize_shaped(ctx, b, [(one, 1)])
+    # one shaped product, written out over the six orderings
+    want = ctx.zero()
+    for (i, j, k), sign in (((0, 1, 2), 1), ((0, 2, 1), -1), ((1, 0, 2), -1),
+                            ((1, 2, 0), 1), ((2, 0, 1), 1), ((2, 1, 0), -1)):
+        want = want + o_proj(ctx, [b[i]]) * o_proj(ctx, [b[j], b[k]]) * sign
+    assert shaped(one, two) == want * Fraction(1, 6)

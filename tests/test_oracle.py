@@ -335,3 +335,34 @@ def test_leaf_memo_stays_with_its_module(env_a15):
              for v in vecs]
     assert on_minus == fresh
     assert on_minus != on_plus
+
+
+def test_new_leaf_calls_act_as_their_engine_elements(ctx_a12, mod):
+    from cheralg.oracle import ModuleEvaluator
+    from cheralg.parser import evaluate, parse_expression
+    vecs = [mod.random_vector(seed) for seed in range(6)]
+    for src in ("Of(x1)*gamma(x2)", "x(x1 + x2)*beta(x2) - psi(x1, x2)",
+                "[beta(x1), x(x2)]"):
+        module_eval = ModuleEvaluator(mod)
+        node = parse_expression(src)
+        engine = evaluate(ctx_a12, src)
+        assert not engine.is_zero()
+        for v in vecs:
+            assert module_eval.act(node, v) == mod.act(engine, v), src
+
+
+def test_subtraction_is_adding_the_negation(mod):
+    from cheralg.oracle import PS_ZERO, PolySpinor
+    vecs = [mod.random_vector(seed) for seed in range(5)] + [PS_ZERO]
+    for a in vecs:
+        assert a - a == PS_ZERO and a + (-a) == PS_ZERO
+        for b in vecs:
+            assert a - b == a + (-b)
+            assert a + b == b + a
+            assert (a - b).terms == PolySpinor(dict((a - b).terms)).terms
+            assert poly_sub(a.terms, b.terms) \
+                == poly_add(a.terms, {k: -v for k, v in b.terms.items()})
+    one = {(1, 0): as_scalar(1)}
+    assert poly_sub({}, one) == {(1, 0): as_scalar(-1)}
+    assert poly_sub(one, {}) == one and poly_add({}, one) == one
+    assert poly_sub(one, one) == {}

@@ -162,3 +162,30 @@ def test_form_in_covector_and_element_position(ctx_a23):
     for bad in ("B(x1)", "B(x1, 2)", "B(x1, x2, x1)", "B(e1, x1)"):
         with pytest.raises(EvalError):
             evaluate(ctx, bad)
+
+
+def _swap_under_general_gram():
+    from cheralg.groups import from_generators
+    from cheralg.suites import make_env
+    return make_env(from_generators([[[0, 1], [1, 0]]],
+                                    gram=[[2, 1], [1, 2]])).ctx
+
+
+@pytest.mark.parametrize("which", ["A2@3", "general_gram"])
+def test_engine_routine_calls(which, ctx_a23):
+    from cheralg.centralizer import psi_kappa
+    from cheralg.geometry import beta
+    ctx = ctx_a23 if which == "A2@3" else _swap_under_general_gram()
+    x = ctx.space.basis_covector
+    covs = {"x1": x(0), "x2": x(1), "x1 + 2*x2": x(0) + x(1) * 2}
+    for src, u in covs.items():
+        assert evaluate(ctx, f"Of({src})") == ctx.o_frak(u)
+        assert evaluate(ctx, f"x({src})") == ctx.from_covector(u)
+        assert evaluate(ctx, f"beta({src})") == ctx.from_vector(beta(u))
+        for src2, v in covs.items():
+            assert evaluate(ctx, f"psi({src}, {src2})") == psi_kappa(ctx, u, v)
+    assert not evaluate(ctx, "psi(x1, x2)").is_zero()
+    for bad in ("Of(x1, x2)", "x(x1, x2)", "beta(x1, x1)", "psi(x1)",
+                "psi(x1, x2, x1)", "Of(e1)", "x(1)"):
+        with pytest.raises(EvalError):
+            evaluate(ctx, bad)

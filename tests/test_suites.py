@@ -333,13 +333,45 @@ def test_skipped_oracle_evaluates_nothing(monkeypatch):
     assert {r.status for r in reps} == {"skipped"}
 
 
-# The residual labels of the cases stated by subset and reflection
-# patterns, as the Python builders they replace produced them, except
-# centmember.angular and centmember.group: the row format puts the pattern
-# label first ((0, 1).H for H01, s1.H for H.g1) and centmember.angular
-# checks all three generators at the non-orthogonal pair.
+def _pairs(n, subs):
+    """Labels over the ordered pairs of n sample covectors, each with the
+    given sub-labels."""
+    return [f"{i}{j}.{sub}" for i in range(n) for j in range(n)
+            for sub in subs]
+
+
+def _routes(*tups):
+    return [f"{t}.{form}" for t in tups for form in ("first", "second")]
+
+
+# The residual labels of the cases stated by template rows, as the Python
+# builders they replace produced them, except where the row format puts
+# the pattern label first and the sub-label after a dot: (0, 1).H for H01
+# and s1.H for H.g1 (centmember.angular, centmember.group), (0, 1).first
+# for first(0, 1) (routes.n*), 01.a for 01a (pin.cross_anticomm), 01.c for
+# c01 (hk.symmetric_bracket) and pair0.rev for rev0 (hk.angular_forms).
+# centmember.angular checks all three generators at the non-orthogonal
+# pair, and hk.double_bracket alternates its a and b residuals.
 MOVED_LABELS = {
     "A1@2": {
+        "projector.additivity": ["sum"],
+        "projector.angular": ["pair0", "pair1"],
+        "projector.gammav": ["v0", "v1", "v2"],
+        "routes.n1": _routes("(0,)", "(1,)"),
+        "routes.n2": _routes("(0, 1)"),
+        "routes.nonorth2": ["first", "second", "two"],
+        "routes.pm": ["(0, 1)"],
+        "p_OujOun.n2": ["(0, 1)"],
+        "p_bbH": ["p0"],
+        "pin.reflection_sum": ["left", "right"],
+        "pin.commutator_form": ["u0", "u1", "u2"],
+        "pin.cross_anticomm": _pairs(3, "ab"),
+        "pin.slide_one.n2": ["slot0"],
+        "hk.symmetric_bracket": _pairs(3, "cv"),
+        "hk.deformed_form": [f"{i}{j}" for i in range(3) for j in range(3)],
+        "hk.double_bracket": ["a", "b"] * 8,
+        "hk.angular_forms": ["pair0.rev", "pair0.half", "pair1.rev",
+                             "pair1.half"],
         "centmember.X.n1": ["(0,)", "(1,)"],
         "centmember.X.n2": ["(0, 1)"],
         "centmember.D.n1": ["(0,)", "(1,)"],
@@ -383,6 +415,32 @@ MOVED_LABELS = {
         "p_OA2.n2": ["(0, 1)", "(0, 2)", "(1, 2)"],
         "p_OA2.n3": ["(0, 1, 2)"],
         "p_OujOun.case3": ["t0", "t1"],
+        "projector.additivity": ["sum"],
+        "projector.angular": ["pair0", "pair1"],
+        "projector.gammav": ["v0", "v1", "v2", "v3"],
+        "routes.n1": _routes("(0,)", "(1,)", "(2,)"),
+        "routes.n2": _routes("(0, 1)", "(0, 2)", "(1, 2)"),
+        "routes.n3": _routes("(0, 1, 2)"),
+        "routes.nonorth2": ["first", "second", "two"],
+        "routes.nonorth3": ["first", "second", "three"],
+        "routes.pm": ["(0, 1)", "(0, 2)", "(1, 2)"],
+        "routes.triple": ["(0, 1, 2)"],
+        "recursion.three_n3": ["(0, 1, 2)"],
+        "p_OujOun.n2": ["(0, 1)", "(0, 2)", "(1, 2)"],
+        "p_OujOun.n3": ["(0, 1, 2)"],
+        "p_OujOun.two.n3": ["(0, 1, 2)"],
+        "p_bbH": ["p0", "p1", "p2", "p3"],
+        "pin.reflection_sum": ["left", "right"],
+        "pin.commutator_form": ["u0", "u1", "u2", "u3"],
+        "pin.cross_anticomm": _pairs(4, "ab"),
+        "pin.slide_one.n2": ["slot0"],
+        "pin.slide_one.n3": ["slot0", "slot1"],
+        "pin.slide_two.n3": ["slot0"],
+        "hk.symmetric_bracket": _pairs(4, "cv"),
+        "hk.deformed_form": [f"{i}{j}" for i in range(4) for j in range(4)],
+        "hk.double_bracket": ["a", "b"] * 27,
+        "hk.angular_forms": ["pair0.rev", "pair0.half", "pair1.rev",
+                             "pair1.half"],
     },
 }
 MOVED_IDS = {
@@ -392,7 +450,40 @@ MOVED_IDS = {
     *(f"central.OD_{n}" for n in ("one", "two", "three")),
     "pin.rho_involution", "projector.reflection",
     *(f"p_OA2.n{n}" for n in (1, 2, 3, 4)), "p_OujOun.case3",
+    "projector.additivity", "projector.angular", "projector.gammav",
+    *(f"routes.{n}" for n in ("n1", "n2", "n3", "n4", "nonorth2",
+                              "nonorth3", "pm", "triple")),
+    *(f"recursion.{n}" for n in ("three_n3", "three_n4", "closed_n4",
+                                 "closed_n5")),
+    *(f"p_OujOun.n{n}" for n in (2, 3, 4, 5)),
+    *(f"p_OujOun.two.n{n}" for n in (3, 4, 5)),
+    "p_bbH", "pin.reflection_sum", "pin.commutator_form",
+    "pin.cross_anticomm",
+    *(f"pin.slide_one.n{n}" for n in (2, 3, 4)),
+    *(f"pin.slide_two.n{n}" for n in (3, 4)),
+    *(f"hk.{n}" for n in ("symmetric_bracket", "deformed_form",
+                          "double_bracket", "angular_forms")),
 }
+
+# The cases that stay Python builders, each for a reason the suites module
+# docstring gives; every other catalog case is a TemplateRow.
+BUILDER_IDS = [
+    "bwz.adjoint_even", "bwz.adjoint_odd", "bwz.generator_forms",
+    "bwz.odd_self", "bwz.structure", "bwz.vector_laws",
+    "health.assoc", "health.idempotent", "health.jacobi",
+    "health.roundtrip", "health.skew", "health.substitution",
+    "osp12re.EpEm", "osp12re.FpFm", "osp12re.FpmEmp", "osp12re.FpmFpm",
+    "osp12re.HEpm", "osp12re.HFpm",
+    "pin.chirality", "pin.group_action", "pin.invariant_pairs",
+    "pin.rho_conj",
+    "projector.membership", "projector.series",
+]
+
+
+def test_builder_cases_are_pinned():
+    rows = {row.id for row in TEMPLATE_ROWS}
+    assert sorted(set(catalog_ids()) - rows) == BUILDER_IDS
+    assert len(MOVED_IDS) == 59 and MOVED_IDS <= rows
 
 
 @pytest.mark.parametrize("spec", sorted(MOVED_LABELS))
