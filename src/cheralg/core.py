@@ -10,6 +10,19 @@ finite Scalar-linear combination of such words, stored sparsely; the empty
 combination is zero, and normal forms are unique, so identity checking is a
 dictionary comparison.
 
+The exponent vectors a and b of a word are packed words: one Python int
+each, with one FIELD_BITS = 32 bit field per coordinate, coordinate p in
+bits 32p to 32p + 31.  Adding exponent vectors is adding ints, the zero
+vector is 0, and the first or last coordinate in use is read from the
+lowest or highest set bit.  Only the edges unpack a word, through
+``unpack``: the printer, the canonical order, ``Monomial.degree``,
+``random_element`` and the oracle module.  A field must never carry into
+the next, so a product raises OverflowError when an exponent of either
+operand reaches 2^27.  Below that limit each exponent of the product is at
+most the sum of the 2d exponents of the operands' x (or y) parts, under
+2^32 for d <= 16; past d = 16 the limit halves with each doubling of d
+(``exponent_bits``).
+
 Rewriting to normal form is driven by four families of rules:
 
   * moving a vector past a covector costs the pairing plus one group-algebra
@@ -45,7 +58,9 @@ rewrite's coefficient is not one; the pair's c1*c2 is formed once, and
 only if a word survives, and each survivor takes one Scalar product.  A
 graded bracket ab -+ (-1)^(|a||b|) ba is one call of the same routine with
 a sign: it expands both orders of the pair into that dict, so the leading
-terms that cancel between m1*m2 and m2*m1 vanish there as numbers.
+terms that cancel between m1*m2 and m2*m1 vanish there as numbers.  A
+pair where m1 has no y or m2 no x has no y to move past an x, so it skips
+the commutation memo.
 
 Elements are immutable values and all operations are pure; the only shared
 state is the per-context cache of rewrite fragments, which is append-only.
@@ -55,8 +70,8 @@ from __future__ import annotations
 
 import itertools
 import math
+import struct
 from fractions import Fraction
-from operator import add
 from typing import NamedTuple
 
 from .geometry import Covector, QuadraticSpace, Vector, bilinear_B
@@ -69,9 +84,31 @@ from .scalars import (BN_HALF_SQRT2, BN_I, BN_ONE, BaseNumber, SC_ONE,
 ROOT_SCALE = {1: BN_ONE, 2: BN_HALF_SQRT2}
 
 
+# Bits per coordinate field of a packed exponent word; ``unpack`` reads
+# the fields as struct's 32-bit code "I".
+FIELD_BITS = 32
+
+
+def pack(exps) -> int:
+    """The packed word of an exponent sequence, coordinate p in field p."""
+    return sum(k << (FIELD_BITS * p) for p, k in enumerate(exps))
+
+
+def unpack(word: int, dim: int) -> tuple:
+    """The ``dim`` exponents of a packed word of at most ``dim`` fields."""
+    return struct.unpack(f"<{dim}I", word.to_bytes(4 * dim, "little"))
+
+
+def exponent_bits(dim: int) -> int:
+    """The bits an exponent of a product's operand may use: 27 up to
+    dimension 16, where 2d exponents below 2^27 sum below 2^32, and one
+    fewer for each doubling of the dimension beyond."""
+    return min(27, FIELD_BITS - (2 * dim - 1).bit_length())
+
+
 class Monomial(NamedTuple):
-    xs: tuple            # covector exponents
-    ys: tuple            # vector exponents
+    xs: int              # covector exponents, packed
+    ys: int              # vector exponents, packed
     g: int               # group-element index
     e: int               # Clifford subset bitmask
 
@@ -81,15 +118,12 @@ class Monomial(NamedTuple):
 
     @property
     def degree(self) -> int:
-        return sum(self.xs) + sum(self.ys)
+        fields = -(-max(self.xs, self.ys).bit_length() // FIELD_BITS)
+        return sum(unpack(self.xs, fields)) + sum(unpack(self.ys, fields))
 
 
 # Builds a Monomial without the Python frame of NamedTuple.__new__.
 _tuple_new = tuple.__new__
-
-
-def _add(t1, t2):
-    return tuple(map(add, t1, t2))
 
 
 class Context:
@@ -101,9 +135,10 @@ class Context:
         self.dim = group.dim
         self.num_classes = group.num_classes
         self.kappas = tuple(Scalar.kappa(c) for c in range(self.num_classes))
-        self._zero_t = (0,) * self.dim
-        self._unit_t = tuple(tuple(int(i == p) for i in range(self.dim))
-                             for p in range(self.dim))
+        self._unit_t = tuple(1 << (FIELD_BITS * p) for p in range(self.dim))
+        # the bits an operand's exponent must leave clear, in every field
+        self._guard = pack([(1 << FIELD_BITS) - (1 << exponent_bits(self.dim))]
+                           * self.dim)
         self._cliff_ins: dict = {}
         self._cliff_pairs: dict = {}
         self._act_x_memo: dict = {}
@@ -111,7 +146,7 @@ class Context:
         self._ycomm1: dict = {}
         self._ycommw: dict = {}
         self._misc_cache: dict = {}
-        self.ident_mono = Monomial(self._zero_t, self._zero_t, 0, 0)
+        self.ident_mono = Monomial(0, 0, 0, 0)
 
     # -- constructors ------------------------------------------------------
 
@@ -129,23 +164,23 @@ class Context:
 
     def x(self, p: int) -> "Element":
         self._check_index(p)
-        return Element(self, {Monomial(self._unit_t[p], self._zero_t, 0, 0):
+        return Element(self, {Monomial(self._unit_t[p], 0, 0, 0):
                               SC_ONE})
 
     def y(self, p: int) -> "Element":
         self._check_index(p)
-        return Element(self, {Monomial(self._zero_t, self._unit_t[p], 0, 0):
+        return Element(self, {Monomial(0, self._unit_t[p], 0, 0):
                               SC_ONE})
 
     def e(self, p: int) -> "Element":
         self._check_index(p)
-        return Element(self, {Monomial(self._zero_t, self._zero_t, 0, 1 << p):
+        return Element(self, {Monomial(0, 0, 0, 1 << p):
                               SC_ONE})
 
     def g(self, i: int) -> "Element":
         if not 0 <= i < self.group.order:
             raise IndexError(f"group element index {i} out of range")
-        return Element(self, {Monomial(self._zero_t, self._zero_t, i, 0):
+        return Element(self, {Monomial(0, 0, i, 0):
                               SC_ONE})
 
     def _check_index(self, p):
@@ -158,18 +193,18 @@ class Context:
     def from_covector(self, u: Covector) -> "Element":
         """Embed u in V* as a degree-one element."""
         return Element(self, {
-            Monomial(self._unit_t[p], self._zero_t, 0, 0): c
+            Monomial(self._unit_t[p], 0, 0, 0): c
             for p, c in enumerate(u.coords) if not c.is_zero()})
 
     def from_vector(self, v: Vector) -> "Element":
         return Element(self, {
-            Monomial(self._zero_t, self._unit_t[p], 0, 0): c
+            Monomial(0, self._unit_t[p], 0, 0): c
             for p, c in enumerate(v.coords) if not c.is_zero()})
 
     def gamma(self, u: Covector) -> "Element":
         """The Clifford image of a covector."""
         return Element(self, {
-            Monomial(self._zero_t, self._zero_t, 0, 1 << p): c
+            Monomial(0, 0, 0, 1 << p): c
             for p, c in enumerate(u.coords) if not c.is_zero()})
 
     def root_covector(self, refl) -> Covector:
@@ -180,7 +215,7 @@ class Context:
         reflection, summed."""
         terms: dict = {}
         for r in self.group.reflections:
-            m = Monomial(self._zero_t, self._zero_t, r.elem, 0)
+            m = Monomial(0, 0, r.elem, 0)
             terms[m] = terms.get(m, SC_ZERO) + self.kappas[r.class_id]
         return Element(self, terms)
 
@@ -198,7 +233,7 @@ class Context:
             w = self.kappas[r.class_id] * pair * Fraction(1, 2)
             for p in range(self.dim):
                 if r.root[p] != 0:
-                    m = Monomial(self._zero_t, self._zero_t, r.elem, 1 << p)
+                    m = Monomial(0, 0, r.elem, 1 << p)
                     terms[m] = terms.get(m, SC_ZERO) + w * r.root[p]
         return Element(self, terms)
 
@@ -216,7 +251,7 @@ class Context:
                 raise ValueError(
                     f"squared root length {r.root_norm} is outside {{1, 2}}")
             terms = {
-                Monomial(self._zero_t, self._zero_t, r.elem, 1 << p):
+                Monomial(0, 0, r.elem, 1 << p):
                 as_scalar(r.root[p] * scale)
                 for p in range(self.dim) if r.root[p] != 0}
             acc = acc * Element(self, terms)
@@ -229,7 +264,7 @@ class Context:
         k = (d * (d - 1) // 2) % 4
         unit = (BN_ONE, BN_I, -BN_ONE, -BN_I)[k]
         return Element(self, {
-            Monomial(self._zero_t, self._zero_t, 0, (1 << d) - 1):
+            Monomial(0, 0, 0, (1 << d) - 1):
             as_scalar(unit)})
 
     # -- rewrite fragments -----------------------------------------------------
@@ -289,15 +324,15 @@ class Context:
         self._cliff_pairs[key] = res
         return res
 
-    def _act_x(self, g: int, xs: tuple):
+    def _act_x(self, g: int, xs: int):
         """Expansion of g . x^xs as covector-exponent terms with rational
         coefficients: ints where integral, Fractions otherwise."""
         return self._act(self._act_x_memo, self.group.x_rows, g, xs)
 
-    def _act_y(self, g: int, ys: tuple):
+    def _act_y(self, g: int, ys: int):
         return self._act(self._act_y_memo, self.group.y_rows, g, ys)
 
-    def _act(self, memo: dict, rows_of, g: int, exps: tuple):
+    def _act(self, memo: dict, rows_of, g: int, exps: int):
         if g == 0:
             return ((exps, 1),)
         key = (g, exps)
@@ -306,8 +341,8 @@ class Context:
             return hit
         rows = rows_of(g)
         unit = self._unit_t
-        poly = {self._zero_t: 1}
-        for p, k in enumerate(exps):
+        poly = {0: 1}
+        for p, k in enumerate(unpack(exps, self.dim)):
             if not k:
                 continue
             lin = tuple((unit[q], v) for q, v in rows[p])
@@ -315,7 +350,7 @@ class Context:
                 nxt: dict = {}
                 for mono, c in poly.items():
                     for um, uc in lin:
-                        m = _add(mono, um)
+                        m = mono + um
                         v = c * uc
                         prev = nxt.get(m)
                         nxt[m] = v if prev is None else prev + v
@@ -324,18 +359,18 @@ class Context:
                                 for m, c in poly.items())
         return res
 
-    def _ycomm_single(self, b: tuple, r: int):
+    def _ycomm_single(self, b: int, r: int):
         """y^b * x_r in normal order: terms (xd, yd, g, Scalar), from
         y^(b - e_j) x_r with j the last index of b, memoised bottom-up."""
         memo = self._ycomm1
         key = (b, r)
         chain = []
         while (b, r) not in memo:
-            if not any(b):
+            if not b:
                 memo[(b, r)] = ((self._unit_t[r], b, 0, SC_ONE),)
                 break
-            j = max(p for p in range(self.dim) if b[p])
-            b2 = tuple(v - int(p == j) for p, v in enumerate(b))
+            j = (b.bit_length() - 1) // FIELD_BITS
+            b2 = b - self._unit_t[j]
             chain.append((b, j, b2))
             b = b2
         for b, j, b2 in reversed(chain):
@@ -347,23 +382,23 @@ class Context:
 
             for xd, yd, h, c in memo[(b2, r)]:
                 for bz, w in self._act_y(h, self._unit_t[j]):
-                    put((xd, _add(yd, bz), h), c * w)
+                    put((xd, yd + bz, h), c * w)
             if j == r:
-                put((self._zero_t, b2, 0), SC_ONE)
+                put((0, b2, 0), SC_ONE)
             for elem, cls, f in self.group.reflection_factors(j, r):
-                put((self._zero_t, b2, elem), self.kappas[cls] * f)
+                put((0, b2, elem), self.kappas[cls] * f)
             memo[(b, r)] = tuple((xd, yd, h, c)
                                  for (xd, yd, h), c in out.items()
                                  if not c.is_zero())
         return memo[key]
 
-    def _ycomm_word(self, b: tuple, ax: tuple):
+    def _ycomm_word(self, b: int, ax: int):
         """y^b * x^ax in normal order: terms (xd, yd, g, Scalar), from
         y^b x_r x^(ax - e_r) with r the first index of ax.  The words
         y^yd x^av left of one degree less are memoised first, on a stack."""
-        if not any(ax):
-            return ((self._zero_t, b, 0, SC_ONE),)
-        if not any(b):
+        if not ax:
+            return ((0, b, 0, SC_ONE),)
+        if not b:
             return ((ax, b, 0, SC_ONE),)
         memo = self._ycommw
         top = (b, ax)
@@ -377,16 +412,16 @@ class Context:
                 stack.pop()
                 continue
             b, ax = key
-            r = next(p for p in range(self.dim) if ax[p])
-            ax2 = tuple(v - int(p == r) for p, v in enumerate(ax))
+            r = ((ax & -ax).bit_length() - 1) // FIELD_BITS
+            ax2 = ax - self._unit_t[r]
             base = self._ycomm_single(b, r)
-            if not any(ax2):
+            if not ax2:
                 memo[key] = base
                 stack.pop()
                 continue
-            missing = [(yd, av) for _, yd, h, _ in base if any(yd)
+            missing = [(yd, av) for _, yd, h, _ in base if yd
                        for av, _ in self._act_x(h, ax2)
-                       if any(av) and (yd, av) not in memo]
+                       if av and (yd, av) not in memo]
             if missing:
                 stack.extend(missing)
                 continue
@@ -394,7 +429,7 @@ class Context:
             for xd, yd, h, c in base:
                 for av, cx in self._act_x(h, ax2):
                     for xd2, yd2, h2, c2 in self._ycomm_word(yd, av):
-                        k = (_add(xd, xd2), yd2, self.group.mul(h2, h))
+                        k = (xd + xd2, yd2, self.group.mul(h2, h))
                         v = c * c2 * cx
                         prev = out.get(k)
                         out[k] = v if prev is None else prev + v
@@ -417,7 +452,17 @@ class Context:
         survives, then applied once to each survivor: a unit factor adds
         or subtracts c1*c2 as it is.  The sign is the third positional
         parameter, so a wrapper that forwards (t1, t2, x) with x = 0 or
-        False still gets the plain product."""
+        False still gets the plain product.
+
+        Raises OverflowError when an exponent of either operand reaches
+        2^exponent_bits(dim), before a field of a product could carry."""
+        used = 0
+        for xs, ys, _, _ in itertools.chain(t1, t2):
+            used |= xs | ys
+        if used & self._guard:
+            raise OverflowError(
+                f"exponents of a product's operands must stay below "
+                f"2^{exponent_bits(self.dim)} in dimension {self.dim}")
         out: dict = {}
         expand = self._expand_pair
         for m1, c1 in t1.items():
@@ -454,7 +499,10 @@ class Context:
         factor ce.  Those four are folded into one number f first; since
         the memos hold them as ints where integral, that is mostly an int
         product.  ``pair`` keeps f itself where cw is SC_ONE, else the
-        Scalar cw*f, which costs no multiplication when f is 1 or -1."""
+        Scalar cw*f, which costs no multiplication when f is 1 or -1.
+
+        When m1 has no y or m2 no x, no y meets an x: the pair is
+        x^a1 (g1.x^a2) y^b1 (g1.y^b2) g1g2 e1e2, with cw = SC_ONE."""
         group = self.group
         act = self._act
         ymemo = self._act_y_memo
@@ -464,15 +512,28 @@ class Context:
         eprod = self._cliff_pair(e1, e2)
         g12 = group.mul(g1, g2)
         yterms = act(ymemo, yrows, g1, b2)
+        if not b1 or not a2:
+            for ax, cx in self._act_x(g1, a2):
+                xs = a1 + ax
+                fx = s * cx
+                for by, cy in yterms:
+                    ys = b1 + by
+                    fy = fx * cy
+                    for emask, ce in eprod:
+                        mono = _tuple_new(Monomial, (xs, ys, g12, emask))
+                        f = fy * ce
+                        prev = pair.get(mono)
+                        pair[mono] = f if prev is None else prev + f
+            return
         for ax, cx in self._act_x(g1, a2):
             fx = s * cx
             for xd, yd, h, cw in self._ycomm_word(b1, ax):
-                xs = _add(a1, xd)
+                xs = a1 + xd
                 hg = group.mul(h, g12)
                 for by, cy in yterms:
                     fy = fx * cy
                     for bz, cz in act(ymemo, yrows, h, by):
-                        ys = _add(yd, bz)
+                        ys = yd + bz
                         fz = fy * cz
                         for emask, ce in eprod:
                             mono = _tuple_new(Monomial, (xs, ys, hg, emask))
@@ -635,11 +696,16 @@ class Element:
         return Element(self.ctx, out, normalized=True)
 
     def sorted_monomials(self):
-        return sorted(self.terms,
-                      key=lambda m: (-m.degree,
-                                     tuple(-v for v in m.xs),
-                                     tuple(-v for v in m.ys),
-                                     m.g, m.e))
+        """The words by descending degree, then descending x and y
+        exponents, coordinate by coordinate, then g and e ascending."""
+        dim = self.ctx.dim
+
+        def key(m):
+            # keys are distinct, so reversing their order is stable
+            xs = unpack(m.xs, dim)
+            ys = unpack(m.ys, dim)
+            return sum(xs) + sum(ys), xs, ys, -m.g, -m.e
+        return sorted(self.terms, key=key, reverse=True)
 
     def witness(self):
         """The leading monomial in canonical order, rendered; None if zero."""
@@ -665,10 +731,10 @@ class Element:
 
 def _mono_str(ctx: Context, m: Monomial) -> str:
     bits = []
-    for p, k in enumerate(m.xs):
+    for p, k in enumerate(unpack(m.xs, ctx.dim)):
         if k:
             bits.append(f"x{p + 1}" + (f"^{k}" if k > 1 else ""))
-    for p, k in enumerate(m.ys):
+    for p, k in enumerate(unpack(m.ys, ctx.dim)):
         if k:
             bits.append(f"y{p + 1}" + (f"^{k}" if k > 1 else ""))
     if m.g:
@@ -791,6 +857,6 @@ def random_element(ctx: Context, rng, max_degree: int = 2, n_terms: int = 3,
         if ctx.num_classes and kappa_degree and rng.random() < 0.5:
             coef = coef * Scalar.kappa(rng.randrange(ctx.num_classes),
                                        rng.randint(1, kappa_degree))
-        m = Monomial(tuple(xs), tuple(ys), g, e)
+        m = Monomial(pack(xs), pack(ys), g, e)
         terms[m] = terms.get(m, SC_ZERO) + coef
     return Element(ctx, terms)

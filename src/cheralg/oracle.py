@@ -54,7 +54,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-from .core import Context, Element, Monomial
+from .core import Context, Element, Monomial, unpack
 from .geometry import Vector
 from .parser import (Bin, Bracket, Call, EvalError, Evaluator, Name, Neg, Num,
                      reciprocal)
@@ -345,6 +345,8 @@ class SpinorModule:
 
     def act_monomial(self, mono: Monomial, v: PolySpinor) -> PolySpinor:
         xs, ys, g, e = mono
+        xs = unpack(xs, self.dim)
+        ys = unpack(ys, self.dim)
         w = v
         mask = e
         bits = []

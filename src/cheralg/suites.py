@@ -38,10 +38,11 @@ by one prefix rule (a suite, a case id, an id prefix such as
 oracle.osp12re, or "all").  Cases whose dimension prerequisite fails,
 cases stated for the orthonormal configuration when the Gram matrix is not
 the identity (every oracle check), and cases with nothing to check on the
-group (a row whose every pattern names a reflection the group lacks) are
-reported as skipped with the reason.  Reports are ordered by id regardless
-of execution order, and their content is deterministic (the elapsed-time
-field aside) for fixed inputs including the seed.
+group (a row whose every pattern names a reflection the group lacks, or
+one whose root Context.rho cannot normalise) are reported as skipped with
+the reason.  Reports are ordered by id regardless of execution order, and
+their content is deterministic (the elapsed-time field aside) for fixed
+inputs including the seed.
 """
 
 from __future__ import annotations
@@ -58,7 +59,8 @@ from fractions import Fraction
 from typing import Callable, Optional
 
 from .centralizer import M, o_proj
-from .core import Context, _perm_sign, random_element, supercommutator
+from .core import (ROOT_SCALE, Context, _perm_sign, random_element,
+                   supercommutator)
 from .geometry import beta
 from .groups import ReflectionGroup, parse_group_spec
 from .oracle import ModuleEvaluator, SpinorModule
@@ -149,8 +151,8 @@ class TemplateRow:
     the dimension goes.  The patterns may also be a function of the group
     (`_subsets`, `_reflections`), and a template a function of the group
     that returns its text.  A pattern or template that names a coordinate
-    past the dimension or a reflection the group does not have is left
-    out.  Once a and b are bound, a placeholder with h appended (uh, vh,
+    past the dimension or a reflection the group does not have, or covers
+    as rho(sk) a reflection Context.rho cannot, is left out.  Once a and b are bound, a placeholder with h appended (uh, vh,
     ...) stands for the hatted covector a*B(b, u) - b*B(a, u).  Residuals
     are labelled by pattern and sub-label.
     """
@@ -201,13 +203,18 @@ class TemplateRow:
 
 _HAT = "a*B(b, t) - b*B(a, t)"
 _INDEXED = re.compile(r"\b(x|y|e|s|alpha)(\d+)\b")
+_COVERED = re.compile(r"\brho\(s(\d+)\)")
 
 
 def _fits(text: str, group) -> bool:
-    """Does the text name only coordinates and reflections of the group?"""
-    limit = {"s": len(group.reflections), "alpha": len(group.reflections)}
+    """Does the text name only coordinates and reflections of the group,
+    and cover, as rho(sk), only reflections that Context.rho covers?"""
+    refls = group.reflections
+    limit = {"s": len(refls), "alpha": len(refls)}
     return all(int(k) <= limit.get(name, group.dim)
-               for name, k in _INDEXED.findall(text))
+               for name, k in _INDEXED.findall(text)) and all(
+        refls[int(k) - 1].root_norm in ROOT_SCALE
+        for k in _COVERED.findall(text))
 
 
 @functools.cache
@@ -233,12 +240,22 @@ def _subsets(n: int, cap: int = 6, *extra):
         + extra
 
 
-def _reflections(cap: int = None):
+def _reflections(cap: int = None, covered: bool = False):
     """Patterns over reflections for the placeholders s and alpha: the
-    first ``cap`` reflections sk, labelled sk, with their roots alphak."""
+    first ``cap`` reflections sk, labelled sk, with their roots alphak;
+    with ``covered``, the first ``cap`` that Context.rho covers."""
     return lambda group: tuple(
-        (f"s{k}", f"s{k}, alpha{k}")
-        for k in range(1, len(group.reflections) + 1))[:cap]
+        (f"s{i + 1}", f"s{i + 1}, alpha{i + 1}")
+        for i, _ in (_covered(group) if covered
+                     else enumerate(group.reflections)))[:cap]
+
+
+def _covered(group, cap: int = None) -> list:
+    """(index, reflection) of the first ``cap`` reflections that
+    Context.rho covers: those whose squared root length has a square root
+    in the scalar ring (ROOT_SCALE)."""
+    return [(i, r) for i, r in enumerate(group.reflections)
+            if r.root_norm in ROOT_SCALE][:cap]
 
 
 _NAMES = "a b c u v w".split()
@@ -711,7 +728,7 @@ TEMPLATE_ROWS = _FIRST_ROWS + (
     TemplateRow(
         "central.omega_pin",
         "the quadratic invariant commutes with the covered reflections", 1,
-        (("", "[Omega, rho(s)]"),), "s alpha", _reflections()),
+        (("", "[Omega, rho(s)]"),), "s alpha", _reflections(covered=True)),
     *(TemplateRow(f"central.OD_{word}",
                   "the top element (anti)commutes per the dimension parity",
                   max(n, 2), (("", src),), patterns=_subsets(n, 4, *extra))
@@ -721,7 +738,8 @@ TEMPLATE_ROWS = _FIRST_ROWS + (
           (3, "three", "{Otop, O(a, b, c)}", ()))),
     TemplateRow(
         "pin.rho_involution", "covered reflections square to one", 1,
-        (("", "rho(s)*rho(s) - 1"),), "s alpha", _reflections()),
+        (("", "rho(s)*rho(s) - 1"),), "s alpha",
+        _reflections(covered=True)),
 ) + tuple(TemplateRow(f"corollary.{name}", anchor, min_dim, (("main", src),))
           for name, anchor, min_dim, src in _COROLLARY) + _LAST_ROWS
 
@@ -803,7 +821,7 @@ def build_catalog() -> list:
         ctx = env.ctx
         grp = env.group
         out = []
-        for i, refl in enumerate(grp.reflections[:4]):
+        for i, refl in _covered(grp, 4):
             rho = ctx.rho([i])
             for p in range(env.dim):
                 u = env.x(p)
@@ -823,7 +841,7 @@ def build_catalog() -> list:
         grp = env.group
         out = []
         tups = [(0,), (0, 1)] + ([(0, 1, 2)] if env.dim >= 3 else [])
-        for i, refl in enumerate(grp.reflections[:3]):
+        for i, refl in _covered(grp, 3):
             rho = ctx.rho([i])
             for t in tups:
                 us = [env.x(p) for p in t]
@@ -839,7 +857,7 @@ def build_catalog() -> list:
         ctx = env.ctx
         out = []
         syms = (XPLUS, XMINUS, GAMMA)
-        for i in range(min(len(env.group.reflections), 3)):
+        for i, _ in _covered(env.group, 3):
             rho = ctx.rho([i])
             for w, z in itertools.product(syms, repeat=2):
                 out.append((f"s{i + 1}.{w}{z}",

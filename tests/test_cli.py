@@ -123,6 +123,36 @@ def test_deep_power_evaluates(capsys):
     assert out.startswith("x1*y1^1200 + 1200*y1^1199 + k1*y1^1199*s1")
 
 
+def test_power_past_the_exponent_limit_is_an_error(capsys):
+    # x1^(2^32) would carry into the x2 field of a packed word
+    assert main(["eval", "--group", "A1@2",
+                 "(((x1^256)^256)^256)^256"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "2^27" in err
+
+
+def test_verify_on_roots_without_a_cover(capsys, tmp_path):
+    # under this Gram the swap's root has squared length 10/3, whose square
+    # root is outside the scalar ring: the cases that need rho(s) of it
+    # have nothing to check, and the rest still run
+    spec = tmp_path / "group.json"
+    spec.write_text(json.dumps({"generators": [[[0, 1], [1, 0]]],
+                                "gram": [[2, "1/3"], ["1/3", 2]]}))
+    assert main(["verify", "--group", f"custom:{spec}", "--suite", "all",
+                 "--format", "json"]) == 0
+    reports = {r["id"]: r for r in map(
+        json.loads, capsys.readouterr().out.splitlines())}
+    for r in reports.values():
+        assert r["status"] == "pass" or (r["status"] == "skipped"
+                                         and r["reason"]), r["id"]
+    for cid in ("central.omega_pin", "pin.group_action", "pin.invariant_pairs",
+                "pin.rho_conj", "pin.rho_involution", "projector.sandwich"):
+        assert reports[cid]["status"] == "skipped", cid
+    for cid in ("projector.fixes_central", "projector.mult_central"):
+        assert reports[cid]["status"] == "pass", cid
+
+
 @pytest.mark.parametrize("generators", [[[[-1]]], [[[1, 0], [0, 1]]]],
                          ids=["one_dimensional", "reflection_free"])
 @pytest.mark.parametrize("suite", ["all", "oracle"])

@@ -3,9 +3,11 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from cheralg.core import (Context, anticommutator, antisymmetrize,
-                          commutator, random_element, supercommutator)
+from cheralg.core import (FIELD_BITS, Context, Monomial, anticommutator,
+                          antisymmetrize, commutator, exponent_bits, pack,
+                          random_element, supercommutator, unpack)
 from cheralg.geometry import beta, bilinear_B
 from cheralg.groups import (build_group, from_generators, parse_group_spec,
                             trivial_group)
@@ -339,3 +341,75 @@ def test_context_mismatch():
     for bracket in (supercommutator, anticommutator):
         with pytest.raises(ValueError):
             bracket(c1.y(0), c2.x(0))
+
+
+# -- packed exponent words ---------------------------------------------------
+
+_EXPONENT = st.integers(0, (1 << 27) - 1)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(1, 8).flatmap(
+    lambda d: st.tuples(st.lists(_EXPONENT, min_size=d, max_size=d),
+                        st.lists(_EXPONENT, min_size=d, max_size=d))))
+def test_pack_round_trip(exps):
+    a, b = exps
+    d = len(a)
+    assert unpack(pack(a), d) == tuple(a)
+    # below the limit, adding words adds exponents with no carry
+    assert unpack(pack(a) + pack(b), d) == tuple(map(sum, zip(a, b)))
+
+
+def test_exponent_limit_keeps_products_carry_free():
+    assert exponent_bits(2) == exponent_bits(16) == 27
+    assert exponent_bits(17) == 26
+    for d in range(1, 200):
+        # 2d exponents below the limit, the most a product's field can sum
+        assert 2 * d * ((1 << exponent_bits(d)) - 1) < 1 << FIELD_BITS
+
+
+@pytest.mark.parametrize("var", ["x", "y"])
+def test_repeated_squaring_stops_at_the_limit(ctx_a12, var):
+    ctx = ctx_a12
+    limit = 1 << exponent_bits(ctx.dim)
+    a = getattr(ctx, var)(0)
+    for _ in range(27):
+        a = a * a
+    word = pack([limit, 0])
+    (mono,) = a.terms
+    assert (mono.xs, mono.ys) == ((word, 0) if var == "x" else (0, word))
+    with pytest.raises(OverflowError, match="below 2\\^27"):
+        a * a
+    for other in (ctx.one(), ctx.x(1), ctx.e(0)):
+        with pytest.raises(OverflowError):
+            other * a
+        with pytest.raises(OverflowError):
+            supercommutator(a, other)
+    # one below the limit still multiplies
+    below = ctx.element({Monomial(pack([limit - 1, 0]), 0, 0, 0): 1})
+    top = ctx.element({Monomial(pack([2 * limit - 2, 0]), 0, 0, 0): 1})
+    assert below * below == top
+
+
+def _old_order_key(dim):
+    """The canonical order as it read on tuple exponents."""
+    def key(m):
+        xs, ys = unpack(m.xs, dim), unpack(m.ys, dim)
+        return (-(sum(xs) + sum(ys)), tuple(-v for v in xs),
+                tuple(-v for v in ys), m.g, m.e)
+    return key
+
+
+def test_sorted_monomials_keep_the_tuple_order(ctx_a23):
+    ctx = ctx_a23
+    # packed, x2 is the larger int; in the order x1 still leads
+    assert str(ctx.x(1) + ctx.x(0)) == "x1 + x2"
+    assert str(ctx.y(0) * ctx.y(2) + ctx.y(1) ** 2) == "y1*y3 + y2^2"
+    rng = random.Random(5)
+    for _ in range(30):
+        a = random_element(ctx, rng, max_degree=4, n_terms=8)
+        assert a.sorted_monomials() == sorted(a.terms,
+                                              key=_old_order_key(ctx.dim))
+        for m in a.terms:
+            assert m.degree == sum(unpack(m.xs, ctx.dim) +
+                                   unpack(m.ys, ctx.dim))

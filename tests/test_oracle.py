@@ -4,7 +4,8 @@ from fractions import Fraction
 import pytest
 
 from cheralg import oracle
-from cheralg.core import Context, random_element, supercommutator
+from cheralg.core import (Context, pack, random_element, supercommutator,
+                          unpack)
 from cheralg.groups import build_group
 from cheralg.oracle import (ModuleEvaluator, SpinorModule, poly_add,
                             poly_div_linear, poly_partial, poly_sub)
@@ -213,8 +214,8 @@ def _reference_dunkl(ctx, p, poly):
             continue
         sf = {}
         for exp, c in poly.items():
-            for exp2, f in ctx._act_x(refl.elem, exp):
-                sf = poly_add(sf, {exp2: c * f})
+            for exp2, f in ctx._act_x(refl.elem, pack(exp)):
+                sf = poly_add(sf, {unpack(exp2, ctx.dim): c * f})
         quot = poly_div_linear(poly_sub(poly, sf), refl.root)
         w = ctx.kappas[refl.class_id] * refl.root[p]
         out = poly_add(out, {e: v * w for e, v in quot.items()})

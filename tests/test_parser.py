@@ -2,12 +2,13 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from cheralg.core import random_element, supercommutator
+from cheralg.core import Monomial, pack, random_element, supercommutator
 from cheralg.parser import (EvalError, Evaluator, ParseError, evaluate,
                             parse_expression)
 from cheralg.parser import Bin, Bracket, Call, Name, Neg, Num
-from cheralg.scalars import Scalar
+from cheralg.scalars import SC_ZERO, BaseNumber, Scalar, as_scalar
 
 
 def test_ast_shapes():
@@ -119,6 +120,44 @@ def test_roundtrip_random(ctx_b22):
     for _ in range(40):
         a = random_element(ctx_b22, rng, max_degree=3)
         assert ev.eval_element(parse_expression(str(a))) == a
+
+
+_RATIONALS = st.fractions(min_value=-4, max_value=4, max_denominator=3)
+
+
+@st.composite
+def _elements(draw, ctx):
+    """Elements of ``ctx`` with up to five words: exponents mostly small,
+    some in the hundreds, any group element and Clifford word, and
+    coefficients in Q(i, sqrt2) times a kappa monomial."""
+    d = ctx.dim
+    exps = st.lists(st.integers(0, 4) | st.sampled_from([11, 300]),
+                    min_size=d, max_size=d)
+    terms = {}
+    for _ in range(draw(st.integers(0, 5))):
+        mono = Monomial(pack(draw(exps)), pack(draw(exps)),
+                        draw(st.integers(0, ctx.group.order - 1)),
+                        draw(st.integers(0, (1 << d) - 1)))
+        coef = as_scalar(BaseNumber(*draw(st.tuples(*[_RATIONALS] * 4))))
+        for cls in range(ctx.num_classes):
+            power = draw(st.integers(0, 2))
+            if power:
+                coef = coef * Scalar.kappa(cls, power)
+        terms[mono] = terms.get(mono, SC_ZERO) + coef
+    return ctx.element(terms)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_print_parse_round_trip(ctx_a12, ctx_b22, ctx_a23, data):
+    # the printer unpacks every exponent word; reading its text back must
+    # give the same element, and printing that the same text
+    ctx = data.draw(st.sampled_from([ctx_a12, ctx_b22, ctx_a23]))
+    elem = data.draw(_elements(ctx))
+    text = str(elem)
+    back = evaluate(ctx, text)
+    assert back == elem
+    assert str(back) == text
 
 
 def test_roundtrip_sqrt2_scalars(ctx_a12):
