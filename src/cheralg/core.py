@@ -637,9 +637,16 @@ class Element:
     def __pow__(self, n: int):
         if not isinstance(n, int) or n < 0:
             raise ValueError("powers must be nonnegative integers")
-        acc = self.ctx.one()
-        for _ in range(n):
-            acc = acc * self
+        if n == 0:
+            return self.ctx.one()
+        # Square and multiply from the top bit down, starting from the
+        # base: every operand is a power a^k with k < n, so the exponent
+        # guard of each product sees the operands before they overflow.
+        acc = self
+        for bit in bin(n)[3:]:
+            acc = acc * acc
+            if bit == "1":
+                acc = acc * self
         return acc
 
     # -- structure ----------------------------------------------------------

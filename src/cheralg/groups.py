@@ -12,12 +12,16 @@ enumerated up to a cap.
 Element indices follow the order in which the elements are enumerated
 (element 0 is the identity); the multiplication table, the inverses and the
 reflection data all refer to them, and witnesses print them.  The table is
-filled by generator closure.  The generators are the reflections, plus the
-first element a breadth-first search from the identity misses, as long as
-one does.  One matrix product per element and generator gives that
-generator's column of the table and checks closure.  The search tree writes
-each element as a parent times a generator, so a row of the table is filled
-on first use by integer lookups alone.
+filled by generator closure.  The generators are a subset of the
+reflections, taken greedily in element order: a reflection joins only when
+a breadth-first search from the identity over the generators so far misses
+it.  An element the search still misses joins too, as long as one does.
+One product per element and generator, taken on the sparse integer rows of
+``x_rows`` and looked up by those rows, gives that generator's column of
+the table and checks closure.  Only the generators are checked to preserve
+the bilinear form; every element is a product of them.  The search tree
+writes each element as a parent times a generator, so a row of the table
+is filled on first use by integer lookups alone.
 
 A group may be embedded in an ambient dimension larger than its natural one;
 the extra coordinates are fixed pointwise.  This keeps identities that need
@@ -154,25 +158,24 @@ class ReflectionGroup:
         ident = _identity_matrix(self.dim)
         if self.mats[0] != ident:
             raise ValueError("element 0 must be the identity")
-        for m in self.mats:
-            _check_preserves_form(m, space)
         # A reflection is an involution fixing a hyperplane: trace d - 2.
         d = self.dim
         refl_elems = [i for i, m in enumerate(self.mats)
                       if sum(m[p][p] for p in range(d)) == d - 2
                       and _mat_mul(m, m) == ident]
-        self._tree, gens = self._closure_tree(refl_elems)
         # Row i of the multiplication table, filled on first use from the
         # tree; a flat list holds the products in a tenth of a dict's memory.
         # The integer views of the matrices and of the reflection data are
         # filled on first use the same way: the engine's rewrite memos read
         # them on every miss, so the Fraction entries are scanned and
-        # converted once per group, not once per miss.
+        # converted once per group, not once per miss.  The closure reads
+        # the x views of every element.
         self._mul_rows: list = [None] * len(self.mats)
         self._x_rows: list = [None] * len(self.mats)
         self._y_rows: list = [None] * len(self.mats)
         self._shared_rows: dict = {}
         self._refl_factors = None
+        self._tree, gens = self._closure_tree(refl_elems)
         self.ymats = tuple(_transpose(self.mats[self.inv(i)])
                            for i in range(len(self.mats)))
         self._find_reflections(refl_elems, gens)
@@ -183,28 +186,53 @@ class ReflectionGroup:
     def order(self) -> int:
         return len(self.mats)
 
-    def _right_column(self, s: int) -> list:
+    def _right_column(self, s: int, keys: dict) -> list:
         """mul(x, s) for every x: the only matrix products of the table, and
-        with the generators the closure check."""
+        with the generators the closure check.  The products are taken on
+        the sparse rows of ``x_rows`` and looked up in ``keys``, which maps
+        each element's ``x_rows`` to its index; every entry of a product
+        goes through ``int_if_integral``, so its rows have the same form
+        and a lookup hashes small ints, not Fractions."""
         col = []
-        for m in self.mats:
+        srows = self.x_rows(s)
+        for x in range(len(self.mats)):
             # (gh).x_p = g.(h.x_p); with rows holding basis images this
             # composes as the matrix product mats[h] @ mats[g].
-            k = self.index.get(_mat_mul(self.mats[s], m))
+            xrows = self.x_rows(x)
+            prod = []
+            for srow in srows:
+                acc: dict = {}
+                for k, v in srow:
+                    for q, w in xrows[k]:
+                        acc[q] = acc.get(q, 0) + v * w
+                row = tuple((q, int_if_integral(c))
+                            for q, c in sorted(acc.items()) if c)
+                prod.append(row)
+            k = keys.get(tuple(prod))
             if k is None:
                 raise ValueError("group is not closed under multiplication")
             col.append(k)
         return col
 
-    def _closure_tree(self, gens: list):
+    def _closure_tree(self, refls: list):
         """A breadth-first tree from the identity, as entries
         (j, parent, column of s) with j = mul(parent, s) for a generator s,
-        and the generators.  The reflections generate a reflection group; an
-        element the search misses joins the generators, so rotation-only and
-        trivial groups take the same path."""
-        gens = list(gens)
-        cols = [self._right_column(s) for s in gens]
+        and the generators.
+
+        The generators are a subset of the reflections, taken greedily in
+        element order: a reflection joins when the search over the
+        generators so far has not reached it, and the search is integer
+        lookups only.  The reflections generate a reflection group; an
+        element the search still misses joins the generators, so
+        rotation-only and trivial groups take the same path.  Each
+        generator is checked to preserve the bilinear form when it is
+        chosen, before its column is computed; every element is a product
+        of generators along the tree, so every element preserves it."""
         n = len(self.mats)
+        keys = {self.x_rows(i): i for i in range(n)}
+        candidates = iter(refls)
+        gens: list = []
+        cols: list = []
         while True:
             seen = [True] + [False] * (n - 1)
             reached = [0]
@@ -218,9 +246,12 @@ class ReflectionGroup:
                         tree.append((j, x, col))
             if len(reached) == n:
                 return tree, gens
-            missed = seen.index(False)
-            gens.append(missed)
-            cols.append(self._right_column(missed))
+            s = next((r for r in candidates if not seen[r]), None)
+            if s is None:
+                s = seen.index(False)
+            _check_preserves_form(self.mats[s], self.space)
+            gens.append(s)
+            cols.append(self._right_column(s, keys))
 
     def _row(self, i: int) -> list:
         row = self._mul_rows[i]

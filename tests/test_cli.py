@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -130,6 +131,24 @@ def test_power_past_the_exponent_limit_is_an_error(capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "2^27" in err
+
+
+def test_power_one_past_the_limit_fails_fast(capsys):
+    # square and multiply reaches x1^(2^27) in 27 products, and the last
+    # product's operand trips the guard; a product per unit of the
+    # exponent would take 2^27 of them
+    start = time.perf_counter()
+    assert main(["eval", "--group", "A1@2", "x1^134217729"]) == 2
+    assert time.perf_counter() - start < 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "2^27" in err
+
+
+def test_power_at_the_limit_evaluates(capsys):
+    # the operands of the last squaring are x1^(2^26)
+    assert main(["eval", "--group", "A1@2", "x1^134217728"]) == 0
+    assert capsys.readouterr().out.strip() == "x1^134217728"
 
 
 def test_verify_on_roots_without_a_cover(capsys, tmp_path):

@@ -8,9 +8,10 @@ import pytest
 
 from cheralg.cli import main
 from cheralg.core import Context
-from cheralg.geometry import bilinear_B, invert_matrix, pairing, beta
-from cheralg.groups import (build_group, from_generators, parse_group_spec,
-                            trivial_group)
+from cheralg.geometry import (QuadraticSpace, bilinear_B, invert_matrix,
+                              pairing, beta)
+from cheralg.groups import (ReflectionGroup, build_group, from_generators,
+                            parse_group_spec, trivial_group)
 from cheralg.parser import Evaluator, parse_expression
 
 EVAL_POOL = (Path(__file__).resolve().parents[1] / "perfbench" / "reference"
@@ -188,6 +189,9 @@ CLOSURE_GROUPS = {
     "B3@3": lambda: parse_group_spec("B3@3"),
     "D3@3": lambda: parse_group_spec("D3@3"),
     "D4@4": lambda: parse_group_spec("D4@4"),
+    "A3@4": lambda: parse_group_spec("A3@4"),
+    "A4@5": lambda: parse_group_spec("A4@5"),
+    "B4@4": lambda: parse_group_spec("B4@4"),
     "rotation90": lambda: from_generators([[[0, -1], [1, 0]]]),
     "B2xrotation": lambda: from_generators(
         [[[0, -1, 0], [1, 0, 0], [0, 0, 1]], [[1, 0, 0], [0, 1, 0], [0, 0, -1]]]),
@@ -214,6 +218,43 @@ def test_closure_table_matches_matrix_products(name):
         for h in range(n):
             conj = g.mul(g.mul(h, r.elem), g.inv(h))
             assert g.reflection_by_elem[conj].class_id == r.class_id
+
+
+def test_d4_closes_on_a_subset_of_its_reflections():
+    # D4 has rank 4: four reflections generate it, where the table could
+    # take a column for each of the twelve
+    g = parse_group_spec("D4@4")
+    refls = sorted(r.elem for r in g.reflections)
+    tree, gens = g._closure_tree(refls)
+    assert len(refls) == 12
+    assert len(gens) == 4 and set(gens) <= set(refls)
+    assert len(tree) == g.order - 1
+
+
+_I = ((Fraction(1), Fraction(0)), (Fraction(0), Fraction(1)))
+_SWAP = ((Fraction(0), Fraction(1)), (Fraction(1), Fraction(0)))
+_ROT = ((Fraction(0), Fraction(-1)), (Fraction(1), Fraction(0)))
+
+
+def _powers(m, k):
+    out = [_I]
+    for _ in range(k - 1):
+        out.append(_dense_product(out[-1], m))
+    return out
+
+
+@pytest.mark.parametrize("mats", [
+    [_I, _SWAP],              # the swap is chosen as a reflection generator
+    _powers(_ROT, 4),         # no reflections: the rotation joins as missed
+    [_I, _ROT],               # neither closed nor form-preserving
+], ids=["reflection", "rotation", "unclosed"])
+def test_generator_check_rejects_a_form_breaking_element(mats):
+    # only the generators are checked; under Gram diag(1, 2) neither the
+    # swap nor the quarter turn preserves the form, and the check runs
+    # before the generator's column, so it wins over "not closed"
+    space = QuadraticSpace(2, [[1, 0], [0, 2]])
+    with pytest.raises(ValueError, match="does not preserve the bilinear form"):
+        ReflectionGroup(space, mats)
 
 
 # Element indices are part of the output: witnesses print g<index>, and the
