@@ -242,7 +242,7 @@ class Context:
         reflections of s * gamma_root / sqrt(B(root, root))."""
         if not isinstance(word, (list, tuple)):
             word = [word]
-        acc = self.one()
+        acc = None
         for r in word:
             if isinstance(r, int):
                 r = self.group.reflections[r]
@@ -250,12 +250,13 @@ class Context:
             if scale is None:
                 raise ValueError(
                     f"squared root length {r.root_norm} is outside {{1, 2}}")
-            terms = {
+            factor = Element(self, {
                 Monomial(0, 0, r.elem, 1 << p):
                 as_scalar(r.root[p] * scale)
-                for p in range(self.dim) if r.root[p] != 0}
-            acc = acc * Element(self, terms)
-        return acc
+                for p in range(self.dim) if r.root[p] != 0})
+            # a single factor is already in normal form: s then gamma_root
+            acc = factor if acc is None else acc * factor
+        return self.one() if acc is None else acc
 
     def chirality(self) -> "Element":
         """The volume element of the Clifford factor, normalised to square

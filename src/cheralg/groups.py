@@ -21,7 +21,9 @@ One product per element and generator, taken on the sparse integer rows of
 the table and checks closure.  Only the generators are checked to preserve
 the bilinear form; every element is a product of them.  The search tree
 writes each element as a parent times a generator, so a row of the table
-is filled on first use by integer lookups alone.
+is filled on first use by integer lookups alone, and the inverses follow
+the tree too: building a group fills only the rows of its generators and
+their inverses.
 
 A group may be embedded in an ambient dimension larger than its natural one;
 the extra coordinates are fixed pointwise.  This keeps identities that need
@@ -152,9 +154,6 @@ class ReflectionGroup:
         self.dim = space.dim
         self.label = label
         self.mats = tuple(mats)
-        self.index = {m: i for i, m in enumerate(self.mats)}
-        if len(self.index) != len(self.mats):
-            raise ValueError("duplicate group elements")
         ident = _identity_matrix(self.dim)
         if self.mats[0] != ident:
             raise ValueError("element 0 must be the identity")
@@ -176,6 +175,7 @@ class ReflectionGroup:
         self._shared_rows: dict = {}
         self._refl_factors = None
         self._tree, gens = self._closure_tree(refl_elems)
+        self._inverses = self._tree_inverses()
         self.ymats = tuple(_transpose(self.mats[self.inv(i)])
                            for i in range(len(self.mats)))
         self._find_reflections(refl_elems, gens)
@@ -230,6 +230,8 @@ class ReflectionGroup:
         of generators along the tree, so every element preserves it."""
         n = len(self.mats)
         keys = {self.x_rows(i): i for i in range(n)}
+        if len(keys) != n:
+            raise ValueError("duplicate group elements")
         candidates = iter(refls)
         gens: list = []
         cols: list = []
@@ -271,7 +273,21 @@ class ReflectionGroup:
         return row[j]
 
     def inv(self, i: int) -> int:
-        return self._row(i).index(0)
+        return self._inverses[i]
+
+    def _tree_inverses(self) -> list:
+        """The inverse of every element along the tree:
+        inv(parent.s) = inv(s).inv(parent), where inv(s) is the x with
+        x.s = 1 in the column of s.  Only the rows of the generators'
+        inverses are filled."""
+        invs = [0] * len(self.mats)
+        gen_inv: dict = {}
+        for j, parent, col in self._tree:
+            s = col[0]
+            if s not in gen_inv:
+                gen_inv[s] = col.index(0)
+            invs[j] = self.mul(gen_inv[s], invs[parent])
+        return invs
 
     # -- reflections ----------------------------------------------------------
 
@@ -280,8 +296,8 @@ class ReflectionGroup:
         roots = {i: _minus_one_eigenvector(self.mats[i]) for i in refl_elems}
         order = sorted(refl_elems, key=lambda i: roots[i])
         # Conjugacy classes, numbered by first appearance in root order; a
-        # class is an orbit under conjugation by the generators.
-        conj = [(g, self.inv(g)) for g in gens]
+        # class is an orbit under conjugation by the generators, taken as
+        # g.r.g^-1 = inv(g.inv(g.r)) so that only the generators' rows fill.
         class_of: dict = {}
         next_id = 0
         for i in order:
@@ -290,8 +306,8 @@ class ReflectionGroup:
             class_of[i] = next_id
             orbit = [i]
             for r in orbit:
-                for g, g_inv in conj:
-                    j = self.mul(self.mul(g, r), g_inv)
+                for g in gens:
+                    j = self.inv(self.mul(g, self.inv(self.mul(g, r))))
                     if j not in class_of:
                         class_of[j] = next_id
                         orbit.append(j)

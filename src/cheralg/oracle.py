@@ -56,8 +56,8 @@ from fractions import Fraction
 
 from .core import Context, Element, Monomial, unpack
 from .geometry import Vector
-from .parser import (Bin, Bracket, Call, EvalError, Evaluator, Name, Neg, Num,
-                     reciprocal)
+from .parser import (_COV_CALLS, Bin, Bracket, Call, EvalError, Evaluator, Name,
+                     Neg, Num, reciprocal)
 from .scalars import BN_I, BaseNumber, SC_ONE, SC_ZERO, Scalar, as_scalar
 
 
@@ -381,8 +381,7 @@ class SpinorModule:
 
 
 # Calls whose value the engine builds as one leaf operator.
-_LEAF_CALLS = ("O", "M", "A", "R", "gamma", "Of", "x", "beta", "psi", "rho",
-               "B")
+_LEAF_CALLS = (*_COV_CALLS, "rho", "B")
 
 
 class ModuleEvaluator:

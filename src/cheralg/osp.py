@@ -26,7 +26,7 @@ from fractions import Fraction
 
 from .core import Context, Element, supercommutator
 from .geometry import Covector, beta
-from .scalars import BN_HALF_SQRT2, as_scalar
+from .scalars import BN_HALF_SQRT2
 
 XPLUS = "x+"
 XMINUS = "x-"
@@ -62,29 +62,9 @@ def _slot_element(ctx: Context, p: int, sym: str) -> Element:
     raise ValueError(f"unknown auxiliary basis symbol {sym!r}")
 
 
-def pair_element(ctx: Context, w, z) -> Element:
-    """The supersymmetrized pairing of two auxiliary directions with B.
-
-    ``w`` and ``z`` are basis symbols ("x+", "x-", "gamma") or mappings
-    symbol -> coefficient; the result is bilinear in both slots.
-    """
-    if isinstance(w, str):
-        w = {w: 1}
-    if isinstance(z, str):
-        z = {z: 1}
-    acc = ctx.zero()
-    for ws, wc in w.items():
-        for zs, zc in z.items():
-            term = _pair_basis(ctx, ws, zs) * (as_scalar(wc) * as_scalar(zc))
-            acc = acc + term
-    return acc
-
-
-def _pair_basis(ctx: Context, w: str, z: str) -> Element:
-    key = ("pair", w, z)
-    hit = ctx._misc_cache.get(key)
-    if hit is not None:
-        return hit
+def pair_element(ctx: Context, w: str, z: str) -> Element:
+    """The supersymmetrized pairing of two auxiliary basis directions
+    ("x+", "x-", "gamma") with B; build_osp keeps the five it takes."""
     d = ctx.dim
     bv = ctx.space.inv_gram
     acc = ctx.zero()
@@ -100,7 +80,6 @@ def _pair_basis(ctx: Context, w: str, z: str) -> Element:
     owz = omega_form(w, z)
     if owz:
         acc = acc - ctx.omega_kappa() * owz
-    ctx._misc_cache[key] = acc
     return acc
 
 

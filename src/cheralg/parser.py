@@ -32,8 +32,10 @@ index-taking operations are
 
 B(u, v) is the symmetric form on two covectors, a scalar that may stand
 wherever a scalar may, so O(x1*B(x2, x3) - x2*B(x1, x3), x3) and
-B(x1, x2)/2 both read.  The canonical printer of elements emits only this
-grammar, so print-then-parse is the identity on values.
+B(x1, x2)/2 both read.  A covector reflected in the root alpha reads
+u - 2*B(alpha, u)/B(alpha, alpha)*alpha.  The canonical printer of
+elements emits only this grammar, so print-then-parse is the identity on
+values.
 
 Names are read by mode:
 
@@ -282,8 +284,8 @@ def substitute(node, bindings: dict):
 # globals when called.
 _COV_CALLS = {
     "O": (None, lambda ctx, *covs: o_proj(ctx, covs)),
-    "A": (None, lambda ctx, *covs: antisymmetrize(ctx, covs)),
     "M": (2, lambda ctx, u, v: _M(ctx, u, v)),
+    "A": (None, lambda ctx, *covs: antisymmetrize(ctx, covs)),
     "R": (1, lambda ctx, u: gen_symmetry(ctx, u)),
     "gamma": (1, lambda ctx, u: ctx.gamma(u)),
     "Of": (1, lambda ctx, u: ctx.o_frak(u)),
@@ -473,7 +475,7 @@ class Evaluator:
         if ident == "z0" or (ident[:2] in ("zp", "zm") and ident[2:].isdigit()) \
                 or (ident.startswith("alpha") and ident[5:].isdigit()):
             raise EvalError(f"{ident!r} is a covector name, allowed only "
-                            "inside O/M/A/R/gamma/Of/x/beta/psi(...)")
+                            f"inside {'/'.join(_COV_CALLS)}(...)")
         raise EvalError(f"unknown identifier {ident!r}")
 
     def _call(self, node):

@@ -8,22 +8,22 @@ against structural zero.
 
 Identities that the expression language of parser.py can state are rows
 of TEMPLATE_ROWS: membership and centrality of the elements O_A over index
-subsets A, the covered reflections rho(s) over the reflections, the
-Scasimir identities, the pair- and triple-bracket formulas, the
-orthonormal-basis corollary of the O_A brackets, the closed formulas and
-recursions of O_A against the projector route, the antisymmetrized bracket
-and slide laws, the Dunkl commutation laws, and a few projector and
-generalized-symmetry laws.  A row holds templates over placeholders and
-the patterns bound to them.  The rest are Python builders, for one of
-these reasons:
+subsets A, the covered reflections rho(s) over the reflections and their
+conjugation action, the Scasimir identities, the pair- and triple-bracket
+formulas, the orthonormal-basis corollary of the O_A brackets, the closed
+formulas and recursions of O_A against the projector route, the
+antisymmetrized bracket and slide laws, the Dunkl commutation laws, the
+structure constants and adjoint actions of the auxiliary pairings, and a
+few projector and generalized-symmetry laws.  A row holds templates over
+placeholders and the patterns bound to them.  The rest are Python
+builders, for one of these reasons:
 
   * osp12re.* reads the relations that build_osp already checked;
   * projector.membership and projector.series evaluate one projection
     once, where a template would evaluate it at every use;
   * health.* draws seeded random elements;
-  * bwz.* and pin.invariant_pairs use the auxiliary pairing;
-  * pin.rho_conj and pin.group_action use the group's matrix action;
-  * pin.chirality holds for the orthonormal configuration only.
+  * pin.chirality and bwz.generator_forms hold for the orthonormal
+    configuration only.
 
 The oracle cross-check reads ORACLE_ROWS, 20 rows in the same language,
 some of them catalog rows read at their first binding, twice: with the
@@ -58,14 +58,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional
 
-from .centralizer import M, o_proj
+from .centralizer import M
 from .core import (ROOT_SCALE, Context, _perm_sign, random_element,
                    supercommutator)
-from .geometry import beta
 from .groups import ReflectionGroup, parse_group_spec
 from .oracle import ModuleEvaluator, SpinorModule
-from .osp import (build_osp, osp_relations, pair_element, p_alpha, p_plus,
-                  b_form, XPLUS, XMINUS, GAMMA, _PARITY)
+from .osp import (build_osp, osp_relations, p_alpha, p_plus, b_form, XPLUS,
+                  XMINUS, GAMMA, _PARITY)
 from .parser import Bin, Evaluator, Num, parse_expression, substitute
 from .scalars import BaseNumber, Scalar, as_base, as_scalar
 
@@ -134,9 +133,6 @@ class SuiteEnv:
 
     def gens(self):
         return build_osp(self.ctx)
-
-    def scal(self, v):
-        return self.ctx.scalar_elem(v)
 
 
 # ---- template cases ---------------------------------------------------------
@@ -243,19 +239,12 @@ def _subsets(n: int, cap: int = 6, *extra):
 def _reflections(cap: int = None, covered: bool = False):
     """Patterns over reflections for the placeholders s and alpha: the
     first ``cap`` reflections sk, labelled sk, with their roots alphak;
-    with ``covered``, the first ``cap`` that Context.rho covers."""
+    with ``covered``, the first ``cap`` that Context.rho covers, those whose
+    squared root length has a square root in the scalar ring (ROOT_SCALE)."""
     return lambda group: tuple(
         (f"s{i + 1}", f"s{i + 1}, alpha{i + 1}")
-        for i, _ in (_covered(group) if covered
-                     else enumerate(group.reflections)))[:cap]
-
-
-def _covered(group, cap: int = None) -> list:
-    """(index, reflection) of the first ``cap`` reflections that
-    Context.rho covers: those whose squared root length has a square root
-    in the scalar ring (ROOT_SCALE)."""
-    return [(i, r) for i, r in enumerate(group.reflections)
-            if r.root_norm in ROOT_SCALE][:cap]
+        for i, r in enumerate(group.reflections)
+        if not covered or r.root_norm in ROOT_SCALE)[:cap]
 
 
 _NAMES = "a b c u v w".split()
@@ -348,16 +337,17 @@ def _slide(n: int, part) -> tuple:
                  for i, (a, b) in enumerate(zip(shapes, shapes[1:])))
 
 
-def _inverse_form_sum(left: str, right: str):
+def _inverse_form_sum(left: str, right: str, rest: str = "OmegaKappa"):
     """The template sum over p, q of B^pq left(x_p)*right(x_q) minus
-    OmegaKappa, where B^pq is the form on vectors."""
+    ``rest``, where B^pq is the form on vectors; {d} in ``rest`` stands for
+    the dimension."""
     def template(group):
         inv = group.space.inv_gram
         terms = (("" if inv[p][q] == 1 else f"({inv[p][q]})*")
                  + f"{left}(x{p + 1})*{right}(x{q + 1})"
                  for p in range(group.dim) for q in range(group.dim)
                  if not inv[p][q].is_zero())
-        return " + ".join(terms) + " - OmegaKappa"
+        return " + ".join(terms) + " - " + rest.format(d=group.dim)
     return template
 
 
@@ -511,6 +501,113 @@ _LAST_ROWS = (
                   " + beta(v)*x(u))/2")), "u v", _PAIRS),
 )
 
+# The pairing of two auxiliary directions in the osp names: it is
+# symmetric, and the odd direction pairs with itself to zero (bwz.odd_self).
+_PAIRING = {(XPLUS, XPLUS): "2*Ep", (XPLUS, XMINUS): "H", (XPLUS, GAMMA): "X",
+            (XMINUS, XMINUS): "(-2)*Em", (XMINUS, GAMMA): "D",
+            (GAMMA, GAMMA): "0"}
+_DIRECTIONS = (XPLUS, XMINUS, GAMMA)
+# the tensor of a covector u in each auxiliary direction
+_SLOT = {XPLUS: "x(u)", XMINUS: "beta(u)", GAMMA: "gamma(u)"}
+# a covector's image under the reflection with root alpha
+_REFLECT = "({0} - 2*B(alpha, {0})/B(alpha, alpha)*alpha)"
+
+
+def _pair(w: str, z: str) -> str:
+    return f"({_PAIRING.get((w, z)) or _PAIRING[z, w]})"
+
+
+def _combination(*terms) -> str:
+    """The (coefficient, text) pairs summed as template text."""
+    return " + ".join(f"({c})*{t}" for c, t in terms if c) or "0"
+
+
+def _structure(z1: str, z2: str, z3: str, z4: str) -> str:
+    """The superbracket of the pairings (z1, z2) and (z3, z4) against its
+    expansion with the auxiliary form as structure constants."""
+    s23 = -1 if _PARITY[z2] and _PARITY[z3] else 1
+    s24 = -1 if _PARITY[z2] and _PARITY[z4] else 1
+    s123 = -1 if (_PARITY[z1] ^ _PARITY[z2]) and _PARITY[z3] else 1
+    rhs = _combination(
+        (b_form(z2, z3), _pair(z1, z4)), (b_form(z1, z3) * s23, _pair(z2, z4)),
+        (b_form(z2, z4) * s123, _pair(z3, z1)),
+        (b_form(z1, z4) * s24 * s123, _pair(z3, z2)))
+    return f"[{_pair(z1, z2)}, {_pair(z3, z4)}] - ({rhs})"
+
+
+def _adjoint(xi1: str, xi2: str, eta: str) -> str:
+    """The pairing (xi1, xi2) acting on the eta tensor of u through the
+    auxiliary form; the odd direction in the second slot brings in the
+    one-index element."""
+    second = "(gamma(u) + 2*Of(u))" if xi2 == GAMMA else _SLOT[xi2]
+    return (f"[{_pair(xi1, xi2)}, {_SLOT[eta]}] - ("
+            + _combination((b_form(xi2, eta), _SLOT[xi1]),
+                           (b_form(xi1, eta), second)) + ")")
+
+
+def _permuted(n: int) -> str:
+    """rho(s) times O of x1, ..., xn against O of their reflected images
+    times rho(s), with the parity sign."""
+    covs = [f"x{p + 1}" for p in range(n)]
+    images = ", ".join(_REFLECT.format(u) for u in covs)
+    return f"rho(s)*O({', '.join(covs)}) - ({(-1) ** n})*O({images})*rho(s)"
+
+
+_SAMPLE_SUMS = (("0", "x1"), ("1", "x1 + x2"))
+_SU = _REFLECT.format("u")
+
+_PAIRING_ROWS = (
+    TemplateRow(
+        "bwz.structure", "pairings close under the superbracket with the "
+        "auxiliary form as structure constants", 1,
+        tuple(("".join(z), _structure(*z))
+              for z in itertools.product(_DIRECTIONS, repeat=4))),
+    TemplateRow(
+        "bwz.adjoint_even",
+        "even pairings act on generators through the auxiliary form", 1,
+        tuple((xi1 + xi2 + eta, _adjoint(xi1, xi2, eta))
+              for xi1, xi2 in itertools.product(_DIRECTIONS[:2], repeat=2)
+              for eta in _DIRECTIONS), "u", _SAMPLE_SUMS),
+    TemplateRow(
+        "bwz.adjoint_odd",
+        "odd pairings act on generators with a one-index correction", 1,
+        tuple((xi1 + eta, _adjoint(xi1, GAMMA, eta))
+              for xi1 in _DIRECTIONS[:2] for eta in _DIRECTIONS),
+        "u", _SAMPLE_SUMS),
+    TemplateRow(
+        "bwz.vector_laws",
+        "restricted even pairings raise, lower, and grade generators", 1,
+        (("low", f"[{_pair(XMINUS, XMINUS)}, x(u)] - 2*beta(u)"),
+         ("high", f"[{_pair(XPLUS, XPLUS)}, beta(u)] + 2*x(u)"),
+         ("grade+", f"[{_pair(XPLUS, XMINUS)}, x(u)] - x(u)"),
+         ("grade-", f"[{_pair(XPLUS, XMINUS)}, beta(u)] + beta(u)")),
+        "u", tuple((str(p), f"x{p + 1}") for p in range(3))),
+    TemplateRow(
+        "bwz.odd_self", "the odd direction pairs with itself to zero", 1,
+        (("gg", _inverse_form_sum("gamma", "gamma", "{d}")),)),
+    TemplateRow(
+        "pin.rho_conj", "conjugation by a covered reflection acts by the "
+        "signed geometric action", 1,
+        (("x", f"rho(s)*x(u)*rho(s) - x({_SU})"),
+         ("beta", f"rho(s)*beta(u)*rho(s) - beta({_SU})"),
+         ("gamma", f"rho(s)*gamma(u)*rho(s) + gamma({_SU})")),
+        "s alpha u", lambda group: tuple(
+            (f"{label}.x{p + 1}", f"{names}, x{p + 1}")
+            for label, names in _reflections(4, covered=True)(group)
+            for p in range(group.dim))),
+    TemplateRow(
+        "pin.group_action",
+        "covered reflections permute projected elements with a parity sign", 2,
+        tuple((str(tuple(range(n))), _permuted(n)) for n in (1, 2, 3)),
+        "s alpha", _reflections(3, covered=True)),
+    TemplateRow(
+        "pin.invariant_pairs",
+        "paired generators supercommute with the covered group", 1,
+        tuple((w + z, f"[{_pair(w, z)}, rho(s)]")
+              for w, z in itertools.product(_DIRECTIONS, repeat=2)),
+        "s alpha", _reflections(3, covered=True)),
+)
+
 _CENTRAL_SAMPLES = (("one", "1"), ("O1", "O(x1)"), ("O12", "O(x1, x2)"),
                     ("invariant", "Omega"), ("rho", "rho(s1)"),
                     ("mixed", "O(x1, x2)*rho(s1)"))
@@ -600,8 +697,7 @@ TEMPLATE_ROWS = _FIRST_ROWS + (
         "projector.cliffpair",
         "projected Clifford pair: two-index element shifted by the form", 2,
         (("", "-1/2*gamma(u)*gamma(v) + 1/4*[D, [X, gamma(u)*gamma(v)]]"
-              " - O(u, v) + B(u, v)/2"),), "u v",
-        (("pair0", "x1, x2"), ("pair1", "x1, x1 + x2"))),
+              " - O(u, v) + B(u, v)/2"),), "u v", _PAIRS),
     TemplateRow(
         "projector.reflection",
         "a reflection projects to its one-index element times its cover image",
@@ -741,7 +837,8 @@ TEMPLATE_ROWS = _FIRST_ROWS + (
         (("", "rho(s)*rho(s) - 1"),), "s alpha",
         _reflections(covered=True)),
 ) + tuple(TemplateRow(f"corollary.{name}", anchor, min_dim, (("main", src),))
-          for name, anchor, min_dim, src in _COROLLARY) + _LAST_ROWS
+          for name, anchor, min_dim, src in _COROLLARY) + _LAST_ROWS \
+    + _PAIRING_ROWS
 
 
 def _case(cases, cid, anchor, min_dim, orthonormal=False):
@@ -766,29 +863,20 @@ def build_catalog() -> list:
         "FpmEmp": "even ladder maps odd generators into each other",
     }
     for name, anchor in relnames.items():
-        def mk(name=name):
-            def b(env):
-                return [(name, osp_relations(env.ctx)[name])]
-            return b
-        _case(cases, f"osp12re.{name}", anchor, 1)(mk())
+        _case(cases, f"osp12re.{name}", anchor, 1)(
+            lambda env, name=name: [(name, osp_relations(env.ctx)[name])])
 
     # ---- extremal projector laws ------------------------------------------
-    def _even_cent_samples(env):
-        ctx = env.ctx
-        out = [("M12", M(ctx, env.x(0), env.x(1)))]
-        if env.group.reflections:
-            out.append(("g", ctx.g(env.group.reflections[0].elem)))
-        out.append(("e12", ctx.e(0) * ctx.e(1)))
-        out.append(("mix", M(ctx, env.x(0), env.x(1)) * ctx.e(0) * ctx.e(1)))
-        return out
-
     @_case(cases, "projector.membership",
            "projected even-centralizer samples supercommute with the odd pair", 2)
     def _(env):
-        g = env.gens()
+        ctx, g = env.ctx, env.gens()
+        m, e12 = M(ctx, env.x(0), env.x(1)), ctx.e(0) * ctx.e(1)
+        samples = [("M12", m)] + [("g", ctx.g(r.elem))
+                                  for r in env.group.reflections[:1]]
         out = []
-        for name, a in _even_cent_samples(env):
-            pa = p_plus(env.ctx, a)
+        for name, a in samples + [("e12", e12), ("mix", m * e12)]:
+            pa = p_plus(ctx, a)
             out.append((f"X.{name}", sc(g.X, pa)))
             out.append((f"D.{name}", sc(g.D, pa)))
         return out
@@ -813,57 +901,7 @@ def build_catalog() -> list:
     for row in TEMPLATE_ROWS:
         _case(cases, row.id, row.anchor, row.min_dim)(row.residuals)
 
-    # ---- double cover ------------------------------------------------------------
-    @_case(cases, "pin.rho_conj",
-           "conjugation by a covered reflection acts by the signed "
-           "geometric action", 1)
-    def _(env):
-        ctx = env.ctx
-        grp = env.group
-        out = []
-        for i, refl in _covered(grp, 4):
-            rho = ctx.rho([i])
-            for p in range(env.dim):
-                u = env.x(p)
-                out.append((f"s{i + 1}.x{p + 1}", rho * ctx.x(p) * rho
-                            - ctx.from_covector(grp.act(refl.elem, u))))
-                y = ctx.space.basis_vector(p)
-                out.append((f"s{i + 1}.y{p + 1}", rho * ctx.y(p) * rho
-                            - ctx.from_vector(grp.act(refl.elem, y))))
-                out.append((f"s{i + 1}.e{p + 1}", rho * ctx.e(p) * rho
-                            + ctx.gamma(grp.act(refl.elem, u))))
-        return out
-
-    @_case(cases, "pin.group_action",
-           "covered reflections permute projected elements with a parity sign", 2)
-    def _(env):
-        ctx = env.ctx
-        grp = env.group
-        out = []
-        tups = [(0,), (0, 1)] + ([(0, 1, 2)] if env.dim >= 3 else [])
-        for i, refl in _covered(grp, 3):
-            rho = ctx.rho([i])
-            for t in tups:
-                us = [env.x(p) for p in t]
-                lhs = rho * o_proj(ctx, us)
-                acted = [grp.act(refl.elem, u) for u in us]
-                rhs = o_proj(ctx, acted) * rho * ((-1) ** len(t))
-                out.append((f"s{i + 1}.{t}", lhs - rhs))
-        return out
-
-    @_case(cases, "pin.invariant_pairs",
-           "paired generators supercommute with the covered group", 1)
-    def _(env):
-        ctx = env.ctx
-        out = []
-        syms = (XPLUS, XMINUS, GAMMA)
-        for i, _ in _covered(env.group, 3):
-            rho = ctx.rho([i])
-            for w, z in itertools.product(syms, repeat=2):
-                out.append((f"s{i + 1}.{w}{z}",
-                            sc(pair_element(ctx, w, z), rho)))
-        return out
-
+    # ---- the orthonormal configuration only ------------------------------------
     @_case(cases, "pin.chirality",
            "volume element squares to one and (anti)commutes by parity", 1,
            orthonormal=True)
@@ -874,94 +912,6 @@ def build_catalog() -> list:
         sgn = (-1) ** (env.dim - 1)
         for p in range(env.dim):
             out.append((f"e{p + 1}", G * ctx.e(p) - ctx.e(p) * G * sgn))
-        return out
-
-    # ---- the auxiliary-superspace pairing ---------------------------------------
-    @_case(cases, "bwz.structure",
-           "pairings close under the superbracket with the auxiliary form "
-           "as structure constants", 1)
-    def _(env):
-        ctx = env.ctx
-        syms = (XPLUS, XMINUS, GAMMA)
-        out = []
-        for z1, z2, z3, z4 in itertools.product(syms, repeat=4):
-            lhs = sc(pair_element(ctx, z1, z2), pair_element(ctx, z3, z4))
-            s23 = -1 if (_PARITY[z2] and _PARITY[z3]) else 1
-            s24 = -1 if (_PARITY[z2] and _PARITY[z4]) else 1
-            w1: dict = {}
-            for sym, c in ((z1, b_form(z2, z3)), (z2, b_form(z1, z3) * s23)):
-                w1[sym] = w1.get(sym, 0) + c
-            w2: dict = {}
-            for sym, c in ((z1, b_form(z2, z4)), (z2, b_form(z1, z4) * s24)):
-                w2[sym] = w2.get(sym, 0) + c
-            s123 = -1 if ((_PARITY[z1] ^ _PARITY[z2]) and _PARITY[z3]) else 1
-            rhs = (pair_element(ctx, w1, z4)
-                   + pair_element(ctx, z3, w2) * s123)
-            out.append((f"{z1}{z2}{z3}{z4}", lhs - rhs))
-        return out
-
-    def _tensor(env, u, sym):
-        if sym == XPLUS:
-            return env.ctx.from_covector(u)
-        if sym == XMINUS:
-            return env.ctx.from_vector(beta(u))
-        return env.ctx.gamma(u)
-
-    @_case(cases, "bwz.adjoint_even",
-           "even pairings act on generators through the auxiliary form", 1)
-    def _(env):
-        ctx = env.ctx
-        covs = [env.x(0)]
-        if env.dim >= 2:
-            covs.append(env.x(0) + env.x(1))
-        out = []
-        for xi1, xi2 in itertools.product((XPLUS, XMINUS), repeat=2):
-            for eta in (XPLUS, XMINUS, GAMMA):
-                for i, u in enumerate(covs):
-                    lhs = sc(pair_element(ctx, xi1, xi2),
-                             _tensor(env, u, eta))
-                    rhs = (_tensor(env, u, xi1) * b_form(xi2, eta)
-                           + _tensor(env, u, xi2) * b_form(xi1, eta))
-                    out.append((f"{xi1}{xi2}{eta}{i}", lhs - rhs))
-        return out
-
-    @_case(cases, "bwz.adjoint_odd",
-           "odd pairings act on generators with a one-index correction", 1)
-    def _(env):
-        ctx = env.ctx
-        covs = [env.x(0)]
-        if env.dim >= 2:
-            covs.append(env.x(0) + env.x(1))
-        out = []
-        for xi1 in (XPLUS, XMINUS):
-            for eta in (XPLUS, XMINUS, GAMMA):
-                for i, u in enumerate(covs):
-                    lhs = sc(pair_element(ctx, xi1, GAMMA),
-                             _tensor(env, u, eta))
-                    rhs = (_tensor(env, u, xi1) * b_form(GAMMA, eta)
-                           + (_tensor(env, u, GAMMA) + ctx.o_frak(u) * 2)
-                           * b_form(xi1, eta))
-                    out.append((f"{xi1}{eta}{i}", lhs - rhs))
-        return out
-
-    @_case(cases, "bwz.vector_laws",
-           "restricted even pairings raise, lower, and grade generators", 1)
-    def _(env):
-        ctx = env.ctx
-        out = []
-        for p in range(min(env.dim, 3)):
-            u = env.x(p)
-            ue = ctx.from_covector(u)
-            ve = ctx.from_vector(beta(u))
-            mm = pair_element(ctx, XMINUS, XMINUS)
-            pp = pair_element(ctx, XPLUS, XPLUS)
-            pm = pair_element(ctx, XPLUS, XMINUS)
-            out += [
-                (f"low{p}", sc(mm, ue) - ctx.from_vector(beta(u)) * 2),
-                (f"high{p}", sc(pp, ve) + ctx.from_covector(u) * 2),
-                (f"grade+{p}", sc(pm, ue) - ue),
-                (f"grade-{p}", sc(pm, ve) + ve),
-            ]
         return out
 
     @_case(cases, "bwz.generator_forms",
@@ -985,11 +935,6 @@ def build_catalog() -> list:
         return [("X", g.X - X), ("D", g.D - D), ("H", g.H - H),
                 ("Ep", g.Ep - Ep), ("Em", g.Em - Em)]
 
-    @_case(cases, "bwz.odd_self",
-           "the odd direction pairs with itself to zero", 1)
-    def _(env):
-        return [("gg", pair_element(env.ctx, GAMMA, GAMMA))]
-
     # ---- engine health ---------------------------------------------------------------
     @_case(cases, "health.assoc",
            "associativity on seeded random triples (confluence surrogate)", 1)
@@ -1006,41 +951,16 @@ def build_catalog() -> list:
     @_case(cases, "health.jacobi",
            "graded Jacobi identity on homogeneous seeded triples", 1)
     def _(env):
-        rng = random.Random(env.options.seed + 1)
-        out = []
-        done = 0
-        while done < env.options.jacobi_trials:
-            a = random_element(env.ctx, rng, env.options.max_degree)
-            b = random_element(env.ctx, rng, env.options.max_degree)
-            c = random_element(env.ctx, rng, env.options.max_degree)
-            a = a.odd_part() if done % 2 else a.even_part()
-            b = b.even_part() if done % 3 else b.odd_part()
-            if a.is_zero() or b.is_zero():
-                continue
-            pa, pb = a.parity(), b.parity()
-            sign = -1 if (pa and pb) else 1
-            r = (sc(a, sc(b, c)) - sc(sc(a, b), c) - sc(b, sc(a, c)) * sign)
-            out.append((f"t{done}", r))
-            done += 1
-        return out
+        return [(f"t{i}", sc(a, sc(b, c)) - sc(sc(a, b), c)
+                 - sc(b, sc(a, c)) * (-1 if a.parity() and b.parity() else 1))
+                for i, a, b, c in _homogeneous(env, 1, 3)]
 
     @_case(cases, "health.skew",
            "graded skew-symmetry on homogeneous seeded pairs", 1)
     def _(env):
-        rng = random.Random(env.options.seed + 2)
-        out = []
-        done = 0
-        while done < env.options.jacobi_trials:
-            a = random_element(env.ctx, rng, env.options.max_degree)
-            b = random_element(env.ctx, rng, env.options.max_degree)
-            a = a.odd_part() if done % 2 else a.even_part()
-            b = b.even_part() if done % 3 else b.odd_part()
-            if a.is_zero() or b.is_zero():
-                continue
-            sign = -1 if (a.parity() and b.parity()) else 1
-            out.append((f"t{done}", sc(a, b) + sc(b, a) * sign))
-            done += 1
-        return out
+        return [(f"t{i}", sc(a, b)
+                 + sc(b, a) * (-1 if a.parity() and b.parity() else 1))
+                for i, a, b in _homogeneous(env, 2, 2)]
 
     @_case(cases, "health.idempotent",
            "normalization is a fixpoint of renormalization", 1)
@@ -1078,7 +998,7 @@ def build_catalog() -> list:
             s2 = _random_scalar(rng, env.ctx.num_classes)
             diff = ((s1 * s2).substitute(vals)
                     - s1.substitute(vals) * s2.substitute(vals))
-            out.append((f"t{i}", env.scal(diff)))
+            out.append((f"t{i}", env.ctx.scalar_elem(diff)))
         resid = osp_relations(env.ctx)["FpFm"]
         for i, vset in enumerate((vals, {c: BaseNumber(-2) for c in
                                          range(env.ctx.num_classes)})):
@@ -1086,6 +1006,23 @@ def build_catalog() -> list:
         return out
 
     return cases
+
+
+def _homogeneous(env: SuiteEnv, offset: int, draws: int):
+    """The trial number and ``draws`` seeded random elements, the first two
+    made homogeneous with parities alternating by trial; a draw where
+    either of them vanishes is drawn again under the same trial number."""
+    opts = env.options
+    rng = random.Random(opts.seed + offset)
+    done = 0
+    while done < opts.jacobi_trials:
+        a, b, *rest = [random_element(env.ctx, rng, opts.max_degree)
+                       for _ in range(draws)]
+        a = a.odd_part() if done % 2 else a.even_part()
+        b = b.even_part() if done % 3 else b.odd_part()
+        if not (a.is_zero() or b.is_zero()):
+            yield done, a, b, *rest
+            done += 1
 
 
 def _random_scalar(rng, num_classes: int) -> Scalar:

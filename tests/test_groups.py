@@ -209,8 +209,9 @@ def test_closure_table_matches_matrix_products(name):
     pairs = [(i, j) for i in range(n) for j in range(n)]
     if len(pairs) > 2000:
         pairs = random.Random(7).sample(pairs, 2000)
+    index = {m: i for i, m in enumerate(g.mats)}
     for i, j in pairs:
-        assert g.mul(i, j) == g.index[_dense_product(g.mats[j], g.mats[i])]
+        assert g.mul(i, j) == index[_dense_product(g.mats[j], g.mats[i])]
     for i in range(n):
         assert g.mul(i, g.inv(i)) == 0
         assert g.ymats[i] == invert_matrix(tuple(zip(*g.mats[i])))
@@ -229,6 +230,22 @@ def test_d4_closes_on_a_subset_of_its_reflections():
     assert len(refls) == 12
     assert len(gens) == 4 and set(gens) <= set(refls)
     assert len(tree) == g.order - 1
+
+
+def test_construction_fills_only_the_generators_rows():
+    # inverses come from the search tree and classes from the generators'
+    # rows, so a fresh group has filled no other row of its table
+    g = parse_group_spec("D4@4")
+    filled = {i for i, row in enumerate(g._mul_rows) if row is not None}
+    _, gens = g._closure_tree(sorted(r.elem for r in g.reflections))
+    assert filled <= set(gens) | {g.inv(s) for s in gens}
+    assert len(filled) <= 2 * len(gens) and len(filled) < g.order
+
+
+def test_duplicate_elements_are_refused():
+    ident = ((Fraction(1), Fraction(0)), (Fraction(0), Fraction(1)))
+    with pytest.raises(ValueError, match="duplicate group elements"):
+        ReflectionGroup(QuadraticSpace(2), [ident, ident])
 
 
 _I = ((Fraction(1), Fraction(0)), (Fraction(0), Fraction(1)))

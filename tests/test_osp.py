@@ -5,7 +5,7 @@ import pytest
 
 from cheralg.core import Context, supercommutator as sc
 from cheralg.geometry import beta
-from cheralg.groups import build_group, trivial_group
+from cheralg.groups import from_generators, trivial_group
 from cheralg.osp import (GAMMA, NotWeightZero, XMINUS, XPLUS, build_osp,
                          casimir, gen_symmetry, osp_relation_residuals,
                          pair_element, p_alpha, p_minus, p_plus, q_minus,
@@ -44,17 +44,17 @@ def test_sqrt2_normalization(ctx_a12):
 
 
 def test_pair_element_examples(ctx_a12):
-    ctx = ctx_a12
-    gens = build_osp(ctx)
-    assert pair_element(ctx, XPLUS, XMINUS) == gens.H
-    assert pair_element(ctx, XPLUS, GAMMA) == gens.X
-    assert pair_element(ctx, XPLUS, XPLUS) == gens.Ep * 2
-    assert pair_element(ctx, XMINUS, XMINUS) == -(gens.Em * 2)
-    # the supersymmetric pairing of the odd direction with itself vanishes
-    assert pair_element(ctx, GAMMA, GAMMA).is_zero()
-    # bilinearity over combos
-    combo = pair_element(ctx, {XPLUS: 2, XMINUS: 1}, GAMMA)
-    assert combo == gens.X * 2 + gens.D
+    # every ordered pair of basis directions pairs to an osp generator, the
+    # same for both orders, and the odd direction pairs with itself to zero
+    swap = Context(from_generators([[[0, 1], [1, 0]]], gram=[[2, 1], [1, 2]]))
+    for ctx in (ctx_a12, swap):
+        gens = build_osp(ctx)
+        named = {(XPLUS, XPLUS): gens.Ep * 2, (XPLUS, XMINUS): gens.H,
+                 (XPLUS, GAMMA): gens.X, (XMINUS, XMINUS): gens.Em * (-2),
+                 (XMINUS, GAMMA): gens.D, (GAMMA, GAMMA): ctx.zero()}
+        for w, z in itertools.product((XPLUS, XMINUS, GAMMA), repeat=2):
+            want = named[(w, z) if (w, z) in named else (z, w)]
+            assert pair_element(ctx, w, z) == want, (ctx.group.label, w, z)
 
 
 def test_projector_examples(ctx_a12):
@@ -135,20 +135,18 @@ def test_structure_constants(ctx_a12):
     ctx = ctx_a12
     syms = (XPLUS, XMINUS, GAMMA)
 
-    def combo(pairs):
-        out = {}
-        for s_, c in pairs:
-            out[s_] = out.get(s_, 0) + c
-        return out
+    def pair(w, z):
+        return pair_element(ctx, w, z)
 
     for z1, z2, z3, z4 in itertools.product(syms, repeat=4):
-        lhs = sc(pair_element(ctx, z1, z2), pair_element(ctx, z3, z4))
+        lhs = sc(pair(z1, z2), pair(z3, z4))
         s23 = -1 if (_PARITY[z2] and _PARITY[z3]) else 1
         s24 = -1 if (_PARITY[z2] and _PARITY[z4]) else 1
-        w1 = combo([(z1, b_form(z2, z3)), (z2, b_form(z1, z3) * s23)])
-        w2 = combo([(z1, b_form(z2, z4)), (z2, b_form(z1, z4) * s24)])
         s123 = -1 if ((_PARITY[z1] ^ _PARITY[z2]) and _PARITY[z3]) else 1
-        rhs = pair_element(ctx, w1, z4) + pair_element(ctx, z3, w2) * s123
+        rhs = (pair(z1, z4) * b_form(z2, z3)
+               + pair(z2, z4) * (b_form(z1, z3) * s23)
+               + (pair(z3, z1) * b_form(z2, z4)
+                  + pair(z3, z2) * (b_form(z1, z4) * s24)) * s123)
         assert (lhs - rhs).is_zero(), (z1, z2, z3, z4)
 
 

@@ -114,6 +114,36 @@ def test_covector_names_rejected_in_element_position(ctx_a12, ctx_a23):
     assert not zz.is_zero()
 
 
+def test_covector_name_error_lists_the_covector_calls(ctx_a12):
+    from cheralg.oracle import _LEAF_CALLS
+    from cheralg.parser import _COV_CALLS
+    with pytest.raises(EvalError) as err:
+        evaluate(ctx_a12, "zp1")
+    assert str(err.value) == ("'zp1' is a covector name, allowed only inside "
+                              "O/M/A/R/gamma/Of/x/beta/psi(...)")
+    assert set(_COV_CALLS) <= set(_LEAF_CALLS)
+
+
+@pytest.mark.parametrize("spec", ["A1@2", "B2@2", "A2@3", "swap"])
+def test_reflection_formula_is_the_group_action(spec):
+    # u - 2*B(alpha, u)/B(alpha, alpha)*alpha in covector mode is the
+    # group's action of the reflection with root alpha, also under a
+    # Gram matrix that is not the identity
+    from cheralg.core import Context
+    from cheralg.groups import from_generators, parse_group_spec
+    group = (from_generators([[[0, 1], [1, 0]]], gram=[[2, 1], [1, 2]])
+             if spec == "swap" else parse_group_spec(spec))
+    ev = Evaluator(Context(group))
+    covs = ["x1", "x2", "x1 + 2*x2"] + (["x3 - x1"] if group.dim > 2 else [])
+    for k, refl in enumerate(group.reflections, 1):
+        for src in covs:
+            u = ev.eval_covector(parse_expression(src))
+            got = ev.eval_covector(parse_expression(
+                f"{src} - 2*B(alpha{k}, {src})/B(alpha{k}, alpha{k})"
+                f"*alpha{k}"))
+            assert got == group.act(refl.elem, u), (k, src)
+
+
 def test_roundtrip_random(ctx_b22):
     rng = random.Random(77)
     ev = Evaluator(ctx_b22)
