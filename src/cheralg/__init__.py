@@ -14,8 +14,7 @@ from .geometry import (Covector, QuadraticSpace, Vector, WittBasis, beta,
 from .groups import (Reflection, ReflectionGroup, build_group,
                      from_generators, parse_group_spec, trivial_group)
 from .core import (Context, Element, Monomial, anticommutator,
-                   antisymmetrize, commutator, random_element,
-                   supercommutator)
+                   antisymmetrize, random_element, supercommutator)
 from .oracle import PolySpinor, SpinorModule
 from .osp import (OspGenerators, build_osp, casimir, gen_symmetry,
                   pair_element, p_alpha, p_minus, p_plus, q_minus, q_plus,

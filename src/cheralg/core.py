@@ -792,11 +792,6 @@ def _graded_bracket(a: Element, b: Element, sign: int) -> Element:
                    normalized=True)
 
 
-def commutator(a: Element, b: Element) -> Element:
-    """The plain ungraded commutator ab - ba."""
-    return a * b - b * a
-
-
 # -- antisymmetrisation ------------------------------------------------------------
 
 

@@ -7,7 +7,15 @@ pairing is preserved.  Only these families are built in, because their roots
 have rational coordinates of squared length 1 or 2, which keeps every
 construction inside the scalar ring.  Arbitrary finite subgroups of the
 orthogonal group can be supplied as generator matrices; the closure is
-enumerated up to a cap.
+enumerated breadth-first up to a cap.
+
+Every matrix product of the module is taken by one routine,
+``_row_product``, on sparse integer rows: row p lists the nonzero
+(q, entry) pairs of row p, an entry an int where integral.  The closure of
+custom generators, the reflection test (trace d - 2 and square 1) and the
+columns of the table all multiply through it.  The root of a reflection s
+is read off I - s: u - s.u lies on the root for every covector u, so the
+first nonzero row of I - s, scaled to coprime integers, is the root.
 
 Element indices follow the order in which the elements are enumerated
 (element 0 is the identity); the multiplication table, the inverses and the
@@ -16,14 +24,13 @@ filled by generator closure.  The generators are a subset of the
 reflections, taken greedily in element order: a reflection joins only when
 a breadth-first search from the identity over the generators so far misses
 it.  An element the search still misses joins too, as long as one does.
-One product per element and generator, taken on the sparse integer rows of
-``x_rows`` and looked up by those rows, gives that generator's column of
-the table and checks closure.  Only the generators are checked to preserve
-the bilinear form; every element is a product of them.  The search tree
-writes each element as a parent times a generator, so a row of the table
-is filled on first use by integer lookups alone, and the inverses follow
-the tree too: building a group fills only the rows of its generators and
-their inverses.
+One product per element and generator, looked up by its rows, gives that
+generator's column of the table and checks closure.  Only the generators are
+checked to preserve the bilinear form; every element is a product of them.
+The search tree writes each element as a parent times a generator, so a row
+of the table is filled on first use by integer lookups alone, and the
+inverses follow the tree too: building a group fills only the rows of its
+generators and their inverses.
 
 A group may be embedded in an ambient dimension larger than its natural one;
 the extra coordinates are fixed pointwise.  This keeps identities that need
@@ -37,7 +44,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .geometry import Covector, QuadraticSpace, Vector, row_reduce
+from .geometry import Covector, QuadraticSpace, Vector
 from .scalars import BN_ZERO, as_base, int_if_integral
 
 DEFAULT_ORDER_CAP = 10_000
@@ -51,23 +58,33 @@ def _identity_matrix(d: int) -> Matrix:
                  for i in range(d))
 
 
-def _mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    # Row p of the product is the image of x_p under "first a, then b":
-    # (ab).x_p = a(b.x_p) requires composing actions; we store plain matrix
-    # products and fix the composition order at the call sites.  Zero
-    # entries are skipped: a signed permutation has one nonzero per row.
-    n = len(a)
-    zero = Fraction(0)
-    out = []
+def _sparse_rows(m: Matrix) -> tuple:
+    """The rows of m without their zeros, in the form of ``x_rows``."""
+    return tuple(tuple((q, int_if_integral(v)) for q, v in enumerate(row) if v)
+                 for row in m)
+
+
+def _row_product(a: tuple, b: tuple) -> tuple:
+    """The product a @ b of two matrices in the sparse-row form of
+    ``x_rows``, in that form: every entry goes through
+    ``int_if_integral``, so equal matrices give equal rows and a lookup
+    by them hashes small ints, not Fractions.  Row p of a stored matrix is
+    the image of x_p, so a @ b is "first a, then b" on the covectors."""
+    prod = []
     for arow in a:
-        acc = [zero] * n
-        for k, v in enumerate(arow):
-            if v:
-                for j, w in enumerate(b[k]):
-                    if w:
-                        acc[j] += v * w
-        out.append(tuple(acc))
-    return tuple(out)
+        acc: dict = {}
+        for k, v in arow:
+            for q, w in b[k]:
+                acc[q] = acc.get(q, 0) + v * w
+        prod.append(tuple((q, int_if_integral(c))
+                          for q, c in sorted(acc.items()) if c))
+    return tuple(prod)
+
+
+def _dense(rows: tuple, d: int) -> Matrix:
+    """The dense Fraction matrix of sparse rows."""
+    return tuple(tuple(Fraction(dict(row).get(q, 0)) for q in range(d))
+                 for row in rows)
 
 
 def _transpose(m: Matrix) -> Matrix:
@@ -75,27 +92,20 @@ def _transpose(m: Matrix) -> Matrix:
 
 
 def _check_preserves_form(m: Matrix, space: QuadraticSpace):
-    """Raise unless m G m^T = G for the Gram matrix G of ``space``; under
-    the identity Gram matrix, unless the rows of m are orthonormal, summed
-    in plain Fraction arithmetic."""
+    """Raise unless m G m^T = G for the Gram matrix G of ``space``."""
     d = len(m)
     gram = space.gram
     for p in range(d):
         for q in range(p, d):
-            if space.is_identity:
-                dot = sum(a * b for a, b in zip(m[p], m[q]))
-                ok = dot == (1 if p == q else 0)
-            else:
-                acc = BN_ZERO
-                for k in range(d):
-                    if m[p][k] == 0:
+            acc = BN_ZERO
+            for k in range(d):
+                if m[p][k] == 0:
+                    continue
+                for l in range(d):
+                    if m[q][l] == 0:
                         continue
-                    for l in range(d):
-                        if m[q][l] == 0:
-                            continue
-                        acc = acc + as_base(m[p][k] * m[q][l]) * gram[k][l]
-                ok = acc == gram[p][q]
-            if not ok:
+                    acc = acc + as_base(m[p][k] * m[q][l]) * gram[k][l]
+            if acc != gram[p][q]:
                 raise ValueError(
                     "group element does not preserve the bilinear form")
 
@@ -119,20 +129,13 @@ def _primitive(vec):
     return tuple(Fraction(v) for v in ints)
 
 
-def _minus_one_eigenvector(mat: Matrix):
-    """Kernel of (M^T + I); one-dimensional for a reflection matrix."""
-    n = len(mat)
-    rows, pivots = row_reduce([[mat[j][i] + (1 if i == j else 0)
-                                for j in range(n)] for i in range(n)])
-    free = [c for c in range(n) if c not in pivots]
-    if len(free) != 1:
-        raise ValueError("matrix is not a reflection (fixed space too small)")
-    f = free[0]
-    sol = [Fraction(0)] * n
-    sol[f] = Fraction(1)
-    for i, c in enumerate(pivots):
-        sol[c] = -rows[i][f]
-    return _primitive(sol)
+def _root(m: Matrix):
+    """The root of the reflection m: u - m.u lies on the root for every
+    covector u, so the first nonzero row of I - m, made primitive."""
+    d = len(m)
+    return _primitive(next(
+        row for row in (tuple((p == q) - m[p][q] for q in range(d))
+                        for p in range(d)) if any(row)))
 
 
 @dataclass(frozen=True)
@@ -157,11 +160,6 @@ class ReflectionGroup:
         ident = _identity_matrix(self.dim)
         if self.mats[0] != ident:
             raise ValueError("element 0 must be the identity")
-        # A reflection is an involution fixing a hyperplane: trace d - 2.
-        d = self.dim
-        refl_elems = [i for i, m in enumerate(self.mats)
-                      if sum(m[p][p] for p in range(d)) == d - 2
-                      and _mat_mul(m, m) == ident]
         # Row i of the multiplication table, filled on first use from the
         # tree; a flat list holds the products in a tenth of a dict's memory.
         # The integer views of the matrices and of the reflection data are
@@ -174,6 +172,13 @@ class ReflectionGroup:
         self._y_rows: list = [None] * len(self.mats)
         self._shared_rows: dict = {}
         self._refl_factors = None
+        # A reflection is an involution fixing a hyperplane: trace d - 2.
+        d = self.dim
+        ident_rows = _sparse_rows(ident)
+        refl_elems = [i for i, m in enumerate(self.mats)
+                      if sum(m[p][p] for p in range(d)) == d - 2
+                      and _row_product(self.x_rows(i), self.x_rows(i))
+                      == ident_rows]
         self._tree, gens = self._closure_tree(refl_elems)
         self._inverses = self._tree_inverses()
         self.ymats = tuple(_transpose(self.mats[self.inv(i)])
@@ -188,27 +193,15 @@ class ReflectionGroup:
 
     def _right_column(self, s: int, keys: dict) -> list:
         """mul(x, s) for every x: the only matrix products of the table, and
-        with the generators the closure check.  The products are taken on
-        the sparse rows of ``x_rows`` and looked up in ``keys``, which maps
-        each element's ``x_rows`` to its index; every entry of a product
-        goes through ``int_if_integral``, so its rows have the same form
-        and a lookup hashes small ints, not Fractions."""
-        col = []
+        with the generators the closure check.  The products are taken by
+        ``_row_product`` and looked up in ``keys``, which maps each
+        element's ``x_rows`` to its index."""
+        # (gh).x_p = g.(h.x_p); with rows holding basis images this
+        # composes as the matrix product mats[h] @ mats[g].
         srows = self.x_rows(s)
+        col = []
         for x in range(len(self.mats)):
-            # (gh).x_p = g.(h.x_p); with rows holding basis images this
-            # composes as the matrix product mats[h] @ mats[g].
-            xrows = self.x_rows(x)
-            prod = []
-            for srow in srows:
-                acc: dict = {}
-                for k, v in srow:
-                    for q, w in xrows[k]:
-                        acc[q] = acc.get(q, 0) + v * w
-                row = tuple((q, int_if_integral(c))
-                            for q, c in sorted(acc.items()) if c)
-                prod.append(row)
-            k = keys.get(tuple(prod))
+            k = keys.get(_row_product(srows, self.x_rows(x)))
             if k is None:
                 raise ValueError("group is not closed under multiplication")
             col.append(k)
@@ -293,7 +286,7 @@ class ReflectionGroup:
 
     def _find_reflections(self, refl_elems: list, gens: list):
         d = self.dim
-        roots = {i: _minus_one_eigenvector(self.mats[i]) for i in refl_elems}
+        roots = {i: _root(self.mats[i]) for i in refl_elems}
         order = sorted(refl_elems, key=lambda i: roots[i])
         # Conjugacy classes, numbered by first appearance in root order; a
         # class is an orbit under conjugation by the generators, taken as
@@ -355,12 +348,9 @@ class ReflectionGroup:
         if rows is None:
             # Rows repeat across elements (a signed permutation matrix has
             # one of 2d rows), so each distinct row is stored once.
-            rows = []
-            for row in mats[g]:
-                sparse = tuple((q, int_if_integral(v))
-                               for q, v in enumerate(row) if v)
-                rows.append(self._shared_rows.setdefault(sparse, sparse))
-            rows = views[g] = tuple(rows)
+            shared = self._shared_rows
+            rows = views[g] = tuple(shared.setdefault(row, row)
+                                    for row in _sparse_rows(mats[g]))
         return rows
 
     def reflection_factors(self, j: int, r: int) -> tuple:
@@ -475,15 +465,16 @@ def from_generators(matrices, gram=None, closure_cap: int = DEFAULT_ORDER_CAP,
     space = QuadraticSpace(d, gram)
     for g in gens:
         _check_preserves_form(g, space)
-    ident = _identity_matrix(d)
+    gen_rows = [_sparse_rows(g) for g in gens]
+    ident = _sparse_rows(_identity_matrix(d))
     seen = {ident}
     frontier = [ident]
     ordered = [ident]
     while frontier:
         nxt = []
         for m in frontier:
-            for g in gens:
-                prod = _mat_mul(m, g)
+            for g in gen_rows:
+                prod = _row_product(m, g)
                 if prod not in seen:
                     if len(seen) >= closure_cap:
                         raise ValueError(
@@ -492,7 +483,7 @@ def from_generators(matrices, gram=None, closure_cap: int = DEFAULT_ORDER_CAP,
                     ordered.append(prod)
                     nxt.append(prod)
         frontier = nxt
-    return ReflectionGroup(space, ordered, label=label)
+    return ReflectionGroup(space, [_dense(m, d) for m in ordered], label=label)
 
 
 def trivial_group(dim: int, gram=None) -> ReflectionGroup:

@@ -10,9 +10,9 @@ Grammar (standard precedence, carets bind tightest, so -y^2 is -(y^2)):
              |  '(' expr ')' | '[' expr ',' expr ']' | '{' expr ',' expr '}'
 
 An exponent is a nonnegative integer literal, and a power is taken by
-repeated products.  A product's operands must keep every x and y exponent
-below 2^27 (lower past dimension 16, see core.exponent_bits); a product
-with a larger one raises OverflowError, exit 2 in the CLI.
+squaring and multiplying.  A product's operands must keep every x and y
+exponent below 2^27 (lower past dimension 16, see core.exponent_bits); a
+product with a larger one raises OverflowError, exit 2 in the CLI.
 
 Square brackets are the graded commutator, braces the graded
 anticommutator; both are atoms.  Call arguments are evaluated in covector

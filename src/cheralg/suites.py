@@ -73,11 +73,14 @@ from .scalars import BaseNumber, Scalar, as_base, as_scalar
 class RunOptions:
     seed: int = 2024
     max_degree: int = 2
-    assoc_trials: int = 40
-    jacobi_trials: int = 20
-    roundtrip_trials: int = 20
-    oracle_samples: int = 20
-    oracle_products: int = 50
+
+
+# The trial counts of the seeded health and oracle checks.
+ASSOC_TRIALS = 40
+JACOBI_TRIALS = 20
+ROUNDTRIP_TRIALS = 20
+ORACLE_SAMPLES = 20
+ORACLE_PRODUCTS = 50
 
 
 NEEDS_ORTHONORMAL = "needs the orthonormal configuration"
@@ -603,8 +606,9 @@ _PAIRING_ROWS = (
     TemplateRow(
         "pin.invariant_pairs",
         "paired generators supercommute with the covered group", 1,
-        tuple((w + z, f"[{_pair(w, z)}, rho(s)]")
-              for w, z in itertools.product(_DIRECTIONS, repeat=2)),
+        # one bracket per nonzero pairing; the pairing is symmetric
+        tuple((w + z, f"[{_pair(w, z)}, rho(s)]") for w, z in _PAIRING
+              if _PAIRING[w, z] != "0"),
         "s alpha", _reflections(3, covered=True)),
 )
 
@@ -941,7 +945,7 @@ def build_catalog() -> list:
     def _(env):
         rng = random.Random(env.options.seed)
         out = []
-        for i in range(env.options.assoc_trials):
+        for i in range(ASSOC_TRIALS):
             a = random_element(env.ctx, rng, env.options.max_degree)
             b = random_element(env.ctx, rng, env.options.max_degree)
             c = random_element(env.ctx, rng, env.options.max_degree)
@@ -980,7 +984,7 @@ def build_catalog() -> list:
         rng = random.Random(env.options.seed + 4)
         ev = Evaluator(env.ctx)
         out = []
-        for i in range(env.options.roundtrip_trials):
+        for i in range(ROUNDTRIP_TRIALS):
             a = random_element(env.ctx, rng, env.options.max_degree)
             back = ev.eval_element(parse_expression(str(a)))
             out.append((f"t{i}", back - a))
@@ -1015,7 +1019,7 @@ def _homogeneous(env: SuiteEnv, offset: int, draws: int):
     opts = env.options
     rng = random.Random(opts.seed + offset)
     done = 0
-    while done < opts.jacobi_trials:
+    while done < JACOBI_TRIALS:
         a, b, *rest = [random_element(env.ctx, rng, opts.max_degree)
                        for _ in range(draws)]
         a = a.odd_part() if done % 2 else a.even_part()
@@ -1207,10 +1211,11 @@ def oracle_cases(mod: SpinorModule = None) -> list:
     Every ORACLE_ROWS row, at its first binding, must be zero in the
     engine and annihilate all sampled vectors in the module; engine
     products must compose: act(a*b, v) = act(a, act(b, v)).  The first
-    row plus one must be caught (harness self-test).  Seeds, the number
-    and degree (at least 3) of the sampled vectors and the number of
-    products come from the env's options.  The sampled vectors are drawn
-    once, on the first row, and every row acts on the same ones.
+    row plus one must be caught (harness self-test).  Seeds and the degree
+    (at least 3) of the sampled vectors come from the env's options, and
+    ``ORACLE_SAMPLES`` vectors and ``ORACLE_PRODUCTS`` products are
+    drawn.  The sampled vectors are drawn once, on the first row, and
+    every row acts on the same ones.
     """
     samples = []
 
@@ -1220,7 +1225,7 @@ def oracle_cases(mod: SpinorModule = None) -> list:
             opts = env.options
             samples.extend(mod.random_vector(opts.seed + 7919 * i,
                                              max(opts.max_degree, 3))
-                           for i in range(opts.oracle_samples))
+                           for i in range(ORACLE_SAMPLES))
         module_eval = ModuleEvaluator(mod)
         for vec in samples:
             if not module_eval.act(node, vec).is_zero():
@@ -1243,7 +1248,7 @@ def oracle_cases(mod: SpinorModule = None) -> list:
     def products(env):
         opts = env.options
         rng = random.Random(opts.seed)
-        for i in range(opts.oracle_products):
+        for i in range(ORACLE_PRODUCTS):
             a = random_element(env.ctx, rng, max_degree=2)
             b = random_element(env.ctx, rng, max_degree=2)
             vec = mod.random_vector(rng.randrange(10 ** 9),

@@ -289,6 +289,60 @@ def test_d4_indexing_is_pinned(capsys):
     assert hashlib.sha256(out.encode()).hexdigest() == D4_INFO_SHA256
 
 
+def _reflection(alpha):
+    """The reflection with root alpha under the identity Gram matrix."""
+    n = sum(a * a for a in alpha)
+    return [[(p == q) - Fraction(2 * a * b) / n for q, b in enumerate(alpha)]
+            for p, a in enumerate(alpha)]
+
+
+_H = Fraction(1, 2)
+# Custom groups keep their element order too.  Each entry is (generators,
+# Gram matrix, order, sha256 of repr(mats), sha256 of the reflections'
+# (elem, root, coroot, root_norm, class_id)); the digests were taken from
+# the dense Fraction closure that preceded the integer-row product.
+CUSTOM_PINS = {
+    "rotation90": (
+        [[[0, -1], [1, 0]]], None, 4,
+        "1d6a443cfaf7f31d7c12850c6413a7e948079d5c72bc36568f86b313fa62bd8c",
+        "4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945"),
+    "B2xrotation": (
+        [[[0, -1, 0], [1, 0, 0], [0, 0, 1]], [[1, 0, 0], [0, 1, 0], [0, 0, -1]]],
+        None, 8,
+        "f9e5f40e1f2fd43c43582d6ff4e12fe4cd06e5c66cc6ed14e39e9d9411b2dba0",
+        "31a2c8f0d1df154caa273d08c2878879d7f9e6fbcca956379a5a870ceaf5a5c6"),
+    "swap": (
+        [[[0, 1], [1, 0]]], None, 2,
+        "e6aaf9ff1f8261c5941b3595fd985602192f26910b155a312002cac6a32d405c",
+        "6655cd8c8c49cc99af0e6c49887bdfc5294bea91ef7d1f88a616c64b281d6e53"),
+    "swap_general_gram": (
+        [[[0, 1], [1, 0]]], [[2, 1], [1, 2]], 2,
+        "e6aaf9ff1f8261c5941b3595fd985602192f26910b155a312002cac6a32d405c",
+        "6655cd8c8c49cc99af0e6c49887bdfc5294bea91ef7d1f88a616c64b281d6e53"),
+    "reflection_3_4_5": (
+        [[[Fraction(3, 5), Fraction(4, 5)], [Fraction(4, 5), Fraction(-3, 5)]]],
+        None, 2,
+        "58aad49ea880cbab5061f244586613ac409a2fc06ee3a18bf93445d443c1ff20",
+        "b42a325390db90e89f6e67df2c1143e8da3b602ee9017f9321f89f807a7022cd"),
+    "F4_simple": (
+        [_reflection(a) for a in ((0, 1, -1, 0), (0, 0, 1, -1), (0, 0, 0, 1),
+                                  (_H, -_H, -_H, -_H))], None, 1152,
+        "8100f5822c91ba26e1c1d90da5689e9d891232d13747f9f43b022656a8548151",
+        "ee5201cbf494df5bf857f851ece925b83148c3e69c77a186b7a34f0ef6471d6d"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CUSTOM_PINS))
+def test_custom_group_data_is_pinned(name):
+    gens, gram, order, mats_sha, refl_sha = CUSTOM_PINS[name]
+    g = from_generators(gens, gram=gram)
+    refl = [(r.elem, r.root, r.coroot, r.root_norm, r.class_id)
+            for r in g.reflections]
+    assert g.order == order
+    assert hashlib.sha256(repr(g.mats).encode()).hexdigest() == mats_sha
+    assert hashlib.sha256(repr(refl).encode()).hexdigest() == refl_sha
+
+
 def test_d4_eval_pool_one_entry_per_shape():
     pool = json.loads(EVAL_POOL.read_text())["pool"]
     first = {}

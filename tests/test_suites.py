@@ -105,23 +105,20 @@ def test_unknown_suite():
 
 
 def test_oracle_selection_by_prefix(env_a12):
-    env = make_env(env_a12.group,
-                   RunOptions(oracle_samples=2, oracle_products=2))
-
     def strip_ms(report):
         return {**json.loads(report.to_json()), "ms": 0}
 
-    one = run_suite(env, "oracle.l_Buv")
-    whole = {r.id: r for r in run_suite(env, "oracle")}
+    one = run_suite(env_a12, "oracle.l_Buv")
+    whole = {r.id: r for r in run_suite(env_a12, "oracle")}
     assert [r.id for r in one] == ["oracle.l_Buv"]
     assert strip_ms(one[0]) == strip_ms(whole["oracle.l_Buv"])
     assert (one[0].status, one[0].oracle) == ("pass", True)
-    osp = run_suite(env, "oracle.osp12re")
+    osp = run_suite(env_a12, "oracle.osp12re")
     assert [r.id for r in osp] == [rid for rid in ORACLE_IDS
                                    if rid.startswith("oracle.osp12re.")]
     assert len(osp) == 6 and all(r.status == "pass" for r in osp)
     with pytest.raises(UnknownSuite):
-        run_suite(env, "oracle.nope")
+        run_suite(env_a12, "oracle.nope")
 
 
 def test_selection_by_case_id(env_a12):
@@ -174,15 +171,13 @@ def test_report_schema(env_a12):
     schema = json.loads(
         resources.files("cheralg").joinpath("report_schema.json").read_text())
     reps = run_suite(env_a12, "gensym")
-    reps += run_oracle_crosscheck(make_env(
-        env_a12.group, RunOptions(oracle_samples=2, oracle_products=2)))
+    reps += run_oracle_crosscheck(env_a12)
     for r in reps:
         validate(json.loads(r.to_json()), schema)
 
 
 def test_oracle_crosscheck_and_mutation(env_a12):
-    reps = run_oracle_crosscheck(make_env(
-        env_a12.group, RunOptions(oracle_samples=5, oracle_products=10)))
+    reps = run_oracle_crosscheck(env_a12)
     by_id = {r.id: r for r in reps}
     assert by_id["oracle.mutation"].status == "pass"   # perturbation caught
     assert by_id["oracle.products"].status == "pass"
@@ -206,15 +201,13 @@ def test_oracle_rows_share_one_draw_of_samples(env_a12, monkeypatch):
     opts = env_a12.options
     reps = run_oracle_crosscheck(env_a12)
     assert {r.status for r in reps} == {"pass"}
-    row_seeds = [opts.seed + 7919 * i for i in range(opts.oracle_samples)]
+    row_seeds = [opts.seed + 7919 * i for i in range(suites.ORACLE_SAMPLES)]
     assert sorted(s for s in seeds if s in row_seeds) == sorted(row_seeds)
-    assert len(seeds) == opts.oracle_samples + opts.oracle_products
+    assert len(seeds) == suites.ORACLE_SAMPLES + suites.ORACLE_PRODUCTS
 
 
 def test_health_suite(env_a12):
-    env = make_env(env_a12.group,
-                   RunOptions(seed=1, assoc_trials=10, jacobi_trials=6,
-                              roundtrip_trials=6))
+    env = make_env(env_a12.group, RunOptions(seed=1))
     reps = run_suite(env, "health")
     assert all(r.status == "pass" for r in reps)
 
@@ -261,8 +254,7 @@ def test_skipped_oracle_reports_keep_ids_and_anchors(env_a12):
     group = from_generators([[[0, 1], [1, 0]]], gram=[[2, 1], [1, 2]])
     skipped = {r.id: r.anchor
                for r in run_oracle_crosscheck(make_env(group))}
-    run = {r.id: r.anchor for r in run_oracle_crosscheck(make_env(
-        env_a12.group, RunOptions(oracle_samples=1, oracle_products=1)))}
+    run = {r.id: r.anchor for r in run_oracle_crosscheck(env_a12)}
     assert {"oracle.products", "oracle.mutation"} <= set(skipped) & set(run)
     assert {rid: skipped[rid] for rid in run if rid in skipped} \
         == {rid: run[rid] for rid in run if rid in skipped}
@@ -311,8 +303,7 @@ def test_every_oracle_row_plus_one_is_detected(env_a12, monkeypatch):
             (label, plus_one(src)) for label, src in row.templates)))
         for name, row in ORACLE_ROWS)
     monkeypatch.setattr(suites, "ORACLE_ROWS", perturbed)
-    reps = run_oracle_crosscheck(make_env(
-        env_a12.group, RunOptions(oracle_samples=2, oracle_products=1)))
+    reps = run_oracle_crosscheck(env_a12)
     rows = {f"oracle.{name}" for name, _ in ORACLE_ROWS}
     for r in reps:
         if r.id in rows:
@@ -377,7 +368,8 @@ def _reflection_rows(refls, dim):
         "pin.group_action": [f"s{k}.{t}" for k in refls for t in
                              ("(0,)", "(0, 1)", "(0, 1, 2)")[:dim]],
         "pin.invariant_pairs": [f"s{k}.{w}" for k in refls
-                                for w in _words(2)],
+                                for w in ("x+x+", "x+x-", "x+gamma", "x-x-",
+                                          "x-gamma")],
     }
 
 
