@@ -77,7 +77,7 @@ from typing import NamedTuple
 from .geometry import Covector, QuadraticSpace, Vector, bilinear_B
 from .groups import ReflectionGroup
 from .scalars import (BN_HALF_SQRT2, BN_I, BN_ONE, BaseNumber, SC_ONE,
-                      SC_ZERO, Scalar, as_scalar, int_if_integral,
+                      SC_ZERO, Scalar, as_scalar, int_if_integral, power,
                       render_coefficient)
 
 # 1/sqrt(B(root, root)) for the squared root lengths the scalar ring holds.
@@ -638,17 +638,9 @@ class Element:
     def __pow__(self, n: int):
         if not isinstance(n, int) or n < 0:
             raise ValueError("powers must be nonnegative integers")
-        if n == 0:
-            return self.ctx.one()
-        # Square and multiply from the top bit down, starting from the
-        # base: every operand is a power a^k with k < n, so the exponent
-        # guard of each product sees the operands before they overflow.
-        acc = self
-        for bit in bin(n)[3:]:
-            acc = acc * acc
-            if bit == "1":
-                acc = acc * self
-        return acc
+        # every operand is a power a^k with k < n, so the exponent guard
+        # of each product sees the operands before they overflow
+        return power(self, n, self.ctx.one())
 
     # -- structure ----------------------------------------------------------
 

@@ -113,19 +113,11 @@ def build_osp(ctx: Context) -> OspGenerators:
         ctx=ctx, X=X, D=D, H=H, Ep=Ep, Em=Em,
         Fp=X * BN_HALF_SQRT2, Fm=D * BN_HALF_SQRT2,
         OmegaKappa=ctx.omega_kappa())
-    relations = osp_relation_residuals(gens)
-    for name, resid in relations.items():
+    for name, resid in osp_relation_residuals(gens).items():
         if not resid.is_zero():
             raise RelationError(f"defining relation {name} failed: {resid}")
     ctx._misc_cache["osp"] = gens
-    ctx._misc_cache["osp.relations"] = relations
     return gens
-
-
-def osp_relations(ctx: Context) -> dict:
-    """The relation residuals that ``build_osp`` computed and checked."""
-    build_osp(ctx)
-    return ctx._misc_cache["osp.relations"]
 
 
 def osp_relation_residuals(gens: OspGenerators) -> dict:

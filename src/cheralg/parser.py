@@ -17,7 +17,8 @@ product with a larger one raises OverflowError, exit 2 in the CLI.
 Square brackets are the graded commutator, braces the graded
 anticommutator; both are atoms.  Call arguments are evaluated in covector
 mode for the index-taking operations and for the form B(u, v), and in
-element mode for the projector-style maps (Pp, Pm, Palpha, Qp, Qm).  The
+element mode for the projector-style maps (Pp, Pm, Palpha, Qp, Qm).  An
+Evaluator takes each map call once: equal call nodes share one value.  The
 index-taking operations are
 
     O(u, ...)   the projected element -P(antisymmetrized word)/2
@@ -64,7 +65,7 @@ from .core import Context, anticommutator, antisymmetrize, supercommutator
 from .geometry import beta, bilinear_B, witt_basis
 from .osp import (build_osp, casimir, gen_symmetry, p_alpha, p_minus, p_plus,
                   q_minus, q_plus, scasimir)
-from .scalars import BN_I, BN_SQRT2, SC_ZERO, Scalar, as_scalar
+from .scalars import BN_I, BN_SQRT2, SC_ZERO, Scalar, as_scalar, power
 
 
 class ParseError(ValueError):
@@ -320,6 +321,7 @@ class Evaluator:
     def __init__(self, ctx: Context):
         self.ctx = ctx
         self._witt = None
+        self._maps: dict = {}       # map call node -> its value
 
     # -- scalar/covector layer ---------------------------------------------
 
@@ -505,7 +507,11 @@ class Evaluator:
         if fn in unary:
             if len(node.args) != 1:
                 raise EvalError(f"{fn} takes exactly one argument")
-            return unary[fn](ctx, self.eval_element(node.args[0]))
+            hit = self._maps.get(node)
+            if hit is None:
+                hit = self._maps[node] = unary[fn](
+                    ctx, self.eval_element(node.args[0]))
+            return hit
         raise EvalError(f"unknown operation {fn!r}")
 
 
@@ -554,10 +560,7 @@ def _scalar_pow(s: Scalar, e: Scalar) -> Scalar:
     if not e.is_constant() or const.b or const.c or const.d \
             or const.a.denominator != 1 or const.a < 0:
         raise EvalError("exponents must be nonnegative integers")
-    out = as_scalar(1)
-    for _ in range(int(const.a)):
-        out = out * s
-    return out
+    return power(s, int(const.a), as_scalar(1))
 
 
 def _scalar_inverse(s: Scalar) -> Scalar:

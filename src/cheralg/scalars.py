@@ -256,6 +256,21 @@ def int_if_integral(c):
     return c.numerator if c.denominator == 1 else c
 
 
+def power(base, n: int, one):
+    """base^n for an integer n >= 0, ``one`` at n = 0, by squaring and
+    multiplying from the top bit down, starting from the base: every
+    operand is a power base^k with k < n, and there are at most
+    2*log2(n) products."""
+    if n == 0:
+        return one
+    acc = base
+    for bit in bin(n)[3:]:
+        acc = acc * acc
+        if bit == "1":
+            acc = acc * base
+    return acc
+
+
 def as_base(x) -> BaseNumber:
     if isinstance(x, BaseNumber):
         return x
@@ -426,9 +441,7 @@ class Scalar:
             for idx, e in key:
                 if idx not in values:
                     raise KeyError(f"no substitution value for class {idx}")
-                base = as_base(values[idx])
-                for _ in range(e):
-                    v = v * base
+                v = v * power(as_base(values[idx]), e, BN_ONE)
             acc = acc + v
         return Scalar({(): acc})
 

@@ -151,6 +151,19 @@ def test_power_at_the_limit_evaluates(capsys):
     assert capsys.readouterr().out.strip() == "x1^134217728"
 
 
+@pytest.mark.parametrize("args, out", [
+    (["x(1^1000000000*x1)"], "x1"),
+    (["--kappa", "1", "k1^1000000000"], "1"),
+])
+def test_scalar_powers_square_and_multiply(capsys, args, out):
+    # a covector-mode power and a deformation value raised to its exponent
+    # take about 2*log2(e) products, not e
+    start = time.perf_counter()
+    assert main(["eval", "--group", "A1@2", *args]) == 0
+    assert time.perf_counter() - start < 5
+    assert capsys.readouterr().out.strip() == out
+
+
 def test_verify_on_roots_without_a_cover(capsys, tmp_path):
     # under this Gram the swap's root has squared length 10/3, whose square
     # root is outside the scalar ring: the cases that need rho(s) of it

@@ -116,7 +116,8 @@ def test_generalized_symmetry(env_a12, env_a23):
     for env in (env_a12, env_a23):
         ctx = env.ctx
         gens = build_osp(ctx)
-        covs = [env.x(0), env.x(1), env.x(0) + env.x(1)]
+        x = env.ctx.space.basis_covector
+        covs = [x(0), x(1), x(0) + x(1)]
         for u in covs:
             R = gen_symmetry(ctx, u)
             gu = ctx.gamma(u)

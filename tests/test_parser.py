@@ -258,3 +258,24 @@ def test_engine_routine_calls(which, ctx_a23):
                 "psi(x1, x2, x1)", "Of(e1)", "x(1)"):
         with pytest.raises(EvalError):
             evaluate(ctx, bad)
+
+
+def test_evaluator_takes_each_map_call_once(ctx_a12, monkeypatch):
+    from cheralg import parser
+    from cheralg.parser import Evaluator, parse_expression
+    calls = []
+    project = parser.p_plus
+
+    def counted(ctx, a):
+        calls.append(a)
+        return project(ctx, a)
+
+    monkeypatch.setattr(parser, "p_plus", counted)
+    node = parse_expression("Pp(M(x1, x2)) - Pp(M(x1, x2))^2/2")
+    again = parse_expression("[X, Pp(M(x1, x2))]")
+    ev = Evaluator(ctx_a12)
+    first = ev.eval_element(node)
+    assert ev.eval_element(again).is_zero()
+    assert len(calls) == 1
+    assert Evaluator(ctx_a12).eval_element(node) == first
+    assert len(calls) == 2

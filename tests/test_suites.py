@@ -384,9 +384,21 @@ def _reflection_rows(refls, dim):
 # rows put the sample covector first (0.x+x-gamma for x+x-gamma0, 0.low for
 # low0), and pin.rho_conj names the reflection, the basis covector u and
 # the tensor of u it conjugates (s1.x2.beta: beta(x2), which stood as y2).
+# The osp12re rows split a relation into its halves, each named (HFp and
+# HFm for the one residual HFpm).
+_OSP_LABELS = {
+    "osp12re.FpFm": ["FpFm"], "osp12re.HFpm": ["HFp", "HFm"],
+    "osp12re.FpmFpm": ["FpFp", "FmFm"], "osp12re.EpEm": ["EpEm"],
+    "osp12re.HEpm": ["HEp", "HEm"], "osp12re.FpmEmp": ["XEm", "DEp"],
+    "projector.membership": [f"{g}.{n}" for n in ("M12", "g", "e12", "mix")
+                             for g in "XD"],
+    "projector.series": ["fix.one", "fix.M12"] + [
+        f"{g}.{n}" for n in ("one", "M12", "MM", "wt0")
+        for g in ("Ep", "Em", "H")],
+}
 MOVED_LABELS = {
     "A1@2": {
-        **_bwz(2), **_reflection_rows((1,), 2),
+        **_bwz(2), **_reflection_rows((1,), 2), **_OSP_LABELS,
         "projector.additivity": ["sum"],
         "projector.angular": ["pair0", "pair1"],
         "projector.gammav": ["v0", "v1", "v2"],
@@ -423,7 +435,7 @@ MOVED_LABELS = {
         "p_OA2.n2": ["(0, 1)"],
     },
     "A2@3": {
-        **_bwz(3), **_reflection_rows((1, 2, 3), 3),
+        **_bwz(3), **_reflection_rows((1, 2, 3), 3), **_OSP_LABELS,
         "centmember.X.n1": ["(0,)", "(1,)", "(2,)"],
         "centmember.X.n2": ["(0, 1)", "(0, 2)", "(1, 2)"],
         "centmember.X.n3": ["(0, 1, 2)"],
@@ -500,6 +512,7 @@ MOVED_IDS = {
     *(f"bwz.{n}" for n in ("structure", "adjoint_even", "adjoint_odd",
                            "vector_laws", "odd_self")),
     "pin.rho_conj", "pin.group_action", "pin.invariant_pairs",
+    *_OSP_LABELS,
 }
 
 # The cases that stay Python builders, each for a reason the suites module
@@ -508,17 +521,14 @@ BUILDER_IDS = [
     "bwz.generator_forms",
     "health.assoc", "health.idempotent", "health.jacobi",
     "health.roundtrip", "health.skew", "health.substitution",
-    "osp12re.EpEm", "osp12re.FpFm", "osp12re.FpmEmp", "osp12re.FpmFpm",
-    "osp12re.HEpm", "osp12re.HFpm",
     "pin.chirality",
-    "projector.membership", "projector.series",
 ]
 
 
 def test_builder_cases_are_pinned():
     rows = {row.id for row in TEMPLATE_ROWS}
     assert sorted(set(catalog_ids()) - rows) == BUILDER_IDS
-    assert len(MOVED_IDS) == 67 and MOVED_IDS <= rows
+    assert len(MOVED_IDS) == 75 and MOVED_IDS <= rows
 
 
 @pytest.mark.parametrize("spec", sorted(MOVED_LABELS))
@@ -565,15 +575,20 @@ def test_every_row_evaluates_on_edge_groups(name):
 
 
 # Digests of every catalog report apart from its time, recorded before the
-# pairing and reflection-action cases became template rows: a change that
-# moves a case must leave its id, anchor, verdict and reason as they were.
-_REPORT_DIGESTS = {"A1@2": "2444de696b1df53c", "B2@2": "2444de696b1df53c"}
+# pairing and reflection-action cases became template rows (A1@2, B2@2)
+# and before the osp relations and the projector laws did (A2@3, the swap
+# under a general Gram matrix): a change that moves a case must leave its
+# id, anchor, verdict and reason as they were.
+_REPORT_DIGESTS = {
+    "A1@2": "2444de696b1df53c", "B2@2": "2444de696b1df53c",
+    "A2@3": "c8fb46eee9c03d8d", "general_gram": "d841c97e27dc24bf"}
 
 
 @pytest.mark.parametrize("spec", sorted(_REPORT_DIGESTS))
-def test_catalog_report_digests_pinned(spec, env_a12, env_b22):
+def test_catalog_report_digests_pinned(spec, env_a12, env_b22, env_a23):
     import hashlib
-    env = {"A1@2": env_a12, "B2@2": env_b22}[spec]
+    env = {"A1@2": env_a12, "B2@2": env_b22, "A2@3": env_a23}.get(spec) \
+        or make_env(from_generators([[[0, 1], [1, 0]]], **GENERAL_GRAM))
     reports = sorted((r for name in suite_names() if name != "oracle"
                       for r in run_suite(env, name)), key=lambda r: r.id)
     assert [r.id for r in reports] == sorted(catalog_ids())
@@ -582,3 +597,14 @@ def test_catalog_report_digests_pinned(spec, env_a12, env_b22):
         h.update(json.dumps([r.id, r.status, r.anchor, r.reason,
                              r.residual_terms, r.witness]).encode())
     assert h.hexdigest()[:16] == _REPORT_DIGESTS[spec]
+
+
+def test_a_broken_relation_fails_with_a_witness(env_a12, monkeypatch):
+    # the relation rows read H through the language, so a wrong H shows as
+    # a failed case where build_osp's own check would only have raised
+    from cheralg import parser
+    monkeypatch.setitem(parser._NAMED_ELEMENTS, "H",
+                        lambda ctx: parser.build_osp(ctx).H + 1)
+    for cid in ("osp12re.FpFm", "osp12re.EpEm"):
+        rep, = run_suite(env_a12, cid)
+        assert rep.status == "fail" and rep.witness, cid
