@@ -38,12 +38,12 @@ Every rule application strictly reduces (total xy-degree, misordered pairs),
 so iteration terminates; associativity of the resulting product is exercised
 as the executable surrogate for confluence.
 
-The product folds coefficients before it touches a Scalar.  The group-action
-memos (``_act``) and the Clifford-pair memo (``_cliff_pair``) store every
-integral coefficient as a Python int and keep the others as Fraction or
-BaseNumber, so the four factors of an output term multiply to one number,
-mostly in int arithmetic, and the running Scalar is multiplied at most once
-per term.
+The product folds coefficients before it touches a Scalar.  The memos store
+every integral number as a Python int and keep the others as Fraction (or
+BaseNumber, in ``_cliff_pair``); the y-x commutation memos (``_ycomm_*``)
+store a coefficient as items (kappa key, number).  So the factors of an
+output term multiply to one number under one kappa key, mostly in int
+arithmetic.
 
 A miss in those memos reads the group's integer views, not its Fraction
 matrices: ``x_rows``/``y_rows`` give each matrix row's nonzero entries and
@@ -52,15 +52,15 @@ reflection, as ints where integral.  The group fills them once on first
 use, so a cold Context (a fresh one per request, or a large group) expands
 group actions and Dunkl reflection sums mostly in int arithmetic too.
 
-A product expands each pair of words (m1, m2) into one dict that holds,
-per output word, the folded number, or a Scalar where the commutation
-rewrite's coefficient is not one; the pair's c1*c2 is formed once, and
-only if a word survives, and each survivor takes one Scalar product.  A
-graded bracket ab -+ (-1)^(|a||b|) ba is one call of the same routine with
-a sign: it expands both orders of the pair into that dict, so the leading
-terms that cancel between m1*m2 and m2*m1 vanish there as numbers.  A
-pair where m1 has no y or m2 no x has no y to move past an x, so it skips
-the commutation memo.
+A product expands each pair of words (m1, m2) into one dict of numbers
+keyed by (word, kappa key).  The pair's c1*c2 is formed once, and only if
+a word survives; the survivors' terms go into one dict of BaseNumbers
+keyed by (word, kappa key), and each output word's Scalar is built once,
+at the end.  A graded bracket ab -+ (-1)^(|a||b|) ba is one call of the
+same routine with a sign: it expands both orders of the pair into that
+dict, so the leading terms that cancel between m1*m2 and m2*m1 vanish
+there as numbers.  A pair where m1 has no y or m2 no x has no y to move
+past an x, so it skips the commutation memo.
 
 Elements are immutable values and all operations are pure; the only shared
 state is the per-context cache of rewrite fragments, which is append-only.
@@ -77,8 +77,8 @@ from typing import NamedTuple
 from .geometry import Covector, QuadraticSpace, Vector, bilinear_B
 from .groups import ReflectionGroup
 from .scalars import (BN_HALF_SQRT2, BN_I, BN_ONE, BaseNumber, SC_ONE,
-                      SC_ZERO, Scalar, as_scalar, int_if_integral, power,
-                      render_coefficient)
+                      SC_ZERO, Scalar, _key_mul, _scalar, as_scalar,
+                      int_if_integral, power, render_coefficient)
 
 # 1/sqrt(B(root, root)) for the squared root lengths the scalar ring holds.
 ROOT_SCALE = {1: BN_ONE, 2: BN_HALF_SQRT2}
@@ -361,14 +361,15 @@ class Context:
         return res
 
     def _ycomm_single(self, b: int, r: int):
-        """y^b * x_r in normal order: terms (xd, yd, g, Scalar), from
-        y^(b - e_j) x_r with j the last index of b, memoised bottom-up."""
+        """y^b * x_r in normal order: terms (xd, yd, g, items), from
+        y^(b - e_j) x_r with j the last index of b, memoised bottom-up; a
+        Dunkl reflection term is the item (((class, 1),), root*coroot)."""
         memo = self._ycomm1
         key = (b, r)
         chain = []
         while (b, r) not in memo:
             if not b:
-                memo[(b, r)] = ((self._unit_t[r], b, 0, SC_ONE),)
+                memo[(b, r)] = ((self._unit_t[r], b, 0, _UNIT),)
                 break
             j = (b.bit_length() - 1) // FIELD_BITS
             b2 = b - self._unit_t[j]
@@ -381,26 +382,25 @@ class Context:
                 prev = out.get(k)
                 out[k] = v if prev is None else prev + v
 
-            for xd, yd, h, c in memo[(b2, r)]:
+            for xd, yd, h, items in memo[(b2, r)]:
                 for bz, w in self._act_y(h, self._unit_t[j]):
-                    put((xd, yd + bz, h), c * w)
+                    for kk, n in items:
+                        put((xd, yd + bz, h, kk), n * w)
             if j == r:
-                put((0, b2, 0), SC_ONE)
+                put((0, b2, 0, ()), 1)
             for elem, cls, f in self.group.reflection_factors(j, r):
-                put((0, b2, elem), self.kappas[cls] * f)
-            memo[(b, r)] = tuple((xd, yd, h, c)
-                                 for (xd, yd, h), c in out.items()
-                                 if not c.is_zero())
+                put((0, b2, elem, ((cls, 1),)), f)
+            memo[(b, r)] = _grouped(out)
         return memo[key]
 
     def _ycomm_word(self, b: int, ax: int):
-        """y^b * x^ax in normal order: terms (xd, yd, g, Scalar), from
+        """y^b * x^ax in normal order: terms (xd, yd, g, items), from
         y^b x_r x^(ax - e_r) with r the first index of ax.  The words
         y^yd x^av left of one degree less are memoised first, on a stack."""
         if not ax:
-            return ((0, b, 0, SC_ONE),)
+            return ((0, b, 0, _UNIT),)
         if not b:
-            return ((ax, b, 0, SC_ONE),)
+            return ((ax, b, 0, _UNIT),)
         memo = self._ycommw
         top = (b, ax)
         hit = memo.get(top)
@@ -427,15 +427,17 @@ class Context:
                 stack.extend(missing)
                 continue
             out: dict = {}
-            for xd, yd, h, c in base:
+            for xd, yd, h, items in base:
                 for av, cx in self._act_x(h, ax2):
-                    for xd2, yd2, h2, c2 in self._ycomm_word(yd, av):
+                    for xd2, yd2, h2, items2 in self._ycomm_word(yd, av):
                         k = (xd + xd2, yd2, self.group.mul(h2, h))
-                        v = c * c2 * cx
-                        prev = out.get(k)
-                        out[k] = v if prev is None else prev + v
-            memo[key] = tuple((xd, yd, h, c) for (xd, yd, h), c in out.items()
-                              if not c.is_zero())
+                        for k1, n1 in items:
+                            for k2, n2 in items2:
+                                kk = k + (_key_mul(k1, k2),)
+                                v = n1 * n2 * cx
+                                prev = out.get(kk)
+                                out[kk] = v if prev is None else prev + v
+            memo[key] = _grouped(out)
             stack.pop()
         return memo[top]
 
@@ -447,13 +449,14 @@ class Context:
         term dict without zeros either way.
 
         Each word pair (m1, m2) is taken once.  ``_expand_pair`` writes
-        m1*m2 into one dict of coefficients without c1*c2, and for a
-        bracket also s*m2*m1, so the terms that cancel between the two
-        orders vanish there as numbers.  c1*c2 is formed only if a term
-        survives, then applied once to each survivor: a unit factor adds
-        or subtracts c1*c2 as it is.  The sign is the third positional
-        parameter, so a wrapper that forwards (t1, t2, x) with x = 0 or
-        False still gets the plain product.
+        m1*m2, and for a bracket also s*m2*m1, into one dict of numbers
+        keyed by (word, kappa key), so the terms that cancel between the
+        two orders vanish there.  c1*c2 is formed only if a term survives:
+        one key merge and one BaseNumber product for two kappa monomials,
+        else the Scalar product.  Its terms times the survivors' numbers go
+        into one dict keyed by (word, kappa key); each word's Scalar is
+        built once, at the end.  The sign is the third positional
+        parameter, so (t1, t2, 0) or (t1, t2, False) is the plain product.
 
         Raises OverflowError when an exponent of either operand reaches
         2^exponent_bits(dim), before a field of a product could carry."""
@@ -466,44 +469,56 @@ class Context:
                 f"2^{exponent_bits(self.dim)} in dimension {self.dim}")
         out: dict = {}
         expand = self._expand_pair
+        rows2 = [(m2, c2, tuple(c2.terms.items())) for m2, c2 in t2.items()]
         for m1, c1 in t1.items():
-            for m2, c2 in t2.items():
+            items1 = tuple(c1.terms.items())
+            for m2, c2, items2 in rows2:
                 pair: dict = {}
                 expand(m1, m2, 1, pair)
                 if sign:
                     expand(m2, m1, -sign if m1.parity and m2.parity
                            else sign, pair)
                 c = None
-                for mono, w in pair.items():
-                    if type(w) is Scalar:
-                        if not w.terms:
-                            continue
-                    elif w == 0:
+                for (mono, kw), w in pair.items():
+                    if w == 0:
                         continue
                     if c is None:
-                        c = c1 * c2
-                    prev = out.get(mono)
-                    if type(w) is not int or (w != 1 and w != -1):
-                        v = c * w
-                        out[mono] = v if prev is None else prev + v
-                    elif prev is None:
-                        out[mono] = c if w == 1 else -c
-                    else:
-                        out[mono] = prev + c if w == 1 else prev - c
-        return {m: c for m, c in out.items() if not c.is_zero()}
+                        if len(items1) == 1 and len(items2) == 1:
+                            ((k1, v1),), ((k2, v2),) = items1, items2
+                            c = ((_key_mul(k1, k2) if k1 and k2 else k1 or k2,
+                                  v2 if v1 is BN_ONE else v1 if v2 is BN_ONE
+                                  else v1 * v2),)
+                        else:
+                            c = tuple((c1 * c2).terms.items())
+                    for k, v in c:
+                        if type(w) is not int or (w != 1 and w != -1):
+                            v = v * w
+                        elif w == -1:
+                            v = -v
+                        key = (mono, _key_mul(k, kw) if kw else k)
+                        prev = out.get(key)
+                        out[key] = v if prev is None else prev + v
+        words: dict = {}
+        for (mono, k), v in out.items():
+            if not v.is_zero():
+                sc = words.get(mono)
+                if sc is None:
+                    words[mono] = _scalar({k: v})
+                else:
+                    sc.terms[k] = v     # the Scalar has not left the product
+        return words
 
     def _expand_pair(self, m1, m2, s: int, pair: dict) -> None:
-        """Add s * m1*m2 to ``pair``, coefficients taken without c1*c2.
+        """Add s * m1*m2 to ``pair`` as numbers keyed by (word, kappa key),
+        coefficients taken without c1*c2.
 
-        An output term's coefficient is the rewrite coefficient cw, a
-        Scalar, times the group-action factors cx, cy, cz and the Clifford
-        factor ce.  Those four are folded into one number f first; since
-        the memos hold them as ints where integral, that is mostly an int
-        product.  ``pair`` keeps f itself where cw is SC_ONE, else the
-        Scalar cw*f, which costs no multiplication when f is 1 or -1.
+        An output term's number is a commutation item's number times the
+        group-action factors cx, cy, cz and the Clifford factor ce, under
+        the item's kappa key; since the memos hold them as ints where
+        integral, that is mostly an int product.
 
         When m1 has no y or m2 no x, no y meets an x: the pair is
-        x^a1 (g1.x^a2) y^b1 (g1.y^b2) g1g2 e1e2, with cw = SC_ONE."""
+        x^a1 (g1.x^a2) y^b1 (g1.y^b2) g1g2 e1e2, all under the key ()."""
         group = self.group
         act = self._act
         ymemo = self._act_y_memo
@@ -521,14 +536,14 @@ class Context:
                     ys = b1 + by
                     fy = fx * cy
                     for emask, ce in eprod:
-                        mono = _tuple_new(Monomial, (xs, ys, g12, emask))
+                        key = (_tuple_new(Monomial, (xs, ys, g12, emask)), ())
                         f = fy * ce
-                        prev = pair.get(mono)
-                        pair[mono] = f if prev is None else prev + f
+                        prev = pair.get(key)
+                        pair[key] = f if prev is None else prev + f
             return
         for ax, cx in self._act_x(g1, a2):
             fx = s * cx
-            for xd, yd, h, cw in self._ycomm_word(b1, ax):
+            for xd, yd, h, items in self._ycomm_word(b1, ax):
                 xs = a1 + xd
                 hg = group.mul(h, g12)
                 for by, cy in yterms:
@@ -539,11 +554,25 @@ class Context:
                         for emask, ce in eprod:
                             mono = _tuple_new(Monomial, (xs, ys, hg, emask))
                             f = fz * ce
-                            if cw is not SC_ONE:
-                                f = (cw if f == 1 else -cw if f == -1
-                                     else cw * f)
-                            prev = pair.get(mono)
-                            pair[mono] = f if prev is None else prev + f
+                            for k, n in items:
+                                key = (mono, k)
+                                v = f * n
+                                prev = pair.get(key)
+                                pair[key] = v if prev is None else prev + v
+
+
+def _grouped(out: dict) -> tuple:
+    """Commutation terms (xd, yd, g, items) from numbers keyed by
+    (xd, yd, g, kappa key), without zero numbers, ints where integral."""
+    words: dict = {}
+    for (xd, yd, h, k), n in out.items():
+        if n:
+            words.setdefault((xd, yd, h), []).append((k, int_if_integral(n)))
+    return tuple((xd, yd, h, tuple(items))
+                 for (xd, yd, h), items in words.items())
+
+
+_UNIT = (((), 1),)      # the coefficient 1 as commutation items
 
 
 class Element:

@@ -163,11 +163,14 @@ class TemplateRow:
                 for label, node in self.instances(env.group)]
 
     def instances(self, group) -> list:
-        """(label, AST) of every template at every binding that fits."""
+        """(label, AST) of every template at every binding that fits; a
+        template that names no placeholder is its cached parse."""
         sources = [(slabel, src(group) if callable(src) else src)
                    for slabel, src in self.templates]
         return [(".".join(filter(None, (plabel, slabel))),
-                 substitute(_parsed(src), binding))
+                 substitute(_parsed(src), binding)
+                 if _names_placeholder(src, self.placeholders)
+                 else _parsed(src))
                 for plabel, binding in self._bindings(group)
                 for slabel, src in sources if _fits(src, group)]
 
@@ -215,6 +218,13 @@ def _parsed(src: str):
     """The AST of a template, parsed on first use rather than when the
     catalog is built."""
     return parse_expression(src)
+
+
+@functools.cache
+def _names_placeholder(src: str, placeholders: str) -> bool:
+    """Does the template's text name a placeholder or its hatted form?"""
+    words = set(re.findall(r"\w+", src))
+    return any(n in words or n + "h" in words for n in placeholders.split())
 
 
 def _ix(*groups):

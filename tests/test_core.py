@@ -11,7 +11,8 @@ from cheralg.core import (FIELD_BITS, Context, Monomial, anticommutator,
 from cheralg.geometry import beta, bilinear_B
 from cheralg.groups import (build_group, from_generators, parse_group_spec,
                             trivial_group)
-from cheralg.scalars import BN_I, Scalar, as_scalar
+from cheralg.scalars import BN_I, BaseNumber, Scalar, as_scalar
+from cheralg.suites import make_env, run_suite
 
 
 def k(c=0, e=1):
@@ -413,3 +414,92 @@ def test_sorted_monomials_keep_the_tuple_order(ctx_a23):
         for m in a.terms:
             assert m.degree == sum(unpack(m.xs, ctx.dim) +
                                    unpack(m.ys, ctx.dim))
+
+
+def _multi_kappa_element(ctx, rng):
+    """A seeded element whose coefficients are sums of two or three kappa
+    monomials over Q(i, sqrt2), like k1 + k2 + i."""
+    terms = {}
+    for m in random_element(ctx, rng, max_degree=3, n_terms=4).terms:
+        coef = Scalar({})
+        for _ in range(rng.randint(2, 3)):
+            cls = rng.randrange(ctx.num_classes)
+            coef = coef + Scalar.kappa(cls, rng.randint(0, 2)) * BaseNumber(
+                rng.choice((-2, -1, 1, 3)), rng.randint(-1, 1),
+                rng.randint(0, 1))
+        terms[m] = coef
+    return ctx.element(terms)
+
+
+def _single_terms(a):
+    """a as a list of elements with one word and one kappa monomial each."""
+    return [a.ctx.element({m: Scalar({k: v})})
+            for m, c in a.terms.items() for k, v in c.terms.items()]
+
+
+@pytest.mark.parametrize("spec", ["B2@2", "A2@3"])
+def test_multi_term_coefficients_multiply_term_by_term(spec, ctx_b22,
+                                                       ctx_a23):
+    """Products and brackets of elements with multi-term kappa
+    coefficients equal the sums over their single-term parts."""
+    ctx = {"B2@2": ctx_b22, "A2@3": ctx_a23}[spec]
+    rng = random.Random(21)
+    multi = 0
+    for _ in range(6):
+        a = _multi_kappa_element(ctx, rng)
+        b = _multi_kappa_element(ctx, rng)
+        multi += sum(len(c.terms) > 1 for c in a.terms.values())
+        for op in (lambda u, v: u * v, supercommutator, anticommutator):
+            want = ctx.zero()
+            for p in _single_terms(a):
+                for q in _single_terms(b):
+                    want = want + op(p, q)
+            assert op(a, b) == want
+    assert multi
+
+
+def _assert_memo_items(ctx):
+    entries = [t for memo in (ctx._ycomm1, ctx._ycommw)
+               for terms in memo.values() for t in terms]
+    assert entries
+    for xd, yd, g, items in entries:
+        assert type(xd) is int and type(yd) is int and type(g) is int
+        assert type(items) is tuple and items
+        for key, n in items:
+            assert type(key) is tuple and list(key) == sorted(key)
+            assert all(0 <= c < ctx.num_classes and e > 0 for c, e in key)
+            assert type(n) is (int if _integral(n) else Fraction)
+            assert n != 0
+    return entries
+
+
+@pytest.mark.parametrize("spec", ["A2@3", "B2@2"])
+def test_commutation_memos_hold_kappa_keyed_numbers(spec):
+    env = make_env(spec)
+    rep, = run_suite(env, "projector.membership")
+    assert rep.status == "pass"
+    entries = _assert_memo_items(env.ctx)
+    # the Dunkl reflection terms carry each class parameter as an item
+    keys = {k for *_, items in entries for k, _ in items}
+    assert {((c, 1),) for c in range(env.ctx.num_classes)} <= keys
+
+
+@pytest.mark.parametrize("spec", ["A2@3", "B2@2", "swap-gram-int"])
+def test_fresh_and_warmed_contexts_multiply_alike(spec):
+    group = _product_groups().get(spec) or parse_group_spec(spec)
+    warm = Context(group)
+    rng = random.Random(3)
+    for _ in range(10):
+        random_element(warm, rng, max_degree=3) * random_element(
+            warm, rng, max_degree=3)
+    assert warm._ycommw
+    for seed in range(4):
+        fresh = Context(group)
+        products = []
+        for ctx in (fresh, warm):
+            rng = random.Random(100 + seed)
+            a = random_element(ctx, rng, max_degree=4, n_terms=4)
+            b = random_element(ctx, rng, max_degree=4, n_terms=4)
+            products.append((a * b).terms)
+        assert products[0] == products[1]
+        _assert_memo_items(fresh)

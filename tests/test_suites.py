@@ -9,7 +9,7 @@ from jsonschema import validate
 from cheralg.groups import from_generators
 from cheralg.scalars import BaseNumber
 from cheralg import suites
-from cheralg.parser import EvalError, evaluate
+from cheralg.parser import EvalError, evaluate, substitute
 from cheralg.suites import (NEEDS_ORTHONORMAL, NOTHING_TO_CHECK, ORACLE_ROWS,
                             TEMPLATE_ROWS, RunOptions, UnknownSuite, catalog,
                             catalog_ids, make_env, oracle_ids,
@@ -608,3 +608,31 @@ def test_a_broken_relation_fails_with_a_witness(env_a12, monkeypatch):
     for cid in ("osp12re.FpFm", "osp12re.EpEm"):
         rep, = run_suite(env_a12, cid)
         assert rep.status == "fail" and rep.witness, cid
+
+
+@pytest.mark.parametrize("spec", ["A1@2", "A2@3", "general_gram"])
+def test_instances_reuse_the_parse_of_placeholder_free_templates(spec):
+    """Every row gives the labels and ASTs of substituting each template at
+    each binding, and a template that names no placeholder is its cached
+    parse itself."""
+    group = (from_generators([[[0, 1], [1, 0]]], **GENERAL_GRAM)
+             if spec == "general_gram" else make_env(spec).group)
+    reused = 0
+    for row in TEMPLATE_ROWS:
+        sources = [(slabel, src(group) if callable(src) else src)
+                   for slabel, src in row.templates]
+        want = [(".".join(filter(None, (plabel, slabel))), src,
+                 substitute(suites._parsed(src), binding))
+                for plabel, binding in row._bindings(group)
+                for slabel, src in sources if suites._fits(src, group)]
+        got = row.instances(group)
+        assert [(label, repr(node)) for label, node in got] \
+            == [(label, repr(node)) for label, _, node in want], row.id
+        for (_, node), (_, src, sub) in zip(got, want):
+            if sub == suites._parsed(src):
+                assert node is suites._parsed(src), row.id
+                reused += 1
+        if row.id == "bwz.structure":
+            assert all(node is suites._parsed(src)
+                       for (_, node), (_, src, _) in zip(got, want))
+    assert reused
