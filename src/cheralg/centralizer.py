@@ -53,12 +53,9 @@ def o_proj(ctx: Context, covectors) -> Element:
     n = len(covs)
     if not 1 <= n <= ctx.dim:
         raise ValueError(f"index count must be between 1 and {ctx.dim}")
-    key = ("O", tuple(c.coords for c in covs))
-    hit = ctx._misc_cache.get(key)
-    if hit is None:
-        hit = -(p_plus(ctx, antisymmetrize(ctx, covs)) * Fraction(1, 2))
-        ctx._misc_cache[key] = hit
-    return hit
+    return ctx.cached(
+        ("O", tuple(c.coords for c in covs)),
+        lambda: -(p_plus(ctx, antisymmetrize(ctx, covs)) * Fraction(1, 2)))
 
 
 def o_subset(ctx: Context, indices) -> Element:
@@ -78,18 +75,16 @@ def o_top(ctx: Context) -> Element:
 def central_omega(ctx: Context) -> Element:
     """(d-2) sum of squares of one-index elements plus the sum of squares
     of two-index elements; central in the supercentralizer."""
-    hit = ctx._misc_cache.get("central_omega")
-    if hit is not None:
-        return hit
-    d = ctx.dim
-    acc = ctx.zero()
-    if d != 2:
+    def build():
+        d = ctx.dim
+        acc = ctx.zero()
+        if d != 2:
+            for j in range(d):
+                oj = o_subset(ctx, [j])
+                acc = acc + oj * oj * (d - 2)
         for j in range(d):
-            oj = o_subset(ctx, [j])
-            acc = acc + oj * oj * (d - 2)
-    for j in range(d):
-        for k in range(j + 1, d):
-            ojk = o_subset(ctx, [j, k])
-            acc = acc + ojk * ojk
-    ctx._misc_cache["central_omega"] = acc
-    return acc
+            for k in range(j + 1, d):
+                ojk = o_subset(ctx, [j, k])
+                acc = acc + ojk * ojk
+        return acc
+    return ctx.cached("central_omega", build)

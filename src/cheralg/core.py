@@ -76,8 +76,8 @@ from typing import NamedTuple
 
 from .geometry import Covector, QuadraticSpace, Vector, bilinear_B
 from .groups import ReflectionGroup
-from .scalars import (BN_HALF_SQRT2, BN_I, BN_ONE, BaseNumber, SC_ONE,
-                      SC_ZERO, Scalar, _key_mul, _scalar, as_scalar,
+from .scalars import (BN_HALF_SQRT2, BN_I, BN_ONE, BaseNumber, Combination,
+                      SC_ONE, SC_ZERO, Scalar, _key_mul, _scalar, as_scalar,
                       int_if_integral, power, render_coefficient)
 
 # 1/sqrt(B(root, root)) for the squared root lengths the scalar ring holds.
@@ -182,6 +182,24 @@ class Context:
             raise IndexError(f"group element index {i} out of range")
         return Element(self, {Monomial(0, 0, i, 0):
                               SC_ONE})
+
+    def cached(self, key, build):
+        """The value of ``build()`` under ``key``, built once per context.
+
+        ``_misc_cache`` keeps the value's type and terms, never the value:
+        an Element points back at its Context, so a kept Element would make
+        the Context cyclic garbage that only the garbage collector frees.
+        Each read wraps the terms again.  ``build`` returns an Element, or
+        a value of another kind made as ``kind(context, terms)`` (the osp
+        generators, whose terms are one term dict per generator)."""
+        hit = self._misc_cache.get(key)
+        if hit is None:
+            value = build()
+            hit = self._misc_cache[key] = (type(value), value.terms)
+        kind, terms = hit
+        if kind is Element:
+            return Element(self, terms, True)
+        return kind(self, terms)
 
     def _check_index(self, p):
         if not 0 <= p < self.dim:
@@ -575,7 +593,7 @@ def _grouped(out: dict) -> tuple:
 _UNIT = (((), 1),)      # the coefficient 1 as commutation items
 
 
-class Element:
+class Element(Combination):
     """A finite Scalar-linear combination of normal-form basis words."""
 
     __slots__ = ("ctx", "terms")
@@ -594,7 +612,7 @@ class Element:
 
     # -- linear structure ------------------------------------------------------
 
-    def _lift(self, other):
+    def _operand(self, other):
         if isinstance(other, Element):
             if other.ctx is not self.ctx:
                 raise ValueError("elements from different contexts")
@@ -603,39 +621,8 @@ class Element:
             return self.ctx.scalar_elem(other)
         return None
 
-    def _merge(self, other, subtract=False):
-        """self + other, or self - other in the same pass over other's
-        terms, dropping the coefficients that cancel."""
-        other = self._lift(other)
-        if other is None:
-            return NotImplemented
-        out = dict(self.terms)
-        for m, c in other.terms.items():
-            prev = out.get(m)
-            if prev is None:
-                out[m] = -c if subtract else c
-                continue
-            s = prev - c if subtract else prev + c
-            if s.is_zero():
-                del out[m]
-            else:
-                out[m] = s
-        return Element(self.ctx, out, normalized=True)
-
-    __add__ = __radd__ = _merge
-
-    def __sub__(self, other):
-        return self._merge(other, True)
-
-    def __rsub__(self, other):
-        other = self._lift(other)
-        if other is None:
-            return NotImplemented
-        return other._merge(self, True)
-
-    def __neg__(self):
-        return Element(self.ctx, {m: -c for m, c in self.terms.items()},
-                       normalized=True)
+    def _wrap(self, terms):
+        return Element(self.ctx, terms, True)
 
     def __mul__(self, other):
         if isinstance(other, Element):
@@ -645,11 +632,7 @@ class Element:
                            self.ctx._mul_terms(self.terms, other.terms),
                            normalized=True)
         if isinstance(other, (int, Fraction, BaseNumber, Scalar)):
-            s = as_scalar(other)
-            if s.is_zero():
-                return self.ctx.zero()
-            return Element(self.ctx, {m: c * s for m, c in self.terms.items()},
-                           normalized=True)
+            return self.ctx.zero() if other == 0 else self._times(other)
         return NotImplemented
 
     def __rmul__(self, other):
@@ -672,9 +655,6 @@ class Element:
         return power(self, n, self.ctx.one())
 
     # -- structure ----------------------------------------------------------
-
-    def is_zero(self) -> bool:
-        return not self.terms
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction, BaseNumber, Scalar)):

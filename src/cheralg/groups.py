@@ -492,7 +492,7 @@ def trivial_group(dim: int, gram=None) -> ReflectionGroup:
     return ReflectionGroup(space, [_identity_matrix(dim)], label=f"1@{dim}")
 
 
-def parse_group_spec(spec: str, order_cap: int = DEFAULT_ORDER_CAP) -> ReflectionGroup:
+def parse_group_spec(spec: str) -> ReflectionGroup:
     """Parse strings like ``A1@2``, ``B2@2``, ``A2@3``."""
     s = spec.strip()
     if "@" not in s or len(s) < 4:
@@ -504,4 +504,4 @@ def parse_group_spec(spec: str, order_cap: int = DEFAULT_ORDER_CAP) -> Reflectio
         ambient = int(tail)
     except ValueError as exc:
         raise ValueError(f"bad group spec {spec!r}") from exc
-    return build_group(family, rank, ambient, order_cap=order_cap)
+    return build_group(family, rank, ambient)

@@ -8,7 +8,11 @@ generator in odd dimension acts by a degree sign times the module's sector.
 
 The whole point of this module is independence from the normal-form engine:
 it never rewrites words, it just composes operators on concrete vectors, so
-exact agreement between the two is a meaningful cross-check.  Faithfulness
+exact agreement between the two is a meaningful cross-check.  What it shares
+with the engine is the coefficient ring (``Scalar``) and the sparse sum
+(``scalars.merged``, through the ``Combination`` base of PolySpinor and
+Element), never a rewrite memo or the product; the sum has tests of its own
+that read neither side.  Faithfulness
 holds in principle; sampling vectors of bounded degree is the practical
 contract, and exact zero on every sample is required.
 
@@ -18,8 +22,9 @@ gamma, Of, x, beta, psi, rho and B calls), and every product, power, sum
 and bracket of them becomes composition of operators, so one written
 identity is checked by both the engine and the module.
 
-Polynomials are sparse dictionaries mapping exponent tuples to Scalars; a
-PolySpinor maps (exponent tuple, spinor subset bitmask) pairs to Scalars.
+Polynomials are sparse dictionaries mapping exponent tuples to Scalars,
+added through ``merged``; a PolySpinor maps (exponent tuple, spinor subset
+bitmask) pairs to Scalars.
 The spinor bitmask ranges over subsets of the isotropic plus-directions.
 
 Every operator here is linear in the vector, so it is known from its images
@@ -55,13 +60,13 @@ import random
 from fractions import Fraction
 
 from .core import Context, Element, Monomial, unpack
-from .geometry import Vector
 from .parser import (_COV_CALLS, Bin, Bracket, Call, EvalError, Evaluator, Name,
                      Neg, Num, reciprocal)
-from .scalars import BN_I, BaseNumber, SC_ONE, SC_ZERO, Scalar, as_scalar
+from .scalars import (BN_I, BaseNumber, Combination, SC_ONE, SC_ZERO, Scalar,
+                      as_scalar, merged)
 
 
-class PolySpinor:
+class PolySpinor(Combination):
     """A vector of the polynomial-tensor-spinor module, in canonical sparse
     form (no zero coefficients)."""
 
@@ -71,24 +76,15 @@ class PolySpinor:
         self.terms = terms if normalized else {
             k: v for k, v in terms.items() if not v.is_zero()}
 
-    def __add__(self, other):
-        return PolySpinor(poly_add(self.terms, other.terms), normalized=True)
+    def _operand(self, other):
+        return other if isinstance(other, PolySpinor) else None
 
-    def __sub__(self, other):
-        return PolySpinor(poly_add(self.terms, other.terms, subtract=True),
-                          normalized=True)
+    def _wrap(self, terms):
+        return PolySpinor(terms, normalized=True)
 
-    def __neg__(self):
-        return PolySpinor({k: -v for k, v in self.terms.items()})
-
-    def scale(self, s: Scalar) -> "PolySpinor":
-        s = as_scalar(s)
-        if s.is_zero():
-            return PS_ZERO
-        return PolySpinor({k: v * s for k, v in self.terms.items()})
-
-    def is_zero(self):
-        return not self.terms
+    def scale(self, s) -> "PolySpinor":
+        """self * s for a number or a Scalar s."""
+        return PS_ZERO if s == 0 else self._times(s)
 
     def __eq__(self, other):
         return isinstance(other, PolySpinor) and self.terms == other.terms
@@ -112,27 +108,6 @@ PS_ZERO = PolySpinor({})
 
 
 # -- sparse polynomial helpers (exponent tuple -> Scalar) -------------------------
-
-
-def poly_add(a, b, subtract=False):
-    """a + b, or a - b in the same pass over b's terms, dropping the
-    coefficients that cancel; a and b hold no zero coefficient."""
-    out = dict(a)
-    for k, v in b.items():
-        prev = out.get(k)
-        if prev is None:
-            out[k] = -v if subtract else v
-            continue
-        s = prev - v if subtract else prev + v
-        if s.is_zero():
-            del out[k]
-        else:
-            out[k] = s
-    return out
-
-
-def poly_sub(a, b):
-    return poly_add(a, b, subtract=True)
 
 
 def apply_linear(vec, image):
@@ -308,10 +283,11 @@ class SpinorModule:
                 ap = refl.root[p]
                 if ap == 0:
                     continue
-                diff = poly_sub(mono, self._act_group_poly(refl.elem, mono))
+                diff = merged(mono, self._act_group_poly(refl.elem, mono),
+                              True)
                 quot = poly_div_linear(diff, refl.root)
                 w = self.ctx.kappas[refl.class_id] * ap
-                out = poly_add(out, {k: v * w for k, v in quot.items()})
+                out = merged(out, {k: v * w for k, v in quot.items()})
             hit = self._dunkl_memo[key] = tuple(out.items())
         return hit
 
@@ -319,16 +295,6 @@ class SpinorModule:
         """The deformed directional derivative along the p-th dual basis
         vector, summed from the memoized images of the monomials."""
         return apply_linear(poly, lambda exp: self._dunkl_image(p, exp))
-
-    def dunkl_apply(self, y: Vector, poly: dict) -> dict:
-        """Dunkl operator of a general vector, by linearity in the direction."""
-        out: dict = {}
-        for p, c in enumerate(y.coords):
-            if c.is_zero():
-                continue
-            dp = self.dunkl(p, poly)
-            out = poly_add(out, {k: v * c for k, v in dp.items()})
-        return out
 
     # -- the module action ----------------------------------------------------------
 

@@ -21,7 +21,6 @@ sqrt2 scalars are exposed alongside.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .core import Context, Element, supercommutator
@@ -83,17 +82,32 @@ def pair_element(ctx: Context, w: str, z: str) -> Element:
     return acc
 
 
-@dataclass(frozen=True)
+def _generator(name: str) -> property:
+    def get(self) -> Element:
+        return Element(self.ctx, self.terms[name], True)
+    return property(get, doc=f"The generator {name}, wrapped on each read.")
+
+
 class OspGenerators:
-    ctx: Context
-    X: Element
-    D: Element
-    H: Element
-    Ep: Element
-    Em: Element
-    Fp: Element
-    Fm: Element
-    OmegaKappa: Element
+    """The generators of the realization on one context.  ``terms`` maps
+    each generator's name to its term dict, and a generator is wrapped as
+    an Element only when it is read, so `Context.cached` keeps the terms
+    without an Element that points back at the context."""
+
+    __slots__ = ("ctx", "terms")
+
+    def __init__(self, ctx: Context, terms: dict):
+        self.ctx = ctx
+        self.terms = terms
+
+    X = _generator("X")
+    D = _generator("D")
+    H = _generator("H")
+    Ep = _generator("Ep")
+    Em = _generator("Em")
+    Fp = _generator("Fp")
+    Fm = _generator("Fm")
+    OmegaKappa = _generator("OmegaKappa")
 
 
 class RelationError(ArithmeticError):
@@ -101,22 +115,24 @@ class RelationError(ArithmeticError):
 
 
 def build_osp(ctx: Context) -> OspGenerators:
-    hit = ctx._misc_cache.get("osp")
-    if hit is not None:
-        return hit
+    """The generators, built and checked against the defining relations
+    once per context."""
+    return ctx.cached("osp", lambda: _checked_osp(ctx))
+
+
+def _checked_osp(ctx: Context) -> OspGenerators:
     X = pair_element(ctx, XPLUS, GAMMA)
     D = pair_element(ctx, XMINUS, GAMMA)
-    H = pair_element(ctx, XPLUS, XMINUS)
-    Ep = pair_element(ctx, XPLUS, XPLUS) * Fraction(1, 2)
-    Em = -(pair_element(ctx, XMINUS, XMINUS) * Fraction(1, 2))
-    gens = OspGenerators(
-        ctx=ctx, X=X, D=D, H=H, Ep=Ep, Em=Em,
-        Fp=X * BN_HALF_SQRT2, Fm=D * BN_HALF_SQRT2,
-        OmegaKappa=ctx.omega_kappa())
+    elems = {
+        "X": X, "D": D, "H": pair_element(ctx, XPLUS, XMINUS),
+        "Ep": pair_element(ctx, XPLUS, XPLUS) * Fraction(1, 2),
+        "Em": -(pair_element(ctx, XMINUS, XMINUS) * Fraction(1, 2)),
+        "Fp": X * BN_HALF_SQRT2, "Fm": D * BN_HALF_SQRT2,
+        "OmegaKappa": ctx.omega_kappa()}
+    gens = OspGenerators(ctx, {name: e.terms for name, e in elems.items()})
     for name, resid in osp_relation_residuals(gens).items():
         if not resid.is_zero():
             raise RelationError(f"defining relation {name} failed: {resid}")
-    ctx._misc_cache["osp"] = gens
     return gens
 
 
@@ -217,22 +233,19 @@ def gen_symmetry(ctx: Context, u: Covector) -> Element:
 
 def scasimir(ctx: Context) -> Element:
     """The odd-commuting central element: (XD - DX)/2 + 1/2."""
-    hit = ctx._misc_cache.get("scasimir")
-    if hit is None:
+    def build():
         gens = build_osp(ctx)
-        hit = ctx._misc_cache["scasimir"] = (
-            (gens.X * gens.D - gens.D * gens.X) * Fraction(1, 2)
-            + ctx.scalar_elem(Fraction(1, 2)))
-    return hit
+        X, D = gens.X, gens.D
+        return ((X * D - D * X) * Fraction(1, 2)
+                + ctx.scalar_elem(Fraction(1, 2)))
+    return ctx.cached("scasimir", build)
 
 
 def casimir(ctx: Context) -> Element:
     """The quadratic Casimir element of the realization."""
-    hit = ctx._misc_cache.get("casimir")
-    if hit is None:
+    def build():
         gens = build_osp(ctx)
-        ff = (gens.X * gens.D - gens.D * gens.X) * Fraction(1, 2)
-        hit = ctx._misc_cache["casimir"] = (
-            gens.H * gens.H + (gens.Ep * gens.Em + gens.Em * gens.Ep) * 2
-            - ff)
-    return hit
+        X, D, H, Ep, Em = gens.X, gens.D, gens.H, gens.Ep, gens.Em
+        ff = (X * D - D * X) * Fraction(1, 2)
+        return H * H + (Ep * Em + Em * Ep) * 2 - ff
+    return ctx.cached("casimir", build)

@@ -5,20 +5,27 @@ Every coefficient in the engine lives in the commutative ring
     Q(i, sqrt2)[k1, ..., kr]
 
 where i^2 = -1, (sqrt2)^2 = 2, and k1..kr are commuting deformation
-indeterminates, one per conjugacy class of reflections.  Two layers:
+indeterminates, one per conjugacy class of reflections.  Three layers:
 
-  BaseNumber -- an element (a + b*i + c*sqrt2 + d*i*sqrt2) / q of the field
-                Q(i, sqrt2), stored as four integer numerators a, b, c, d
-                over one integer denominator q > 0 with
-                gcd(a, b, c, d, q) == 1 (zero is (0, 0, 0, 0, 1)).
-  Scalar     -- a sparse polynomial in the k-indeterminates over BaseNumber.
-                Keys are sorted tuples of (class_index, exponent) pairs with
-                positive exponents, so scalars from rings with different
-                numbers of classes mix freely (the constant key is ()).
+  BaseNumber  -- an element (a + b*i + c*sqrt2 + d*i*sqrt2) / q of the
+                 field Q(i, sqrt2), stored as four integer numerators
+                 a, b, c, d over one integer denominator q > 0 with
+                 gcd(a, b, c, d, q) == 1 (zero is (0, 0, 0, 0, 1)).
+  Combination -- the base of every finite linear combination in the
+                 package: ``terms`` maps keys to nonzero coefficients, and
+                 sums, differences, negation, is_zero and scaling by a
+                 nonzero number are written once, on top of ``merged``.
+                 Scalar, the engine's Element and the oracle's PolySpinor
+                 subclass it.
+  Scalar      -- a Combination of kappa monomials over BaseNumber: a
+                 sparse polynomial in the k-indeterminates.  Keys are
+                 sorted tuples of (class_index, exponent) pairs with
+                 positive exponents, so scalars from rings with different
+                 numbers of classes mix freely (the constant key is ()).
 
-Both types are immutable and canonical: a BaseNumber has one integer form
-per value, so equality and hashing compare components, and a Scalar stores
-no zero coefficient, which makes is_zero a trivial check after every
+Both number types are immutable and canonical: a BaseNumber has one integer
+form per value, so equality and hashing compare components, and a Scalar
+stores no zero coefficient, which makes is_zero a trivial check after every
 operation.
 """
 
@@ -294,7 +301,78 @@ def _key_mul(k1: KappaKey, k2: KappaKey) -> KappaKey:
     return tuple(sorted(merged.items()))
 
 
-class Scalar:
+def merged(a: dict, b: dict, subtract: bool = False) -> dict:
+    """a + b, or a - b in the same pass over b's terms, for two dicts of
+    nonzero coefficients, dropping the coefficients that cancel.  An empty
+    b gives a itself, and an empty a gives b itself for a sum, so the
+    result must not be mutated."""
+    if not b:
+        return a
+    if not a and not subtract:
+        return b
+    out = dict(a)
+    for k, v in b.items():
+        w = out.get(k)
+        if w is None:
+            out[k] = -v if subtract else v
+        else:
+            w = w - v if subtract else w + v
+            if w.is_zero():
+                del out[k]
+            else:
+                out[k] = w
+    return out
+
+
+class Combination:
+    """A finite linear combination: ``terms`` maps keys to nonzero
+    coefficients, and the empty combination is zero.
+
+    A subclass says how it reads an operand (``_operand`` returns a
+    combination of its own kind, or None) and how it wraps a term dict
+    without zeros (``_wrap``); the sums, negation, is_zero and scaling are
+    written here once.  Coefficients lie in a ring without zero divisors,
+    so a nonzero multiple of a nonzero coefficient is never zero.
+    Combinations are immutable, so a sum with zero returns an operand."""
+
+    __slots__ = ()
+
+    def _sum(self, other, subtract=False):
+        other = self._operand(other)
+        if other is None:
+            return NotImplemented
+        terms = merged(self.terms, other.terms, subtract)
+        if terms is self.terms:
+            return self
+        if terms is other.terms:
+            return other
+        return self._wrap(terms)
+
+    __add__ = __radd__ = _sum
+
+    def __sub__(self, other):
+        return self._sum(other, True)
+
+    def __rsub__(self, other):
+        other = self._operand(other)
+        if other is None:
+            return NotImplemented
+        return other._sum(self, True)
+
+    def __neg__(self):
+        return self._wrap({k: -v for k, v in self.terms.items()})
+
+    def _times(self, c):
+        """self * c for a nonzero coefficient c."""
+        if c._v == _ONE if type(c) is BaseNumber else c == 1:
+            return self
+        return self._wrap({k: v * c for k, v in self.terms.items()})
+
+    def is_zero(self):
+        return not self.terms
+
+
+class Scalar(Combination):
     """Sparse polynomial in the deformation indeterminates over BaseNumber."""
 
     __slots__ = ("terms", "_hash")
@@ -323,41 +401,13 @@ class Scalar:
 
     # -- ring structure --------------------------------------------------------
 
-    def _merge(self, other, subtract=False):
-        """self + other, or self - other in the same pass over other's
-        terms, dropping the coefficients that cancel."""
-        if type(other) is not Scalar:
-            try:
-                other = Scalar.of(other)
-            except TypeError:
-                return NotImplemented
-        if not other.terms:
-            return self
-        if not self.terms:
-            return -other if subtract else other
-        out = dict(self.terms)
-        for k, v in other.terms.items():
-            w = out.get(k)
-            if w is None:
-                out[k] = -v if subtract else v
-            else:
-                w = w - v if subtract else w + v
-                if w.is_zero():
-                    del out[k]
-                else:
-                    out[k] = w
-        return _scalar(out)
-
-    __add__ = __radd__ = _merge
-
-    def __sub__(self, other):
-        return self._merge(other, True)
-
-    def __rsub__(self, other):
-        return Scalar.of(other) - self
-
-    def __neg__(self):
-        return _scalar({k: -v for k, v in self.terms.items()})
+    def _operand(self, other):
+        if type(other) is Scalar:
+            return other
+        try:
+            return Scalar.of(other)
+        except TypeError:
+            return None
 
     def __mul__(self, other):
         if type(other) is not Scalar:
@@ -394,16 +444,6 @@ class Scalar:
 
     __rmul__ = __mul__
 
-    def _times(self, c):
-        """self * c for a nonzero int, Fraction or BaseNumber c.  Q(i, sqrt2)
-        is a field, so no product of nonzero coefficients is zero."""
-        if type(c) is BaseNumber:
-            if c._v == _ONE:
-                return self
-        elif c == 1:
-            return self
-        return _scalar({k: v * c for k, v in self.terms.items()})
-
     def __truediv__(self, other):
         """Division by a constant (degree-0) scalar or number."""
         if isinstance(other, Scalar):
@@ -413,9 +453,6 @@ class Scalar:
         return self._times(as_base(other).inverse())
 
     # -- structure ----------------------------------------------------------
-
-    def is_zero(self):
-        return not self.terms
 
     def constant_part(self) -> BaseNumber:
         return self.terms.get((), BN_ZERO)
@@ -508,6 +545,8 @@ def _scalar(terms: dict) -> Scalar:
     return x
 
 
+# Combination._wrap of a Scalar, bound without a method frame of its own.
+Scalar._wrap = staticmethod(_scalar)
 SC_ZERO = Scalar({})
 SC_ONE = Scalar({(): BN_ONE})
 

@@ -636,3 +636,21 @@ def test_instances_reuse_the_parse_of_placeholder_free_templates(spec):
             assert all(node is suites._parsed(src)
                        for (_, node), (_, src, _) in zip(got, want))
     assert reused
+
+
+def test_reference_counting_frees_the_context_after_a_run():
+    # The context caches keep term dicts, not Elements that point back at
+    # the context, so a run leaves no reference cycle through it and the
+    # context goes with its env without a garbage collection.
+    import gc
+    import weakref
+    gc.disable()
+    try:
+        env = make_env("A1@2")
+        assert all(r.status != "fail" for r in run_suite(env, "all"))
+        assert env.ctx._misc_cache
+        ctx = weakref.ref(env.ctx)
+        del env
+        assert ctx() is None
+    finally:
+        gc.enable()
