@@ -54,7 +54,7 @@ def o_proj(ctx: Context, covectors) -> Element:
     if not 1 <= n <= ctx.dim:
         raise ValueError(f"index count must be between 1 and {ctx.dim}")
     return ctx.cached(
-        ("O", tuple(c.coords for c in covs)),
+        ("O", covs),
         lambda: -(p_plus(ctx, antisymmetrize(ctx, covs)) * Fraction(1, 2)))
 
 

@@ -210,20 +210,17 @@ class Context:
 
     def from_covector(self, u: Covector) -> "Element":
         """Embed u in V* as a degree-one element."""
-        return Element(self, {
-            Monomial(self._unit_t[p], 0, 0, 0): c
-            for p, c in enumerate(u.coords) if not c.is_zero()})
+        return Element(self, {Monomial(self._unit_t[p], 0, 0, 0): c
+                              for p, c in u.terms.items()}, True)
 
     def from_vector(self, v: Vector) -> "Element":
-        return Element(self, {
-            Monomial(0, self._unit_t[p], 0, 0): c
-            for p, c in enumerate(v.coords) if not c.is_zero()})
+        return Element(self, {Monomial(0, self._unit_t[p], 0, 0): c
+                              for p, c in v.terms.items()}, True)
 
     def gamma(self, u: Covector) -> "Element":
         """The Clifford image of a covector."""
-        return Element(self, {
-            Monomial(0, 0, 0, 1 << p): c
-            for p, c in enumerate(u.coords) if not c.is_zero()})
+        return Element(self, {Monomial(0, 0, 0, 1 << p): c
+                              for p, c in u.terms.items()}, True)
 
     def root_covector(self, refl) -> Covector:
         return self.space.covector(refl.root)
@@ -243,8 +240,8 @@ class Context:
         terms: dict = {}
         for r in self.group.reflections:
             pair = SC_ZERO
-            for p, c in enumerate(u.coords):
-                if not c.is_zero() and r.coroot[p] != 0:
+            for p, c in u.terms.items():
+                if r.coroot[p] != 0:
                     pair = pair + c * r.coroot[p]
             if pair.is_zero():
                 continue
@@ -807,6 +804,9 @@ def antisymmetrize(ctx: Context, covectors) -> Element:
     n = len(covs)
     if n == 0:
         return ctx.one()
+    if n > ctx.dim:
+        # an alternating multilinear map vanishes on dependent arguments
+        return ctx.zero()
     gammas = [ctx.gamma(u) for u in covs]
     orth = all(bilinear_B(covs[i], covs[j]).is_zero()
                for i in range(n) for j in range(i + 1, n))

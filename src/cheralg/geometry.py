@@ -6,17 +6,18 @@ bases: x_1..x_d for the covector space V* and y_1..y_d for V, with
 gram[p][q] = B(x_p, x_q); the induced form on V is its inverse.  The
 involution beta exchanges V and V* so that <beta(u), w> = B(u, w).
 
-Coordinates of covectors and vectors are Scalars, so linear combinations with
-deformation-parameter coefficients are representable, although in practice
-coordinates are plain numbers.
+Covectors and vectors are scalars.Combination subclasses whose ``terms``
+map a coordinate index to its nonzero Scalar coordinate, so combinations
+with deformation-parameter coefficients are representable, although in
+practice coordinates are plain numbers.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from .scalars import (BN_ONE, BN_ZERO, BaseNumber, SC_ZERO, Scalar, as_base,
-                      as_scalar)
+from .scalars import (BN_ONE, BN_ZERO, BaseNumber, Combination, SC_ONE,
+                      SC_ZERO, Scalar, as_base, as_scalar)
 
 COVECTOR = "V*"
 VECTOR = "V"
@@ -60,8 +61,7 @@ def invert_matrix(rows):
 class QuadraticSpace:
     """Dimension, Gram matrix on V*, and its cached inverse (form on V)."""
 
-    __slots__ = ("dim", "gram", "inv_gram", "is_identity", "_basis_covs",
-                 "_basis_vecs")
+    __slots__ = ("dim", "gram", "inv_gram", "is_identity")
 
     def __init__(self, dim: int, gram=None):
         if dim < 1:
@@ -86,85 +86,71 @@ class QuadraticSpace:
             self.is_identity = all(
                 rows[i][j] == (BN_ONE if i == j else BN_ZERO)
                 for i in range(dim) for j in range(dim))
-        units = [[1 if q == p else 0 for q in range(dim)] for p in range(dim)]
-        self._basis_covs = tuple(Covector(self, u) for u in units)
-        self._basis_vecs = tuple(Vector(self, u) for u in units)
 
     def covector(self, coords) -> "Covector":
-        return Covector(self, coords)
+        return Covector(self, self._terms(coords))
 
     def vector(self, coords) -> "Vector":
-        return Vector(self, coords)
+        return Vector(self, self._terms(coords))
 
     def basis_covector(self, p: int) -> "Covector":
-        return self._basis_covs[p]
+        return Covector(self, self._unit(p))
 
     def basis_vector(self, p: int) -> "Vector":
-        return self._basis_vecs[p]
+        return Vector(self, self._unit(p))
+
+    def _terms(self, coords) -> dict:
+        """The nonzero entries of a dense coordinate sequence, as Scalars."""
+        coords = [as_scalar(c) for c in coords]
+        if len(coords) != self.dim:
+            raise ValueError("coordinate length does not match dimension")
+        return {p: c for p, c in enumerate(coords) if not c.is_zero()}
+
+    def _unit(self, p: int) -> dict:
+        if not 0 <= p < self.dim:
+            raise IndexError(f"basis index {p} out of range")
+        return {p: SC_ONE}
 
     def __repr__(self):
         tag = "identity" if self.is_identity else "general"
         return f"QuadraticSpace(dim={self.dim}, gram={tag})"
 
 
-class _Linear:
-    """Shared arithmetic for coordinate tuples over Scalar."""
+class _Linear(Combination):
+    """A covector or a vector of one space: ``terms`` maps a coordinate
+    index to its nonzero Scalar coordinate.  Sums with an element of the
+    same kind and space come from Combination."""
 
-    __slots__ = ("space", "coords", "_hash")
+    __slots__ = ("space", "terms")
     tag = "?"
 
-    def __init__(self, space: QuadraticSpace, coords):
-        object.__setattr__(self, "space", space)
-        object.__setattr__(self, "coords", tuple(as_scalar(c) for c in coords))
-        object.__setattr__(self, "_hash", None)
-        if len(self.coords) != space.dim:
-            raise ValueError("coordinate length does not match dimension")
+    def __init__(self, space: QuadraticSpace, terms: dict):
+        self.space = space
+        self.terms = terms
 
-    def __setattr__(self, *_):
-        raise AttributeError(f"{type(self).__name__} is immutable")
+    def _operand(self, other):
+        same = type(other) is type(self) and other.space is self.space
+        return other if same else None
 
-    def _wrap(self, coords):
-        return type(self)(self.space, coords)
-
-    def __add__(self, other):
-        self._check(other)
-        return self._wrap(a + b for a, b in zip(self.coords, other.coords))
-
-    def __sub__(self, other):
-        self._check(other)
-        return self._wrap(a - b for a, b in zip(self.coords, other.coords))
-
-    def __neg__(self):
-        return self._wrap(-a for a in self.coords)
+    def _wrap(self, terms):
+        return type(self)(self.space, terms)
 
     def __mul__(self, scal):
         s = as_scalar(scal)
-        return self._wrap(a * s for a in self.coords)
+        return self._wrap({}) if s.is_zero() else self._times(s)
 
     __rmul__ = __mul__
 
-    def _check(self, other):
-        if type(other) is not type(self) or other.space is not self.space:
-            raise TypeError(f"expected a {self.tag} element of the same space")
-
-    def is_zero(self):
-        return all(c.is_zero() for c in self.coords)
-
     def __eq__(self, other):
         return (type(other) is type(self) and other.space is self.space
-                and other.coords == self.coords)
+                and other.terms == self.terms)
 
     def __hash__(self):
-        h = self._hash
-        if h is None:
-            h = hash((self.tag, self.coords))
-            object.__setattr__(self, "_hash", h)
-        return h
+        return hash((self.tag, frozenset(self.terms.items())))
 
     def __repr__(self):
         names = ("x" if self.tag == COVECTOR else "y")
-        parts = [f"{c}*{names}{p + 1}" for p, c in enumerate(self.coords)
-                 if not c.is_zero()]
+        parts = [f"{self.terms[p]}*{names}{p + 1}" for p in sorted(self.terms)]
         return f"<{self.tag}: {' + '.join(parts) or '0'}>"
 
 
@@ -176,6 +162,19 @@ class Vector(_Linear):
     tag = VECTOR
 
 
+def times_matrix(u, mat, kind=None):
+    """The row u times the matrix ``mat`` (entries numbers), as a ``kind``
+    of u's space; the kind defaults to u's own."""
+    terms: dict = {}
+    for p, c in u.terms.items():
+        for q, a in enumerate(mat[p]):
+            if a != 0:
+                w = terms.get(q)
+                terms[q] = c * a if w is None else w + c * a
+    return (kind or type(u))(u.space, {q: c for q, c in terms.items()
+                                       if not c.is_zero()})
+
+
 def pairing(u, v) -> Scalar:
     """Natural pairing <u, v> between a covector and a vector (either order)."""
     if isinstance(u, Vector) and isinstance(v, Covector):
@@ -183,27 +182,20 @@ def pairing(u, v) -> Scalar:
     if not (isinstance(u, Covector) and isinstance(v, Vector)):
         raise TypeError("pairing needs one covector and one vector")
     acc = SC_ZERO
-    for a, b in zip(u.coords, v.coords):
-        acc = acc + a * b
+    for p, a in u.terms.items():
+        b = v.terms.get(p)
+        if b is not None:
+            acc = acc + a * b
     return acc
 
 
 def beta(u):
     """The involution V <-> V* with <beta(u1), u2> = B(u1, u2)."""
-    space = u.space
     if isinstance(u, Covector):
-        mat, out = space.gram, space.vector
-    elif isinstance(u, Vector):
-        mat, out = space.inv_gram, space.covector
-    else:
-        raise TypeError("beta expects a Covector or Vector")
-    coords = []
-    for p in range(space.dim):
-        acc = SC_ZERO
-        for q in range(space.dim):
-            acc = acc + u.coords[q] * mat[q][p]
-        coords.append(acc)
-    return out(coords)
+        return times_matrix(u, u.space.gram, Vector)
+    if isinstance(u, Vector):
+        return times_matrix(u, u.space.inv_gram, Covector)
+    raise TypeError("beta expects a Covector or Vector")
 
 
 def bilinear_B(u, v) -> Scalar:
@@ -213,12 +205,9 @@ def bilinear_B(u, v) -> Scalar:
                         "of the same space")
     mat = u.space.gram if isinstance(u, Covector) else u.space.inv_gram
     acc = SC_ZERO
-    for p, a in enumerate(u.coords):
-        if a.is_zero():
-            continue
-        for q, b in enumerate(v.coords):
-            if not b.is_zero():
-                acc = acc + a * b * mat[p][q]
+    for p, a in u.terms.items():
+        for q, b in v.terms.items():
+            acc = acc + a * b * mat[p][q]
     return acc
 
 

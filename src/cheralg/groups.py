@@ -44,7 +44,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .geometry import Covector, QuadraticSpace, Vector
+from .geometry import Covector, QuadraticSpace, Vector, times_matrix
 from .scalars import BN_ZERO, as_base, int_if_integral
 
 DEFAULT_ORDER_CAP = 10_000
@@ -377,16 +377,10 @@ class ReflectionGroup:
         """g.u for a covector (through ``mats``) or a vector (through the
         contragredient ``ymats``)."""
         if isinstance(u, Covector):
-            m, make = self.mats[g], u.space.covector
-        elif isinstance(u, Vector):
-            m, make = self.ymats[g], u.space.vector
-        else:
-            raise TypeError("act expects a Covector or Vector")
-        d, coords = self.dim, u.coords
-        return make(
-            sum((coords[p] * m[p][q] for p in range(d) if m[p][q] != 0),
-                start=coords[0] * 0)
-            for q in range(d))
+            return times_matrix(u, self.mats[g])
+        if isinstance(u, Vector):
+            return times_matrix(u, self.ymats[g])
+        raise TypeError("act expects a Covector or Vector")
 
     def __repr__(self):
         return (f"ReflectionGroup({self.label}, order={self.order}, "

@@ -15,8 +15,8 @@ indeterminates, one per conjugacy class of reflections.  Three layers:
                  package: ``terms`` maps keys to nonzero coefficients, and
                  sums, differences, negation, is_zero and scaling by a
                  nonzero number are written once, on top of ``merged``.
-                 Scalar, the engine's Element and the oracle's PolySpinor
-                 subclass it.
+                 Scalar, the engine's Element, the oracle's PolySpinor and
+                 the geometry's Covector and Vector subclass it.
   Scalar      -- a Combination of kappa monomials over BaseNumber: a
                  sparse polynomial in the k-indeterminates.  Keys are
                  sorted tuples of (class_index, exponent) pairs with
@@ -331,9 +331,12 @@ class Combination:
     A subclass says how it reads an operand (``_operand`` returns a
     combination of its own kind, or None) and how it wraps a term dict
     without zeros (``_wrap``); the sums, negation, is_zero and scaling are
-    written here once.  Coefficients lie in a ring without zero divisors,
-    so a nonzero multiple of a nonzero coefficient is never zero.
-    Combinations are immutable, so a sum with zero returns an operand."""
+    written here once.  The subclasses are Scalar (keys kappa monomials),
+    Element (normal-form words), PolySpinor (monomial and spinor pairs),
+    Covector and Vector (coordinate indices).  Coefficients lie in a ring
+    without zero divisors, so a nonzero multiple of a nonzero coefficient
+    is never zero.  Combinations are immutable, so a sum with zero returns
+    an operand."""
 
     __slots__ = ()
 

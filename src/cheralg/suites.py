@@ -145,9 +145,10 @@ class TemplateRow:
     (`_subsets`, `_reflections`), and a template a function of the group
     that returns its text.  A pattern or template that names a coordinate
     past the dimension or a reflection the group does not have, or covers
-    as rho(sk) a reflection Context.rho cannot, is left out.  Once a and b are bound, a placeholder with h appended (uh, vh,
-    ...) stands for the hatted covector a*B(b, u) - b*B(a, u).  Residuals
-    are labelled by pattern and sub-label.
+    as rho(sk) a reflection Context.rho cannot, is left out.  Once a and b
+    are bound, a placeholder with h appended (uh, vh, ...) stands for the
+    hatted covector a*B(b, u) - b*B(a, u).  Residuals are labelled by
+    pattern and sub-label.
     """
     id: str
     anchor: str

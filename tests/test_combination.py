@@ -1,15 +1,17 @@
-"""The sparse sum that Scalar, Element and PolySpinor share.
+"""The sparse sum that Scalar, Element, PolySpinor, Covector and Vector
+share.
 
 ``merged`` is checked against a plain-dict reference with BaseNumber
 coefficients, so a fault in it fails here without reading the engine or
-the module; the group laws are then checked on each of the three kinds on
-seeded random values."""
+the module; the group laws are then checked on each kind on seeded random
+values."""
 
 import random
 
 import pytest
 
 from cheralg.core import Context, random_element
+from cheralg.geometry import QuadraticSpace
 from cheralg.groups import from_generators
 from cheralg.oracle import SpinorModule
 from cheralg.scalars import BN_ZERO, BaseNumber, Scalar, merged
@@ -73,7 +75,7 @@ def _samplers(env_a12):
     ctx = env_a12.ctx
     swap = _swap_context()
     module = SpinorModule(ctx)
-    return {
+    samplers = {
         "Scalar": _scalar,
         "Element-A1@2": lambda rng: random_element(ctx, rng, n_terms=4),
         "Element-swap-gram": lambda rng: random_element(swap, rng,
@@ -81,10 +83,18 @@ def _samplers(env_a12):
         "PolySpinor": lambda rng: module.random_vector(
             rng.randrange(10**6), max_degree=2),
     }
+    for gram, space in (("identity", ctx.space), ("swap-gram", swap.space)):
+        for name, make in (("Covector", space.covector),
+                           ("Vector", space.vector)):
+            samplers[f"{name}-{gram}"] = (
+                lambda rng, make=make: make([_scalar(rng) for _ in range(2)]))
+    return samplers
 
 
-@pytest.mark.parametrize("kind", ["Scalar", "Element-A1@2",
-                                  "Element-swap-gram", "PolySpinor"])
+@pytest.mark.parametrize("kind", [
+    "Scalar", "Element-A1@2", "Element-swap-gram", "PolySpinor",
+    "Covector-identity", "Vector-identity", "Covector-swap-gram",
+    "Vector-swap-gram"])
 def test_sum_laws(kind, env_a12):
     sample = _samplers(env_a12)[kind]
     for seed in SEEDS:
@@ -102,3 +112,23 @@ def test_sum_laws(kind, env_a12):
         for v in values:
             assert type(v) is type(a)
             assert all(not coef.is_zero() for coef in v.terms.values())
+
+
+def test_covectors_and_vectors_sum_within_one_kind_and_space():
+    space = QuadraticSpace(2)
+    other = QuadraticSpace(2, gram=[[2, 1], [1, 2]])
+    u, v = space.covector([1, 2]), space.vector([1, 2])
+    for a, b in ((u, v), (v, u), (u, other.covector([1, 2])),
+                 (v, other.vector([1, 2]))):
+        with pytest.raises(TypeError):
+            a + b
+        with pytest.raises(TypeError):
+            a - b
+    for sp in (space, other):
+        with pytest.raises(IndexError):
+            sp.basis_covector(sp.dim)
+        with pytest.raises(IndexError):
+            sp.basis_vector(-1)
+        with pytest.raises(ValueError):
+            sp.covector([1, 2, 3])
+    assert (u * 0).is_zero() and u * 0 == u - u

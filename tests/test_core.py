@@ -11,6 +11,7 @@ from cheralg.core import (FIELD_BITS, Context, Monomial, anticommutator,
 from cheralg.geometry import beta, bilinear_B
 from cheralg.groups import (build_group, from_generators, parse_group_spec,
                             trivial_group)
+from cheralg.parser import evaluate
 from cheralg.scalars import BN_I, BaseNumber, Scalar, as_scalar
 from cheralg.suites import make_env, run_suite
 
@@ -242,6 +243,25 @@ def test_antisymmetrize_beyond_dimension(ctx_a12):
     ctx = ctx_a12
     u1, u2 = ctx.space.basis_covector(0), ctx.space.basis_covector(1)
     assert antisymmetrize(ctx, [u1, u2, u1 + u2]).is_zero()
+
+
+@pytest.mark.parametrize("which", ["A1@2", "swap-gram"])
+def test_antisymmetrize_past_dimension_takes_no_product(which, ctx_a12,
+                                                        monkeypatch):
+    # More covectors than the dimension are dependent, so the alternating
+    # map is zero before any of the n! orderings is multiplied out.
+    ctx = ctx_a12 if which == "A1@2" else Context(
+        from_generators([[[0, 1], [1, 0]]], gram=[[2, 1], [1, 2]]))
+    calls = []
+    mul_terms = Context._mul_terms
+    monkeypatch.setattr(Context, "_mul_terms", lambda self, a, b: (
+        calls.append(1), mul_terms(self, a, b))[1])
+    x1, x2 = ctx.space.basis_covector(0), ctx.space.basis_covector(1)
+    assert antisymmetrize(ctx, [x1, x2, x1 + x2 * 3]).is_zero()
+    assert antisymmetrize(ctx, [x1] * 8).is_zero()
+    assert evaluate(ctx, "A(" + ", ".join(["x1"] * 8) + ")").is_zero()
+    assert not calls
+    assert not (ctx.gamma(x1) * ctx.gamma(x2)).is_zero() and calls
 
 
 def test_antisymmetrize_triple_recursion(ctx_a23):

@@ -1,4 +1,5 @@
-"""Every name a module of the package imports is used in that module."""
+"""Every name a module of the package imports is used in that module, and
+the package writes its sums in one place."""
 
 import ast
 from pathlib import Path
@@ -38,3 +39,43 @@ def test_no_unused_imports():
         found += [f"{path.name}:{line} {name}"
                   for line, name in unused_imports(path.read_text())]
     assert not found, "unused imports: " + ", ".join(found)
+
+
+# The classes whose sums the package's other number and combination types
+# inherit: a class outside this list with its own sum is a second copy.
+SUM_OWNERS = {"scalars.Combination", "scalars.BaseNumber"}
+
+
+def sum_definitions(module: str, source: str) -> list:
+    """module.Class for every class that defines ``__add__`` or ``__sub__``
+    by a def or an assignment (``__add__ = _sum``)."""
+    found = []
+    for cls in ast.walk(ast.parse(source)):
+        if not isinstance(cls, ast.ClassDef):
+            continue
+        names = set()
+        for node in cls.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                names.add(node.name)
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = (node.targets if isinstance(node, ast.Assign)
+                           else [node.target])
+                names |= {t.id for t in targets if isinstance(t, ast.Name)}
+        if names & {"__add__", "__sub__"}:
+            found.append(f"{module}.{cls.name}")
+    return found
+
+
+def test_scan_sees_defined_and_assigned_sums():
+    src = ("class A:\n    def __sub__(self, o): pass\n"
+           "class B:\n    __add__ = __radd__ = len\n"
+           "class C:\n    def __mul__(self, o): pass\n")
+    assert sum_definitions("m", src) == ["m.A", "m.B"]
+
+
+def test_only_the_combination_base_and_base_number_define_sums():
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        found += sum_definitions(path.stem, path.read_text())
+    assert set(found) <= SUM_OWNERS, "separate sums: " + ", ".join(
+        sorted(set(found) - SUM_OWNERS))

@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 from jsonschema import validate
 
+from cheralg.geometry import QuadraticSpace
 from cheralg.groups import from_generators
 from cheralg.scalars import BaseNumber
 from cheralg import suites
@@ -640,17 +641,23 @@ def test_instances_reuse_the_parse_of_placeholder_free_templates(spec):
 
 def test_reference_counting_frees_the_context_after_a_run():
     # The context caches keep term dicts, not Elements that point back at
-    # the context, so a run leaves no reference cycle through it and the
-    # context goes with its env without a garbage collection.
+    # the context, and a quadratic space keeps no covectors that point back
+    # at it, so a run leaves no reference cycle: the context goes with its
+    # env without a garbage collection, and a collection finds nothing.
     import gc
     import weakref
     gc.disable()
     try:
+        gc.collect()
+        space = QuadraticSpace(3)
+        del space
+        assert gc.collect() == 0
         env = make_env("A1@2")
         assert all(r.status != "fail" for r in run_suite(env, "all"))
         assert env.ctx._misc_cache
         ctx = weakref.ref(env.ctx)
         del env
         assert ctx() is None
+        assert gc.collect() == 0
     finally:
         gc.enable()
