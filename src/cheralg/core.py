@@ -42,8 +42,8 @@ The product folds coefficients before it touches a Scalar.  The memos store
 every integral number as a Python int and keep the others as Fraction (or
 BaseNumber, in ``_cliff_pair``); the y-x commutation memos (``_ycomm_*``)
 store a coefficient as items (kappa key, number).  So the factors of an
-output term multiply to one number under one kappa key, mostly in int
-arithmetic.
+output term multiply to one number f under one kappa key, mostly in int
+arithmetic, and f = 1 or -1 takes no product with the pair's coefficient.
 
 A miss in those memos reads the group's integer views, not its Fraction
 matrices: ``x_rows``/``y_rows`` give each matrix row's nonzero entries and
@@ -52,15 +52,16 @@ reflection, as ints where integral.  The group fills them once on first
 use, so a cold Context (a fresh one per request, or a large group) expands
 group actions and Dunkl reflection sums mostly in int arithmetic too.
 
-A product expands each pair of words (m1, m2) into one dict of numbers
-keyed by (word, kappa key).  The pair's c1*c2 is formed once, and only if
-a word survives; the survivors' terms go into one dict of BaseNumbers
-keyed by (word, kappa key), and each output word's Scalar is built once,
-at the end.  A graded bracket ab -+ (-1)^(|a||b|) ba is one call of the
-same routine with a sign: it expands both orders of the pair into that
-dict, so the leading terms that cancel between m1*m2 and m2*m1 vanish
-there as numbers.  A pair where m1 has no y or m2 no x has no y to move
-past an x, so it skips the commutation memo.
+A product keeps one dict of BaseNumbers under flat keys
+(xs, ys, g, e, kappa key).  For each pair of words (m1, m2) it forms
+c = c1*c2 once, and one routine, ``_expand_pair``, writes f times c's
+items into that dict for every term of m1*m2, reading the rewrite memos in
+place.  A graded bracket ab -+ (-1)^(|a||b|) ba takes the same routine
+once per order, with a sign, into the same dict, so the terms that cancel
+between m1*m2 and m2*m1 vanish there.  A last pass drops the zeros and
+builds each output word's Monomial and Scalar once.  A pair where m1 has
+no y or m2 no x has no y to move past an x, so it skips the commutation
+memo.
 
 Elements are immutable values and all operations are pure; the only shared
 state is the per-context cache of rewrite fragments, which is append-only.
@@ -463,15 +464,17 @@ class Context:
         bracket t1*t2 + sign*(-1)^(|t1||t2|) t2*t1 when sign is 1 or -1; a
         term dict without zeros either way.
 
-        Each word pair (m1, m2) is taken once.  ``_expand_pair`` writes
-        m1*m2, and for a bracket also s*m2*m1, into one dict of numbers
-        keyed by (word, kappa key), so the terms that cancel between the
-        two orders vanish there.  c1*c2 is formed only if a term survives:
-        one key merge and one BaseNumber product for two kappa monomials,
-        else the Scalar product.  Its terms times the survivors' numbers go
-        into one dict keyed by (word, kappa key); each word's Scalar is
-        built once, at the end.  The sign is the third positional
-        parameter, so (t1, t2, 0) or (t1, t2, False) is the plain product.
+        Each t2 term is read once, as (m2, c2, parity, coefficient items),
+        and the group-table row of each t1 word once.  For each word pair
+        (m1, m2), c = c1*c2 is formed once: one key merge and one
+        BaseNumber product for two kappa monomials, else the Scalar
+        product.  ``_expand_pair`` then writes c times m1*m2, and for a
+        bracket c times s*m2*m1, into one dict of BaseNumbers under flat
+        keys (xs, ys, g, e, kappa key); the terms that cancel between the
+        bracket's two orders, or between pairs, vanish there.  A last pass
+        drops the zeros and builds each output word's Monomial and Scalar
+        once.  The sign is the third positional parameter, so (t1, t2, 0)
+        or (t1, t2, False) is the plain product.
 
         Raises OverflowError when an exponent of either operand reaches
         2^exponent_bits(dim), before a field of a product could carry."""
@@ -484,96 +487,133 @@ class Context:
                 f"2^{exponent_bits(self.dim)} in dimension {self.dim}")
         out: dict = {}
         expand = self._expand_pair
-        rows2 = [(m2, c2, tuple(c2.terms.items())) for m2, c2 in t2.items()]
+        row = self.group.row
+        rows2 = [(m2, c2, m2[3].bit_count() & 1, tuple(c2.terms.items()),
+                  row(m2[2]) if sign else None)
+                 for m2, c2 in t2.items()]
         for m1, c1 in t1.items():
             items1 = tuple(c1.terms.items())
-            for m2, c2, items2 in rows2:
-                pair: dict = {}
-                expand(m1, m2, 1, pair)
-                if sign:
-                    expand(m2, m1, -sign if m1.parity and m2.parity
-                           else sign, pair)
-                c = None
-                for (mono, kw), w in pair.items():
-                    if w == 0:
-                        continue
-                    if c is None:
-                        if len(items1) == 1 and len(items2) == 1:
-                            ((k1, v1),), ((k2, v2),) = items1, items2
-                            c = ((_key_mul(k1, k2) if k1 and k2 else k1 or k2,
-                                  v2 if v1 is BN_ONE else v1 if v2 is BN_ONE
-                                  else v1 * v2),)
-                        else:
-                            c = tuple((c1 * c2).terms.items())
-                    for k, v in c:
-                        if type(w) is not int or (w != 1 and w != -1):
-                            v = v * w
-                        elif w == -1:
-                            v = -v
-                        key = (mono, _key_mul(k, kw) if kw else k)
-                        prev = out.get(key)
-                        out[key] = v if prev is None else prev + v
-        words: dict = {}
-        for (mono, k), v in out.items():
-            if not v.is_zero():
-                sc = words.get(mono)
-                if sc is None:
-                    words[mono] = _scalar({k: v})
+            single = len(items1) == 1
+            if single:
+                ((k1, v1),) = items1
+            g1 = m1[2]
+            row1 = row(g1)
+            odd1 = m1[3].bit_count() & 1
+            for m2, c2, odd2, items2, row2 in rows2:
+                if single and len(items2) == 1:
+                    ((k2, v2),) = items2
+                    c = ((_key_mul(k1, k2) if k1 and k2 else k1 or k2,
+                          v2 if v1 is BN_ONE else v1 if v2 is BN_ONE
+                          else v1 * v2),)
                 else:
-                    sc.terms[k] = v     # the Scalar has not left the product
+                    c = tuple((c1 * c2).terms.items())
+                expand(m1, m2, row1[m2[2]], 1, c, out)
+                if sign:
+                    expand(m2, m1, row2[g1], -sign if odd1 and odd2 else sign,
+                           c, out)
+        words: dict = {}
+        for key, v in out.items():
+            if not v.is_zero():
+                word = key[:4]
+                sc = words.get(word)
+                if sc is None:
+                    words[_tuple_new(Monomial, word)] = _scalar({key[4]: v})
+                else:
+                    sc.terms[key[4]] = v    # the Scalar has not left the product
         return words
 
-    def _expand_pair(self, m1, m2, s: int, pair: dict) -> None:
-        """Add s * m1*m2 to ``pair`` as numbers keyed by (word, kappa key),
-        coefficients taken without c1*c2.
+    def _expand_pair(self, m1, m2, g12: int, s: int, c: tuple,
+                     out: dict) -> None:
+        """Add s * c * m1*m2 to ``out``, BaseNumbers under flat keys
+        (xs, ys, g, e, kappa key); g12 is the group product of m1's and
+        m2's elements, and c the pair's coefficient as (kappa key,
+        BaseNumber) items.
 
-        An output term's number is a commutation item's number times the
-        group-action factors cx, cy, cz and the Clifford factor ce, under
-        the item's kappa key; since the memos hold them as ints where
-        integral, that is mostly an int product.
+        An output term's number is s times the group-action factors cx, cy,
+        cz, the Clifford factor ce and a commutation item's number: f, mostly
+        an int product, since the memos hold their numbers as ints where
+        integral.  Each item of c enters as itself when f is 1, negated
+        when f is -1, and times f otherwise, under the merged kappa key.
 
-        When m1 has no y or m2 no x, no y meets an x: the pair is
-        x^a1 (g1.x^a2) y^b1 (g1.y^b2) g1g2 e1e2, all under the key ()."""
-        group = self.group
-        act = self._act
-        ymemo = self._act_y_memo
-        yrows = group.y_rows
+        The memos are read in place; a miss falls back to the method that
+        fills them.  When m1's element is the identity, the group actions
+        are the words themselves.  When m1 has no y or m2 no x, no y meets
+        an x: the pair is x^a1 (g1.x^a2) y^b1 (g1.y^b2) g1g2 e1e2, under
+        c's own keys."""
         a1, b1, g1, e1 = m1
-        a2, b2, g2, e2 = m2
-        eprod = self._cliff_pair(e1, e2)
-        g12 = group.mul(g1, g2)
-        yterms = act(ymemo, yrows, g1, b2)
+        a2, b2, _, e2 = m2
+        eprod = self._cliff_pairs.get((e1, e2))
+        if eprod is None:
+            eprod = self._cliff_pair(e1, e2)
+        if g1:
+            xterms = self._act_x_memo.get((g1, a2))
+            if xterms is None:
+                xterms = self._act_x(g1, a2)
+            yterms = self._act_y_memo.get((g1, b2))
+            if yterms is None:
+                yterms = self._act_y(g1, b2)
+        else:
+            xterms = ((a2, 1),)
+            yterms = ((b2, 1),)
         if not b1 or not a2:
-            for ax, cx in self._act_x(g1, a2):
+            for ax, cx in xterms:
                 xs = a1 + ax
                 fx = s * cx
                 for by, cy in yterms:
                     ys = b1 + by
                     fy = fx * cy
                     for emask, ce in eprod:
-                        key = (_tuple_new(Monomial, (xs, ys, g12, emask)), ())
                         f = fy * ce
-                        prev = pair.get(key)
-                        pair[key] = f if prev is None else prev + f
+                        unit = type(f) is int and (f == 1 or f == -1)
+                        for k, v in c:
+                            key = (xs, ys, g12, emask, k)
+                            prev = out.get(key)
+                            if not unit:
+                                v = v * f
+                            elif f == -1:
+                                out[key] = -v if prev is None else prev - v
+                                continue
+                            out[key] = v if prev is None else prev + v
             return
-        for ax, cx in self._act_x(g1, a2):
+        ymemo = self._act_y_memo
+        ycw = self._ycommw
+        row = self.group.row
+        for ax, cx in xterms:
             fx = s * cx
-            for xd, yd, h, items in self._ycomm_word(b1, ax):
+            wterms = ycw.get((b1, ax))
+            if wterms is None:
+                wterms = self._ycomm_word(b1, ax)
+            for xd, yd, h, items in wterms:
                 xs = a1 + xd
-                hg = group.mul(h, g12)
+                hg = row(h)[g12] if h else g12
                 for by, cy in yterms:
                     fy = fx * cy
-                    for bz, cz in act(ymemo, yrows, h, by):
+                    if h:
+                        zterms = ymemo.get((h, by))
+                        if zterms is None:
+                            zterms = self._act_y(h, by)
+                    else:
+                        zterms = ((by, 1),)
+                    for bz, cz in zterms:
                         ys = yd + bz
                         fz = fy * cz
                         for emask, ce in eprod:
-                            mono = _tuple_new(Monomial, (xs, ys, hg, emask))
-                            f = fz * ce
-                            for k, n in items:
-                                key = (mono, k)
-                                v = f * n
-                                prev = pair.get(key)
-                                pair[key] = v if prev is None else prev + v
+                            fe = fz * ce
+                            for kw, n in items:
+                                f = fe * n
+                                unit = type(f) is int and (f == 1 or f == -1)
+                                for k, v in c:
+                                    key = (xs, ys, hg, emask,
+                                           _key_mul(k, kw) if kw else k)
+                                    prev = out.get(key)
+                                    if not unit:
+                                        v = v * f
+                                    elif f == -1:
+                                        out[key] = (-v if prev is None
+                                                    else prev - v)
+                                        continue
+                                    out[key] = (v if prev is None
+                                                else prev + v)
 
 
 def _grouped(out: dict) -> tuple:
@@ -704,28 +744,32 @@ class Element(Combination):
     def sorted_monomials(self):
         """The words by descending degree, then descending x and y
         exponents, coordinate by coordinate, then g and e ascending."""
-        dim = self.ctx.dim
+        return [m for m, _, _ in self._sorted_words()]
 
-        def key(m):
-            # keys are distinct, so reversing their order is stable
-            xs = unpack(m.xs, dim)
-            ys = unpack(m.ys, dim)
-            return sum(xs) + sum(ys), xs, ys, -m.g, -m.e
-        return sorted(self.terms, key=key, reverse=True)
+    def _sorted_words(self):
+        """(word, x exponents, y exponents) in the order of
+        ``sorted_monomials``, each word unpacked once."""
+        dim = self.ctx.dim
+        rows = [(m, unpack(m.xs, dim), unpack(m.ys, dim)) for m in self.terms]
+        # keys are distinct, so reversing their order is stable
+        rows.sort(key=lambda r: (sum(r[1]) + sum(r[2]), r[1], r[2],
+                                 -r[0].g, -r[0].e), reverse=True)
+        return rows
 
     def witness(self):
         """The leading monomial in canonical order, rendered; None if zero."""
-        monos = self.sorted_monomials()
-        if not monos:
+        rows = self._sorted_words()
+        if not rows:
             return None
-        m = monos[0]
-        return _term_str(self.ctx, self.terms[m], m)
+        m, xs, ys = rows[0]
+        return _term_str(self.ctx, self.terms[m], m, xs, ys)
 
     def __str__(self):
-        monos = self.sorted_monomials()
-        if not monos:
+        rows = self._sorted_words()
+        if not rows:
             return "0"
-        parts = [_term_str(self.ctx, self.terms[m], m) for m in monos]
+        ctx, terms = self.ctx, self.terms
+        parts = [_term_str(ctx, terms[m], m, xs, ys) for m, xs, ys in rows]
         out = parts[0]
         for p in parts[1:]:
             out += " - " + p[1:] if p.startswith("-") else " + " + p
@@ -735,12 +779,13 @@ class Element(Combination):
         return f"Element({self})"
 
 
-def _mono_str(ctx: Context, m: Monomial) -> str:
+def _mono_str(ctx: Context, m: Monomial, xs: tuple, ys: tuple) -> str:
+    """The word m, whose x and y exponents are xs and ys, rendered."""
     bits = []
-    for p, k in enumerate(unpack(m.xs, ctx.dim)):
+    for p, k in enumerate(xs):
         if k:
             bits.append(f"x{p + 1}" + (f"^{k}" if k > 1 else ""))
-    for p, k in enumerate(unpack(m.ys, ctx.dim)):
+    for p, k in enumerate(ys):
         if k:
             bits.append(f"y{p + 1}" + (f"^{k}" if k > 1 else ""))
     if m.g:
@@ -757,8 +802,9 @@ def _mono_str(ctx: Context, m: Monomial) -> str:
     return "*".join(bits)
 
 
-def _term_str(ctx: Context, coef: Scalar, m: Monomial) -> str:
-    mstr = _mono_str(ctx, m)
+def _term_str(ctx: Context, coef: Scalar, m: Monomial, xs: tuple,
+              ys: tuple) -> str:
+    mstr = _mono_str(ctx, m, xs, ys)
     if not mstr:
         return str(coef)
     if len(coef.terms) == 1:

@@ -248,7 +248,8 @@ class ReflectionGroup:
             gens.append(s)
             cols.append(self._right_column(s, keys))
 
-    def _row(self, i: int) -> list:
+    def row(self, i: int) -> list:
+        """Row i of the multiplication table: row(i)[j] == mul(i, j)."""
         row = self._mul_rows[i]
         if row is None:
             # i.(x.s) = (i.x).s: integer lookups along the tree.
@@ -262,7 +263,7 @@ class ReflectionGroup:
     def mul(self, i: int, j: int) -> int:
         row = self._mul_rows[i]
         if row is None:
-            row = self._row(i)
+            row = self.row(i)
         return row[j]
 
     def inv(self, i: int) -> int:

@@ -99,7 +99,12 @@ class BaseNumber:
                 other = as_base(other)
             except TypeError:
                 return NotImplemented
-        return self + -other
+        a1, b1, c1, d1, q1 = self._v
+        a2, b2, c2, d2, q2 = other._v
+        if q1 == q2:
+            return _reduced(a1 - a2, b1 - b2, c1 - c2, d1 - d2, q1)
+        return _reduced(a1 * q2 - a2 * q1, b1 * q2 - b2 * q1,
+                        c1 * q2 - c2 * q1, d1 * q2 - d2 * q1, q1 * q2)
 
     def __rsub__(self, other):
         return as_base(other) - self

@@ -523,3 +523,50 @@ def test_fresh_and_warmed_contexts_multiply_alike(spec):
             products.append((a * b).terms)
         assert products[0] == products[1]
         _assert_memo_items(fresh)
+
+
+def _kernel_sequence(ctx, seed):
+    """Products, supercommutators and anticommutators of a fixed seeded
+    sequence of operands, plain and with coefficients of several kappa
+    monomials, all on ``ctx``."""
+    rng = random.Random(seed)
+    out = []
+    for _ in range(6):
+        a = random_element(ctx, rng, max_degree=3, n_terms=3,
+                           kappa_degree=2)
+        b = _multi_kappa_element(ctx, rng)
+        for x, y in ((a, b), (b, a), (a, a)):
+            out += [x * y, supercommutator(x, y), anticommutator(x, y)]
+    return out
+
+
+# Sizes of the seven Context caches (cliff_ins, cliff_pairs, act_x_memo,
+# act_y_memo, ycomm1, ycommw, misc_cache) after _kernel_sequence(ctx, 11)
+# on a fresh Context.  The caches only grow, so their sizes count the
+# misses (perfbench's tracer reads them so); a memo read in place must fill
+# each cache as its filling method does.
+_KERNEL_CACHE_SIZES = {
+    "A2@3": (24, 60, 46, 45, 24, 56, 0),
+    "B2@2": (8, 16, 44, 38, 12, 28, 0),
+    "swap-gram-third": (8, 16, 10, 6, 12, 28, 0),
+}
+_CACHES = ("_cliff_ins", "_cliff_pairs", "_act_x_memo", "_act_y_memo",
+           "_ycomm1", "_ycommw", "_misc_cache")
+
+
+@pytest.mark.parametrize("name", ["A2@3", "B2@2", "swap-gram-third"])
+def test_kernel_output_shape_and_cache_fills(name):
+    group = _product_groups().get(name) or parse_group_spec(name)
+    ctx = Context(group)
+    for value in _kernel_sequence(ctx, 11):
+        for m, c in value.terms.items():
+            assert type(m) is Monomial
+            assert type(c) is Scalar and not c.is_zero()
+            for key, v in c.terms.items():
+                assert not v.is_zero()
+                assert list(key) == sorted(key)
+                assert len({cls for cls, _ in key}) == len(key)
+                assert all(0 <= cls < ctx.num_classes and e > 0
+                           for cls, e in key)
+    sizes = tuple(len(getattr(ctx, attr)) for attr in _CACHES)
+    assert sizes == _KERNEL_CACHE_SIZES[name]

@@ -167,6 +167,10 @@ def _canonical(x):
 @example(BaseNumber(Fraction(1, 2), Fraction(3, 2)),      # Q(i) times Q(i)
          BaseNumber(Fraction(-2, 3), Fraction(5, 6)))
 @example(BaseNumber(1, 1), BaseNumber(1, -1))             # Q(i), rational value
+@example(BaseNumber(Fraction(1, 6), 1),                   # one denominator,
+         BaseNumber(Fraction(5, 6), -1))                  # difference reduced
+@example(BaseNumber(Fraction(1, 4), Fraction(1, 6)),      # difference zero
+         BaseNumber(Fraction(1, 4), Fraction(1, 6)))
 def test_fast_paths_match_general_formulas(a, b):
     results = [(a * b, _full_mul(a, b)),
                (a * b.a, _full_mul(a, BaseNumber(b.a))),
@@ -176,6 +180,12 @@ def test_fast_paths_match_general_formulas(a, b):
                                   a.d + b.d)),
                (a - b, BaseNumber(a.a - b.a, a.b - b.b, a.c - b.c,
                                   a.d - b.d)),
+               (a - b, a + (-b)),
+               # an int or a Fraction on the left reaches __rsub__
+               (a - b.a, BaseNumber(a.a - b.a, a.b, a.c, a.d)),
+               (b.a - a, BaseNumber(b.a - a.a, -a.b, -a.c, -a.d)),
+               (a - 3, BaseNumber(a.a - 3, a.b, a.c, a.d)),
+               (3 - a, BaseNumber(3 - a.a, -a.b, -a.c, -a.d)),
                (-a, BaseNumber(-a.a, -a.b, -a.c, -a.d))]
     if not b.is_zero():
         results += [(b.inverse(), _full_inverse(b)),
