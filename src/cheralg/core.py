@@ -669,7 +669,7 @@ class Element(Combination):
                            self.ctx._mul_terms(self.terms, other.terms),
                            normalized=True)
         if isinstance(other, (int, Fraction, BaseNumber, Scalar)):
-            return self.ctx.zero() if other == 0 else self._times(other)
+            return self._scaled(other)
         return NotImplemented
 
     def __rmul__(self, other):

@@ -136,8 +136,7 @@ class _Linear(Combination):
         return type(self)(self.space, terms)
 
     def __mul__(self, scal):
-        s = as_scalar(scal)
-        return self._wrap({}) if s.is_zero() else self._times(s)
+        return self._scaled(as_scalar(scal))
 
     __rmul__ = __mul__
 

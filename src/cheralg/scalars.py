@@ -372,9 +372,19 @@ class Combination:
 
     def _times(self, c):
         """self * c for a nonzero coefficient c."""
-        if c._v == _ONE if type(c) is BaseNumber else c == 1:
+        kind = type(c)
+        if (c._v == _ONE if kind is BaseNumber
+                else c.terms == SC_ONE.terms if kind is Scalar else c == 1):
             return self
         return self._wrap({k: v * c for k, v in self.terms.items()})
+
+    def _scaled(self, c):
+        """self * c for a coefficient c that may be zero: an int, Fraction,
+        BaseNumber or Scalar, tested on its own terms (a Scalar compared
+        with an int would build a Scalar for the comparison)."""
+        if not c if isinstance(c, (int, Fraction)) else c.is_zero():
+            return self._wrap({})
+        return self._times(c)
 
     def is_zero(self):
         return not self.terms

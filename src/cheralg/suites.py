@@ -1205,18 +1205,21 @@ def oracle_cases(mod: SpinorModule = None) -> list:
     (at least 3) of the sampled vectors come from the env's options, and
     ``ORACLE_SAMPLES`` vectors and ``ORACLE_PRODUCTS`` products are
     drawn.  The sampled vectors are drawn once, on the first row, and
-    every row acts on the same ones.
+    every row acts on the same ones, through one ModuleEvaluator built
+    with them, so the rows share its leaf values and node images.
     """
     samples = []
+    module_eval = None
 
     def diverges(env, node) -> bool:
         """Is the expression nonzero on a sampled vector or in the engine?"""
-        if not samples:
+        nonlocal module_eval
+        if module_eval is None:
             opts = env.options
             samples.extend(mod.random_vector(opts.seed + 7919 * i,
                                              max(opts.max_degree, 3))
                            for i in range(ORACLE_SAMPLES))
-        module_eval = ModuleEvaluator(mod)
+            module_eval = ModuleEvaluator(mod)
         for vec in samples:
             if not module_eval.act(node, vec).is_zero():
                 return True

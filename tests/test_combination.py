@@ -132,3 +132,30 @@ def test_covectors_and_vectors_sum_within_one_kind_and_space():
         with pytest.raises(ValueError):
             sp.covector([1, 2, 3])
     assert (u * 0).is_zero() and u * 0 == u - u
+
+
+def test_scaling_by_a_scalar_builds_no_scalar_to_compare(monkeypatch):
+    """An Element or PolySpinor times a Scalar tests the Scalar for zero
+    and one on its own terms: comparing it with an int would build a
+    Scalar through Scalar.of on every product."""
+    ctx = Context(from_generators([[[0, 1], [1, 0]]]))
+    mod = SpinorModule(ctx)
+    x1, vec = ctx.x(0), mod.random_vector(3)
+    kappa, two = Scalar.kappa(0), Scalar.of(2)
+    made = []
+    of = Scalar.of
+
+    def counted(x):
+        made.append(x)
+        return of(x)
+
+    monkeypatch.setattr(Scalar, "of", staticmethod(counted))
+    products = [x1 * kappa, x1 * two, x1 * Scalar({}), vec.scale(kappa),
+                vec.scale(two), vec.scale(Scalar({}))]
+    assert made == []
+    monkeypatch.undo()
+    assert products[0].terms == {m: c * kappa for m, c in x1.terms.items()}
+    assert products[1] == x1 + x1 and products[2].is_zero()
+    assert products[3].terms == {k: c * kappa for k, c in vec.terms.items()}
+    assert products[4] == vec + vec and products[5].is_zero()
+    assert x1 * Scalar.of(1) is x1 and vec.scale(Scalar.of(1)) is vec

@@ -351,3 +351,73 @@ def test_subtraction_is_adding_the_negation(mod):
     assert merged({}, one, True) == {(1, 0): as_scalar(-1)}
     assert merged(one, {}, True) == one and merged({}, one) == one
     assert merged(one, one, True) == {}
+
+
+def _reference_act_monomial(mod, mono, v):
+    """The word x^a y^b g e_A on ``v`` step by step: the Clifford bits
+    right to left on the whole vector, then per spinor mask the group
+    action and one Dunkl operator per unit of y-degree, then the shift by
+    x^a."""
+    xs, ys, g, e = mono
+    for p in reversed([p for p in range(mod.dim) if e >> p & 1]):
+        v = mod.apply_e(p, v)
+    polys = {}
+    for (exp, sm), c in v.terms.items():
+        polys.setdefault(sm, {})[exp] = c
+    out = {}
+    for sm, poly in polys.items():
+        poly = mod._act_group_poly(g, poly)
+        for p, n in enumerate(unpack(ys, mod.dim)):
+            for _ in range(n):
+                poly = mod.dunkl(p, poly)
+        shift = unpack(xs, mod.dim)
+        for exp, c in poly.items():
+            out[(tuple(a + b for a, b in zip(exp, shift)), sm)] = c
+    return mod.vector(out)
+
+
+@pytest.mark.parametrize("spec", ["A1@2", "B2@2", "A2@3", "1@3"])
+@pytest.mark.parametrize("sector", [1, -1])
+def test_act_monomial_matches_the_step_by_step_route(spec, sector):
+    from cheralg.groups import parse_group_spec, trivial_group
+    group = trivial_group(3) if spec == "1@3" else parse_group_spec(spec)
+    ctx = Context(group)
+    mod = SpinorModule(ctx, sector)
+    rng = random.Random(f"{spec} {sector}")
+    words = [m for _ in range(8)
+             for m in random_element(ctx, rng, max_degree=4).terms]
+    vecs = [mod.random_vector(rng.randrange(10 ** 9), 3, 5) for _ in range(3)]
+    for mono in words:
+        for v in vecs:
+            assert mod.act_monomial(mono, v) == \
+                _reference_act_monomial(mod, mono, v), mono
+    # a second pass reads the filled image memo
+    size = len(mod._image_memo)
+    for mono in words:
+        assert mod.act_monomial(mono, vecs[0]) == \
+            _reference_act_monomial(mod, mono, vecs[0]), mono
+    assert len(mod._image_memo) == size
+
+
+def test_oracle_suite_enters_the_traced_module_boundaries(env_a12,
+                                                          monkeypatch):
+    """The benchmark's tracer times the oracle at SpinorModule.act,
+    SpinorModule.dunkl and poly_div_linear, and fails a traced run in
+    which one of them never fires; the oracle suite must enter all three."""
+    from cheralg.suites import run_suite
+    fired = []
+
+    def counting(owner, name):
+        original = getattr(owner, name)
+
+        def wrapper(*args, **kwargs):
+            fired.append(name)
+            return original(*args, **kwargs)
+        monkeypatch.setattr(owner, name, wrapper)
+
+    counting(SpinorModule, "act")
+    counting(SpinorModule, "dunkl")
+    counting(oracle, "poly_div_linear")
+    reports = run_suite(env_a12, "oracle")
+    assert {r.status for r in reports} == {"pass"}
+    assert set(fired) == {"act", "dunkl", "poly_div_linear"}

@@ -1,6 +1,6 @@
 import itertools
 import json
-from dataclasses import replace
+from dataclasses import fields, is_dataclass, replace
 from fractions import Fraction
 
 import pytest
@@ -661,3 +661,63 @@ def test_reference_counting_frees_the_context_after_a_run():
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+def _subnodes(node):
+    """``node`` and every node below it."""
+    yield node
+    for f in fields(node):
+        value = getattr(node, f.name)
+        for child in value if isinstance(value, tuple) else (value,):
+            if is_dataclass(child):
+                yield from _subnodes(child)
+
+
+def test_oracle_rows_compute_each_leaf_image_once(env_a12, monkeypatch):
+    """One run of the oracle rows builds one ModuleEvaluator, and every
+    (leaf node, basis key) image in it comes from one SpinorModule.act."""
+    from cheralg import oracle
+    evaluators, acts = [], []
+    init, act = oracle.ModuleEvaluator.__init__, oracle.SpinorModule.act
+
+    def counted_init(self, module):
+        evaluators.append(self)
+        init(self, module)
+
+    def counted_act(self, element, v):
+        acts.append(v)
+        return act(self, element, v)
+
+    monkeypatch.setattr(oracle.ModuleEvaluator, "__init__", counted_init)
+    monkeypatch.setattr(oracle.SpinorModule, "act", counted_act)
+    ids = [i for i in oracle_ids() if i != "oracle.products"]
+    reps = run_oracle_crosscheck(env_a12, ids)
+    assert {r.status for r in reps} == {"pass"} and len(reps) == len(ids)
+    (module_eval,) = evaluators
+    leaf_images = [(node, key) for node, images in module_eval._images.items()
+                   if oracle._is_leaf(node) for key in images]
+    assert len(acts) == len(leaf_images)
+    assert all(len(v.terms) == 1 for v in acts)
+
+
+def test_a_perturbed_shared_leaf_image_fails_every_row_reading_it(
+        env_a12, monkeypatch):
+    """X's memoized image, shared by every row, is that of X + x1 + e1:
+    each row that reads X must fail, and every other check must still
+    pass."""
+    from cheralg import oracle
+    from cheralg.parser import Name
+    leaf = Name("X")
+    extra = evaluate(env_a12.ctx, "x1 + e1")
+    compose = oracle.ModuleEvaluator._compose
+
+    def perturbed(self, node, v):
+        out = compose(self, node, v)
+        return out + self.module.act(extra, v) if node == leaf else out
+
+    monkeypatch.setattr(oracle.ModuleEvaluator, "_compose", perturbed)
+    readers = {f"oracle.{name}" for name, row in ORACLE_ROWS
+               if leaf in _subnodes(row.instances(env_a12.group)[0][1])}
+    assert len(readers) >= 3
+    for r in run_oracle_crosscheck(env_a12):
+        assert r.status == ("fail" if r.id in readers else "pass"), r.id
