@@ -1,21 +1,29 @@
 """Finite real reflection groups of the crystallographic families A, B, D.
 
-Elements are stored as exact rational matrices giving the action on covector
-coordinates: row p of the matrix holds the coordinates of the image of x_p.
-The contragredient action on V is the inverse transpose, so the natural
-pairing is preserved.  Only these families are built in, because their roots
-have rational coordinates of squared length 1 or 2, which keeps every
-construction inside the scalar ring.  Arbitrary finite subgroups of the
+An element is held as sparse integer rows giving its action on covector
+coordinates (``x_rows``): row p lists the nonzero pairs (q, entry) of the
+image of x_p, an entry an int where integral and a Fraction otherwise.  The
+contragredient action on V is the inverse transpose, so the natural pairing
+is preserved; its rows (``y_rows``) are the sparse transpose of the
+inverse's.  The dense rational matrices ``mats`` and ``ymats`` are built from
+the rows when first read, and nothing in the build reads them.  Only the
+families A, B and D are built in, because their roots have rational
+coordinates of squared length 1 or 2, which keeps every construction inside
+the scalar ring.  They are signed-permutation groups, one entry +-1 per row,
+so ``build_group`` writes each element from a table of the 2d rows
+((q, +-1),) and the fixed ambient rows.  Arbitrary finite subgroups of the
 orthogonal group can be supplied as generator matrices; the closure is
 enumerated breadth-first up to a cap.
 
 Every matrix product of the module is taken by one routine,
-``_row_product``, on sparse integer rows: row p lists the nonzero
-(q, entry) pairs of row p, an entry an int where integral.  The closure of
-custom generators, the reflection test (trace d - 2 and square 1) and the
-columns of the table all multiply through it.  The root of a reflection s
-is read off I - s: u - s.u lies on the root for every covector u, so the
-first nonzero row of I - s, scaled to coprime integers, is the root.
+``_row_product``, on the rows; a one-entry row picks one row of the right
+factor, scaled, without a sum.  The closure of custom generators, the
+reflection test (trace d - 2 and square 1) and the columns of the table all
+multiply through it.  The form check m G m^T = G runs on the rows too, over
+the nonzero entries only, so a signed permutation under the identity form
+costs O(d).  The root of a reflection s is read off I - s: u - s.u lies on
+the root for every covector u, so the first nonzero row of I - s, scaled to
+coprime integers, is the root.
 
 Element indices follow the order in which the elements are enumerated
 (element 0 is the identity); the multiplication table, the inverses and the
@@ -43,24 +51,25 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .geometry import Covector, QuadraticSpace, Vector, times_matrix
-from .scalars import BN_ZERO, as_base, int_if_integral
+from .scalars import BN_ONE, BN_ZERO, int_if_integral
 
 DEFAULT_ORDER_CAP = 10_000
 
 Matrix = tuple  # tuple of rows, each a tuple of Fraction
 
 
-def _identity_matrix(d: int) -> Matrix:
-    one, zero = Fraction(1), Fraction(0)
-    return tuple(tuple(one if i == j else zero for j in range(d))
-                 for i in range(d))
+def _identity_rows(d: int) -> tuple:
+    return tuple(((p, 1),) for p in range(d))
 
 
-def _sparse_rows(m: Matrix) -> tuple:
-    """The rows of m without their zeros, in the form of ``x_rows``."""
-    return tuple(tuple((q, int_if_integral(v)) for q, v in enumerate(row) if v)
+def _sparse_rows(m) -> tuple:
+    """The rows of the dense matrix m without their zeros, in the form of
+    ``x_rows``."""
+    return tuple(tuple((q, int_if_integral(v))
+                       for q, v in enumerate(map(Fraction, row)) if v)
                  for row in m)
 
 
@@ -69,9 +78,17 @@ def _row_product(a: tuple, b: tuple) -> tuple:
     ``x_rows``, in that form: every entry goes through
     ``int_if_integral``, so equal matrices give equal rows and a lookup
     by them hashes small ints, not Fractions.  Row p of a stored matrix is
-    the image of x_p, so a @ b is "first a, then b" on the covectors."""
+    the image of x_p, so a @ b is "first a, then b" on the covectors.  A
+    one-entry row of a, the only kind a signed permutation has, is row k
+    of b times the entry."""
     prod = []
     for arow in a:
+        if len(arow) == 1:
+            (k, v), = arow
+            brow = b[k]
+            prod.append(brow if v == 1 else tuple(
+                (q, int_if_integral(v * w)) for q, w in brow))
+            continue
         acc: dict = {}
         for k, v in arow:
             for q, w in b[k]:
@@ -79,6 +96,15 @@ def _row_product(a: tuple, b: tuple) -> tuple:
         prod.append(tuple((q, int_if_integral(c))
                           for q, c in sorted(acc.items()) if c))
     return tuple(prod)
+
+
+def _sparse_transpose(rows: tuple) -> tuple:
+    """The transpose of a square matrix in the sparse-row form."""
+    cols: list = [[] for _ in rows]
+    for p, row in enumerate(rows):
+        for q, v in row:
+            cols[q].append((p, v))
+    return tuple(map(tuple, cols))
 
 
 def _dense(rows: tuple, d: int) -> Matrix:
@@ -91,23 +117,29 @@ def _transpose(m: Matrix) -> Matrix:
     return tuple(zip(*m))
 
 
-def _check_preserves_form(m: Matrix, space: QuadraticSpace):
-    """Raise unless m G m^T = G for the Gram matrix G of ``space``."""
-    d = len(m)
-    gram = space.gram
-    for p in range(d):
-        for q in range(p, d):
-            acc = BN_ZERO
-            for k in range(d):
-                if m[p][k] == 0:
-                    continue
-                for l in range(d):
-                    if m[q][l] == 0:
-                        continue
-                    acc = acc + as_base(m[p][k] * m[q][l]) * gram[k][l]
-            if acc != gram[p][q]:
-                raise ValueError(
-                    "group element does not preserve the bilinear form")
+def _check_preserves_form(rows: tuple, space: QuadraticSpace):
+    """Raise unless m G m^T = G for the Gram matrix G of ``space`` and the
+    matrix m with these sparse rows.  Row p of m G m^T is summed from the
+    nonzero entries only: the rows of G, then the columns of m."""
+    if space.is_identity:
+        gram_rows = tuple(((p, BN_ONE),) for p in range(space.dim))
+    else:
+        gram_rows = tuple(tuple((q, x) for q, x in enumerate(row)
+                                if not x.is_zero())
+                          for row in space.gram)
+    cols = _sparse_transpose(rows)
+    for row, want in zip(rows, gram_rows):
+        mg: dict = {}
+        for k, a in row:
+            for l, x in gram_rows[k]:
+                mg[l] = mg.get(l, BN_ZERO) + x * a
+        got: dict = {}
+        for l, c in mg.items():
+            for q, b in cols[l]:
+                got[q] = got.get(q, BN_ZERO) + c * b
+        if {q: v for q, v in got.items() if not v.is_zero()} != dict(want):
+            raise ValueError(
+                "group element does not preserve the bilinear form")
 
 
 def _primitive(vec):
@@ -129,13 +161,20 @@ def _primitive(vec):
     return tuple(Fraction(v) for v in ints)
 
 
-def _root(m: Matrix):
-    """The root of the reflection m: u - m.u lies on the root for every
-    covector u, so the first nonzero row of I - m, made primitive."""
-    d = len(m)
-    return _primitive(next(
-        row for row in (tuple((p == q) - m[p][q] for q in range(d))
-                        for p in range(d)) if any(row)))
+def _trace(rows: tuple):
+    return sum(v for p, row in enumerate(rows) for q, v in row if q == p)
+
+
+def _root(rows: tuple):
+    """The root of the reflection with these rows: u - s.u lies on the
+    root for every covector u, so the first nonzero row of I - s, made
+    primitive.  Row p of I - s is zero exactly when row p is ((p, 1),)."""
+    p = next(p for p, row in enumerate(rows) if row != ((p, 1),))
+    vec = [0] * len(rows)
+    vec[p] = 1
+    for q, v in rows[p]:
+        vec[q] -= v
+    return _primitive(vec)
 
 
 @dataclass(frozen=True)
@@ -150,46 +189,58 @@ class Reflection:
 
 
 class ReflectionGroup:
-    """A finite B-preserving matrix group with flagged reflections."""
+    """A finite B-preserving matrix group with flagged reflections.
 
-    def __init__(self, space: QuadraticSpace, mats, label: str = "custom"):
+    ``elements`` lists each element's sparse rows in the form of
+    ``x_rows``, element 0 the identity; a dense matrix among them (rows of
+    numbers) is converted to rows once, here.  Everything the group
+    computes reads the rows; ``mats`` and ``ymats`` are built on first
+    read."""
+
+    def __init__(self, space: QuadraticSpace, elements, label: str = "custom"):
         self.space = space
         self.dim = space.dim
         self.label = label
-        self.mats = tuple(mats)
-        ident = _identity_matrix(self.dim)
-        if self.mats[0] != ident:
+        self._x_rows = tuple(m if isinstance(m[0][0], tuple)
+                             else _sparse_rows(m) for m in elements)
+        ident = _identity_rows(self.dim)
+        if self._x_rows[0] != ident:
             raise ValueError("element 0 must be the identity")
         # Row i of the multiplication table, filled on first use from the
         # tree; a flat list holds the products in a tenth of a dict's memory.
-        # The integer views of the matrices and of the reflection data are
-        # filled on first use the same way: the engine's rewrite memos read
-        # them on every miss, so the Fraction entries are scanned and
-        # converted once per group, not once per miss.  The closure reads
-        # the x views of every element.
-        self._mul_rows: list = [None] * len(self.mats)
-        self._x_rows: list = [None] * len(self.mats)
-        self._y_rows: list = [None] * len(self.mats)
+        # The y views and the reflection factors are filled on first use the
+        # same way: the engine's rewrite memos read them on every miss.
+        n = len(self._x_rows)
+        self._mul_rows: list = [None] * n
+        self._y_rows: list = [None] * n
         self._shared_rows: dict = {}
         self._refl_factors = None
         # A reflection is an involution fixing a hyperplane: trace d - 2.
-        d = self.dim
-        ident_rows = _sparse_rows(ident)
-        refl_elems = [i for i, m in enumerate(self.mats)
-                      if sum(m[p][p] for p in range(d)) == d - 2
-                      and _row_product(self.x_rows(i), self.x_rows(i))
-                      == ident_rows]
+        refl_elems = [i for i, m in enumerate(self._x_rows)
+                      if _trace(m) == self.dim - 2
+                      and _row_product(m, m) == ident]
         self._tree, gens = self._closure_tree(refl_elems)
         self._inverses = self._tree_inverses()
-        self.ymats = tuple(_transpose(self.mats[self.inv(i)])
-                           for i in range(len(self.mats)))
         self._find_reflections(refl_elems, gens)
+
+    @cached_property
+    def mats(self) -> tuple:
+        """The elements as dense Fraction matrices, row p the image of
+        x_p, built from the rows on first read."""
+        return tuple(_dense(rows, self.dim) for rows in self._x_rows)
+
+    @cached_property
+    def ymats(self) -> tuple:
+        """The contragredient matrices: ymats[g] is the transpose of
+        mats[inv(g)]."""
+        mats = self.mats
+        return tuple(_transpose(mats[self.inv(i)]) for i in range(self.order))
 
     # -- group structure ------------------------------------------------------
 
     @property
     def order(self) -> int:
-        return len(self.mats)
+        return len(self._x_rows)
 
     def _right_column(self, s: int, keys: dict) -> list:
         """mul(x, s) for every x: the only matrix products of the table, and
@@ -197,11 +248,11 @@ class ReflectionGroup:
         ``_row_product`` and looked up in ``keys``, which maps each
         element's ``x_rows`` to its index."""
         # (gh).x_p = g.(h.x_p); with rows holding basis images this
-        # composes as the matrix product mats[h] @ mats[g].
+        # composes as the matrix product of h's rows by g's.
         srows = self.x_rows(s)
         col = []
-        for x in range(len(self.mats)):
-            k = keys.get(_row_product(srows, self.x_rows(x)))
+        for xrows in self._x_rows:
+            k = keys.get(_row_product(srows, xrows))
             if k is None:
                 raise ValueError("group is not closed under multiplication")
             col.append(k)
@@ -221,8 +272,8 @@ class ReflectionGroup:
         generator is checked to preserve the bilinear form when it is
         chosen, before its column is computed; every element is a product
         of generators along the tree, so every element preserves it."""
-        n = len(self.mats)
-        keys = {self.x_rows(i): i for i in range(n)}
+        n = self.order
+        keys = {rows: i for i, rows in enumerate(self._x_rows)}
         if len(keys) != n:
             raise ValueError("duplicate group elements")
         candidates = iter(refls)
@@ -244,7 +295,7 @@ class ReflectionGroup:
             s = next((r for r in candidates if not seen[r]), None)
             if s is None:
                 s = seen.index(False)
-            _check_preserves_form(self.mats[s], self.space)
+            _check_preserves_form(self._x_rows[s], self.space)
             gens.append(s)
             cols.append(self._right_column(s, keys))
 
@@ -253,7 +304,7 @@ class ReflectionGroup:
         row = self._mul_rows[i]
         if row is None:
             # i.(x.s) = (i.x).s: integer lookups along the tree.
-            row = [0] * len(self.mats)
+            row = [0] * self.order
             row[0] = i
             for j, parent, col in self._tree:
                 row[j] = col[row[parent]]
@@ -274,7 +325,7 @@ class ReflectionGroup:
         inv(parent.s) = inv(s).inv(parent), where inv(s) is the x with
         x.s = 1 in the column of s.  Only the rows of the generators'
         inverses are filled."""
-        invs = [0] * len(self.mats)
+        invs = [0] * self.order
         gen_inv: dict = {}
         for j, parent, col in self._tree:
             s = col[0]
@@ -287,7 +338,7 @@ class ReflectionGroup:
 
     def _find_reflections(self, refl_elems: list, gens: list):
         d = self.dim
-        roots = {i: _root(self.mats[i]) for i in refl_elems}
+        roots = {i: _root(self._x_rows[i]) for i in refl_elems}
         order = sorted(refl_elems, key=lambda i: roots[i])
         # Conjugacy classes, numbered by first appearance in root order; a
         # class is an orbit under conjugation by the generators, taken as
@@ -308,21 +359,17 @@ class ReflectionGroup:
             next_id += 1
         self.num_classes = next_id
         gram = self.space.gram
-        if refl_elems and any(not gram[p][q].is_rational()
-                              for p in range(d) for q in range(d)):
+        if refl_elems and not self.space.is_identity and any(
+                not x.is_rational() for row in gram for x in row):
             raise ValueError("reflection root data needs a rational Gram matrix")
         refs = []
         for i in order:
             alpha = roots[i]
-            norm = Fraction(0)
-            for p in range(d):
-                if alpha[p] == 0:
-                    continue
-                for q in range(d):
-                    if alpha[q] != 0:
-                        norm += alpha[p] * alpha[q] * gram[p][q].a
-            beta_alpha = [sum((alpha[q] * gram[q][p].a for q in range(d)
-                               if alpha[q] != 0), Fraction(0))
+            nonzero = [(q, a) for q, a in enumerate(alpha) if a]
+            norm = sum((a * b * gram[p][q].a for p, a in nonzero
+                        for q, b in nonzero), Fraction(0))
+            beta_alpha = [sum((a * gram[q][p].a for q, a in nonzero),
+                              Fraction(0))
                           for p in range(d)]
             coroot = tuple(2 * b / norm for b in beta_alpha)
             refs.append(Reflection(elem=i, root=alpha, coroot=coroot,
@@ -335,23 +382,22 @@ class ReflectionGroup:
     # -- integer views ----------------------------------------------------------
 
     def x_rows(self, g: int) -> tuple:
-        """The rows of ``mats[g]`` without their zeros: row p holds the
-        pairs (q, entry) with entry != 0, an int when integral and a
+        """The rows of element g: row p holds the pairs (q, entry) with
+        entry != 0 of the image of x_p, an int when integral and a
         Fraction otherwise."""
-        return self._sparse(self._x_rows, self.mats, g)
+        return self._x_rows[g]
 
     def y_rows(self, g: int) -> tuple:
-        """The rows of ``ymats[g]`` in the form of ``x_rows``."""
-        return self._sparse(self._y_rows, self.ymats, g)
-
-    def _sparse(self, views: list, mats: tuple, g: int) -> tuple:
-        rows = views[g]
+        """The rows of ``ymats[g]`` in the form of ``x_rows``: the sparse
+        transpose of ``x_rows(inv(g))``."""
+        rows = self._y_rows[g]
         if rows is None:
             # Rows repeat across elements (a signed permutation matrix has
             # one of 2d rows), so each distinct row is stored once.
             shared = self._shared_rows
-            rows = views[g] = tuple(shared.setdefault(row, row)
-                                    for row in _sparse_rows(mats[g]))
+            rows = self._y_rows[g] = tuple(
+                shared.setdefault(row, row)
+                for row in _sparse_transpose(self._x_rows[self.inv(g)]))
         return rows
 
     def reflection_factors(self, j: int, r: int) -> tuple:
@@ -389,19 +435,6 @@ class ReflectionGroup:
                 f"classes={self.num_classes})")
 
 
-def _signed_permutation_matrix(d, perm, signs):
-    zero = Fraction(0)
-    rows = []
-    for p in range(d):
-        row = [zero] * d
-        if p < len(perm):
-            row[perm[p]] = Fraction(signs[p])
-        else:
-            row[p] = Fraction(1)
-        rows.append(tuple(row))
-    return tuple(rows)
-
-
 def build_group(family: str, rank: int, ambient_dim: int,
                 gram=None, order_cap: int = DEFAULT_ORDER_CAP) -> ReflectionGroup:
     """Construct a type A/B/D group embedded in the given ambient dimension."""
@@ -427,22 +460,24 @@ def build_group(family: str, rank: int, ambient_dim: int,
     if order > order_cap:
         raise ValueError(f"group order {order} exceeds cap {order_cap}")
 
-    mats = []
+    # Row p of the signed permutation (perm, signs) is ((perm[p], signs[p]),),
+    # one of 2d shared rows; the ambient coordinates keep the identity's.
+    # The first permutation and the first sign pattern make the identity
+    # element 0.
+    table = {(q, s): ((q, s),) for q in range(natural) for s in (1, -1)}
+    fixed = _identity_rows(ambient_dim)[natural:]
     if family == "A":
-        for perm in itertools.permutations(range(natural)):
-            mats.append(_signed_permutation_matrix(
-                ambient_dim, perm, (1,) * natural))
+        patterns = [(1,) * natural]
     else:
-        for perm in itertools.permutations(range(natural)):
-            for signs in itertools.product((1, -1), repeat=natural):
-                if family == "D" and signs.count(-1) % 2:
-                    continue
-                mats.append(_signed_permutation_matrix(
-                    ambient_dim, perm, signs))
-    ident = _identity_matrix(ambient_dim)
-    mats.sort(key=lambda m: m != ident)
+        patterns = [signs
+                    for signs in itertools.product((1, -1), repeat=natural)
+                    if family == "B" or not signs.count(-1) % 2]
+    elements = [tuple(map(table.__getitem__, zip(perm, signs))) + fixed
+                for perm in itertools.permutations(range(natural))
+                for signs in patterns]
     space = QuadraticSpace(ambient_dim, gram)
-    return ReflectionGroup(space, mats, label=f"{family}{rank}@{ambient_dim}")
+    return ReflectionGroup(space, elements,
+                           label=f"{family}{rank}@{ambient_dim}")
 
 
 def from_generators(matrices, gram=None, closure_cap: int = DEFAULT_ORDER_CAP,
@@ -453,22 +488,20 @@ def from_generators(matrices, gram=None, closure_cap: int = DEFAULT_ORDER_CAP,
     d = len(matrices[0])
     gens = []
     for m in matrices:
-        rows = tuple(tuple(Fraction(v) for v in row) for row in m)
-        if len(rows) != d or any(len(r) != d for r in rows):
+        if len(m) != d or any(len(r) != d for r in m):
             raise ValueError("generator matrices must be square, same size")
-        gens.append(rows)
+        gens.append(_sparse_rows(m))
     space = QuadraticSpace(d, gram)
     for g in gens:
         _check_preserves_form(g, space)
-    gen_rows = [_sparse_rows(g) for g in gens]
-    ident = _sparse_rows(_identity_matrix(d))
+    ident = _identity_rows(d)
     seen = {ident}
     frontier = [ident]
     ordered = [ident]
     while frontier:
         nxt = []
         for m in frontier:
-            for g in gen_rows:
+            for g in gens:
                 prod = _row_product(m, g)
                 if prod not in seen:
                     if len(seen) >= closure_cap:
@@ -478,13 +511,13 @@ def from_generators(matrices, gram=None, closure_cap: int = DEFAULT_ORDER_CAP,
                     ordered.append(prod)
                     nxt.append(prod)
         frontier = nxt
-    return ReflectionGroup(space, [_dense(m, d) for m in ordered], label=label)
+    return ReflectionGroup(space, ordered, label=label)
 
 
 def trivial_group(dim: int, gram=None) -> ReflectionGroup:
     """The one-element group; the engine then has no deformation classes."""
     space = QuadraticSpace(dim, gram)
-    return ReflectionGroup(space, [_identity_matrix(dim)], label=f"1@{dim}")
+    return ReflectionGroup(space, [_identity_rows(dim)], label=f"1@{dim}")
 
 
 def parse_group_spec(spec: str) -> ReflectionGroup:

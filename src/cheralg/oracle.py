@@ -32,8 +32,7 @@ of basis vectors, and `apply_linear` sums those images scaled by the
 vector's coefficients.  Four memos hold such images:
 
 - `SpinorModule` keeps g . x^e per (g, e), as rational pairs, from the
-  substitution x_p -> sum_q mats[g][p][q] x_q read from the group's
-  matrices;
+  substitution x_p -> sum_q g_pq x_q read from the group's rows;
 - `SpinorModule` keeps D_p(x^e) per (p, e): the partial derivative plus, per
   reflection s with root alpha, k_c alpha_p (x^e - s.x^e) / alpha;
 - `SpinorModule` keeps D^b(g . x^e) per (g, packed y exponents b, e),
@@ -59,7 +58,7 @@ images repeat a few keys, coefficients and whole images many times, so
 
 The memos are keyed by module data alone (p, exponents, spinor masks, group
 element indices, expression nodes) and filled by the module's own
-arithmetic.  The module reads the group's matrices, reflections and roots
+arithmetic.  The module reads the group's rows, reflections and roots
 and the kappa of each class from the context, and asks the engine only to
 build the leaves; it never calls the engine's exponent action or its
 product, so a fault in either cannot show on both sides of the cross-check.
@@ -262,14 +261,14 @@ class SpinorModule:
 
     def _act_exp(self, g: int, exp: tuple) -> tuple:
         """g . x^exp as (exponent, Fraction) pairs, by the substitution
-        x_p -> sum_q mats[g][p][q] x_q read from the group's matrices."""
+        x_p -> sum_q r x_q over the pairs (q, r) of row p of the group's
+        rows for g."""
         key = (g, exp)
         hit = self._act_memo.get(key)
         if hit is None:
-            mat = self.ctx.group.mats[g]
+            rows = self.ctx.group.x_rows(g)
             poly = {self._zero_exp: Fraction(1)}
-            for p, k in enumerate(exp):
-                lin = [(q, r) for q, r in enumerate(mat[p]) if r]
+            for lin, k in zip(rows, exp):
                 for _ in range(k):
                     nxt: dict = {}
                     for e, c in poly.items():
@@ -339,15 +338,24 @@ class SpinorModule:
                       for k, c in pairs)
         return images.setdefault(image, image)
 
-    def act_monomial(self, mono: Monomial, v: PolySpinor) -> PolySpinor:
-        """The word x^a y^b g e_A applied to ``v``: the Clifford factor on
-        the spinor masks, rightmost generator first, then each term's
-        polynomial image D^b(g . x^exp) read from its memo, then the shift
-        by x^a."""
-        xs, ys, g, e = mono
-        for p in reversed(range(e.bit_length())):
-            if e >> p & 1:
-                v = self.apply_e(p, v)
+    def _clifford(self, e: int, by_mask: dict) -> PolySpinor:
+        """e_A applied to ``by_mask[0]``, for the bitmask e of A, rightmost
+        generator first.  ``by_mask`` holds the vectors already computed
+        per mask; e_A is its lowest generator applied after the rest, so a
+        mask shared by several words costs one pass in all and a new mask
+        one pass on top of a held one."""
+        hit = by_mask.get(e)
+        if hit is None:
+            low = e & -e
+            hit = by_mask[e] = self.apply_e(low.bit_length() - 1,
+                                            self._clifford(e ^ low, by_mask))
+        return hit
+
+    def _act_word(self, mono: Monomial, v: PolySpinor) -> dict:
+        """The word x^a y^b g e_A applied to ``v``, for ``v`` carrying
+        e_A already: each term's polynomial image D^b(g . x^exp) read from
+        its memo, then the shift by x^a."""
+        xs, ys, g, _ = mono
         terms = v.terms
         if g or ys:
             out: dict = {}
@@ -362,14 +370,23 @@ class SpinorModule:
             shift = unpack(xs, self.dim)
             terms = {(tuple(map(add, exp, shift)), sm): c
                      for (exp, sm), c in terms.items()}
-        return PolySpinor(terms, normalized=True)
+        return terms
+
+    def act_monomial(self, mono: Monomial, v: PolySpinor) -> PolySpinor:
+        """The word x^a y^b g e_A applied to ``v``."""
+        return PolySpinor(self._act_word(mono, self._clifford(mono.e, {0: v})),
+                          normalized=True)
 
     def act(self, element: Element, v: PolySpinor) -> PolySpinor:
+        """``element`` applied to ``v``, word by word; the words that share
+        a Clifford mask share its action on ``v``."""
         if element.ctx is not self.ctx:
             raise ValueError("element from a different context")
+        by_mask = {0: v}
         return PolySpinor(apply_linear(
             element.terms,
-            lambda mono: self.act_monomial(mono, v).terms.items()),
+            lambda mono: self._act_word(
+                mono, self._clifford(mono.e, by_mask)).items()),
             normalized=True)
 
 

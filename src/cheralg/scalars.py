@@ -63,6 +63,11 @@ class BaseNumber:
     __slots__ = ("_v",)
 
     def __init__(self, a=0, b=0, c=0, d=0):
+        if type(a) is int and type(b) is int and type(c) is int \
+                and type(d) is int:
+            # q = 1, so the five already have gcd 1
+            object.__setattr__(self, "_v", (a, b, c, d, 1))
+            return
         parts = [Fraction(x) for x in (a, b, c, d)]
         q = lcm(*(p.denominator for p in parts))
         object.__setattr__(self, "_v", tuple(

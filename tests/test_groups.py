@@ -1,16 +1,19 @@
 import hashlib
 import json
 import random
+import time
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
+from cheralg import groups
 from cheralg.cli import main
 from cheralg.core import Context
 from cheralg.geometry import (QuadraticSpace, bilinear_B, invert_matrix,
                               pairing, beta)
-from cheralg.groups import (ReflectionGroup, build_group, from_generators,
+from cheralg.groups import (ReflectionGroup, _dense, _row_product,
+                            _sparse_rows, build_group, from_generators,
                             parse_group_spec, trivial_group)
 from cheralg.parser import Evaluator, parse_expression
 
@@ -219,6 +222,50 @@ def test_closure_table_matches_matrix_products(name):
         for h in range(n):
             conj = g.mul(g.mul(h, r.elem), g.inv(h))
             assert g.reflection_by_elem[conj].class_id == r.class_id
+
+
+@pytest.mark.parametrize("name", sorted(CLOSURE_GROUPS))
+def test_rows_match_the_dense_matrices(name):
+    g = CLOSURE_GROUPS[name]()
+    for i in range(g.order):
+        assert g.x_rows(i) == _sparse_rows(g.mats[i])
+        assert g.y_rows(i) == _sparse_rows(g.ymats[i])
+
+
+def test_a_build_forms_no_dense_matrix_until_mats_is_read(monkeypatch):
+    calls = []
+
+    def counting(rows, d):
+        calls.append(rows)
+        return _dense(rows, d)
+    monkeypatch.setattr(groups, "_dense", counting)
+    g = parse_group_spec("D4@4")
+    assert not calls and "mats" not in vars(g) and "ymats" not in vars(g)
+    g.y_rows(5)
+    assert not calls
+    assert len(g.mats) == g.order == len(calls)
+
+
+def test_d4_build_takes_780_row_products(monkeypatch):
+    # 12 squares in the reflection test and one column of 192 products for
+    # each of the 4 generators
+    calls = []
+
+    def counting(a, b):
+        calls.append(None)
+        return _row_product(a, b)
+    monkeypatch.setattr(groups, "_row_product", counting)
+    parse_group_spec("D4@4")
+    assert len(calls) == 780
+
+
+def test_a_wide_ambient_space_builds_fast():
+    # the form check reads nonzero entries only: O(d) for A1@400, where a
+    # dense m G m^T took seconds
+    t0 = time.perf_counter()
+    g = parse_group_spec("A1@400")
+    assert time.perf_counter() - t0 < 1.0
+    assert g.order == 2 and g.reflections[0].root[:3] == (1, -1, 0)
 
 
 def test_d4_closes_on_a_subset_of_its_reflections():

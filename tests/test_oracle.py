@@ -399,6 +399,41 @@ def test_act_monomial_matches_the_step_by_step_route(spec, sector):
     assert len(mod._image_memo) == size
 
 
+@pytest.mark.parametrize("spec", ["A1@2", "B2@2", "A2@3"])
+def test_act_sums_the_step_by_step_words(spec):
+    # the words of an element that share a Clifford mask share its passes
+    from cheralg.core import Element
+    from cheralg.groups import parse_group_spec
+    ctx = Context(parse_group_spec(spec))
+    mod = SpinorModule(ctx)
+    rng = random.Random(spec)
+    for _ in range(4):
+        elem = random_element(ctx, rng, max_degree=3, n_terms=8)
+        v = mod.random_vector(rng.randrange(10 ** 9), 3, 5)
+        want = mod.vector({})
+        for mono, c in elem.terms.items():
+            word = _reference_act_monomial(mod, mono, v)
+            want = want + word.scale(c)
+        assert mod.act(elem, v) == want
+        assert mod.act(Element(ctx, {}), v) == mod.vector({})
+
+
+def test_oracle_run_applies_each_clifford_mask_once(env_a12, monkeypatch):
+    # one pass per mask and act call, a mask built on a held shorter one:
+    # 926 passes on A1@2, where one chain per word took 1,579
+    from cheralg.suites import run_suite
+    passes = []
+    apply_e = SpinorModule.apply_e
+
+    def counting(self, p, v):
+        passes.append(p)
+        return apply_e(self, p, v)
+    monkeypatch.setattr(SpinorModule, "apply_e", counting)
+    reports = run_suite(env_a12, "oracle")
+    assert {r.status for r in reports} == {"pass"}
+    assert 0 < len(passes) <= 984
+
+
 def test_oracle_suite_enters_the_traced_module_boundaries(env_a12,
                                                           monkeypatch):
     """The benchmark's tracer times the oracle at SpinorModule.act,

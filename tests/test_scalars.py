@@ -299,3 +299,50 @@ def _reference_str(x):
 def test_rendering_matches_fraction_reference(ctx_a12, x):
     assert str(x) == _reference_str(x)
     assert evaluate(ctx_a12, str(as_scalar(x))) == ctx_a12.scalar_elem(x)
+
+
+@given(st.integers(-10**20, 10**20), st.integers(-5, 5), st.integers(-5, 5),
+       st.integers(-5, 5))
+def test_int_components_take_the_form_of_fractions(a, b, c, d):
+    n = BaseNumber(a, b, c, d)
+    assert n._v == BaseNumber(*map(Fraction, (a, b, c, d)))._v \
+        == (a, b, c, d, 1)
+
+
+# sha256 prefixes of repr(random_element(ctx, Random(seed))),
+# repr(SpinorModule(ctx).random_vector(seed)) and
+# repr(suites._random_scalar(Random(seed), num_classes)) for seeds 0, 1, 7,
+# recorded before integer components skipped the Fraction conversion
+RANDOM_DRAW_PINS = {
+    "A1@2": (["a16787e15dba9295", "6acc0d3410424a5c", "d381292eea9842b1"],
+             ["bd6af2af26e891bd", "d0963502976e33db", "2f79d291370b4a92"],
+             ["4fcc8ca09cc0a9ec", "796d9245d42a2c6c", "48f110f2f2b3cee5"]),
+    "B2@2": (["157649fd1cf790e5", "dd6272d0c2da7c7b", "252082f351a3c85c"],
+             ["bd6af2af26e891bd", "d0963502976e33db", "2f79d291370b4a92"],
+             ["4fcc8ca09cc0a9ec", "066266c7f87e4146", "ae2311fc4b63fa9a"]),
+    "A2@3": (["2925894928aa51bf", "edf6ab3919c93475", "5e1496cffb17d904"],
+             ["3bd581187f36d3a1", "1c0592a5bf3c7fc4", "2f79d291370b4a92"],
+             ["4fcc8ca09cc0a9ec", "796d9245d42a2c6c", "48f110f2f2b3cee5"]),
+}
+
+
+@pytest.mark.parametrize("spec", sorted(RANDOM_DRAW_PINS))
+def test_random_draws_are_pinned(spec):
+    import hashlib
+    import random
+
+    from cheralg.core import Context, random_element
+    from cheralg.groups import parse_group_spec
+    from cheralg.oracle import SpinorModule
+    from cheralg.suites import _random_scalar
+
+    def digest(x):
+        return hashlib.sha256(repr(x).encode()).hexdigest()[:16]
+    ctx = Context(parse_group_spec(spec))
+    mod = SpinorModule(ctx)
+    seeds = (0, 1, 7)
+    got = ([digest(random_element(ctx, random.Random(s))) for s in seeds],
+           [digest(mod.random_vector(s)) for s in seeds],
+           [digest(_random_scalar(random.Random(s), ctx.num_classes))
+            for s in seeds])
+    assert got == RANDOM_DRAW_PINS[spec]
