@@ -77,9 +77,9 @@ from typing import NamedTuple
 
 from .geometry import Covector, QuadraticSpace, Vector, bilinear_B
 from .groups import ReflectionGroup
-from .scalars import (BN_HALF_SQRT2, BN_I, BN_ONE, BaseNumber, Combination,
-                      SC_ONE, SC_ZERO, Scalar, _key_mul, _scalar, as_scalar,
-                      int_if_integral, power, render_coefficient)
+from .scalars import (BN_HALF_SQRT2, BN_I, BN_ONE, BN_ZERO, BaseNumber,
+                      Combination, SC_ONE, SC_ZERO, Scalar, _key_mul, _scalar,
+                      as_scalar, int_if_integral, power, render_coefficient)
 
 # 1/sqrt(B(root, root)) for the squared root lengths the scalar ring holds.
 ROOT_SCALE = {1: BN_ONE, 2: BN_HALF_SQRT2}
@@ -297,14 +297,16 @@ class Context:
         else:
             q = mask.bit_length() - 1
             rest = mask ^ (1 << q)
+            # B(x_q, x_p) is looked up in the sparse Gram row q; absent is 0
             gram = self.space.gram
             if q < p:
                 res = ((mask | (1 << p), BN_ONE),)
             elif q == p:
-                res = ((rest, gram[p][p]),)
+                res = ((rest, dict(gram[p]).get(p, BN_ZERO)),)
             else:
                 out: dict = {}
-                cross = gram[q][p] + gram[q][p]
+                cross = dict(gram[q]).get(p, BN_ZERO)
+                cross = cross + cross
                 if not cross.is_zero():
                     out[rest] = cross
                 for m2, c2 in self._cliff_insert(rest, p):

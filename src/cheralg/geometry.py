@@ -2,9 +2,13 @@
 
 Coordinates are always taken with respect to the distinguished dual pair of
 bases: x_1..x_d for the covector space V* and y_1..y_d for V, with
-<x_j, y_k> = delta_jk.  The Gram matrix stores B on V*, i.e.
-gram[p][q] = B(x_p, x_q); the induced form on V is its inverse.  The
-involution beta exchanges V and V* so that <beta(u), w> = B(u, w).
+<x_j, y_k> = delta_jk.  The Gram matrix holds B on V*, B(x_p, x_q) in row
+p, and the induced form on V is its inverse.  Both are sparse rows, the one
+matrix form of the package: row p holds the pairs (q, entry) with a nonzero
+BaseNumber entry, in column order.  The identity is the d rows ((p, 1),)
+and its own inverse; a general Gram matrix is checked and inverted dense
+once.  The involution beta exchanges V and V* so that
+<beta(u), w> = B(u, w).
 
 Covectors and vectors are scalars.Combination subclasses whose ``terms``
 map a coordinate index to its nonzero Scalar coordinate, so combinations
@@ -16,8 +20,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .scalars import (BN_ONE, BN_ZERO, BaseNumber, Combination, SC_ONE,
-                      SC_ZERO, Scalar, as_base, as_scalar)
+from .scalars import (BN_ONE, BaseNumber, Combination, SC_ONE, SC_ZERO,
+                      Scalar, as_base, as_scalar)
 
 COVECTOR = "V*"
 VECTOR = "V"
@@ -58,8 +62,15 @@ def invert_matrix(rows):
     return tuple(tuple(row[n:]) for row in aug)
 
 
+def _sparse(rows) -> tuple:
+    """The sparse rows of a dense matrix of BaseNumbers."""
+    return tuple(tuple((q, x) for q, x in enumerate(row) if not x.is_zero())
+                 for row in rows)
+
+
 class QuadraticSpace:
-    """Dimension, Gram matrix on V*, and its cached inverse (form on V)."""
+    """Dimension, Gram matrix on V*, and its cached inverse (form on V),
+    both as sparse rows."""
 
     __slots__ = ("dim", "gram", "inv_gram", "is_identity")
 
@@ -67,12 +78,9 @@ class QuadraticSpace:
         if dim < 1:
             raise ValueError("dimension must be positive")
         self.dim = dim
+        identity = tuple(((p, BN_ONE),) for p in range(dim))
         if gram is None:
-            rows = tuple(tuple(BN_ONE if i == j else BN_ZERO for j in range(dim))
-                         for i in range(dim))
-            self.gram = rows
-            self.inv_gram = rows
-            self.is_identity = True
+            self.gram = self.inv_gram = identity
         else:
             rows = tuple(tuple(as_base(v) for v in row) for row in gram)
             if len(rows) != dim or any(len(r) != dim for r in rows):
@@ -81,11 +89,9 @@ class QuadraticSpace:
                 for j in range(i + 1, dim):
                     if rows[i][j] != rows[j][i]:
                         raise ValueError("Gram matrix must be symmetric")
-            self.gram = rows
-            self.inv_gram = invert_matrix(rows)
-            self.is_identity = all(
-                rows[i][j] == (BN_ONE if i == j else BN_ZERO)
-                for i in range(dim) for j in range(dim))
+            self.gram = _sparse(rows)
+            self.inv_gram = _sparse(invert_matrix(rows))
+        self.is_identity = self.gram == identity
 
     def covector(self, coords) -> "Covector":
         return Covector(self, self._terms(coords))
@@ -161,15 +167,14 @@ class Vector(_Linear):
     tag = VECTOR
 
 
-def times_matrix(u, mat, kind=None):
-    """The row u times the matrix ``mat`` (entries numbers), as a ``kind``
-    of u's space; the kind defaults to u's own."""
+def times_matrix(u, rows, kind=None):
+    """The row u times the matrix with these sparse rows (entries numbers),
+    as a ``kind`` of u's space; the kind defaults to u's own."""
     terms: dict = {}
     for p, c in u.terms.items():
-        for q, a in enumerate(mat[p]):
-            if a != 0:
-                w = terms.get(q)
-                terms[q] = c * a if w is None else w + c * a
+        for q, a in rows[p]:
+            w = terms.get(q)
+            terms[q] = c * a if w is None else w + c * a
     return (kind or type(u))(u.space, {q: c for q, c in terms.items()
                                        if not c.is_zero()})
 
@@ -202,11 +207,13 @@ def bilinear_B(u, v) -> Scalar:
     if type(u) is not type(v) or u.space is not v.space:
         raise TypeError("bilinear_B needs two covectors or two vectors "
                         "of the same space")
-    mat = u.space.gram if isinstance(u, Covector) else u.space.inv_gram
+    rows = u.space.gram if isinstance(u, Covector) else u.space.inv_gram
     acc = SC_ZERO
     for p, a in u.terms.items():
-        for q, b in v.terms.items():
-            acc = acc + a * b * mat[p][q]
+        for q, x in rows[p]:
+            b = v.terms.get(q)
+            if b is not None:
+                acc = acc + a * b * x
     return acc
 
 

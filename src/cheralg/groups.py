@@ -5,25 +5,25 @@ coordinates (``x_rows``): row p lists the nonzero pairs (q, entry) of the
 image of x_p, an entry an int where integral and a Fraction otherwise.  The
 contragredient action on V is the inverse transpose, so the natural pairing
 is preserved; its rows (``y_rows``) are the sparse transpose of the
-inverse's.  The dense rational matrices ``mats`` and ``ymats`` are built from
-the rows when first read, and nothing in the build reads them.  Only the
-families A, B and D are built in, because their roots have rational
-coordinates of squared length 1 or 2, which keeps every construction inside
-the scalar ring.  They are signed-permutation groups, one entry +-1 per row,
-so ``build_group`` writes each element from a table of the 2d rows
-((q, +-1),) and the fixed ambient rows.  Arbitrary finite subgroups of the
-orthogonal group can be supplied as generator matrices; the closure is
-enumerated breadth-first up to a cap.
+inverse's.  The rows are the group's only matrix form, and ``act`` applies
+them too.  Only the families A, B and D are built in, because their roots
+have rational coordinates of squared length 1 or 2, which keeps every
+construction inside the scalar ring.  They are signed-permutation groups,
+one entry +-1 per row, so ``build_group`` writes each element from a table
+of the 2d rows ((q, +-1),) and the fixed ambient rows.  Arbitrary finite
+subgroups of the orthogonal group can be supplied as generator matrices;
+the closure is enumerated breadth-first up to a cap.
 
 Every matrix product of the module is taken by one routine,
 ``_row_product``, on the rows; a one-entry row picks one row of the right
 factor, scaled, without a sum.  The closure of custom generators, the
 reflection test (trace d - 2 and square 1) and the columns of the table all
-multiply through it.  The form check m G m^T = G runs on the rows too, over
-the nonzero entries only, so a signed permutation under the identity form
-costs O(d).  The root of a reflection s is read off I - s: u - s.u lies on
-the root for every covector u, so the first nonzero row of I - s, scaled to
-coprime integers, is the root.
+multiply through it.  The form check m G m^T = G runs on the rows of m and
+the sparse Gram rows of the space, over the nonzero entries only, so a
+signed permutation under the identity form costs O(d).  The root of a
+reflection s is read off I - s: u - s.u lies on the root for every covector
+u, so the first nonzero row of I - s, scaled to coprime integers, is the
+root.
 
 Element indices follow the order in which the elements are enumerated
 (element 0 is the identity); the multiplication table, the inverses and the
@@ -49,16 +49,14 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 
 from .geometry import Covector, QuadraticSpace, Vector, times_matrix
-from .scalars import BN_ONE, BN_ZERO, int_if_integral
+from .scalars import BN_ZERO, int_if_integral
 
 DEFAULT_ORDER_CAP = 10_000
-
-Matrix = tuple  # tuple of rows, each a tuple of Fraction
 
 
 def _identity_rows(d: int) -> tuple:
@@ -71,6 +69,23 @@ def _sparse_rows(m) -> tuple:
     return tuple(tuple((q, int_if_integral(v))
                        for q, v in enumerate(map(Fraction, row)) if v)
                  for row in m)
+
+
+def _element_rows(m, d: int, kind: str, i: int) -> tuple:
+    """The matrix m, the i-th ``kind`` of the input, as sparse rows: m is in
+    the form of ``x_rows`` or dense (rows of numbers), converted here.
+    Raise ValueError unless it has d rows over the columns 0..d-1."""
+    if m and m[0] and isinstance(m[0][0], tuple):
+        cols = sorted({q for row in m for q, _ in row})
+        if len(m) == d and 0 <= cols[0] and cols[-1] < d:
+            return tuple(m)
+        shape = f"{len(m)} sparse rows over the columns {cols[0]}..{cols[-1]}"
+    else:
+        widths = sorted({len(row) for row in m})
+        if len(m) == d and widths == [d]:
+            return _sparse_rows(m)
+        shape = f"{len(m)}x{'/'.join(map(str, widths)) or 0}"
+    raise ValueError(f"{kind} {i} is {shape}, not {d}x{d}")
 
 
 def _row_product(a: tuple, b: tuple) -> tuple:
@@ -107,31 +122,16 @@ def _sparse_transpose(rows: tuple) -> tuple:
     return tuple(map(tuple, cols))
 
 
-def _dense(rows: tuple, d: int) -> Matrix:
-    """The dense Fraction matrix of sparse rows."""
-    return tuple(tuple(Fraction(dict(row).get(q, 0)) for q in range(d))
-                 for row in rows)
-
-
-def _transpose(m: Matrix) -> Matrix:
-    return tuple(zip(*m))
-
-
 def _check_preserves_form(rows: tuple, space: QuadraticSpace):
     """Raise unless m G m^T = G for the Gram matrix G of ``space`` and the
     matrix m with these sparse rows.  Row p of m G m^T is summed from the
     nonzero entries only: the rows of G, then the columns of m."""
-    if space.is_identity:
-        gram_rows = tuple(((p, BN_ONE),) for p in range(space.dim))
-    else:
-        gram_rows = tuple(tuple((q, x) for q, x in enumerate(row)
-                                if not x.is_zero())
-                          for row in space.gram)
+    gram = space.gram
     cols = _sparse_transpose(rows)
-    for row, want in zip(rows, gram_rows):
+    for row, want in zip(rows, gram):
         mg: dict = {}
         for k, a in row:
-            for l, x in gram_rows[k]:
+            for l, x in gram[k]:
                 mg[l] = mg.get(l, BN_ZERO) + x * a
         got: dict = {}
         for l, c in mg.items():
@@ -194,17 +194,16 @@ class ReflectionGroup:
     ``elements`` lists each element's sparse rows in the form of
     ``x_rows``, element 0 the identity; a dense matrix among them (rows of
     numbers) is converted to rows once, here.  Everything the group
-    computes reads the rows; ``mats`` and ``ymats`` are built on first
-    read."""
+    computes reads the rows."""
 
     def __init__(self, space: QuadraticSpace, elements, label: str = "custom"):
         self.space = space
         self.dim = space.dim
         self.label = label
-        self._x_rows = tuple(m if isinstance(m[0][0], tuple)
-                             else _sparse_rows(m) for m in elements)
+        self._x_rows = tuple(_element_rows(m, self.dim, "group element", i)
+                             for i, m in enumerate(elements))
         ident = _identity_rows(self.dim)
-        if self._x_rows[0] != ident:
+        if not self._x_rows or self._x_rows[0] != ident:
             raise ValueError("element 0 must be the identity")
         # Row i of the multiplication table, filled on first use from the
         # tree; a flat list holds the products in a tenth of a dict's memory.
@@ -222,19 +221,6 @@ class ReflectionGroup:
         self._tree, gens = self._closure_tree(refl_elems)
         self._inverses = self._tree_inverses()
         self._find_reflections(refl_elems, gens)
-
-    @cached_property
-    def mats(self) -> tuple:
-        """The elements as dense Fraction matrices, row p the image of
-        x_p, built from the rows on first read."""
-        return tuple(_dense(rows, self.dim) for rows in self._x_rows)
-
-    @cached_property
-    def ymats(self) -> tuple:
-        """The contragredient matrices: ymats[g] is the transpose of
-        mats[inv(g)]."""
-        mats = self.mats
-        return tuple(_transpose(mats[self.inv(i)]) for i in range(self.order))
 
     # -- group structure ------------------------------------------------------
 
@@ -359,18 +345,21 @@ class ReflectionGroup:
             next_id += 1
         self.num_classes = next_id
         gram = self.space.gram
-        if refl_elems and not self.space.is_identity and any(
-                not x.is_rational() for row in gram for x in row):
+        if refl_elems and any(not x.is_rational()
+                              for row in gram for _, x in row):
             raise ValueError("reflection root data needs a rational Gram matrix")
         refs = []
         for i in order:
             alpha = roots[i]
-            nonzero = [(q, a) for q, a in enumerate(alpha) if a]
-            norm = sum((a * b * gram[p][q].a for p, a in nonzero
-                        for q, b in nonzero), Fraction(0))
-            beta_alpha = [sum((a * gram[q][p].a for q, a in nonzero),
-                              Fraction(0))
-                          for p in range(d)]
+            # beta(alpha)_p = sum_q alpha_q B_qp, and B(alpha, alpha) is its
+            # pairing with alpha
+            beta_alpha = [Fraction(0)] * d
+            for q, a in enumerate(alpha):
+                if a:
+                    for p, x in gram[q]:
+                        beta_alpha[p] += a * x.a
+            norm = sum((a * b for a, b in zip(alpha, beta_alpha) if a),
+                       Fraction(0))
             coroot = tuple(2 * b / norm for b in beta_alpha)
             refs.append(Reflection(elem=i, root=alpha, coroot=coroot,
                                    root_norm=norm, class_id=class_of[i]))
@@ -388,8 +377,8 @@ class ReflectionGroup:
         return self._x_rows[g]
 
     def y_rows(self, g: int) -> tuple:
-        """The rows of ``ymats[g]`` in the form of ``x_rows``: the sparse
-        transpose of ``x_rows(inv(g))``."""
+        """The rows of element g acting on vectors, in the form of
+        ``x_rows``: the sparse transpose of ``x_rows(inv(g))``."""
         rows = self._y_rows[g]
         if rows is None:
             # Rows repeat across elements (a signed permutation matrix has
@@ -421,12 +410,12 @@ class ReflectionGroup:
     # -- actions ----------------------------------------------------------------
 
     def act(self, g: int, u):
-        """g.u for a covector (through ``mats``) or a vector (through the
-        contragredient ``ymats``)."""
+        """g.u for a covector (through ``x_rows``) or a vector (through the
+        contragredient ``y_rows``)."""
         if isinstance(u, Covector):
-            return times_matrix(u, self.mats[g])
+            return times_matrix(u, self.x_rows(g))
         if isinstance(u, Vector):
-            return times_matrix(u, self.ymats[g])
+            return times_matrix(u, self.y_rows(g))
         raise TypeError("act expects a Covector or Vector")
 
     def __repr__(self):
@@ -451,14 +440,14 @@ def build_group(family: str, rank: int, ambient_dim: int,
     if ambient_dim < natural:
         raise ValueError(f"{family}{rank} needs ambient dimension >= {natural}")
 
-    if family == "A":
-        order = math.factorial(rank + 1)
-    elif family == "B":
-        order = 2 ** rank * math.factorial(rank)
-    else:
-        order = 2 ** (rank - 1) * math.factorial(rank)
-    if order > order_cap:
-        raise ValueError(f"group order {order} exceeds cap {order_cap}")
+    # The order, (rank + 1)! for A, 2.4...(2 rank) for B and 4.6...(2 rank)
+    # for D, is multiplied up only until it passes the cap.
+    factors = (range(2, natural + 1) if family == "A" else
+               range(2 if family == "B" else 4, 2 * natural + 1, 2))
+    for order in itertools.accumulate(factors, operator.mul, initial=1):
+        if order > order_cap:
+            raise ValueError(f"{family}{rank} has more elements than the "
+                             f"order cap of {order_cap}")
 
     # Row p of the signed permutation (perm, signs) is ((perm[p], signs[p]),),
     # one of 2d shared rows; the ambient coordinates keep the identity's.
@@ -486,11 +475,8 @@ def from_generators(matrices, gram=None, closure_cap: int = DEFAULT_ORDER_CAP,
     if not matrices:
         raise ValueError("at least one generator matrix is required")
     d = len(matrices[0])
-    gens = []
-    for m in matrices:
-        if len(m) != d or any(len(r) != d for r in m):
-            raise ValueError("generator matrices must be square, same size")
-        gens.append(_sparse_rows(m))
+    gens = [_element_rows(m, d, "generator", k)
+            for k, m in enumerate(matrices)]
     space = QuadraticSpace(d, gram)
     for g in gens:
         _check_preserves_form(g, space)

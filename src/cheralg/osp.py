@@ -65,14 +65,11 @@ def pair_element(ctx: Context, w: str, z: str) -> Element:
     """The supersymmetrized pairing of two auxiliary basis directions
     ("x+", "x-", "gamma") with B; build_osp keeps the five it takes."""
     d = ctx.dim
-    bv = ctx.space.inv_gram
     acc = ctx.zero()
-    for p in range(d):
+    for p, row in enumerate(ctx.space.inv_gram):
         wp = _slot_element(ctx, p, w)
-        for q in range(d):
-            if bv[p][q].is_zero():
-                continue
-            acc = acc + wp * _slot_element(ctx, q, z) * bv[p][q]
+        for q, b in row:
+            acc = acc + wp * _slot_element(ctx, q, z) * b
     bwz = b_form(w, z)
     if bwz:
         acc = acc - ctx.scalar_elem(Fraction(bwz * d, 2))

@@ -350,11 +350,10 @@ def _inverse_form_sum(left: str, right: str, rest: str = "OmegaKappa"):
     ``rest``, where B^pq is the form on vectors; {d} in ``rest`` stands for
     the dimension."""
     def template(group):
-        inv = group.space.inv_gram
-        terms = (("" if inv[p][q] == 1 else f"({inv[p][q]})*")
+        terms = (("" if b == 1 else f"({b})*")
                  + f"{left}(x{p + 1})*{right}(x{q + 1})"
-                 for p in range(group.dim) for q in range(group.dim)
-                 if not inv[p][q].is_zero())
+                 for p, row in enumerate(group.space.inv_gram)
+                 for q, b in row)
         return " + ".join(terms) + " - " + rest.format(d=group.dim)
     return template
 

@@ -101,13 +101,22 @@ def _integral(v):
     return v == int(v)
 
 
+def _dense_views(group, g):
+    """Element g of the group as dense matrices on covectors and on vectors,
+    the second the transpose of the first for inv(g)."""
+    def dense(i):
+        return [[dict(row).get(q, 0) for q in range(group.dim)]
+                for row in group.x_rows(i)]
+    return dense(g), [list(col) for col in zip(*dense(group.inv(g)))]
+
+
 @pytest.mark.parametrize("name", [*_product_groups(), "D4@4"])
 def test_integer_views_match_dense_data(name):
     group = (build_group("D", 4, 4) if name == "D4@4"
              else _product_groups()[name])
     for g in range(group.order):
-        for view, mats in ((group.x_rows(g), group.mats[g]),
-                           (group.y_rows(g), group.ymats[g])):
+        for view, mats in zip((group.x_rows(g), group.y_rows(g)),
+                              _dense_views(group, g)):
             assert len(view) == group.dim
             for sparse, row in zip(view, mats):
                 assert list(sparse) == [(q, v) for q, v in enumerate(row)

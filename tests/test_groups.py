@@ -2,6 +2,7 @@ import hashlib
 import json
 import random
 import time
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -12,13 +13,28 @@ from cheralg.cli import main
 from cheralg.core import Context
 from cheralg.geometry import (QuadraticSpace, bilinear_B, invert_matrix,
                               pairing, beta)
-from cheralg.groups import (ReflectionGroup, _dense, _row_product,
-                            _sparse_rows, build_group, from_generators,
-                            parse_group_spec, trivial_group)
+from cheralg.groups import (ReflectionGroup, _row_product, _sparse_rows,
+                            build_group, from_generators, parse_group_spec,
+                            trivial_group)
 from cheralg.parser import Evaluator, parse_expression
 
 EVAL_POOL = (Path(__file__).resolve().parents[1] / "perfbench" / "reference"
              / "eval_D4_4.json")
+
+
+def _mats(g):
+    """The elements of g as dense Fraction matrices, row p the image of x_p:
+    the reference the sparse rows are checked against."""
+    d = g.dim
+    return tuple(tuple(tuple(Fraction(dict(row).get(q, 0)) for q in range(d))
+                       for row in g.x_rows(i))
+                 for i in range(g.order))
+
+
+def _ymats(g):
+    """The contragredient matrices: the transpose of _mats(g)[inv(i)]."""
+    mats = _mats(g)
+    return tuple(tuple(zip(*mats[g.inv(i)])) for i in range(g.order))
 
 
 def test_orders_and_reflection_counts():
@@ -120,7 +136,7 @@ def test_custom_group_closure():
 
 
 def test_custom_group_cap():
-    mats = build_group("A", 2, 3).mats
+    mats = _mats(build_group("A", 2, 3))
     with pytest.raises(ValueError):
         from_generators(list(mats[1:3]), closure_cap=3)
 
@@ -212,12 +228,13 @@ def test_closure_table_matches_matrix_products(name):
     pairs = [(i, j) for i in range(n) for j in range(n)]
     if len(pairs) > 2000:
         pairs = random.Random(7).sample(pairs, 2000)
-    index = {m: i for i, m in enumerate(g.mats)}
+    mats, ymats = _mats(g), _ymats(g)
+    index = {m: i for i, m in enumerate(mats)}
     for i, j in pairs:
-        assert g.mul(i, j) == index[_dense_product(g.mats[j], g.mats[i])]
+        assert g.mul(i, j) == index[_dense_product(mats[j], mats[i])]
     for i in range(n):
         assert g.mul(i, g.inv(i)) == 0
-        assert g.ymats[i] == invert_matrix(tuple(zip(*g.mats[i])))
+        assert ymats[i] == invert_matrix(tuple(zip(*mats[i])))
     for r in g.reflections:
         for h in range(n):
             conj = g.mul(g.mul(h, r.elem), g.inv(h))
@@ -227,23 +244,10 @@ def test_closure_table_matches_matrix_products(name):
 @pytest.mark.parametrize("name", sorted(CLOSURE_GROUPS))
 def test_rows_match_the_dense_matrices(name):
     g = CLOSURE_GROUPS[name]()
+    mats, ymats = _mats(g), _ymats(g)
     for i in range(g.order):
-        assert g.x_rows(i) == _sparse_rows(g.mats[i])
-        assert g.y_rows(i) == _sparse_rows(g.ymats[i])
-
-
-def test_a_build_forms_no_dense_matrix_until_mats_is_read(monkeypatch):
-    calls = []
-
-    def counting(rows, d):
-        calls.append(rows)
-        return _dense(rows, d)
-    monkeypatch.setattr(groups, "_dense", counting)
-    g = parse_group_spec("D4@4")
-    assert not calls and "mats" not in vars(g) and "ymats" not in vars(g)
-    g.y_rows(5)
-    assert not calls
-    assert len(g.mats) == g.order == len(calls)
+        assert g.x_rows(i) == _sparse_rows(mats[i])
+        assert g.y_rows(i) == _sparse_rows(ymats[i])
 
 
 def test_d4_build_takes_780_row_products(monkeypatch):
@@ -261,11 +265,50 @@ def test_d4_build_takes_780_row_products(monkeypatch):
 
 def test_a_wide_ambient_space_builds_fast():
     # the form check reads nonzero entries only: O(d) for A1@400, where a
-    # dense m G m^T took seconds
+    # dense m G m^T took seconds; the identity Gram matrix is d one-entry
+    # rows, where a dense d x d tuple peaked at 21 MB for A1@1600
+    for d in (400, 1600):
+        gram = QuadraticSpace(d).gram
+        assert len(gram) == d and all(row == ((p, 1),)
+                                      for p, row in enumerate(gram))
+        t0 = time.perf_counter()
+        tracemalloc.start()
+        try:
+            g = parse_group_spec(f"A1@{d}")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert time.perf_counter() - t0 < 1.0
+        assert peak < 4_000_000
+        assert g.order == 2 and g.reflections[0].root[:3] == (1, -1, 0)
+
+
+@pytest.mark.parametrize("spec", ["A2000@2001", "B1000000@1000000"])
+def test_an_order_past_the_cap_fails_before_it_is_computed(spec):
+    # the order is multiplied up only until it passes the cap, so a huge
+    # factorial is neither computed nor printed
     t0 = time.perf_counter()
-    g = parse_group_spec("A1@400")
+    with pytest.raises(ValueError, match="cap") as err:
+        parse_group_spec(spec)
     assert time.perf_counter() - t0 < 1.0
-    assert g.order == 2 and g.reflections[0].root[:3] == (1, -1, 0)
+    assert spec.partition("@")[0] in str(err.value)
+
+
+def test_cli_reports_an_order_past_the_cap(capsys):
+    assert main(["info", "--group", "A2000@2001"]) == 2
+    err = capsys.readouterr().err
+    assert "order cap of 10000" in err and "A2000" in err
+
+
+@pytest.mark.parametrize("elem, shape", [
+    (((1, 0, 0), (0, 1, 0), (0, 0, 1)), "3x3"),
+    (((0, 1),), "1x2"),
+    ((((1, 1),), ((2, 1),)), "2 sparse rows over the columns 1..2"),
+], ids=["dense-3x3", "one-row", "sparse-column-out-of-range"])
+def test_an_element_of_the_wrong_shape_is_refused(elem, shape):
+    ident = ((1, 0), (0, 1))
+    with pytest.raises(ValueError, match=f"element 1 is {shape}, not 2x2"):
+        ReflectionGroup(QuadraticSpace(2), [ident, elem])
 
 
 def test_d4_closes_on_a_subset_of_its_reflections():
@@ -321,6 +364,16 @@ def test_generator_check_rejects_a_form_breaking_element(mats):
         ReflectionGroup(space, mats)
 
 
+def test_an_empty_element_list_is_refused():
+    with pytest.raises(ValueError, match="element 0 must be the identity"):
+        ReflectionGroup(QuadraticSpace(2), [])
+
+
+def test_a_generator_of_the_wrong_shape_is_refused():
+    with pytest.raises(ValueError, match="generator 1 is 3x3, not 2x2"):
+        from_generators([[[0, 1], [1, 0]], [[1, 0, 0], [0, 1, 0], [0, 0, 1]]])
+
+
 # Element indices are part of the output: witnesses print g<index>, and the
 # benchmark's eval digests depend on them.  Both digests were taken from the
 # dense-table implementation that preceded the generator closure.
@@ -330,7 +383,7 @@ D4_INFO_SHA256 = "5f639f7c06bb78117cd63d016abfd2f2321eee1a453d512f93c17df201ecc0
 
 def test_d4_indexing_is_pinned(capsys):
     g = build_group("D", 4, 4)
-    assert hashlib.sha256(repr(g.mats).encode()).hexdigest() == D4_MATS_SHA256
+    assert hashlib.sha256(repr(_mats(g)).encode()).hexdigest() == D4_MATS_SHA256
     assert main(["info", "--group", "D4@4", "--format", "json"]) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == D4_INFO_SHA256
@@ -386,7 +439,7 @@ def test_custom_group_data_is_pinned(name):
     refl = [(r.elem, r.root, r.coroot, r.root_norm, r.class_id)
             for r in g.reflections]
     assert g.order == order
-    assert hashlib.sha256(repr(g.mats).encode()).hexdigest() == mats_sha
+    assert hashlib.sha256(repr(_mats(g)).encode()).hexdigest() == mats_sha
     assert hashlib.sha256(repr(refl).encode()).hexdigest() == refl_sha
 
 

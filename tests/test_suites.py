@@ -251,6 +251,17 @@ def test_whole_catalog_under_general_gram():
             assert r.reason.startswith("needs dimension")
 
 
+def test_catalog_under_a_gram_with_no_diagonal_entries():
+    # the hyperbolic form: no sparse Gram row holds its (p, p) entry, so
+    # e_p^2 = B(x_p, x_p) is an absent entry read as zero; the counts were
+    # recorded while the Gram matrix was stored dense
+    group = from_generators([[[0, 1], [1, 0]]], gram=[[0, 1], [1, 0]])
+    assert all(p not in dict(row) for p, row in enumerate(group.space.gram))
+    statuses = [r.status for r in run_suite(make_env(group), "all")]
+    assert (statuses.count("pass"), statuses.count("skipped")) == (63, 77)
+    assert len(statuses) == 140
+
+
 def test_skipped_oracle_reports_keep_ids_and_anchors(env_a12):
     group = from_generators([[[0, 1], [1, 0]]], gram=[[2, 1], [1, 2]])
     skipped = {r.id: r.anchor
