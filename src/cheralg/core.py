@@ -63,6 +63,14 @@ builds each output word's Monomial and Scalar once.  A pair where m1 has
 no y or m2 no x has no y to move past an x, so it skips the commutation
 memo.
 
+An antisymmetrized Clifford word Q(u1 ^ ... ^ un) is built by Chevalley's
+identity gamma(u) Q(w) + (-1)^k Q(w) gamma(u) = 2 Q(u ^ w), for a covector
+u and a k-vector w: gamma(u) Q(w) is Q(u ^ w) plus the contraction of w by
+B(u, .), Q(w) gamma(u) is (-1)^k times Q(u ^ w) minus it, and the graded
+sum cancels the contractions.  Nothing asks B to be diagonal or the inputs
+orthogonal, so ``antisymmetrize`` takes n - 1 bracket passes under every
+Gram matrix, where the sum over orderings takes n! (n - 1) products.
+
 Elements are immutable values and all operations are pure; the only shared
 state is the per-context cache of rewrite fragments, which is append-only.
 """
@@ -70,16 +78,16 @@ state is the per-context cache of rewrite fragments, which is append-only.
 from __future__ import annotations
 
 import itertools
-import math
 import struct
 from fractions import Fraction
 from typing import NamedTuple
 
-from .geometry import Covector, QuadraticSpace, Vector, bilinear_B
-from .groups import ReflectionGroup
+from .geometry import Covector, QuadraticSpace, Vector
+from .groups import Reflection, ReflectionGroup
 from .scalars import (BN_HALF_SQRT2, BN_I, BN_ONE, BN_ZERO, BaseNumber,
                       Combination, SC_ONE, SC_ZERO, Scalar, _key_mul, _scalar,
-                      as_scalar, int_if_integral, power, render_coefficient)
+                      as_scalar, int_if_integral, power, render_coefficient,
+                      render_powers)
 
 # 1/sqrt(B(root, root)) for the squared root lengths the scalar ring holds.
 ROOT_SCALE = {1: BN_ONE, 2: BN_HALF_SQRT2}
@@ -256,7 +264,8 @@ class Context:
     def rho(self, word) -> "Element":
         """Image of a double-cover word: the product over the given
         reflections of s * gamma_root / sqrt(B(root, root))."""
-        if not isinstance(word, (list, tuple)):
+        # a Reflection is a NamedTuple: test for it before reading a word
+        if isinstance(word, Reflection) or not isinstance(word, (list, tuple)):
             word = [word]
         acc = None
         for r in word:
@@ -750,9 +759,18 @@ class Element(Combination):
 
     def _sorted_words(self):
         """(word, x exponents, y exponents) in the order of
-        ``sorted_monomials``, each word unpacked once."""
+        ``sorted_monomials``, each distinct packed word unpacked once."""
         dim = self.ctx.dim
-        rows = [(m, unpack(m.xs, dim), unpack(m.ys, dim)) for m in self.terms]
+        exps: dict = {}
+        rows = []
+        for m in self.terms:
+            xs = exps.get(m[0])
+            if xs is None:
+                xs = exps[m[0]] = unpack(m[0], dim)
+            ys = exps.get(m[1])
+            if ys is None:
+                ys = exps[m[1]] = unpack(m[1], dim)
+            rows.append((m, xs, ys))
         # keys are distinct, so reversing their order is stable
         rows.sort(key=lambda r: (sum(r[1]) + sum(r[2]), r[1], r[2],
                                  -r[0].g, -r[0].e), reverse=True)
@@ -761,61 +779,54 @@ class Element(Combination):
     def witness(self):
         """The leading monomial in canonical order, rendered; None if zero."""
         rows = self._sorted_words()
-        if not rows:
-            return None
-        m, xs, ys = rows[0]
-        return _term_str(self.ctx, self.terms[m], m, xs, ys)
+        return self._render(rows[:1]) if rows else None
 
     def __str__(self):
-        rows = self._sorted_words()
+        return self._render(self._sorted_words())
+
+    def _render(self, rows) -> str:
+        """The terms of ``rows``, from ``_sorted_words``, as one sum.  A
+        word is its x, y, group and Clifford parts joined by '*'; each
+        distinct part and kappa monomial is rendered once per call."""
         if not rows:
             return "0"
-        ctx, terms = self.ctx, self.terms
-        parts = [_term_str(ctx, terms[m], m, xs, ys) for m, xs, ys in rows]
-        out = parts[0]
-        for p in parts[1:]:
-            out += " - " + p[1:] if p.startswith("-") else " + " + p
-        return out
+        refl = self.ctx.group.reflection_number
+        xp, yp, gp, ep, kp = {}, {}, {}, {}, {}
+        out = []
+        for m, xs, ys in rows:
+            a, b, g, e = m
+            x = xp.get(a)
+            if x is None:
+                x = xp[a] = render_powers("x", enumerate(xs))
+            y = yp.get(b)
+            if y is None:
+                y = yp[b] = render_powers("y", enumerate(ys))
+            h = gp.get(g)
+            if h is None:
+                h = gp[g] = ("" if not g else f"s{refl[g]}" if g in refl
+                             else f"g{g}")
+            c = ep.get(e)
+            if c is None:
+                c = ep[e] = "*".join(f"e{p + 1}" for p in range(e.bit_length())
+                                     if e >> p & 1)
+            word = "*".join(filter(None, (x, y, h, c)))
+            coef = self.terms[m]
+            if not word:
+                part = str(coef)
+            elif len(coef.terms) == 1:
+                ((key, bn),) = coef.terms.items()
+                k = kp.get(key)
+                if k is None:
+                    k = kp[key] = render_powers("k", key)
+                part = render_coefficient(bn, f"{k}*{word}" if k else word)
+            else:
+                part = f"({coef})*{word}"
+            out += ((part,) if not out else (" - ", part[1:])
+                    if part[0] == "-" else (" + ", part))
+        return "".join(out)
 
     def __repr__(self):
         return f"Element({self})"
-
-
-def _mono_str(ctx: Context, m: Monomial, xs: tuple, ys: tuple) -> str:
-    """The word m, whose x and y exponents are xs and ys, rendered."""
-    bits = []
-    for p, k in enumerate(xs):
-        if k:
-            bits.append(f"x{p + 1}" + (f"^{k}" if k > 1 else ""))
-    for p, k in enumerate(ys):
-        if k:
-            bits.append(f"y{p + 1}" + (f"^{k}" if k > 1 else ""))
-    if m.g:
-        k = ctx.group.reflection_number.get(m.g)
-        if k is not None:
-            bits.append(f"s{k}")
-        else:
-            bits.append(f"g{m.g}")
-    mask = m.e
-    while mask:
-        p = (mask & -mask).bit_length() - 1
-        mask ^= 1 << p
-        bits.append(f"e{p + 1}")
-    return "*".join(bits)
-
-
-def _term_str(ctx: Context, coef: Scalar, m: Monomial, xs: tuple,
-              ys: tuple) -> str:
-    mstr = _mono_str(ctx, m, xs, ys)
-    if not mstr:
-        return str(coef)
-    if len(coef.terms) == 1:
-        ((key, bn),) = coef.terms.items()
-        kmono = "*".join(f"k{i + 1}" + (f"^{e}" if e > 1 else "")
-                         for i, e in key)
-        tail = f"{kmono}*{mstr}" if kmono else mstr
-        return render_coefficient(bn, tail)
-    return f"({coef})*{mstr}"
 
 
 # -- graded brackets -----------------------------------------------------------
@@ -842,52 +853,22 @@ def _graded_bracket(a: Element, b: Element, sign: int) -> Element:
 
 
 def antisymmetrize(ctx: Context, covectors) -> Element:
-    """(1/n!) sum of signed Clifford products over all orderings.
-
-    Equals the quantisation of the wedge of the inputs; for pairwise
-    B-orthogonal inputs this is just the plain product, which is used as a
-    fast path.
-    """
+    """A(u1..un), the quantisation of u1 ^ ... ^ un: the mean of the signed
+    products of the gamma(u) over all orderings, by the wedge recursion of
+    the module docstring, which holds for every symmetric form B.  From
+    the right, A(un) = gamma(un) and A(u1..un) = {gamma(u1), A(u2..un)}/2:
+    one bracket pass per covector before the last, the halvings taken once
+    at the end.  Dependent covectors give 0."""
     covs = list(covectors)
-    n = len(covs)
-    if n == 0:
+    if not covs:
         return ctx.one()
-    if n > ctx.dim:
+    if len(covs) > ctx.dim:
         # an alternating multilinear map vanishes on dependent arguments
         return ctx.zero()
-    gammas = [ctx.gamma(u) for u in covs]
-    orth = all(bilinear_B(covs[i], covs[j]).is_zero()
-               for i in range(n) for j in range(i + 1, n))
-    if orth:
-        acc = gammas[0]
-        for gm in gammas[1:]:
-            acc = acc * gm
-        return acc
-    acc = ctx.zero()
-    for perm in itertools.permutations(range(n)):
-        sign = _perm_sign(perm)
-        prod = gammas[perm[0]]
-        for idx in perm[1:]:
-            prod = prod * gammas[idx]
-        acc = acc + prod if sign > 0 else acc - prod
-    return acc * Fraction(1, math.factorial(n))
-
-
-def _perm_sign(perm) -> int:
-    sign = 1
-    seen = [False] * len(perm)
-    for i in range(len(perm)):
-        if seen[i]:
-            continue
-        ln = 0
-        j = i
-        while not seen[j]:
-            seen[j] = True
-            j = perm[j]
-            ln += 1
-        if ln % 2 == 0:
-            sign = -sign
-    return sign
+    acc = ctx.gamma(covs[-1])
+    for u in reversed(covs[:-1]):
+        acc = anticommutator(ctx.gamma(u), acc)
+    return acc * Fraction(1, 1 << (len(covs) - 1))
 
 
 # -- seeded random elements (for property tests and the oracle harness) ------------

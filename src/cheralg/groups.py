@@ -50,8 +50,8 @@ from __future__ import annotations
 import itertools
 import math
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .geometry import Covector, QuadraticSpace, Vector, times_matrix
 from .scalars import BN_ZERO, int_if_integral
@@ -177,8 +177,7 @@ def _root(rows: tuple):
     return _primitive(vec)
 
 
-@dataclass(frozen=True)
-class Reflection:
+class Reflection(NamedTuple):
     """A reflection with its root data in the distinguished coordinates."""
 
     elem: int                       # group-element index

@@ -54,11 +54,19 @@ A covector has no single element image (it may stand for x, for y through
 beta, or for gamma), so zp*, zm*, z0 and alpha* in element position raise
 EvalError; gamma(zp1) names the Clifford image explicitly, x(zp1) the
 degree-one element and beta(zp1) the vector.
+
+The AST nodes (Num, Name, Call, Neg, Bin, Bracket) are NamedTuples, so
+the memos keyed by nodes (``Evaluator._maps``, the oracle's
+``ModuleEvaluator``) hash and compare them in C.  Tuple equality does not
+look at the class, yet no two node types compare equal: Call has two
+fields, Bin and Bracket three, the others one; Num holds an int, Name a
+str and Neg a node; and a Bin's operator symbol is never a Bracket's kind,
+"super" or "anti".
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 from .centralizer import M as _M, central_omega, o_proj, o_top, psi_kappa
 from .core import Context, anticommutator, antisymmetrize, supercommutator
@@ -79,36 +87,30 @@ class EvalError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class Num:
+class Num(NamedTuple):
     value: int
 
 
-@dataclass(frozen=True)
-class Name:
+class Name(NamedTuple):
     ident: str
 
 
-@dataclass(frozen=True)
-class Call:
+class Call(NamedTuple):
     fn: str
     args: tuple
 
 
-@dataclass(frozen=True)
-class Neg:
+class Neg(NamedTuple):
     arg: object
 
 
-@dataclass(frozen=True)
-class Bin:
+class Bin(NamedTuple):
     op: str
     left: object
     right: object
 
 
-@dataclass(frozen=True)
-class Bracket:
+class Bracket(NamedTuple):
     kind: str       # "super" or "anti"
     left: object
     right: object
@@ -275,8 +277,8 @@ def substitute(node, bindings: dict):
     if isinstance(node, Neg):
         return Neg(substitute(node.arg, bindings))
     if isinstance(node, (Bin, Bracket)):
-        return replace(node, left=substitute(node.left, bindings),
-                       right=substitute(node.right, bindings))
+        return node._replace(left=substitute(node.left, bindings),
+                             right=substitute(node.right, bindings))
     return node
 
 

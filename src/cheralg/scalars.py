@@ -531,10 +531,8 @@ class Scalar(Combination):
             return "0"
         parts = []
         for key in sorted(self.terms, key=lambda k: (sum(e for _, e in k), k)):
-            coef = self.terms[key]
-            kmono = "*".join(f"k{i + 1}" + (f"^{e}" if e > 1 else "")
-                             for i, e in key)
-            parts.append(render_coefficient(coef, kmono))
+            parts.append(render_coefficient(self.terms[key],
+                                            render_powers("k", key)))
         out = parts[0]
         for p in parts[1:]:
             out += " - " + p[1:] if p.startswith("-") else " + " + p
@@ -542,17 +540,24 @@ class Scalar(Combination):
 
 
 def render_coefficient(coef: BaseNumber, tail: str) -> str:
-    """Render coef * tail, with parentheses when coef has several components."""
+    """Render coef * tail, with parentheses when coef has several components.
+    An integer coef is read off its numerator, without ``__str__``."""
+    a, b, c, d, q = coef._v
+    if q == 1 and not (b or c or d):
+        if not tail:
+            return str(a)
+        return tail if a == 1 else "-" + tail if a == -1 else f"{a}*{tail}"
     s = str(coef)
     if not tail:
         return s
-    if s == "1":
-        return tail
-    if s == "-1":
-        return "-" + tail
-    if " " in s:
-        return f"({s})*{tail}"
-    return f"{s}*{tail}"
+    return f"({s})*{tail}" if " " in s else f"{s}*{tail}"
+
+
+def render_powers(name: str, pairs) -> str:
+    """The factors name<p + 1>^k of the (p, k) pairs with k > 0, joined by
+    '*'; a power 1 is left out."""
+    return "*".join(f"{name}{p + 1}" + (f"^{k}" if k > 1 else "")
+                    for p, k in pairs if k)
 
 
 _set_terms = Scalar.terms.__set__

@@ -52,12 +52,10 @@ import math
 import random
 import re
 import time
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
-from .core import (ROOT_SCALE, Context, _perm_sign, random_element,
-                   supercommutator)
+from .core import ROOT_SCALE, Context, random_element, supercommutator
 from .groups import ReflectionGroup, parse_group_spec
 from .oracle import ModuleEvaluator, SpinorModule
 from . import osp
@@ -70,8 +68,7 @@ from .scalars import BaseNumber, Scalar, as_base, as_scalar
 p_plus = osp.p_plus
 
 
-@dataclass
-class RunOptions:
+class RunOptions(NamedTuple):
     seed: int = 2024
     max_degree: int = 2
 
@@ -88,8 +85,7 @@ NEEDS_ORTHONORMAL = "needs the orthonormal configuration"
 NOTHING_TO_CHECK = "nothing to check on this group"
 
 
-@dataclass(frozen=True)
-class IdentityCase:
+class IdentityCase(NamedTuple):
     id: str
     anchor: str
     min_dim: int
@@ -99,8 +95,7 @@ class IdentityCase:
                                      # returns (label, holds) pairs
 
 
-@dataclass
-class SuiteReport:
+class SuiteReport(NamedTuple):
     id: str
     anchor: str
     group: str
@@ -135,8 +130,7 @@ class SuiteEnv:
 # ---- template cases ---------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class TemplateRow:
+class TemplateRow(NamedTuple):
     """Identities written once in the expression language of parser.py.
 
     The placeholders are bound, in order, to the comma-separated names of
@@ -148,7 +142,8 @@ class TemplateRow:
     as rho(sk) a reflection Context.rho cannot, is left out.  Once a and b
     are bound, a placeholder with h appended (uh, vh, ...) stands for the
     hatted covector a*B(b, u) - b*B(a, u).  Residuals are labelled by
-    pattern and sub-label.
+    pattern and sub-label.  An ``orthonormal`` row is stated for the
+    identity Gram only, as the IdentityCase field of that name.
     """
     id: str
     anchor: str
@@ -157,6 +152,7 @@ class TemplateRow:
     placeholders: str = "a b c u v w"
     patterns: object = ()            # (label, names) pairs, or a function
                                      # of the group returning them
+    orthonormal: bool = False
 
     def residuals(self, env: SuiteEnv) -> list:
         ev = Evaluator(env.ctx)
@@ -289,7 +285,8 @@ def _antisym(*factors) -> str:
         for src, arity in factors:
             parts.append(src.format(*names[:arity]))
             names = names[arity:]
-        text += (" - " if _perm_sign(perm) < 0 else " + ") + "*".join(parts)
+        odd = sum(p > q for i, p in enumerate(perm) for q in perm[i + 1:]) % 2
+        text += (" - " if odd else " + ") + "*".join(parts)
     return f"({text[3:]})/{math.factorial(n)}"
 
 
@@ -895,7 +892,8 @@ def build_catalog() -> list:
     cases: list = []
     sc = supercommutator
     for row in TEMPLATE_ROWS:
-        _case(cases, row.id, row.anchor, row.min_dim)(row.residuals)
+        _case(cases, row.id, row.anchor, row.min_dim,
+              row.orthonormal)(row.residuals)
 
     # ---- the orthonormal configuration only ------------------------------------
     @_case(cases, "pin.chirality",
@@ -1168,8 +1166,9 @@ def _commutation(p: int, q: int):
 _CONCORDANCE = "engine/module concordance"
 
 
-def _oracle(name: str, min_dim: int, template):
-    return name, TemplateRow(name, _CONCORDANCE, min_dim, (("", template),))
+def _oracle(name: str, min_dim: int, template, orthonormal=False):
+    return name, TemplateRow(name, _CONCORDANCE, min_dim, (("", template),),
+                             orthonormal=orthonormal)
 
 
 _ROWS = {row.id: row for row in TEMPLATE_ROWS}
@@ -1180,13 +1179,15 @@ ORACLE_ROWS = (
     _oracle("rc.y1x1", 1, _commutation(1, 1)),
     _oracle("rc.y1x2", 2, _commutation(1, 2)),
     _oracle("l_Buv", 2, "[y1, x2] - [y2, x1]"),
-    _oracle("e_Ogamma", 2, "[gamma(x1), O(x2)] - [y1, x2] + B(x1, x2)"),
+    _oracle("e_Ogamma", 2,
+            "[gamma(x1), O(x2)] - [beta(x1), x2] + B(x1, x2)"),
     _oracle("l_Oug", 1, _inverse_form_sum("O", "gamma")),
     ("gensym.x1", _ROWS["gensym.lower_x1"]),
     ("scasimir.square", _ROWS["scasimir.square"]),
     ("centmember.X_O12", _ROWS["centmember.X.n2"]),
     ("centmember.D_O1", _ROWS["centmember.D.n1"]),
-    _oracle("chirality.square", 1, "Gamma^2 - 1"),
+    # Gamma squares to 1 under the identity Gram only, as in pin.chirality
+    _oracle("chirality.square", 1, "Gamma^2 - 1", orthonormal=True),
     ("pin.rho_sq", _ROWS["pin.rho_involution"]),
     ("central.omega_rho", _ROWS["central.omega_pin"]),
     ("projector.cliffpair", _ROWS["projector.cliffpair"]),
@@ -1250,14 +1251,14 @@ def oracle_cases(mod: SpinorModule = None) -> list:
         return [("products", True)]
 
     first = ORACLE_ROWS[0][1]
-    checks = [(f"oracle.{name}", _CONCORDANCE, row.min_dim, agrees(name, row))
-              for name, row in ORACLE_ROWS]
+    checks = [(f"oracle.{name}", _CONCORDANCE, row.min_dim, agrees(name, row),
+               row.orthonormal) for name, row in ORACLE_ROWS]
     checks += [
         ("oracle.products", "module action is multiplicative", 1, products),
         ("oracle.mutation", "perturbed residual must be detected",
          first.min_dim, agrees("mutation", first, perturb=True))]
-    return sorted((IdentityCase(*c, orthonormal=True, oracle=True)
-                   for c in checks), key=lambda c: c.id)
+    return sorted((IdentityCase(*c, oracle=True) for c in checks),
+                  key=lambda c: c.id)
 
 
 def oracle_ids() -> list:
@@ -1268,11 +1269,13 @@ def run_oracle_crosscheck(env: SuiteEnv, ids=None) -> list:
     """Exact agreement between the engine and the concrete module: the
     reports of the oracle checks named in ``ids`` (all if None), on one
     module.  The module exists for the orthonormal configuration only, so
-    on a general Gram matrix every check is skipped and nothing is
-    evaluated."""
-    mod = SpinorModule(env.ctx) if env.ctx.space.is_identity else None
-    return [_report(env, c) for c in oracle_cases(mod)
-            if ids is None or c.id in ids]
+    on a general Gram matrix every check is skipped as stated for it, and
+    nothing is evaluated; a check whose identity holds for the identity
+    Gram only (``chirality.square``) carries that gate itself."""
+    identity = env.ctx.space.is_identity
+    mod = SpinorModule(env.ctx) if identity else None
+    return [_report(env, c if identity else c._replace(orthonormal=True))
+            for c in oracle_cases(mod) if ids is None or c.id in ids]
 
 
 def make_env(spec, options: RunOptions = None) -> SuiteEnv:

@@ -1,6 +1,10 @@
 import hashlib
+import itertools
+import json
+import math
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -11,8 +15,8 @@ from cheralg.core import (FIELD_BITS, Context, Monomial, anticommutator,
 from cheralg.geometry import beta, bilinear_B
 from cheralg.groups import (build_group, from_generators, parse_group_spec,
                             trivial_group)
-from cheralg.parser import evaluate
-from cheralg.scalars import BN_I, BaseNumber, Scalar, as_scalar
+from cheralg.parser import Evaluator, evaluate, parse_expression
+from cheralg.scalars import BN_I, BN_SQRT2, BaseNumber, Scalar, as_scalar
 from cheralg.suites import make_env, run_suite
 
 
@@ -579,3 +583,198 @@ def test_kernel_output_shape_and_cache_fills(name):
                            for cls, e in key)
     sizes = tuple(len(getattr(ctx, attr)) for attr in _CACHES)
     assert sizes == _KERNEL_CACHE_SIZES[name]
+
+
+# -- the wedge recursion of antisymmetrize, against the n!-sum -------------
+
+
+def _perm_sign(perm) -> int:
+    inversions = sum(perm[i] > perm[j] for i in range(len(perm))
+                     for j in range(i + 1, len(perm)))
+    return -1 if inversions % 2 else 1
+
+
+def _antisymmetrize_by_orderings(ctx, covs):
+    """(1/n!) times the sum over all orderings of the signed products of
+    the gamma(u): the definition the recursion must reproduce."""
+    gammas = [ctx.gamma(u) for u in covs]
+    acc = ctx.zero()
+    for perm in itertools.permutations(range(len(covs))):
+        prod = ctx.one()
+        for i in perm:
+            prod = prod * gammas[i]
+        acc = acc + prod * _perm_sign(perm)
+    return acc * Fraction(1, math.factorial(len(covs)))
+
+
+_SWAP_GRAMS = {"swap-gram": [[2, 1], [1, 2]],
+               "swap-gram-third": [[2, "1/3"], ["1/3", 2]],
+               "swap-gram-offdiag": [[0, 1], [1, 0]]}
+
+
+def _recursion_context(spec):
+    if spec in _SWAP_GRAMS:
+        gram = [[Fraction(v) for v in row] for row in _SWAP_GRAMS[spec]]
+        return Context(from_generators([[[0, 1], [1, 0]]], gram=gram))
+    return Context(parse_group_spec(spec))
+
+
+def _named_covectors(ctx, spec):
+    """The basis covectors, and on D4@4 the Witt and root covectors too."""
+    names = [f"x{p + 1}" for p in range(ctx.dim)]
+    if spec == "D4@4":
+        names += ["zp1", "zm1", "zp2", "zm2", "alpha1", "alpha5", "alpha12"]
+    ev = Evaluator(ctx)
+    return [ev.eval_covector(parse_expression(n)) for n in names]
+
+
+@pytest.mark.parametrize("spec", ["D4@4", "B3@3", "A1@5", *_SWAP_GRAMS])
+def test_antisymmetrize_matches_the_sum_over_orderings(spec):
+    ctx = _recursion_context(spec)
+    atoms = _named_covectors(ctx, spec)
+    rng = random.Random(spec)
+
+    def draw():
+        u = atoms[rng.randrange(len(atoms))] * rng.choice([1, 2, -1])
+        if rng.random() < 0.5:
+            u = u + atoms[rng.randrange(len(atoms))] * rng.randint(-2, 2)
+        return u
+
+    for n in range(1, min(ctx.dim, 4) + 1):
+        for _ in range(6):
+            covs = [draw() for _ in range(n)]
+            assert antisymmetrize(ctx, covs) \
+                == _antisymmetrize_by_orderings(ctx, covs), (n, covs)
+    # repeated and dependent covectors, within the dimension
+    u, v, w = draw(), draw(), draw()
+    dependent = [[u, u], [u + v, (u + v) * -3], [u, v, u + v * 2],
+                 [u, v, w, u - w], [w, u, v, u]]
+    for covs in dependent:
+        if len(covs) <= ctx.dim:
+            assert antisymmetrize(ctx, covs).is_zero(), covs
+            assert _antisymmetrize_by_orderings(ctx, covs).is_zero()
+
+
+def test_antisymmetrize_takes_one_bracket_per_covector_after_the_last(
+        env_a16, monkeypatch):
+    # the n!-sum took 5! * 4 = 480 products here
+    ctx = env_a16.ctx
+    calls = []
+    mul_terms = Context._mul_terms
+    monkeypatch.setattr(Context, "_mul_terms", lambda self, *a: (
+        calls.append(a[2:]), mul_terms(self, *a))[1])
+    value = evaluate(ctx, "A(x1 + x2, x2 + x3, x3 + x4, x4 + x5, x5 + x6)")
+    assert calls == [(1,)] * 4
+    monkeypatch.undo()
+    covs = [ctx.space.basis_covector(p) + ctx.space.basis_covector(p + 1)
+            for p in range(5)]
+    assert value == _antisymmetrize_by_orderings(ctx, covs)
+
+
+@pytest.mark.parametrize("spec", ["A1@2", "B2@2", "D4@4"])
+def test_rho_of_a_bare_reflection_is_its_one_letter_word(spec):
+    # a Reflection is a NamedTuple: rho must not read it as a word of its
+    # fields
+    ctx = Context(parse_group_spec(spec))
+    for k, r in enumerate(ctx.group.reflections):
+        assert ctx.rho(r) == ctx.rho([r]) == ctx.rho([k]) == ctx.rho(k)
+
+
+# -- the printer, against the two-pass printer it replaced -----------------
+
+
+def _reference_term(ctx, coef, m, xs, ys):
+    bits = [f"x{p + 1}" + (f"^{k}" if k > 1 else "")
+            for p, k in enumerate(xs) if k]
+    bits += [f"y{p + 1}" + (f"^{k}" if k > 1 else "")
+             for p, k in enumerate(ys) if k]
+    if m.g:
+        k = ctx.group.reflection_number.get(m.g)
+        bits.append(f"s{k}" if k is not None else f"g{m.g}")
+    bits += [f"e{p + 1}" for p in range(ctx.dim) if m.e >> p & 1]
+    mstr = "*".join(bits)
+    if not mstr:
+        return str(coef)
+    if len(coef.terms) == 1:
+        ((key, bn),) = coef.terms.items()
+        kmono = "*".join(f"k{i + 1}" + (f"^{e}" if e > 1 else "")
+                         for i, e in key)
+        tail = f"{kmono}*{mstr}" if kmono else mstr
+        s = str(bn)
+        if s == "1":
+            return tail
+        if s == "-1":
+            return "-" + tail
+        return f"({s})*{tail}" if " " in s else f"{s}*{tail}"
+    return f"({coef})*{mstr}"
+
+
+def _reference_rows(elem):
+    dim = elem.ctx.dim
+    rows = [(m, unpack(m.xs, dim), unpack(m.ys, dim)) for m in elem.terms]
+    rows.sort(key=lambda r: (sum(r[1]) + sum(r[2]), r[1], r[2],
+                             -r[0].g, -r[0].e), reverse=True)
+    return rows
+
+
+def _reference_str(elem):
+    parts = [_reference_term(elem.ctx, elem.terms[m], m, xs, ys)
+             for m, xs, ys in _reference_rows(elem)]
+    if not parts:
+        return "0"
+    out = parts[0]
+    for p in parts[1:]:
+        out += " - " + p[1:] if p.startswith("-") else " + " + p
+    return out
+
+
+def _reference_witness(elem):
+    rows = _reference_rows(elem)
+    if not rows:
+        return None
+    m, xs, ys = rows[0]
+    return _reference_term(elem.ctx, elem.terms[m], m, xs, ys)
+
+
+@pytest.mark.parametrize("spec", ["A1@2", "B2@2", "A2@3", "D4@4"])
+def test_printer_matches_the_two_pass_printer(spec):
+    ctx = Context(parse_group_spec(spec))
+    rng = random.Random(spec)
+    k1 = Scalar.kappa(0)
+    mixed = k1 * k1 + k1 * BN_I - Scalar.of(BN_SQRT2) * Fraction(1, 3)
+    values = [ctx.zero(), ctx.one(), -ctx.one(), ctx.scalar_elem(7),
+              ctx.scalar_elem(Fraction(-3, 2)), ctx.scalar_elem(BN_I),
+              ctx.scalar_elem(BN_SQRT2 * Fraction(1, 2) + BN_I),
+              ctx.scalar_elem(mixed), ctx.scalar_elem(-k1)]
+    for _ in range(12):
+        a = random_element(ctx, rng, max_degree=3, n_terms=6, kappa_degree=2)
+        b = random_element(ctx, rng, max_degree=2, n_terms=4, kappa_degree=2)
+        values += [a, a * mixed, a * b, a * Scalar.of(BN_SQRT2) - b * k1,
+                   a + ctx.scalar_elem(mixed)]
+    seen = {"g": False, "multi": False}
+    for v in values:
+        assert str(v) == _reference_str(v)
+        assert v.witness() == _reference_witness(v)
+        assert v.sorted_monomials() == [m for m, _, _ in _reference_rows(v)]
+        seen["g"] |= any(m.g and m.g not in ctx.group.reflection_number
+                         for m in v.terms)
+        seen["multi"] |= any(len(c.terms) > 1 for c in v.terms.values())
+    assert seen["multi"] and (seen["g"] or ctx.group.order == 2)
+
+
+def test_printer_reproduces_one_digest_per_eval_shape():
+    """One entry per shape of the eval benchmark's pool, printed on a fresh
+    context over D4@4, against its recorded digest and term count."""
+    path = (Path(__file__).resolve().parents[1] / "perfbench" / "reference"
+            / "eval_D4_4.json")
+    first = {}
+    for shape, expr, terms, ref in json.loads(path.read_text())["pool"]:
+        first.setdefault(shape, (expr, terms, ref))
+    assert len(first) == 16
+    group = parse_group_spec("D4@4")
+    for shape, (expr, terms, ref) in sorted(first.items()):
+        value = evaluate(Context(group), expr)
+        text = str(value)
+        assert len(value.terms) == terms, shape
+        assert hashlib.sha256(text.encode()).hexdigest()[:16] == ref, shape
+        assert text == _reference_str(value), shape

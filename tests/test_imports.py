@@ -2,6 +2,9 @@
 the package writes its sums in one place."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import cheralg
@@ -39,6 +42,19 @@ def test_no_unused_imports():
         found += [f"{path.name}:{line} {name}"
                   for line, name in unused_imports(path.read_text())]
     assert not found, "unused imports: " + ", ".join(found)
+
+
+def test_import_loads_neither_dataclasses_nor_inspect():
+    """The package's records and AST nodes are NamedTuples, so importing it
+    adds neither module; checked in a fresh interpreter, since the test
+    runner has loaded both."""
+    code = ("import sys; before = set(sys.modules); import cheralg; "
+            "print(sorted({'dataclasses', 'inspect'} "
+            "& (set(sys.modules) - before)))")
+    env = {**os.environ, "PYTHONPATH": str(PACKAGE.parent)}
+    proc = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.stdout.strip() == "[]"
 
 
 # The classes whose sums the package's other number and combination types

@@ -21,6 +21,33 @@ def test_ast_shapes():
     assert isinstance(ast.args[1], Bin)
 
 
+def test_nodes_of_different_types_never_compare_equal():
+    """Nodes are NamedTuples, whose equality does not look at the class:
+    among the nodes of expressions whose fields are as alike as the grammar
+    allows, no two of different types may compare equal, or a memo keyed
+    by nodes would merge them."""
+    sources = ["1", "2", "x1", "-1", "-x1", "--x1", "x(x1)", "x(1)",
+               "O(x1, x2)", "x1 + x1", "x1 - x1", "x1 * x1", "x1 / x1",
+               "x1^1", "[x1, x1]", "{x1, x1}", "[1, 1]", "(-1)^1"]
+    nodes = []
+
+    def walk(node):
+        nodes.append(node)
+        for value in node:
+            for child in value if type(value) is tuple else (value,):
+                if isinstance(child, tuple):
+                    walk(child)
+
+    for src in sources:
+        walk(parse_expression(src))
+    assert {type(n) for n in nodes} == {Num, Name, Call, Neg, Bin, Bracket}
+    for a in nodes:
+        for b in nodes:
+            if type(a) is not type(b):
+                assert a != b, (a, b)
+    assert len(set(nodes)) == len({(type(n), n) for n in nodes})
+
+
 def test_precedence():
     # ^ binds tighter than *, which binds tighter than +
     ast = parse_expression("x1 + 2*e1^2")

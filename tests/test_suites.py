@@ -1,6 +1,5 @@
 import itertools
 import json
-from dataclasses import fields, is_dataclass, replace
 from fractions import Fraction
 
 import pytest
@@ -10,7 +9,7 @@ from cheralg.geometry import QuadraticSpace
 from cheralg.groups import from_generators
 from cheralg.scalars import BaseNumber
 from cheralg import suites
-from cheralg.parser import EvalError, evaluate, substitute
+from cheralg.parser import EvalError, Evaluator, evaluate, substitute
 from cheralg.suites import (NEEDS_ORTHONORMAL, NOTHING_TO_CHECK, ORACLE_ROWS,
                             TEMPLATE_ROWS, RunOptions, UnknownSuite, catalog,
                             catalog_ids, make_env, oracle_ids,
@@ -251,6 +250,29 @@ def test_whole_catalog_under_general_gram():
             assert r.reason.startswith("needs dimension")
 
 
+def test_chirality_square_carries_its_own_orthonormal_gate():
+    """Gamma^2 = 1 holds for the identity Gram only, so its oracle check is
+    gated as pin.chirality is, apart from the gate every oracle check takes
+    while the module exists for the identity Gram only."""
+    assert {c.id for c in suites.oracle_cases() if c.orthonormal} \
+        == {"oracle.chirality.square"}
+
+
+@pytest.mark.parametrize("gram", [[[2, 1], [1, 2]], [[0, 1], [1, 0]]])
+def test_oracle_rows_in_the_engine_under_a_general_gram(gram):
+    # e_Ogamma, written with beta(x1), holds for the swap under a general
+    # Gram; Gamma^2 - 1 does not, which is why it keeps its gate
+    group = from_generators([[[0, 1], [1, 0]]], gram=gram)
+    ev = Evaluator(make_env(group).ctx)
+    rows = dict(ORACLE_ROWS)
+
+    def residual(name):
+        return ev.eval_element(rows[name].instances(group)[0][1])
+
+    assert residual("e_Ogamma").is_zero()
+    assert not residual("chirality.square").is_zero()
+
+
 def test_catalog_under_a_gram_with_no_diagonal_entries():
     # the hyperbolic form: no sparse Gram row holds its (p, p) entry, so
     # e_p^2 = B(x_p, x_p) is an absent entry read as zero; the counts were
@@ -311,7 +333,7 @@ def test_every_oracle_row_plus_one_is_detected(env_a12, monkeypatch):
             f"({src(group) if callable(src) else src}) + 1"
 
     perturbed = tuple(
-        (name, replace(row, templates=tuple(
+        (name, row._replace(templates=tuple(
             (label, plus_one(src)) for label, src in row.templates)))
         for name, row in ORACLE_ROWS)
     monkeypatch.setattr(suites, "ORACLE_ROWS", perturbed)
@@ -677,10 +699,9 @@ def test_reference_counting_frees_the_context_after_a_run():
 def _subnodes(node):
     """``node`` and every node below it."""
     yield node
-    for f in fields(node):
-        value = getattr(node, f.name)
-        for child in value if isinstance(value, tuple) else (value,):
-            if is_dataclass(child):
+    for value in node:
+        for child in value if type(value) is tuple else (value,):
+            if isinstance(child, tuple):
                 yield from _subnodes(child)
 
 
