@@ -5,7 +5,7 @@ coordinate covectors, Dunkl-deformed vectors, a finite reflection group,
 and Clifford generators, builds the rank-one orthosymplectic realization
 living inside it, constructs the supercentralizer generators, and verifies
 the full identity catalog to exact zero, cross-checked by an independent
-polynomial-tensor-spinor module.
+module of polynomials tensor the exterior algebra, under any Gram matrix.
 """
 
 from .scalars import BaseNumber, Scalar

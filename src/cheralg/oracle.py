@@ -1,10 +1,20 @@
-"""The concrete module: polynomials tensor exterior-algebra spinors.
+"""The concrete module: polynomials tensor the exterior algebra Lambda(V).
 
 Covector generators act by coordinate multiplication, vector generators by
 Dunkl operators, group elements by variable substitution (trivially on the
-spinor factor), and Clifford generators through the isotropic basis: the
-plus half wedges, the minus half contracts, and the extra anisotropic
-generator in odd dimension acts by a degree sign times the module's sector.
+exterior factor), and the Clifford generator e_p by eps_p + iota_p
+(Chevalley): eps_p wedges x_p on the left and iota_p contracts with
+B(x_p, .), read from the sparse Gram rows.  Then {e_p, e_q} = 2 B(x_p, x_q),
+the engine's convention, with no square root and no isotropic basis, so one
+module serves every Gram matrix the API accepts.
+
+The sampled vectors lie in P (x) 1, and that is as strict as sampling every
+mask.  Clifford generators commute with x, y and g, so a word x^a y^b g e_A
+sends p (x) 1 to (x^a y^b g . p) (x) (e_A . 1); and e_A . 1 is the wedge
+x_A plus terms of lower degree, so the e_A . 1 form a basis of Lambda(V).
+An element X = sum_A X_A e_A therefore kills every p (x) 1 exactly when
+every X_A kills P, which is when X kills the whole module.  Intermediate
+vectors still range over every mask.
 
 The whole point of this module is independence from the normal-form engine:
 it never rewrites words, it just composes operators on concrete vectors, so
@@ -12,9 +22,9 @@ exact agreement between the two is a meaningful cross-check.  What it shares
 with the engine is the coefficient ring (``Scalar``) and the sparse sum
 (``scalars.merged``, through the ``Combination`` base of PolySpinor and
 Element), never a rewrite memo or the product; the sum has tests of its own
-that read neither side.  Faithfulness
-holds in principle; sampling vectors of bounded degree is the practical
-contract, and exact zero on every sample is required.
+that read neither side.  Faithfulness holds in principle; sampling vectors
+of bounded degree is the practical contract, and exact zero on every sample
+is required.
 
 `ModuleEvaluator` reads the parser's expression language in the module:
 the engine builds only the leaves (names, scalars, and the O, M, A, R,
@@ -23,9 +33,8 @@ and bracket of them becomes composition of operators, so one written
 identity is checked by both the engine and the module.
 
 Polynomials are sparse dictionaries mapping exponent tuples to Scalars,
-added through ``merged``; a PolySpinor maps (exponent tuple, spinor subset
-bitmask) pairs to Scalars.
-The spinor bitmask ranges over subsets of the isotropic plus-directions.
+added through ``merged``; a PolySpinor maps (exponent tuple, mask) pairs to
+Scalars, where the mask of S stands for the ascending wedge x_S.
 
 Every operator here is linear in the vector, so it is known from its images
 of basis vectors, and `apply_linear` sums those images scaled by the
@@ -38,10 +47,10 @@ vector's coefficients.  Four memos hold such images:
 - `SpinorModule` keeps D^b(g . x^e) per (g, packed y exponents b, e),
   filled from the two memos above through `_act_group_poly` and `dunkl`.
   A word x^a y^b g e_A acts on a vector by its Clifford factor on the
-  spinor masks, then by this image of each term's monomial, then by the
+  masks, then by this image of each term's monomial, then by the
   shift by x^a, so a vector costs one memo read per term;
 - `ModuleEvaluator` keeps, per node of an expression and per basis key
-  (e, spinor mask), the node's action on that basis vector.  A leaf's
+  (e, mask), the node's action on that basis vector.  A leaf's
   image is `SpinorModule.act` of the engine's element; a compound node's
   image is its composition (negation, bracket, sum, difference, product,
   quotient by a scalar, power) applied once to the basis vector, with the
@@ -56,7 +65,7 @@ run, so every image is computed once per run and held until its end.  The
 images repeat a few keys, coefficients and whole images many times, so
 `SpinorModule.kept` stores each of them once.
 
-The memos are keyed by module data alone (p, exponents, spinor masks, group
+The memos are keyed by module data alone (p, exponents, masks, group
 element indices, expression nodes) and filled by the module's own
 arithmetic.  The module reads the group's rows, reflections and roots
 and the kappa of each class from the context, and asks the engine only to
@@ -73,13 +82,13 @@ from operator import add
 from .core import Context, Element, Monomial, unpack
 from .parser import (_COV_CALLS, Bin, Bracket, Call, EvalError, Evaluator, Name,
                      Neg, Num, reciprocal)
-from .scalars import (BN_I, BaseNumber, Combination, SC_ONE, SC_ZERO, Scalar,
+from .scalars import (BaseNumber, Combination, SC_ONE, SC_ZERO, Scalar,
                       as_scalar, merged)
 
 
 class PolySpinor(Combination):
-    """A vector of the polynomial-tensor-spinor module, in canonical sparse
-    form (no zero coefficients)."""
+    """A vector of the polynomial-tensor-exterior module, in canonical
+    sparse form (no zero coefficients)."""
 
     __slots__ = ("terms",)
 
@@ -110,7 +119,8 @@ class PolySpinor(Combination):
         for (exp, sm), c in sorted(self.terms.items()):
             mono = "*".join(f"x{p + 1}" + (f"^{k}" if k > 1 else "")
                             for p, k in enumerate(exp) if k)
-            spin = "".join(f"T{j + 1}" for j in range(16) if sm >> j & 1)
+            spin = "".join(f"e{j + 1}" for j in range(sm.bit_length())
+                           if sm >> j & 1)
             bits.append(f"({c})*{mono or '1'}|{spin or '1'}>")
         return "PolySpinor(" + " + ".join(bits) + ")"
 
@@ -185,19 +195,11 @@ def poly_div_linear(poly, alpha):
 
 
 class SpinorModule:
-    """The polynomial-tensor-spinor module attached to a context."""
+    """The polynomial-tensor-exterior module attached to a context."""
 
-    def __init__(self, ctx: Context, sector: int = 1):
-        if not ctx.space.is_identity:
-            raise ValueError("the concrete module requires the orthonormal "
-                             "configuration (identity Gram matrix)")
-        if sector not in (1, -1):
-            raise ValueError("sector must be +1 or -1")
+    def __init__(self, ctx: Context):
         self.ctx = ctx
         self.dim = ctx.dim
-        self.ell = ctx.dim // 2
-        self.odd = ctx.dim % 2 == 1
-        self.sector = sector
         self._zero_exp = (0,) * ctx.dim
         self._act_memo: dict = {}       # (g, exp) -> g . x^exp
         self._dunkl_memo: dict = {}     # (p, exp) -> D_p(x^exp)
@@ -214,48 +216,47 @@ class SpinorModule:
 
     def random_vector(self, seed: int, max_degree: int = 3,
                       n_terms: int = 4) -> PolySpinor:
+        """A seeded vector of P (x) 1: ``n_terms`` monomials of degree at
+        most ``max_degree``, all on the mask 0 (see the module docstring)."""
         rng = random.Random(seed)
         terms = {}
         for _ in range(n_terms):
             exp = [0] * self.dim
             for _ in range(rng.randint(0, max_degree)):
                 exp[rng.randrange(self.dim)] += 1
-            sm = rng.randrange(1 << self.ell) if self.ell else 0
             c = BaseNumber(rng.randint(-3, 3), rng.randint(-1, 1))
             if c.is_zero():
                 c = BaseNumber(1)
-            key = (tuple(exp), sm)
+            key = (tuple(exp), 0)
             terms[key] = terms.get(key, SC_ZERO) + Scalar.of(c)
         if not terms:
             return self.vacuum()
         return PolySpinor(terms)
 
-    # -- spinor-side operators ----------------------------------------------
-
-    def _theta0(self, v: PolySpinor) -> PolySpinor:
-        out = {}
-        for (exp, sm), c in v.terms.items():
-            sign = self.sector * (-1 if sm.bit_count() & 1 else 1)
-            out[(exp, sm)] = c if sign > 0 else -c
-        return PolySpinor(out, normalized=True)
+    # -- the exterior side -------------------------------------------------
 
     def apply_e(self, p: int, v: PolySpinor) -> PolySpinor:
-        """Action of the p-th Clifford generator via the isotropic basis:
-        e_2j = t+_j + t-_j and e_2j+1 = -i (t+_j - t-_j), where t+_j wedges
-        the j-th plus direction (a term without bit j) and t-_j contracts
-        it (a term with bit j).  The two halves never meet on one term."""
-        if self.odd and p == self.dim - 1:
-            return self._theta0(v)
-        bit = 1 << p // 2
-        below = bit - 1
-        out = {}
+        """e_p = eps_p + iota_p on the masks S of ``v``: eps_p(x_S) is
+        (-1)^#(S below p) x_(S+p) for p not in S, and iota_p(x_S) sums
+        (-1)^#(S below q) B(x_p, x_q) x_(S-q) over q in S, with B read from
+        the sparse Gram row p."""
+        bit = 1 << p
+        row = self.ctx.space.gram[p]
+        out: dict = {}
         for (exp, sm), c in v.terms.items():
-            negate = (sm & below).bit_count() & 1
-            if p % 2:
-                c = c * BN_I
-                negate ^= not sm & bit
-            out[(exp, sm ^ bit)] = -c if negate else c
-        return PolySpinor(out, normalized=True)
+            # (new mask, the bit that moves, coefficient before the sign)
+            moves = [(sm ^ (1 << q), 1 << q, c * b)
+                     for q, b in row if sm >> q & 1]
+            if not sm & bit:
+                moves.append((sm | bit, bit, c))
+            for sm2, moved, w in moves:
+                if (sm & (moved - 1)).bit_count() & 1:
+                    w = -w
+                key = (exp, sm2)
+                prev = out.get(key)
+                out[key] = w if prev is None else prev + w
+        return PolySpinor({k: w for k, w in out.items() if not w.is_zero()},
+                          normalized=True)
 
     # -- polynomial-side operators -----------------------------------------------
 
@@ -328,9 +329,9 @@ class SpinorModule:
     def kept(self, pairs) -> tuple:
         """``pairs`` as an image for a memo, each key, coefficient and
         whole image replaced by an equal one the module already keeps.  The
-        images of a run repeat a few values many times (on A1@2, 173
-        distinct Scalars among 2,112 coefficients and 918 distinct images
-        among 1,883), and each is held once.  Keys and Scalars share one
+        images of a run repeat a few values many times (on A1@2, 89
+        distinct Scalars among 2,784 coefficients and 908 distinct images
+        among 1,722), and each is held once.  Keys and Scalars share one
         table, since a tuple never equals a Scalar; images, whose pairs
         could equal a key when a Scalar equals an int, have their own."""
         values, images = self._kept

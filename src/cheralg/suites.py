@@ -26,7 +26,7 @@ builders, for one of these reasons:
 The oracle cross-check reads ORACLE_ROWS, 20 rows in the same language,
 some of them catalog rows read at their first binding, twice: with the
 engine Evaluator, and with the module evaluator of oracle.py, which
-composes them as operators on the polynomial-tensor-spinor module.  Its
+composes them as operators on the polynomial-tensor-exterior module.  Its
 checks are IdentityCases too, with ids oracle.<name>; only how a result
 is counted differs (one term on failure, witnessed by the check's name).
 
@@ -35,12 +35,12 @@ an id names its suite; `run_suite` selects catalog cases and oracle checks
 by one prefix rule (a suite, a case id, an id prefix such as
 oracle.osp12re, or "all").  Cases whose dimension prerequisite fails,
 cases stated for the orthonormal configuration when the Gram matrix is not
-the identity (every oracle check), and cases with nothing to check on the
-group (a row whose every pattern names a reflection the group lacks, or
-one whose root Context.rho cannot normalise) are reported as skipped with
-the reason.  Reports are ordered by id regardless of execution order, and
-their content is deterministic (the elapsed-time field aside) for fixed
-inputs including the seed.
+the identity, and cases with nothing to check on the group (a row whose
+every pattern names a reflection the group lacks, or one whose root
+Context.rho cannot normalise) are reported as skipped with the reason.
+Reports are ordered by id regardless of execution order, and their
+content is deterministic (the elapsed-time field aside) for fixed inputs
+including the seed.
 """
 
 from __future__ import annotations
@@ -1142,11 +1142,11 @@ def run_suite(env: SuiteEnv, suite_id: str = "all",
 #
 # Identities that the engine proves to zero, written in the expression
 # language and read a second time by ModuleEvaluator, which composes them
-# as operators on the polynomial-tensor-spinor module.  The module exists
-# for the identity Gram matrix, where beta(x_p) = y_p and gamma(x_p) = e_p.
-# Each row is read at its first binding on the group.  Rows the catalog
-# states too are the catalog's TemplateRows; the others sum over the
-# group's reflections or coordinates or state a relation in another form.
+# as operators on the polynomial-tensor-exterior module, which exists for
+# every Gram matrix.  Each row is read at its first binding on the group.
+# Rows the catalog states too are the catalog's TemplateRows; the others
+# sum over the group's reflections or coordinates or state a relation in
+# another form.
 # Each osp relation is read at its first half.
 
 
@@ -1268,14 +1268,11 @@ def oracle_ids() -> list:
 def run_oracle_crosscheck(env: SuiteEnv, ids=None) -> list:
     """Exact agreement between the engine and the concrete module: the
     reports of the oracle checks named in ``ids`` (all if None), on one
-    module.  The module exists for the orthonormal configuration only, so
-    on a general Gram matrix every check is skipped as stated for it, and
-    nothing is evaluated; a check whose identity holds for the identity
-    Gram only (``chirality.square``) carries that gate itself."""
-    identity = env.ctx.space.is_identity
-    mod = SpinorModule(env.ctx) if identity else None
-    return [_report(env, c if identity else c._replace(orthonormal=True))
-            for c in oracle_cases(mod) if ids is None or c.id in ids]
+    module, under any Gram matrix; a check whose identity holds for the
+    identity Gram only (``chirality.square``) carries that gate itself."""
+    mod = SpinorModule(env.ctx)
+    return [_report(env, c) for c in oracle_cases(mod)
+            if ids is None or c.id in ids]
 
 
 def make_env(spec, options: RunOptions = None) -> SuiteEnv:

@@ -28,7 +28,12 @@ def test_eval_covector_name_inside_gamma(capsys):
     assert capsys.readouterr().out.strip() == "e1 - e2"
 
 
-def test_verify_all_skips_oracle_under_general_gram(capsys, tmp_path):
+def test_verify_runs_oracle_under_general_gram(capsys, tmp_path):
+    import importlib.resources as resources
+
+    from jsonschema import validate
+    schema = json.loads(
+        resources.files("cheralg").joinpath("report_schema.json").read_text())
     spec = tmp_path / "a1_general.json"
     spec.write_text(json.dumps({"generators": [[[0, 1], [1, 0]]],
                                 "gram": [[2, 1], [1, 2]]}))
@@ -37,7 +42,12 @@ def test_verify_all_skips_oracle_under_general_gram(capsys, tmp_path):
                  "--format", "json"]) == 0
     reports = [json.loads(line)
                for line in capsys.readouterr().out.splitlines()]
-    assert reports and all(r["status"] == "skipped" for r in reports)
+    for r in reports:
+        validate(r, schema)
+    statuses = [r["status"] for r in reports]
+    assert (statuses.count("pass"), statuses.count("skipped")) == (21, 1)
+    assert [r["id"] for r in reports if r["status"] == "skipped"] \
+        == ["oracle.chirality.square"]
     assert main(["verify", "--group", group, "--suite", "all"]) == 0
 
 

@@ -11,7 +11,7 @@ from cheralg.oracle import (ModuleEvaluator, SpinorModule, poly_div_linear,
                             poly_partial)
 from cheralg.parser import (Bin, Bracket, Neg, Num, parse_expression,
                             reciprocal)
-from cheralg.scalars import BaseNumber, Scalar, as_scalar, merged
+from cheralg.scalars import BaseNumber, Scalar, as_base, as_scalar, merged
 from cheralg.suites import ORACLE_ROWS
 
 
@@ -75,26 +75,6 @@ def test_clifford_module_form(ctx_a12, mod):
         assert mod.act(pairing, v) == v.scale(bilinear_B(u, w) * 2)
 
 
-def test_odd_dimension_sector():
-    ctx = Context(build_group("A", 1, 3))
-    for sector in (1, -1):
-        mod = SpinorModule(ctx, sector)
-        vac = mod.vacuum()
-        assert mod.apply_e(2, vac) == vac.scale(as_scalar(sector))
-        assert mod.apply_e(2, mod.apply_e(2, vac)) == vac
-        # e1 wedges the vacuum; one wedge flips the degree sign
-        up = mod.apply_e(0, vac)
-        assert up == mod.vector({((0, 0, 0), 1): 1})
-        assert mod.apply_e(2, up) == up.scale(as_scalar(-sector))
-    rng = random.Random(3)
-    mod = SpinorModule(ctx, -1)
-    for _ in range(10):
-        a = random_element(ctx, rng)
-        b = random_element(ctx, rng)
-        v = mod.random_vector(rng.randrange(10 ** 9))
-        assert mod.act(a * b, v) == mod.act(a, mod.act(b, v))
-
-
 def test_random_vector_determinism(mod):
     v1 = mod.random_vector(1, 2)
     v2 = mod.random_vector(1, 2)
@@ -110,16 +90,19 @@ def test_group_action_on_module(ctx_a12, mod):
     v = mod.vector({((2, 1), 0): 1})
     out = mod.act(s, v)
     assert out == mod.vector({((1, 2), 0): 1})
-    # spinor factor untouched by the group
+    # exterior factor untouched by the group
     v2 = mod.vector({((1, 0), 1): 1})
     assert mod.act(s, v2) == mod.vector({((0, 1), 1): 1})
 
 
-def test_identity_gram_required():
+def test_module_builds_under_a_general_gram():
     from cheralg.groups import trivial_group
     ctx = Context(trivial_group(2, gram=[[2, 0], [0, 1]]))
-    with pytest.raises(ValueError):
-        SpinorModule(ctx)
+    mod = SpinorModule(ctx)
+    v = mod.random_vector(4)
+    # e_1^2 = B(x1, x1) = 2 and e_2^2 = 1
+    assert mod.apply_e(0, mod.apply_e(0, v)) == v.scale(2)
+    assert mod.apply_e(1, mod.apply_e(1, v)) == v
 
 
 def test_module_evaluator_composes_without_engine_products(
@@ -309,17 +292,21 @@ def test_node_memo_fills_only_new_keys(env, request):
 
 
 def test_leaf_memo_stays_with_its_module(env_a15):
+    # two modules on one context, one of them with every e_p doubled: the
+    # plain module's evaluator must not read the other's images
     ctx = env_a15.ctx
     node = parse_expression("e5*x1 + O(x1)*e5*y2 - Gamma*e1")
-    plus = ModuleEvaluator(SpinorModule(ctx, 1))
-    minus = ModuleEvaluator(SpinorModule(ctx, -1))
-    vecs = [minus.module.random_vector(seed, 2, 5) for seed in range(3)]
-    on_plus = [plus.act(node, v) for v in vecs]     # filled first
-    on_minus = [minus.act(node, v) for v in vecs]
-    fresh = [ModuleEvaluator(SpinorModule(ctx, -1)).act(node, v)
-             for v in vecs]
-    assert on_minus == fresh
-    assert on_minus != on_plus
+    doubled = SpinorModule(ctx)
+    apply_e = doubled.apply_e
+    doubled.apply_e = lambda p, v: apply_e(p, v).scale(2)
+    other = ModuleEvaluator(doubled)
+    plain = ModuleEvaluator(SpinorModule(ctx))
+    vecs = [plain.module.random_vector(seed, 2, 5) for seed in range(3)]
+    on_other = [other.act(node, v) for v in vecs]   # filled first
+    on_plain = [plain.act(node, v) for v in vecs]
+    fresh = [ModuleEvaluator(SpinorModule(ctx)).act(node, v) for v in vecs]
+    assert on_plain == fresh
+    assert on_plain != on_other
 
 
 def test_new_leaf_calls_act_as_their_engine_elements(ctx_a12, mod):
@@ -355,7 +342,7 @@ def test_subtraction_is_adding_the_negation(mod):
 
 def _reference_act_monomial(mod, mono, v):
     """The word x^a y^b g e_A on ``v`` step by step: the Clifford bits
-    right to left on the whole vector, then per spinor mask the group
+    right to left on the whole vector, then per mask the group
     action and one Dunkl operator per unit of y-degree, then the shift by
     x^a."""
     xs, ys, g, e = mono
@@ -376,17 +363,39 @@ def _reference_act_monomial(mod, mono, v):
     return mod.vector(out)
 
 
-@pytest.mark.parametrize("spec", ["A1@2", "B2@2", "A2@3", "1@3"])
-@pytest.mark.parametrize("sector", [1, -1])
-def test_act_monomial_matches_the_step_by_step_route(spec, sector):
-    from cheralg.groups import parse_group_spec, trivial_group
-    group = trivial_group(3) if spec == "1@3" else parse_group_spec(spec)
-    ctx = Context(group)
-    mod = SpinorModule(ctx, sector)
-    rng = random.Random(f"{spec} {sector}")
+def _signed_group(spec, sign):
+    """The group of ``spec`` under ``sign`` times its Gram matrix: "1@3" is
+    the trivial group on three coordinates, "swap" the coordinate swap
+    under [[2, 1], [1, 2]], and the rest Weyl groups under the identity."""
+    from cheralg.groups import from_generators, trivial_group
+    if spec == "swap":
+        return from_generators([[[0, 1], [1, 0]]],
+                               gram=[[2 * sign, sign], [sign, 2 * sign]])
+    d = int(spec[-1])
+    gram = [[sign * (p == q) for q in range(d)] for p in range(d)]
+    if spec == "1@3":
+        return trivial_group(3, gram=gram)
+    return build_group(spec[0], int(spec[1]), d, gram=gram)
+
+
+def _on_every_mask(mod, v):
+    """``v`` spread over every mask: each term of ``v`` on mask 0 moved to
+    the mask numbered by its index among the terms, modulo 2^d."""
+    return mod.vector({(exp, i % (1 << mod.dim)): c
+                       for i, ((exp, _), c) in enumerate(v.terms.items())})
+
+
+@pytest.mark.parametrize("spec", ["A1@2", "B2@2", "A2@3", "1@3", "swap"])
+@pytest.mark.parametrize("sign", [1, -1])
+def test_act_monomial_matches_the_step_by_step_route(spec, sign):
+    # sign -1 negates the Gram matrix: e_p^2 = -1 on the Weyl groups
+    ctx = Context(_signed_group(spec, sign))
+    mod = SpinorModule(ctx)
+    rng = random.Random(f"{spec} {sign}")
     words = [m for _ in range(8)
              for m in random_element(ctx, rng, max_degree=4).terms]
-    vecs = [mod.random_vector(rng.randrange(10 ** 9), 3, 5) for _ in range(3)]
+    vecs = [_on_every_mask(mod, mod.random_vector(rng.randrange(10 ** 9), 3,
+                                                  5)) for _ in range(3)]
     for mono in words:
         for v in vecs:
             assert mod.act_monomial(mono, v) == \
@@ -420,7 +429,7 @@ def test_act_sums_the_step_by_step_words(spec):
 
 def test_oracle_run_applies_each_clifford_mask_once(env_a12, monkeypatch):
     # one pass per mask and act call, a mask built on a held shorter one:
-    # 926 passes on A1@2, where one chain per word took 1,579
+    # 1,098 passes on A1@2 over the 2^d masks of Lambda(V)
     from cheralg.suites import run_suite
     passes = []
     apply_e = SpinorModule.apply_e
@@ -431,7 +440,7 @@ def test_oracle_run_applies_each_clifford_mask_once(env_a12, monkeypatch):
     monkeypatch.setattr(SpinorModule, "apply_e", counting)
     reports = run_suite(env_a12, "oracle")
     assert {r.status for r in reports} == {"pass"}
-    assert 0 < len(passes) <= 984
+    assert 0 < len(passes) <= 1164
 
 
 def test_oracle_suite_enters_the_traced_module_boundaries(env_a12,
@@ -456,3 +465,111 @@ def test_oracle_suite_enters_the_traced_module_boundaries(env_a12,
     reports = run_suite(env_a12, "oracle")
     assert {r.status for r in reports} == {"pass"}
     assert set(fired) == {"act", "dunkl", "poly_div_linear"}
+
+
+# the swap of two coordinates under the three general Gram matrices
+SWAP_GRAMS = [[[2, 1], [1, 2]], [[2, Fraction(1, 3)], [Fraction(1, 3), 2]],
+              [[0, 1], [1, 0]]]
+
+
+def _swap_ctx(gram):
+    from cheralg.groups import from_generators
+    return Context(from_generators([[[0, 1], [1, 0]]], gram=gram))
+
+
+@pytest.mark.parametrize("spec", ["A2@3", "1@3"])
+def test_gamma_plus_or_minus_one_acts_nonzero_in_odd_dimension(spec):
+    """Gamma is central in an odd-dimensional Clifford algebra, so it acts
+    by a sign on an irreducible module, where Gamma + 1 or Gamma - 1 kills
+    every vector; Lambda(V) holds both signs, so neither kills a sample."""
+    from cheralg.parser import evaluate
+    ctx = Context(_signed_group(spec, 1))
+    mod = SpinorModule(ctx)
+    samples = [mod.random_vector(2024 + 7919 * i, 3) for i in range(20)]
+    for src in ("Gamma + 1", "Gamma - 1"):
+        elem = evaluate(ctx, src)
+        assert not elem.is_zero()
+        for v in samples:
+            assert not mod.act(elem, v).is_zero(), src
+
+
+def _anticommutators_hold(mod, gram, seed):
+    """Is apply_e(p) apply_e(q) + apply_e(q) apply_e(p) equal to 2 gram[p][q]
+    on a random vector put on each mask in turn, for every pair p, q?"""
+    base = mod.random_vector(seed, 2, 3)
+    for mask in range(1 << mod.dim):
+        v = mod.vector({(exp, mask): c for (exp, _), c in base.terms.items()})
+        for p in range(mod.dim):
+            for q in range(mod.dim):
+                got = mod.apply_e(p, mod.apply_e(q, v)) \
+                    + mod.apply_e(q, mod.apply_e(p, v))
+                if got != v.scale(as_scalar(2 * gram[p][q])):
+                    return False
+    return True
+
+
+@pytest.mark.parametrize("spec", ["A1@2", "B3@3", "swap0", "swap1",
+                                  "swap2"])
+def test_clifford_relations_on_every_mask(spec, monkeypatch):
+    # A1@2 and B3@3 under the identity Gram, the swap under SWAP_GRAMS
+    if spec.startswith("swap"):
+        gram = SWAP_GRAMS[int(spec[-1])]
+        ctx = _swap_ctx(gram)
+    else:
+        ctx = Context(_signed_group(spec, 1))
+        gram = [[int(p == q) for q in range(ctx.dim)] for p in range(ctx.dim)]
+    mod = SpinorModule(ctx)
+    for seed in range(3):
+        assert _anticommutators_hold(mod, gram, seed)
+    # the control: a contraction by 2B breaks the relation
+    doubled = tuple(tuple((q, as_base(2 * x)) for q, x in enumerate(row) if x)
+                    for row in gram)
+    monkeypatch.setattr(ctx.space, "gram", doubled)
+    assert not _anticommutators_hold(mod, gram, 0)
+
+
+@pytest.mark.parametrize("gram", SWAP_GRAMS)
+def test_homomorphism_under_a_general_gram(gram):
+    ctx = _swap_ctx(gram)
+    mod = SpinorModule(ctx)
+    rng = random.Random(41)
+    for _ in range(15):
+        a = random_element(ctx, rng)
+        b = random_element(ctx, rng)
+        v = mod.random_vector(rng.randrange(10 ** 9))
+        assert mod.act(a * b, v) == mod.act(a, mod.act(b, v))
+
+
+@pytest.mark.parametrize("gram", SWAP_GRAMS)
+def test_products_check_sees_a_halved_clifford_cross_term(gram, monkeypatch):
+    """e_q e_p = -e_p e_q + 2 B(x_q, x_p) for q > p; the engine writing B
+    instead of 2B leaves the identity Gram alone and must fail
+    oracle.products under each general Gram."""
+    from cheralg.suites import make_env, run_suite
+    from cheralg.groups import from_generators
+    insert = Context._cliff_insert
+
+    def halved(self, mask, p):
+        # the terms of e_mask * e_p without the top bit q of mask come
+        # from the cross term, when q > p
+        q = mask.bit_length() - 1
+        res = insert(self, mask, p)
+        if q <= p:
+            return res
+        return tuple((m, c if m >> q & 1 else c * Fraction(1, 2))
+                     for m, c in res)
+    monkeypatch.setattr(Context, "_cliff_insert", halved)
+    env = make_env(from_generators([[[0, 1], [1, 0]]], gram=gram))
+    reports = run_suite(env, "oracle.products")
+    assert [(r.id, r.status) for r in reports] == \
+        [("oracle.products", "fail")]
+
+
+def test_repr_names_every_mask_bit():
+    from cheralg.groups import trivial_group
+    mod = SpinorModule(Context(trivial_group(18)))
+    top = mod.apply_e(17, mod.vacuum())
+    assert top == mod.vector({((0,) * 18, 1 << 17): 1})
+    assert "e18" in repr(top)
+    assert repr(top) != repr(mod.vacuum())
+    assert repr(mod.apply_e(0, top)) != repr(mod.apply_e(16, top))

@@ -237,23 +237,28 @@ def test_whole_catalog_under_general_gram():
     by_id = {r.id: r for r in reps}
     assert set(catalog_ids()) <= set(by_id)
     assert [r.id for r in reps if r.status == "fail"] == []
-    orthonormal_only = ["pin.chirality", "bwz.generator_forms"]
-    oracle = [rid for rid in by_id if rid.startswith("oracle.")]
-    assert {"oracle.products", "oracle.mutation",
-            "oracle.chirality.square"} <= set(oracle)
-    for rid in orthonormal_only + oracle:
+    orthonormal_only = ["pin.chirality", "bwz.generator_forms",
+                        "oracle.chirality.square"]
+    for rid in orthonormal_only:
         assert (by_id[rid].status, by_id[rid].reason) \
             == ("skipped", NEEDS_ORTHONORMAL)
+    # every other oracle check runs on the one module
+    oracle = [r for r in reps if r.id.startswith("oracle.")
+              and r.id not in orthonormal_only]
+    assert {"oracle.products", "oracle.mutation"} <= {r.id for r in oracle}
+    assert {(r.status, r.oracle) for r in oracle} == {("pass", True)}
+    statuses = [r.status for r in reps]
+    assert (statuses.count("pass"), statuses.count("skipped")) == (90, 50)
     for r in reps:
         validate(json.loads(r.to_json()), schema)
-        if r.status == "skipped" and r.id not in orthonormal_only + oracle:
+        if r.status == "skipped" and r.id not in orthonormal_only:
             assert r.reason.startswith("needs dimension")
 
 
 def test_chirality_square_carries_its_own_orthonormal_gate():
     """Gamma^2 = 1 holds for the identity Gram only, so its oracle check is
-    gated as pin.chirality is, apart from the gate every oracle check takes
-    while the module exists for the identity Gram only."""
+    gated as pin.chirality is; it is the one oracle check that a general
+    Gram skips for that reason."""
     assert {c.id for c in suites.oracle_cases() if c.orthonormal} \
         == {"oracle.chirality.square"}
 
@@ -276,11 +281,12 @@ def test_oracle_rows_in_the_engine_under_a_general_gram(gram):
 def test_catalog_under_a_gram_with_no_diagonal_entries():
     # the hyperbolic form: no sparse Gram row holds its (p, p) entry, so
     # e_p^2 = B(x_p, x_p) is an absent entry read as zero; the counts were
-    # recorded while the Gram matrix was stored dense
+    # recorded while the Gram matrix was stored dense, and re-recorded when
+    # the oracle module came to exist for every Gram (19 checks run)
     group = from_generators([[[0, 1], [1, 0]]], gram=[[0, 1], [1, 0]])
     assert all(p not in dict(row) for p, row in enumerate(group.space.gram))
     statuses = [r.status for r in run_suite(make_env(group), "all")]
-    assert (statuses.count("pass"), statuses.count("skipped")) == (63, 77)
+    assert (statuses.count("pass"), statuses.count("skipped")) == (82, 58)
     assert len(statuses) == 140
 
 
@@ -355,8 +361,9 @@ def test_skipped_oracle_evaluates_nothing(monkeypatch):
     monkeypatch.setattr(suites, "parse_expression", refuse)
     monkeypatch.setattr(Evaluator, "eval_element", refuse)
     group = from_generators([[[0, 1], [1, 0]]], **GENERAL_GRAM)
-    reps = run_oracle_crosscheck(make_env(group))
-    assert {r.status for r in reps} == {"skipped"}
+    reps = run_oracle_crosscheck(make_env(group), ["oracle.chirality.square"])
+    assert [(r.id, r.status, r.reason) for r in reps] \
+        == [("oracle.chirality.square", "skipped", NEEDS_ORTHONORMAL)]
 
 
 def _pairs(n, subs):
