@@ -217,7 +217,8 @@ class SpinorModule:
     def random_vector(self, seed: int, max_degree: int = 3,
                       n_terms: int = 4) -> PolySpinor:
         """A seeded vector of P (x) 1: ``n_terms`` monomials of degree at
-        most ``max_degree``, all on the mask 0 (see the module docstring)."""
+        most ``max_degree``, all on the mask 0 (see the module docstring).
+        A draw whose terms cancel gives the vacuum, never zero."""
         rng = random.Random(seed)
         terms = {}
         for _ in range(n_terms):
@@ -229,9 +230,8 @@ class SpinorModule:
                 c = BaseNumber(1)
             key = (tuple(exp), 0)
             terms[key] = terms.get(key, SC_ZERO) + Scalar.of(c)
-        if not terms:
-            return self.vacuum()
-        return PolySpinor(terms)
+        v = PolySpinor(terms)
+        return v if v.terms else self.vacuum()
 
     # -- the exterior side -------------------------------------------------
 

@@ -17,8 +17,7 @@ product with a larger one raises OverflowError, exit 2 in the CLI.
 Square brackets are the graded commutator, braces the graded
 anticommutator; both are atoms.  Call arguments are evaluated in covector
 mode for the index-taking operations and for the form B(u, v), and in
-element mode for the projector-style maps (Pp, Pm, Palpha, Qp, Qm).  An
-Evaluator takes each map call once: equal call nodes share one value.  The
+element mode for the projector-style maps (Pp, Pm, Palpha, Qp, Qm).  The
 index-taking operations are
 
     O(u, ...)   the projected element -P(antisymmetrized word)/2
@@ -55,8 +54,13 @@ beta, or for gamma), so zp*, zm*, z0 and alpha* in element position raise
 EvalError; gamma(zp1) names the Clifford image explicitly, x(zp1) the
 degree-one element and beta(zp1) the vector.
 
+An Evaluator computes one expression with `eval_element`, which memoizes
+nothing and hashes no node, or a batch with `eval_elements`: there each
+composite subexpression that the batch requests more than once is
+computed once and held until its last use.
+
 The AST nodes (Num, Name, Call, Neg, Bin, Bracket) are NamedTuples, so
-the memos keyed by nodes (``Evaluator._maps``, the oracle's
+the tables keyed by nodes (a batch's shared values, the oracle's
 ``ModuleEvaluator``) hash and compare them in C.  Tuple equality does not
 look at the class, yet no two node types compare equal: Call has two
 fields, Bin and Bracket three, the others one; Num holds an int, Name a
@@ -316,14 +320,26 @@ _NAMED_ELEMENTS = {
     "Fm": lambda ctx: build_osp(ctx).Fm,
 }
 
+# The projector-style maps, which take one element.  Each entry reads its
+# routine from this module's globals when called.
+_MAPS = {
+    "Pp": lambda ctx, a: p_plus(ctx, a),
+    "Pm": lambda ctx, a: p_minus(ctx, a),
+    "Palpha": lambda ctx, a: p_alpha(ctx, a),
+    "Qp": lambda ctx, a: q_plus(ctx, a),
+    "Qm": lambda ctx, a: q_minus(ctx, a),
+}
+
 
 class Evaluator:
-    """Resolve an AST against a context, producing a normal-form element."""
+    """Resolve ASTs against a context, producing normal-form elements: one
+    at a time (`eval_element`), or a batch that shares its repeated
+    subexpressions (`eval_elements`)."""
 
     def __init__(self, ctx: Context):
         self.ctx = ctx
         self._witt = None
-        self._maps: dict = {}       # map call node -> its value
+        self._held: dict = {}       # shared node -> (uses left, value)
 
     # -- scalar/covector layer ---------------------------------------------
 
@@ -412,23 +428,57 @@ class Evaluator:
     # -- element layer -----------------------------------------------------------
 
     def eval_element(self, node):
+        """The normal form of one expression.  Nothing is memoized, so no
+        node is hashed, however deep."""
+        return self._eval(node)
+
+    def eval_elements(self, nodes) -> list:
+        """The normal forms of a batch of expressions, each composite
+        subexpression that the batch requests more than once computed once.
+
+        `_shared_requests` counts the requests before any is made, and a
+        shared value is held until its last counted use, then dropped;
+        nothing is held once the batch returns or raises.  The count walk
+        follows `_eval`'s recursion, so a miscount could only cost a
+        recomputation, never a wrong value.  The shared nodes are hashed,
+        which suits template-sized expressions."""
+        self._held = {node: (uses, None)
+                      for node, uses in _shared_requests(nodes).items()}
+        try:
+            return [self._eval(node) for node in nodes]
+        finally:
+            self._held = {}
+
+    def _eval(self, node):
+        if self._held:
+            entry = self._held.pop(node, None)
+            if entry is not None:
+                # a shared node: computed at its first request, while it is
+                # out of the table (no node is its own subexpression), and
+                # put back for as many requests as remain
+                uses, value = entry
+                if value is None:
+                    value = self._eval(node)
+                if uses > 1:
+                    self._held[node] = (uses - 1, value)
+                return value
         ctx = self.ctx
         if isinstance(node, Num):
             return ctx.scalar_elem(node.value)
         if isinstance(node, Name):
             return self._elem_atom(node.ident)
         if isinstance(node, Neg):
-            return -self.eval_element(node.arg)
+            return -self._eval(node.arg)
         if isinstance(node, Bracket):
-            a = self.eval_element(node.left)
-            b = self.eval_element(node.right)
+            a = self._eval(node.left)
+            b = self._eval(node.right)
             return (supercommutator if node.kind == "super"
                     else anticommutator)(a, b)
         if isinstance(node, Call):
             return self._call(node)
         if isinstance(node, Bin):
             if node.op == "^":
-                base = self.eval_element(node.left)
+                base = self._eval(node.left)
                 exp = node.right
                 if isinstance(exp, Neg):
                     raise EvalError("negative powers are not defined")
@@ -436,9 +486,9 @@ class Evaluator:
                     raise EvalError("exponents must be integer literals")
                 return base ** exp.value
             first, steps = _left_run(node)
-            acc = self.eval_element(first)
+            acc = self._eval(first)
             for op, right in steps:
-                b = self.eval_element(right)
+                b = self._eval(right)
                 if op == "+":
                     acc = acc + b
                 elif op == "-":
@@ -504,16 +554,10 @@ class Evaluator:
                     raise EvalError(f"reflection index out of range in s{k}")
                 word.append(k - 1)
             return ctx.rho(word)
-        unary = {"Pp": p_plus, "Pm": p_minus, "Palpha": p_alpha,
-                 "Qp": q_plus, "Qm": q_minus}
-        if fn in unary:
+        if fn in _MAPS:
             if len(node.args) != 1:
                 raise EvalError(f"{fn} takes exactly one argument")
-            hit = self._maps.get(node)
-            if hit is None:
-                hit = self._maps[node] = unary[fn](
-                    ctx, self.eval_element(node.args[0]))
-            return hit
+            return _MAPS[fn](ctx, self._eval(node.args[0]))
         raise EvalError(f"unknown operation {fn!r}")
 
 
@@ -531,6 +575,43 @@ def _left_run(node: Bin):
         node = node.left
     steps.reverse()
     return node, steps
+
+
+def _requests(node) -> tuple:
+    """The subexpressions that `Evaluator._eval` requests to evaluate
+    ``node``: the argument of a Neg, both sides of a bracket, the base of a
+    power, the operands of a left run (not its spine) and the element
+    argument of a projector-style map."""
+    if isinstance(node, Neg):
+        return (node.arg,)
+    if isinstance(node, Bracket):
+        return (node.left, node.right)
+    if isinstance(node, Bin):
+        if node.op == "^":
+            return (node.left,)
+        first, steps = _left_run(node)
+        return (first, *(right for _, right in steps))
+    if isinstance(node, Call) and node.fn in _MAPS and len(node.args) == 1:
+        return node.args
+    return ()
+
+
+def _shared_requests(nodes) -> dict:
+    """The composite nodes that evaluating ``nodes`` in turn requests more
+    than once, each with its number of requests.  A node met again is
+    counted but not walked into, since its value is computed once; leaves
+    (numbers and names) are not counted."""
+    uses: dict = {}
+    stack = list(nodes)
+    while stack:
+        node = stack.pop()
+        if isinstance(node, (Num, Name)):
+            continue
+        seen = uses.get(node, 0)
+        uses[node] = seen + 1
+        if not seen:
+            stack.extend(_requests(node))
+    return {node: n for node, n in uses.items() if n > 1}
 
 
 def _cov_op(op: str, left, right):

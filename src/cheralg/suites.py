@@ -155,9 +155,13 @@ class TemplateRow(NamedTuple):
     orthonormal: bool = False
 
     def residuals(self, env: SuiteEnv) -> list:
-        ev = Evaluator(env.ctx)
-        return [(label, ev.eval_element(node))
-                for label, node in self.instances(env.group)]
+        """(label, residual) of every instance, evaluated as one batch, so
+        a subexpression that several instances share is computed once."""
+        instances = self.instances(env.group)
+        values = Evaluator(env.ctx).eval_elements(
+            [node for _, node in instances])
+        return [(label, value)
+                for (label, _), value in zip(instances, values)]
 
     def instances(self, group) -> list:
         """(label, AST) of every template at every binding that fits; a

@@ -84,6 +84,14 @@ def test_random_vector_determinism(mod):
         assert sum(exp) <= 2
 
 
+def test_a_draw_whose_terms_cancel_gives_the_vacuum(mod):
+    # these seeds draw one monomial twice with opposite coefficients
+    for seed in (2992, 10121, 14387):
+        v = mod.random_vector(seed, 3)
+        assert v.terms, seed
+        assert v == mod.vacuum(), seed
+
+
 def test_group_action_on_module(ctx_a12, mod):
     ctx = ctx_a12
     s = ctx.g(ctx.group.reflections[0].elem)

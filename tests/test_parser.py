@@ -301,8 +301,79 @@ def test_evaluator_takes_each_map_call_once(ctx_a12, monkeypatch):
     node = parse_expression("Pp(M(x1, x2)) - Pp(M(x1, x2))^2/2")
     again = parse_expression("[X, Pp(M(x1, x2))]")
     ev = Evaluator(ctx_a12)
-    first = ev.eval_element(node)
-    assert ev.eval_element(again).is_zero()
+    first, bracket = ev.eval_elements([node, again])
+    assert bracket.is_zero()
     assert len(calls) == 1
-    assert Evaluator(ctx_a12).eval_element(node) == first
+    assert ev.eval_elements([node]) == [first]
     assert len(calls) == 2
+
+
+def test_eval_element_memoizes_nothing(ctx_a12, monkeypatch):
+    from cheralg import parser
+    calls = []
+    project = parser.p_plus
+    monkeypatch.setattr(parser, "p_plus",
+                        lambda ctx, a: calls.append(a) or project(ctx, a))
+    ev = Evaluator(ctx_a12)
+    ev.eval_element(parse_expression("Pp(M(x1, x2)) - Pp(M(x1, x2))^2/2"))
+    assert len(calls) == 2 and ev._held == {}
+
+
+def test_shared_requests_follow_the_evaluation():
+    from cheralg.parser import _shared_requests
+    shared = parse_expression("M(x1, x2)")
+    square = parse_expression("x1*y1")
+    nodes = [parse_expression(src) for src in (
+        "Pp(M(x1, x2)) + Pm(M(x1, x2))", "-M(x1, x2)",
+        "x1*y1 + x1*y1 - x1*y1 + 2", "[x1*y1, x1]", "(x1*y1)^2",
+        "Pp(x1*y1)^2", "Pp(x1*y1)^2", "O(x1*2, x2)", "O(x1*2, x2)",
+        "x1 + y1 + x1 + y1")]
+    # x1*y1 + x1*y1 - x1*y1 + 2 runs x1, *y1, +x1*y1, -x1*y1, +2: its
+    # first x1*y1 is on the run's spine, which is never requested, nor are
+    # leaves and the covector arguments of O; a repeated node is not
+    # walked into, so x1*y1 counts once for both Pp(x1*y1)^2
+    assert _shared_requests(nodes) == {
+        shared: 3, square: 5, nodes[5]: 2, nodes[7]: 2}
+
+
+def test_a_batch_drops_each_shared_value_after_its_last_use(
+        ctx_a12, monkeypatch):
+    from cheralg import parser
+    ev = Evaluator(ctx_a12)
+    shared = parse_expression("M(x1, x2)")
+    held = []
+    for name in ("p_plus", "p_minus"):
+        routine = getattr(parser, name)
+        monkeypatch.setattr(parser, name, lambda ctx, a, routine=routine: (
+            held.append(dict(ev._held)), routine(ctx, a))[1])
+    nodes = [parse_expression(src) for src in
+             ("Pp(M(x1, x2))", "x1 + Pm(M(x1, x2))", "Pp(x1*y1)")]
+    values = ev.eval_elements(nodes)
+    assert [list(h) for h in held] == [[shared], [], []]
+    assert held[0][shared][0] == 1 and ev._held == {}
+    assert values == [Evaluator(ctx_a12).eval_element(n) for n in nodes]
+    nodes[1] = parse_expression("y5 + Pm(M(x1, x2))")
+    with pytest.raises(EvalError, match="index out of range"):
+        ev.eval_elements(nodes)
+    assert ev._held == {}
+
+
+def test_a_projector_of_a_long_sum_evaluates():
+    """No node of the 200,000-deep sum is hashed: a hash recurses in C
+    down the spine, and a crash there would take the interpreter with
+    it, so the call runs in a child process."""
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+    import cheralg
+    code = ("from cheralg.parser import evaluate; "
+            "from cheralg.suites import make_env; "
+            "ctx = make_env('A1@2').ctx; "
+            "print(len(evaluate(ctx, 'Pp(x1' + '+x1'*200000 + ')').terms))")
+    env = {**os.environ,
+           "PYTHONPATH": str(Path(cheralg.__file__).resolve().parents[1])}
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "1"

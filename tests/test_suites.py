@@ -9,7 +9,7 @@ from cheralg.geometry import QuadraticSpace
 from cheralg.groups import from_generators
 from cheralg.scalars import BaseNumber
 from cheralg import suites
-from cheralg.parser import EvalError, Evaluator, evaluate, substitute
+from cheralg.parser import Call, EvalError, Evaluator, evaluate, substitute
 from cheralg.suites import (NEEDS_ORTHONORMAL, NOTHING_TO_CHECK, ORACLE_ROWS,
                             TEMPLATE_ROWS, RunOptions, UnknownSuite, catalog,
                             catalog_ids, make_env, oracle_ids,
@@ -760,3 +760,58 @@ def test_a_perturbed_shared_leaf_image_fails_every_row_reading_it(
     assert len(readers) >= 3
     for r in run_oracle_crosscheck(env_a12):
         assert r.status == ("fail" if r.id in readers else "pass"), r.id
+
+
+def _outcome(evaluate_row):
+    """The values of a row's residuals, or the type and text of what
+    evaluating them raised."""
+    try:
+        return evaluate_row()
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("spec", ["A1@2", "B2@2", "A2@3", "general_gram"])
+def test_batch_residuals_equal_one_instance_at_a_time(
+        spec, env_a12, env_b22, env_a23):
+    env = {"A1@2": env_a12, "B2@2": env_b22, "A2@3": env_a23}.get(spec) \
+        or make_env(from_generators([[[0, 1], [1, 0]]], **GENERAL_GRAM))
+    for row in TEMPLATE_ROWS:
+        alone = _outcome(lambda: [
+            (label, Evaluator(env.ctx).eval_element(node))
+            for label, node in row.instances(env.group)])
+        assert _outcome(lambda: row.residuals(env)) == alone, row.id
+
+
+def test_a_row_projects_each_distinct_argument_once(env_a23, monkeypatch):
+    from cheralg import parser
+    row = suites._ROWS["projector.mult_central"]
+    calls = []
+    project = parser.p_plus
+    monkeypatch.setattr(parser, "p_plus",
+                        lambda ctx, a: calls.append(a) or project(ctx, a))
+    arguments = [node.args[0] for _, inst in row.instances(env_a23.group)
+                 for node in _subnodes(inst)
+                 if isinstance(node, Call) and node.fn == "Pp"]
+    row.residuals(env_a23)
+    assert len(calls) == len(set(arguments)) < len(arguments)
+
+
+def test_a_catalog_pass_shares_the_products_of_each_row(monkeypatch):
+    """One pass over the catalog on a fresh A2@3 env, as the benchmark's
+    catalog workload runs it, took 2,170 products before each row was
+    evaluated as one batch."""
+    from cheralg.core import Context
+    products = 0
+    mul_terms = Context._mul_terms
+
+    def counted(*args, **kwargs):
+        nonlocal products
+        products += 1
+        return mul_terms(*args, **kwargs)
+
+    monkeypatch.setattr(Context, "_mul_terms", counted)
+    env = make_env("A2@3")
+    for cid in catalog_ids():
+        assert run_suite(env, cid)[0].status in ("pass", "skipped"), cid
+    assert products <= 1720
