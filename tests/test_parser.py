@@ -306,17 +306,9 @@ def test_evaluator_takes_each_map_call_once(ctx_a12, monkeypatch):
     assert len(calls) == 1
     assert ev.eval_elements([node]) == [first]
     assert len(calls) == 2
-
-
-def test_eval_element_memoizes_nothing(ctx_a12, monkeypatch):
-    from cheralg import parser
-    calls = []
-    project = parser.p_plus
-    monkeypatch.setattr(parser, "p_plus",
-                        lambda ctx, a: calls.append(a) or project(ctx, a))
-    ev = Evaluator(ctx_a12)
-    ev.eval_element(parse_expression("Pp(M(x1, x2)) - Pp(M(x1, x2))^2/2"))
-    assert len(calls) == 2 and ev._held == {}
+    # one expression at a time, nothing is shared
+    assert ev.eval_element(node) == first
+    assert len(calls) == 4
 
 
 def test_shared_requests_follow_the_evaluation():
