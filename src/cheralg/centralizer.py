@@ -12,7 +12,9 @@ Three layers of elements supercommute with the realized superalgebra:
   * the even combination Omega of squares of one- and two-index elements,
     which is central in the whole supercentralizer.
 
-Single-index elements coincide with the context's reflection-sum elements.
+M, Omega and the top element Otop are text in `parser.DEFINITIONS`; this
+module keeps the route of O, `o_proj`, and the form psi.  Single-index
+elements coincide with the context's reflection-sum elements.
 """
 
 from __future__ import annotations
@@ -20,16 +22,9 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .core import Context, Element, antisymmetrize
-from .geometry import Covector, beta, bilinear_B
+from .geometry import Covector, bilinear_B
 from .osp import p_plus
 from .scalars import SC_ZERO
-
-
-def M(ctx: Context, u: Covector, v: Covector) -> Element:
-    """Angular momentum u beta(v) - v beta(u); commutes with the even
-    subalgebra, and the deformation terms cancel in its normal form."""
-    return (ctx.from_covector(u) * ctx.from_vector(beta(v))
-            - ctx.from_covector(v) * ctx.from_vector(beta(u)))
 
 
 def psi_kappa(ctx: Context, u: Covector, v: Covector) -> Element:
@@ -56,35 +51,3 @@ def o_proj(ctx: Context, covectors) -> Element:
     return ctx.cached(
         ("O", covs),
         lambda: -(p_plus(ctx, antisymmetrize(ctx, covs)) * Fraction(1, 2)))
-
-
-def o_subset(ctx: Context, indices) -> Element:
-    """O of the listed orthonormal-basis covectors in ascending order."""
-    idx = sorted(indices)
-    if not idx:
-        raise ValueError("index subset must be nonempty")
-    if len(set(idx)) != len(idx):
-        raise ValueError("index subset must not repeat")
-    return o_proj(ctx, [ctx.space.basis_covector(p) for p in idx])
-
-
-def o_top(ctx: Context) -> Element:
-    return o_subset(ctx, range(ctx.dim))
-
-
-def central_omega(ctx: Context) -> Element:
-    """(d-2) sum of squares of one-index elements plus the sum of squares
-    of two-index elements; central in the supercentralizer."""
-    def build():
-        d = ctx.dim
-        acc = ctx.zero()
-        if d != 2:
-            for j in range(d):
-                oj = o_subset(ctx, [j])
-                acc = acc + oj * oj * (d - 2)
-        for j in range(d):
-            for k in range(j + 1, d):
-                ojk = o_subset(ctx, [j, k])
-                acc = acc + ojk * ojk
-        return acc
-    return ctx.cached("central_omega", build)

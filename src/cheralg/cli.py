@@ -103,21 +103,30 @@ def _file_entry(v, where: str) -> Fraction:
                      'be integers or "p/q" strings')
 
 
-def _add_common(p, with_run_opts=False):
+def _nonnegative(text: str) -> int:
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(
+            f"must be a nonnegative integer, got {text!r}")
+    return int(text)
+
+
+def _add_common(p, with_kappa=True, with_run_opts=False):
     p.add_argument("--group", default="A1@2",
                    help="group spec: A1@2, A2@3, B2@2, A1@5, A1@6, or "
                         "custom:<file>")
-    p.add_argument("--kappa", default="symbolic",
-                   help="'symbolic' or comma-separated per-class values "
-                        "(p/q or a+bi)")
+    if with_kappa:
+        p.add_argument("--kappa", default="symbolic",
+                       help="'symbolic' or comma-separated per-class values "
+                            "(p/q or a+bi)")
     p.add_argument("--format", choices=("text", "json"), default="text")
     if with_run_opts:
         p.add_argument("--seed", type=int, default=2024,
                        help="seed of the random elements in the health and "
                             "oracle suites")
-        p.add_argument("--max-degree", type=int, default=2,
-                       help="largest xy-degree of those random elements "
-                            "(the oracle's module vectors take at least 3)")
+        p.add_argument("--max-degree", type=_nonnegative, default=2,
+                       help="largest xy-degree of those random elements, "
+                            "at least 0 (the oracle's module vectors take "
+                            "at least 3)")
 
 
 def _kappa_values(args, ctx: Context):
@@ -259,7 +268,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_list_suites)
 
     p = sub.add_parser("info", help="print group and reflection data")
-    _add_common(p)
+    _add_common(p, with_kappa=False)
     p.set_defaults(fn=cmd_info)
     return ap
 

@@ -27,10 +27,12 @@ of bounded degree is the practical contract, and exact zero on every sample
 is required.
 
 `ModuleEvaluator` reads the parser's expression language in the module:
-the engine builds only the leaves (names, scalars, and the O, M, A, R,
-gamma, Of, x, beta, psi, rho and B calls), and every product, power, sum
-and bracket of them becomes composition of operators, so one written
-identity is checked by both the engine and the module.
+the engine builds only the leaves (names, those of `parser.DEFINITIONS`
+too, scalars, and the O, M, A, R, gamma, Of, x, beta, psi, rho and B
+calls), and every product, power, sum and bracket of them becomes
+composition of operators, so one written identity is checked by both the
+engine and the module.  A defined leaf is not composed from its text in
+the module: that cost more cold time and memory than it spared.
 
 Polynomials are sparse dictionaries mapping exponent tuples to Scalars,
 added through ``merged``; a PolySpinor maps (exponent tuple, mask) pairs to

@@ -2,21 +2,20 @@
 
 The five generators arise from supersymmetrized pairings of a three-element
 auxiliary superspace (two even directions, one odd) against the bilinear
-form.  In the distinguished coordinates:
+form; their text, sums over the inverse form, is in `parser.DEFINITIONS`.
+In the orthonormal configuration:
 
     X  = sum_p x_p e_p          (odd raising partner, sqrt2 * F+)
     D  = sum_p y_p e_p          (odd lowering partner, sqrt2 * F-)
     H  = sum_p x_p y_p + d/2 + Omega_kappa
     E+ = (1/2) sum x_p^2        E- = -(1/2) sum y_p^2
 
-with the general-Gram forms used when the Gram matrix is not the identity.
-All defining relations are checked exactly at build time.
-
-The extremal projectors P+/P- and the series projector for the even
-subalgebra act through the adjoint action.  Everything here is phrased in
-the rationalized generators X and D, so symbolic computations stay inside
-the Gaussian-rational subring; the normalized odd generators with their
-sqrt2 scalars are exposed alongside.
+`build_osp` evaluates them, with Fp and Fm, once per context and checks
+every relation of RELATIONS (the text the osp12re.* rows and the oracle
+read) exactly before any is used.  P+ and the series projector act here
+through the adjoint action; P- and the generalized symmetries Q+ and Q-
+are text too.  Everything is phrased in the rationalized generators X and
+D, so symbolic computations stay inside the Gaussian-rational subring.
 """
 
 from __future__ import annotations
@@ -24,8 +23,6 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .core import Context, Element, supercommutator
-from .geometry import Covector, beta
-from .scalars import BN_HALF_SQRT2
 
 XPLUS = "x+"
 XMINUS = "x-"
@@ -44,52 +41,33 @@ def b_form(w: str, z: str):
     return Fraction(0)
 
 
-def omega_form(w: str, z: str):
-    """The even restriction of the form; zero against the odd direction."""
-    if GAMMA in (w, z):
-        return Fraction(0)
-    return b_form(w, z)
+# The generators in the order they are built: each definition may name
+# the ones before it.
+GENERATORS = ("X", "D", "H", "Ep", "Em", "Fp", "Fm")
 
-
-def _slot_element(ctx: Context, p: int, sym: str) -> Element:
-    if sym == XPLUS:
-        return ctx.x(p)
-    if sym == XMINUS:
-        return ctx.from_vector(beta(ctx.space.basis_covector(p)))
-    if sym == GAMMA:
-        return ctx.e(p)
-    raise ValueError(f"unknown auxiliary basis symbol {sym!r}")
-
-
-def pair_element(ctx: Context, w: str, z: str) -> Element:
-    """The supersymmetrized pairing of two auxiliary basis directions
-    ("x+", "x-", "gamma") with B; build_osp keeps the five it takes."""
-    d = ctx.dim
-    acc = ctx.zero()
-    for p, row in enumerate(ctx.space.inv_gram):
-        wp = _slot_element(ctx, p, w)
-        for q, b in row:
-            acc = acc + wp * _slot_element(ctx, q, z) * b
-    bwz = b_form(w, z)
-    if bwz:
-        acc = acc - ctx.scalar_elem(Fraction(bwz * d, 2))
-    owz = omega_form(w, z)
-    if owz:
-        acc = acc - ctx.omega_kappa() * owz
-    return acc
-
-
-def _generator(name: str) -> property:
-    def get(self) -> Element:
-        return Element(self.ctx, self.terms[name], True)
-    return property(get, doc=f"The generator {name}, wrapped on each read.")
+# The defining relations of the realization, in the rationalized
+# generators: the case name, its anchor, and its halves as (label,
+# template) pairs.
+RELATIONS = (
+    ("FpFm", "odd raising against odd lowering closes on H",
+     (("FpFm", "[X, D] - 2*H"),)),
+    ("HFpm", "H grades the odd generators by +-1",
+     (("HFp", "[H, X] - X"), ("HFm", "[H, D] + D"))),
+    ("FpmFpm", "squares of the odd generators give the even ladder",
+     (("FpFp", "X^2 - 2*Ep"), ("FmFm", "D^2 + 2*Em"))),
+    ("EpEm", "the even ladder closes on H", (("EpEm", "[Ep, Em] - H"),)),
+    ("HEpm", "H grades the even ladder by +-2",
+     (("HEp", "[H, Ep] - 2*Ep"), ("HEm", "[H, Em] + 2*Em"))),
+    ("FpmEmp", "even ladder maps odd generators into each other",
+     (("XEm", "[X, Em] - D"), ("DEp", "[D, Ep] - X"))),
+)
 
 
 class OspGenerators:
     """The generators of the realization on one context.  ``terms`` maps
     each generator's name to its term dict, and a generator is wrapped as
-    an Element only when it is read, so `Context.cached` keeps the terms
-    without an Element that points back at the context."""
+    an Element only when it is read (``gens.X``), so `Context.cached` keeps
+    the terms without an Element that points back at the context."""
 
     __slots__ = ("ctx", "terms")
 
@@ -97,14 +75,10 @@ class OspGenerators:
         self.ctx = ctx
         self.terms = terms
 
-    X = _generator("X")
-    D = _generator("D")
-    H = _generator("H")
-    Ep = _generator("Ep")
-    Em = _generator("Em")
-    Fp = _generator("Fp")
-    Fm = _generator("Fm")
-    OmegaKappa = _generator("OmegaKappa")
+    def __getattr__(self, name: str) -> Element:
+        if name not in GENERATORS:
+            raise AttributeError(name)
+        return Element(self.ctx, self.terms[name], True)
 
 
 class RelationError(ArithmeticError):
@@ -118,47 +92,28 @@ def build_osp(ctx: Context) -> OspGenerators:
 
 
 def _checked_osp(ctx: Context) -> OspGenerators:
-    X = pair_element(ctx, XPLUS, GAMMA)
-    D = pair_element(ctx, XMINUS, GAMMA)
-    elems = {
-        "X": X, "D": D, "H": pair_element(ctx, XPLUS, XMINUS),
-        "Ep": pair_element(ctx, XPLUS, XPLUS) * Fraction(1, 2),
-        "Em": -(pair_element(ctx, XMINUS, XMINUS) * Fraction(1, 2)),
-        "Fp": X * BN_HALF_SQRT2, "Fm": D * BN_HALF_SQRT2,
-        "OmegaKappa": ctx.omega_kappa()}
-    gens = OspGenerators(ctx, {name: e.terms for name, e in elems.items()})
-    for name, resid in osp_relation_residuals(gens).items():
-        if not resid.is_zero():
-            raise RelationError(f"defining relation {name} failed: {resid}")
-    return gens
+    """Each generator's definition evaluated with the generators before it
+    bound, then each half of RELATIONS with all of them bound."""
+    from .parser import Evaluator, definition, parsed  # parser imports osp
+    ev = Evaluator(ctx)
+    gens: dict = {}
+    for name in GENERATORS:
+        gens[name] = ev.eval_bound(definition(name, ctx.group), gens)
+    for _, _, halves in RELATIONS:
+        for label, src in halves:
+            resid = ev.eval_bound(parsed(src), gens)
+            if not resid.is_zero():
+                raise RelationError(
+                    f"defining relation {label} failed: {resid}")
+    return OspGenerators(ctx, {name: e.terms for name, e in gens.items()})
 
 
-def osp_relation_residuals(gens: OspGenerators) -> dict:
-    """Residuals of the defining relations with nonzero right-hand side,
-    rationalized by clearing the sqrt2 normalization."""
-    X, D, H, Ep, Em = gens.X, gens.D, gens.H, gens.Ep, gens.Em
-    sc = supercommutator
-    return {
-        "FpFm": sc(X, D) - H * 2,
-        "HFpm": (sc(H, X) - X) + (sc(H, D) + D),
-        "FpmFpm": (sc(X, X) - Ep * 4) + (sc(D, D) + Em * 4),
-        "EpEm": sc(Ep, Em) - H,
-        "HEpm": (sc(H, Ep) - Ep * 2) + (sc(H, Em) + Em * 2),
-        "FpmEmp": (sc(X, Em) - D) + (sc(D, Ep) - X),
-    }
-
-
-# -- extremal projectors --------------------------------------------------------
+# -- projectors ----------------------------------------------------------------
 
 
 def p_plus(ctx: Context, a: Element) -> Element:
     gens = build_osp(ctx)
     return a - supercommutator(gens.D, supercommutator(gens.X, a)) * Fraction(1, 2)
-
-
-def p_minus(ctx: Context, a: Element) -> Element:
-    gens = build_osp(ctx)
-    return a + supercommutator(gens.X, supercommutator(gens.D, a)) * Fraction(1, 2)
 
 
 class NotWeightZero(ValueError):
@@ -197,52 +152,3 @@ def p_alpha(ctx: Context, a: Element, bound: int | None = None) -> Element:
         coef = Fraction((-1) ** k, fact)
         acc = acc + term * coef
     return acc
-
-
-# -- generalized symmetries -----------------------------------------------------
-
-
-def q_plus(ctx: Context, a: Element) -> Element:
-    """(H+1)a - F-[F+, a]; for a annihilated by ad E+ this produces a
-    generalized symmetry of the raising partner: X Q+(a) = -(Q+(a) - a) X."""
-    gens = build_osp(ctx)
-    return ((gens.H + 1) * a
-            - gens.D * supercommutator(gens.X, a) * Fraction(1, 2))
-
-
-def q_minus(ctx: Context, a: Element) -> Element:
-    """(H-1)a - F+[F-, a]; for a annihilated by ad E- this produces a
-    generalized symmetry of the lowering partner: D Q-(a) = -(Q-(a) + a) D."""
-    gens = build_osp(ctx)
-    return ((gens.H - 1) * a
-            - gens.X * supercommutator(gens.D, a) * Fraction(1, 2))
-
-
-def gen_symmetry(ctx: Context, u: Covector) -> Element:
-    """(H - 1) gamma_u - X beta(u), the lowering-side generalized symmetry
-    attached to a covector.  Equals q_minus of the Clifford image of u."""
-    gens = build_osp(ctx)
-    return (gens.H - 1) * ctx.gamma(u) - gens.X * ctx.from_vector(beta(u))
-
-
-# -- Casimir elements -----------------------------------------------------------
-
-
-def scasimir(ctx: Context) -> Element:
-    """The odd-commuting central element: (XD - DX)/2 + 1/2."""
-    def build():
-        gens = build_osp(ctx)
-        X, D = gens.X, gens.D
-        return ((X * D - D * X) * Fraction(1, 2)
-                + ctx.scalar_elem(Fraction(1, 2)))
-    return ctx.cached("scasimir", build)
-
-
-def casimir(ctx: Context) -> Element:
-    """The quadratic Casimir element of the realization."""
-    def build():
-        gens = build_osp(ctx)
-        X, D, H, Ep, Em = gens.X, gens.D, gens.H, gens.Ep, gens.Em
-        ff = (X * D - D * X) * Fraction(1, 2)
-        return H * H + (Ep * Em + Em * Ep) * 2 - ff
-    return ctx.cached("casimir", build)

@@ -37,11 +37,19 @@ u - 2*B(alpha, u)/B(alpha, alpha)*alpha.  The canonical printer of
 elements emits only this grammar, so print-then-parse is the identity on
 values.
 
+DEFINITIONS writes each element of the realization and its
+supercentralizer once in this language: the names X, D, H, Ep, Em, Fp,
+Fm, Casimir, Scasimir, Omega, Otop and the calls M, R, Pm, Qp, Qm.  A name
+is evaluated once per context (the osp names by `osp.build_osp`, which
+checks the relations first); a call binds its placeholders to its
+evaluated arguments for that call only, so Pm(R(x1)) reads.  The atoms
+below the table are the routines O, A, Pp, Palpha, gamma, Of, x, beta,
+psi, rho and B and the names that follow.
+
 Names are read by mode:
 
-    element mode    x*, y*, e*, s*, g*; the osp names X, D, H, Ep, Em, Fp,
-                    Fm, Casimir, Scasimir; the centralizer names Omega,
-                    OmegaKappa, Otop, Gamma; the scalars i, sqrt2, k*
+    element mode    x*, y*, e*, s*, g*; the names of DEFINITIONS; the
+                    atoms OmegaKappa and Gamma; the scalars i, sqrt2, k*
     covector mode   x*, zp*, zm*, z0 (odd dimension), alpha*; the same
                     scalars as coefficients
 
@@ -70,13 +78,15 @@ str and Neg a node; and a Bin's operator symbol is never a Bracket's kind,
 
 from __future__ import annotations
 
+import functools
+import itertools
 from typing import NamedTuple
 
-from .centralizer import M as _M, central_omega, o_proj, o_top, psi_kappa
-from .core import Context, anticommutator, antisymmetrize, supercommutator
-from .geometry import beta, bilinear_B, witt_basis
-from .osp import (build_osp, casimir, gen_symmetry, p_alpha, p_minus, p_plus,
-                  q_minus, q_plus, scasimir)
+from .centralizer import o_proj, psi_kappa
+from .core import (Context, Element, anticommutator, antisymmetrize,
+                   supercommutator)
+from .geometry import Covector, beta, bilinear_B, witt_basis
+from .osp import GENERATORS, build_osp, p_alpha, p_plus
 from .scalars import BN_I, BN_SQRT2, SC_ZERO, Scalar, as_scalar, power
 
 
@@ -286,14 +296,80 @@ def substitute(node, bindings: dict):
     return node
 
 
+@functools.cache
+def parsed(src: str):
+    """The AST of a definition or template, parsed once per text."""
+    return parse_expression(src)
+
+
+def form_sum(left: str, right: str, around: str = "{sum}"):
+    """The text, as a function of the group, of ``around`` with {sum} the
+    sum over p, q of B^pq left(x_p)*right(x_q), where B^pq is the form on
+    vectors, and {d} the dimension."""
+    def template(group):
+        terms = (("" if b == 1 else f"({b})*")
+                 + f"{left}(x{p + 1})*{right}(x{q + 1})"
+                 for p, row in enumerate(group.space.inv_gram)
+                 for q, b in row)
+        return around.format(sum=" + ".join(terms), d=group.dim)
+    return template
+
+
+def _omega(group) -> str:
+    """(d - 2) times the squares of the one-index elements, none at d = 2,
+    plus the squares of the two-index elements."""
+    d = group.dim
+    coords = range(1, d + 1)
+    return " + ".join(
+        [f"({d - 2})*O(x{j})^2" for j in coords if d != 2]
+        + [f"O(x{j}, x{k})^2" for j, k in itertools.combinations(coords, 2)])
+
+
+# Every element of the realization and its supercentralizer, written once:
+# a name, or a call with its placeholders, and its text or a function of
+# the group returning the text.  A covector call binds its covectors to
+# its placeholders, a map its element.
+DEFINITIONS = {
+    "X": form_sum("x", "gamma"),
+    "D": form_sum("beta", "gamma"),
+    "H": form_sum("x", "beta", "{sum} + {d}/2 + OmegaKappa"),
+    "Ep": form_sum("x", "x", "({sum})/2"),
+    "Em": form_sum("beta", "beta", "-({sum})/2"),
+    "Fp": "sqrt2*X/2",
+    "Fm": "sqrt2*D/2",
+    "Casimir": "H^2 + 2*(Ep*Em + Em*Ep) - (X*D - D*X)/2",
+    "Scasimir": "(X*D - D*X)/2 + 1/2",
+    "Omega": _omega,
+    "Otop": lambda group: "O(" + ", ".join(
+        f"x{p}" for p in range(1, group.dim + 1)) + ")",
+    "M(u, v)": "x(u)*beta(v) - x(v)*beta(u)",
+    "R(u)": "(H - 1)*gamma(u) - X*beta(u)",
+    "Pm(a)": "a + [X, [D, a]]/2",
+    "Qp(a)": "(H + 1)*a - D*[X, a]/2",
+    "Qm(a)": "(H - 1)*a - X*[D, a]/2",
+}
+
+# The calls of DEFINITIONS: name -> (placeholders, text).
+_DEFINED_CALLS = {
+    call.fn: (tuple(a.ident for a in call.args), text)
+    for call, text in ((parse_expression(key), text)
+                       for key, text in DEFINITIONS.items() if "(" in key)}
+
+
+def definition(name: str, group):
+    """The parsed text that DEFINITIONS gives the name on the group."""
+    text = DEFINITIONS[name]
+    return parsed(text(group) if callable(text) else text)
+
+
 # The calls that take covectors: name -> (number of covectors, None for
-# any, and the routine).  Each entry reads its routine from this module's
-# globals when called.
+# any, and the routine, or None for a call of DEFINITIONS).  Each routine
+# reads its function from this module's globals when called.
 _COV_CALLS = {
     "O": (None, lambda ctx, *covs: o_proj(ctx, covs)),
-    "M": (2, lambda ctx, u, v: _M(ctx, u, v)),
+    "M": (2, None),
     "A": (None, lambda ctx, *covs: antisymmetrize(ctx, covs)),
-    "R": (1, lambda ctx, u: gen_symmetry(ctx, u)),
+    "R": (1, None),
     "gamma": (1, lambda ctx, u: ctx.gamma(u)),
     "Of": (1, lambda ctx, u: ctx.o_frak(u)),
     "x": (1, lambda ctx, u: ctx.from_covector(u)),
@@ -302,33 +378,19 @@ _COV_CALLS = {
 }
 _COUNTS = {1: "one covector", 2: "two covectors"}
 
-# The element names that take no index, each built from the context.  Each
-# entry reads its builder from this module's globals when called.
-_NAMED_ELEMENTS = {
-    "Casimir": lambda ctx: casimir(ctx),
-    "Scasimir": lambda ctx: scasimir(ctx),
-    "OmegaKappa": lambda ctx: ctx.omega_kappa(),
-    "Omega": lambda ctx: central_omega(ctx),
-    "Otop": lambda ctx: o_top(ctx),
-    "Gamma": lambda ctx: ctx.chirality(),
-    "X": lambda ctx: build_osp(ctx).X,
-    "D": lambda ctx: build_osp(ctx).D,
-    "H": lambda ctx: build_osp(ctx).H,
-    "Ep": lambda ctx: build_osp(ctx).Ep,
-    "Em": lambda ctx: build_osp(ctx).Em,
-    "Fp": lambda ctx: build_osp(ctx).Fp,
-    "Fm": lambda ctx: build_osp(ctx).Fm,
-}
-
-# The projector-style maps, which take one element.  Each entry reads its
-# routine from this module's globals when called.
+# The projector-style maps, which take one element: name -> the routine,
+# or None for a call of DEFINITIONS.  Each routine reads its function from
+# this module's globals when called.
 _MAPS = {
     "Pp": lambda ctx, a: p_plus(ctx, a),
-    "Pm": lambda ctx, a: p_minus(ctx, a),
+    "Pm": None,
     "Palpha": lambda ctx, a: p_alpha(ctx, a),
-    "Qp": lambda ctx, a: q_plus(ctx, a),
-    "Qm": lambda ctx, a: q_minus(ctx, a),
+    "Qp": None,
+    "Qm": None,
 }
+
+# The names built by a Context method, not from text.
+_ATOMS = {"OmegaKappa": Context.omega_kappa, "Gamma": Context.chirality}
 
 
 class Evaluator:
@@ -340,6 +402,8 @@ class Evaluator:
         self.ctx = ctx
         self._witt = None
         self._held: dict = {}       # shared node -> (uses left, value)
+        self._scope: dict = {}      # name -> the Covector or Element
+                                    # bound to it in the text being read
 
     # -- scalar/covector layer ---------------------------------------------
 
@@ -349,6 +413,10 @@ class Evaluator:
         return self._witt
 
     def _cov_atom(self, ident):
+        if self._scope:
+            bound = self._scope.get(ident)
+            if isinstance(bound, Covector):
+                return ("cov", bound)
         ctx = self.ctx
         d = ctx.dim
         if ident.startswith("x") and ident[1:].isdigit():
@@ -500,12 +568,33 @@ class Evaluator:
             return acc
         raise EvalError(f"cannot evaluate node {node!r}")
 
+    def eval_bound(self, node, names: dict):
+        """The normal form of ``node`` with the names of ``names`` bound to
+        their values and no other name bound.  A batch's shared values are
+        set aside meanwhile: they belong to the text that holds the
+        binding."""
+        outer = self._scope, self._held
+        self._scope, self._held = names, {}
+        try:
+            return self._eval(node)
+        finally:
+            self._scope, self._held = outer
+
     def _elem_atom(self, ident):
         ctx = self.ctx
+        if self._scope:
+            bound = self._scope.get(ident)
+            if isinstance(bound, Element):
+                return bound
+        if ident in GENERATORS:
+            return getattr(build_osp(ctx), ident)
+        if ident in DEFINITIONS:
+            return ctx.cached(ident, lambda: self.eval_bound(
+                definition(ident, ctx.group), {}))
+        atom = _ATOMS.get(ident)
+        if atom is not None:
+            return atom(ctx)
         d = ctx.dim
-        named = _NAMED_ELEMENTS.get(ident)
-        if named is not None:
-            return named(ctx)
         for prefix, mk in (("x", ctx.x), ("y", ctx.y), ("e", ctx.e)):
             if ident.startswith(prefix) and ident[1:].isdigit():
                 p = int(ident[1:])
@@ -535,11 +624,6 @@ class Evaluator:
     def _call(self, node):
         ctx = self.ctx
         fn = node.fn
-        if fn in _COV_CALLS:
-            count, routine = _COV_CALLS[fn]
-            if count is not None and len(node.args) != count:
-                raise EvalError(f"{fn} takes exactly {_COUNTS[count]}")
-            return routine(ctx, *(self.eval_covector(a) for a in node.args))
         if fn == "B":
             return ctx.scalar_elem(self._form(node))
         if fn == "rho":
@@ -554,11 +638,23 @@ class Evaluator:
                     raise EvalError(f"reflection index out of range in s{k}")
                 word.append(k - 1)
             return ctx.rho(word)
-        if fn in _MAPS:
+        if fn in _COV_CALLS:
+            count, routine = _COV_CALLS[fn]
+            if count is not None and len(node.args) != count:
+                raise EvalError(f"{fn} takes exactly {_COUNTS[count]}")
+            args = [self.eval_covector(a) for a in node.args]
+        elif fn in _MAPS:
             if len(node.args) != 1:
                 raise EvalError(f"{fn} takes exactly one argument")
-            return _MAPS[fn](ctx, self._eval(node.args[0]))
-        raise EvalError(f"unknown operation {fn!r}")
+            routine = _MAPS[fn]
+            args = [self._eval(node.args[0])]
+        else:
+            raise EvalError(f"unknown operation {fn!r}")
+        if routine is not None:
+            return routine(ctx, *args)
+        # a call of DEFINITIONS: its text, its placeholders bound to args
+        placeholders, text = _DEFINED_CALLS[fn]
+        return self.eval_bound(parsed(text), dict(zip(placeholders, args)))
 
 
 def _left_run(node: Bin):

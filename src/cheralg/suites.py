@@ -15,13 +15,10 @@ the orthonormal-basis corollary of the O_A brackets, the closed formulas
 and recursions of O_A against the projector route, the antisymmetrized
 bracket and slide laws, the Dunkl commutation laws, the structure
 constants and adjoint actions of the auxiliary pairings, and the
-projector and generalized-symmetry laws.  A row holds templates over
-placeholders and the patterns bound to them.  The rest are Python
-builders, for one of these reasons:
-
-  * health.* draws seeded random elements;
-  * pin.chirality and bwz.generator_forms hold for the orthonormal
-    configuration only.
+projector and generalized-symmetry laws, and the chirality and
+coordinate forms of the orthonormal configuration.  A row holds templates
+over placeholders and the patterns bound to them.  The rest, health.*,
+are Python builders: they draw seeded random elements.
 
 The oracle cross-check reads ORACLE_ROWS, 20 rows in the same language,
 some of them catalog rows read at their first binding, twice: with the
@@ -59,8 +56,9 @@ from .core import ROOT_SCALE, Context, random_element, supercommutator
 from .groups import ReflectionGroup, parse_group_spec
 from .oracle import ModuleEvaluator, SpinorModule
 from . import osp
-from .osp import build_osp, b_form, XPLUS, XMINUS, GAMMA, _PARITY
-from .parser import Bin, Evaluator, Num, parse_expression, substitute
+from .osp import RELATIONS, b_form, XPLUS, XMINUS, GAMMA, _PARITY
+from .parser import (Bin, Evaluator, Num, form_sum, parse_expression,
+                     parsed as _parsed, substitute)
 from .scalars import BaseNumber, Scalar, as_base, as_scalar
 
 
@@ -215,13 +213,6 @@ def _fits(text: str, group) -> bool:
 
 
 @functools.cache
-def _parsed(src: str):
-    """The AST of a template, parsed on first use rather than when the
-    catalog is built."""
-    return parse_expression(src)
-
-
-@functools.cache
 def _names_placeholder(src: str, placeholders: str) -> bool:
     """Does the template's text name a placeholder or its hatted form?"""
     words = set(re.findall(r"\w+", src))
@@ -346,19 +337,6 @@ def _slide(n: int, part) -> tuple:
                  for i, (a, b) in enumerate(zip(shapes, shapes[1:])))
 
 
-def _inverse_form_sum(left: str, right: str, rest: str = "OmegaKappa"):
-    """The template sum over p, q of B^pq left(x_p)*right(x_q) minus
-    ``rest``, where B^pq is the form on vectors; {d} in ``rest`` stands for
-    the dimension."""
-    def template(group):
-        terms = (("" if b == 1 else f"({b})*")
-                 + f"{left}(x{p + 1})*{right}(x{q + 1})"
-                 for p, row in enumerate(group.space.inv_gram)
-                 for q, b in row)
-        return " + ".join(terms) + " - " + rest.format(d=group.dim)
-    return template
-
-
 def _additivity(group) -> str:
     b = "s1*e2" if group.dim > 1 and group.reflections else "1"
     return f"Pp(x1*y1 + e1 + {b}) - Pp(x1*y1 + e1) - Pp({b})"
@@ -410,29 +388,13 @@ def _bracket_vanishing(k: int, n: int) -> TemplateRow:
 
 
 _KAPPA_FORM = "(B({0}, {1}) + psi({0}, {1}))"
-
-# The defining relations of the osp realization that build_osp checks:
-# the case name, its anchor, and its halves as (label, template) pairs.
-_RELATIONS = (
-    ("FpFm", "odd raising against odd lowering closes on H",
-     (("FpFm", "[X, D] - 2*H"),)),
-    ("HFpm", "H grades the odd generators by +-1",
-     (("HFp", "[H, X] - X"), ("HFm", "[H, D] + D"))),
-    ("FpmFpm", "squares of the odd generators give the even ladder",
-     (("FpFp", "X^2 - 2*Ep"), ("FmFm", "D^2 + 2*Em"))),
-    ("EpEm", "the even ladder closes on H", (("EpEm", "[Ep, Em] - H"),)),
-    ("HEpm", "H grades the even ladder by +-2",
-     (("HEp", "[H, Ep] - 2*Ep"), ("HEm", "[H, Em] + 2*Em"))),
-    ("FpmEmp", "even ladder maps odd generators into each other",
-     (("XEm", "[X, Em] - D"), ("DEp", "[D, Ep] - X"))),
-)
 _M12 = "M(x1, x2)"
 
 # the rows restating cases that precede, and follow, the other rows in
 # the catalog's order
 _FIRST_ROWS = (
     *(TemplateRow(f"osp12re.{name}", anchor, 1, templates)
-      for name, anchor, templates in _RELATIONS),
+      for name, anchor, templates in RELATIONS),
     TemplateRow(
         "projector.membership",
         "projected even-centralizer samples supercommute with the odd pair", 2,
@@ -500,8 +462,8 @@ _LAST_ROWS = (
     TemplateRow(
         "pin.reflection_sum", "pairing one-index elements against Clifford "
         "generators gives the class-sum element", 1,
-        (("left", _inverse_form_sum("Of", "gamma")),
-         ("right", _inverse_form_sum("gamma", "Of")))),
+        (("left", form_sum("Of", "gamma", "{sum} - OmegaKappa")),
+         ("right", form_sum("gamma", "Of", "{sum} - OmegaKappa")))),
     TemplateRow(
         "pin.commutator_form",
         "one-index elements from the lowering-pair commutator", 1,
@@ -626,7 +588,7 @@ _PAIRING_ROWS = (
         "u", tuple((str(p), f"x{p + 1}") for p in range(3))),
     TemplateRow(
         "bwz.odd_self", "the odd direction pairs with itself to zero", 1,
-        (("gg", _inverse_form_sum("gamma", "gamma", "{d}")),)),
+        (("gg", form_sum("gamma", "gamma", "{sum} - {d}")),)),
     TemplateRow(
         "pin.rho_conj", "conjugation by a covered reflection acts by the "
         "signed geometric action", 1,
@@ -649,6 +611,38 @@ _PAIRING_ROWS = (
         tuple((w + z, f"[{_pair(w, z)}, rho(s)]") for w, z in _PAIRING
               if _PAIRING[w, z] != "0"),
         "s alpha", _reflections(3, covered=True)),
+)
+
+
+def _coordinate_sum(template: str, term: str):
+    """``template`` as a function of the group, with {sum} the sum of
+    ``term`` over the coordinates p = 1, ..., d and {d} the dimension."""
+    return lambda group: template.format(
+        sum=" + ".join(term.format(p=p) for p in range(1, group.dim + 1)),
+        d=group.dim)
+
+
+# The rows stated for the orthonormal configuration only.
+_ORTHONORMAL_ROWS = (
+    TemplateRow(
+        "pin.chirality",
+        "volume element squares to one and (anti)commutes by parity", 1,
+        # one graded anticommutator with every e_p, each kept apart by
+        # its own factor x_p
+        (("square", "Gamma^2 - 1"),
+         ("parity", _coordinate_sum("{{Gamma, {sum}}}", "x{p}*e{p}"))),
+        orthonormal=True),
+    TemplateRow(
+        "bwz.generator_forms",
+        "pairings reduce to the coordinate sums in the orthonormal "
+        "configuration", 1,
+        (("X", _coordinate_sum("X - ({sum})", "x{p}*e{p}")),
+         ("D", _coordinate_sum("D - ({sum})", "y{p}*e{p}")),
+         ("H", _coordinate_sum("H - ({sum} + {d}/2 + OmegaKappa)",
+                               "x{p}*y{p}")),
+         ("Ep", _coordinate_sum("Ep - ({sum})/2", "x{p}^2")),
+         ("Em", _coordinate_sum("Em + ({sum})/2", "y{p}^2"))),
+        orthonormal=True),
 )
 
 _CENTRAL_SAMPLES = (("one", "1"), ("O1", "O(x1)"), ("O12", "O(x1, x2)"),
@@ -881,57 +875,22 @@ TEMPLATE_ROWS = _FIRST_ROWS + (
         _reflections(covered=True)),
 ) + tuple(TemplateRow(f"corollary.{name}", anchor, min_dim, (("main", src),))
           for name, anchor, min_dim, src in _COROLLARY) + _LAST_ROWS \
-    + _PAIRING_ROWS
+    + _PAIRING_ROWS + _ORTHONORMAL_ROWS
 
 
-def _case(cases, cid, anchor, min_dim, orthonormal=False):
+def _case(cases, cid, anchor, min_dim):
     def register(fn):
-        cases.append(IdentityCase(cid, anchor, min_dim, fn, orthonormal))
+        cases.append(IdentityCase(cid, anchor, min_dim, fn))
         return fn
     return register
 
 
 def build_catalog() -> list:
     """The full identity catalog; order fixes the report order within ties."""
-    cases: list = []
     sc = supercommutator
-    for row in TEMPLATE_ROWS:
-        _case(cases, row.id, row.anchor, row.min_dim,
-              row.orthonormal)(row.residuals)
-
-    # ---- the orthonormal configuration only ------------------------------------
-    @_case(cases, "pin.chirality",
-           "volume element squares to one and (anti)commutes by parity", 1,
-           orthonormal=True)
-    def _(env):
-        ctx = env.ctx
-        G = ctx.chirality()
-        out = [("square", G * G - ctx.one())]
-        sgn = (-1) ** (env.dim - 1)
-        for p in range(env.dim):
-            out.append((f"e{p + 1}", G * ctx.e(p) - ctx.e(p) * G * sgn))
-        return out
-
-    @_case(cases, "bwz.generator_forms",
-           "pairings reduce to the coordinate sums in the orthonormal "
-           "configuration", 1, orthonormal=True)
-    def _(env):
-        ctx = env.ctx
-        g = build_osp(ctx)
-        d = env.dim
-        X = ctx.zero()
-        D = ctx.zero()
-        H = ctx.scalar_elem(Fraction(d, 2)) + ctx.omega_kappa()
-        Ep = ctx.zero()
-        Em = ctx.zero()
-        for p in range(d):
-            X = X + ctx.x(p) * ctx.e(p)
-            D = D + ctx.y(p) * ctx.e(p)
-            H = H + ctx.x(p) * ctx.y(p)
-            Ep = Ep + ctx.x(p) * ctx.x(p) * Fraction(1, 2)
-            Em = Em - ctx.y(p) * ctx.y(p) * Fraction(1, 2)
-        return [("X", g.X - X), ("D", g.D - D), ("H", g.H - H),
-                ("Ep", g.Ep - Ep), ("Em", g.Em - Em)]
+    cases: list = [IdentityCase(row.id, row.anchor, row.min_dim,
+                                row.residuals, row.orthonormal)
+                   for row in TEMPLATE_ROWS]
 
     # ---- engine health ---------------------------------------------------------------
     @_case(cases, "health.assoc",
@@ -1179,13 +1138,13 @@ _ROWS = {row.id: row for row in TEMPLATE_ROWS}
 
 ORACLE_ROWS = (
     *((f"osp12re.{halves[0][0]}", _ROWS[f"osp12re.{name}"])
-      for name, _, halves in _RELATIONS),
+      for name, _, halves in RELATIONS),
     _oracle("rc.y1x1", 1, _commutation(1, 1)),
     _oracle("rc.y1x2", 2, _commutation(1, 2)),
     _oracle("l_Buv", 2, "[y1, x2] - [y2, x1]"),
     _oracle("e_Ogamma", 2,
             "[gamma(x1), O(x2)] - [beta(x1), x2] + B(x1, x2)"),
-    _oracle("l_Oug", 1, _inverse_form_sum("O", "gamma")),
+    _oracle("l_Oug", 1, form_sum("O", "gamma", "{sum} - OmegaKappa")),
     ("gensym.x1", _ROWS["gensym.lower_x1"]),
     ("scasimir.square", _ROWS["scasimir.square"]),
     ("centmember.X_O12", _ROWS["centmember.X.n2"]),

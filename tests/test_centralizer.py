@@ -4,8 +4,7 @@ from fractions import Fraction
 import pytest
 
 from cheralg import suites
-from cheralg.centralizer import (M, central_omega, o_proj, o_subset, o_top,
-                                 psi_kappa)
+from cheralg.centralizer import o_proj, psi_kappa
 from cheralg.core import anticommutator as ac, supercommutator as sc
 from cheralg.geometry import beta, bilinear_B
 from cheralg.osp import build_osp
@@ -15,10 +14,9 @@ from cheralg.scalars import Scalar
 
 def test_angular_momentum(ctx_a12):
     ctx = ctx_a12
-    u, v = ctx.space.basis_covector(0), ctx.space.basis_covector(1)
-    m = M(ctx, u, v)
+    m = evaluate(ctx, "M(x1, x2)")
     assert m == ctx.x(0) * ctx.y(1) - ctx.x(1) * ctx.y(0)
-    assert M(ctx, u, u).is_zero()
+    assert evaluate(ctx, "M(x1, x1)").is_zero()
     assert m.kappa_degree() == 0          # deformation terms cancel
     gens = build_osp(ctx)
     for t in (gens.H, gens.Ep, gens.Em):
@@ -66,10 +64,6 @@ def test_index_count_bounds(ctx_a12):
         o_proj(ctx, [])
     with pytest.raises(ValueError):
         o_proj(ctx, [u, u, u])              # three indices in dimension two
-    with pytest.raises(ValueError):
-        o_subset(ctx, [0, 0])
-    with pytest.raises(ValueError):
-        o_subset(ctx, [])
 
 
 def test_route_agreement_nonorthogonal(env_a23):
@@ -90,18 +84,16 @@ def test_membership(ctx_a23):
         assert sc(gens.D, o).is_zero()
 
 
-def test_subset_conventions(ctx_a12):
-    ctx = ctx_a12
-    u, v = ctx.space.basis_covector(0), ctx.space.basis_covector(1)
-    assert o_subset(ctx, [0, 1]) == o_proj(ctx, [u, v])
-    assert o_subset(ctx, [1, 0]) == o_proj(ctx, [u, v])   # ascending order
-    assert o_top(ctx) == o_subset(ctx, [0, 1])
+def test_top_element(ctx_a12, ctx_a23):
+    for ctx in (ctx_a12, ctx_a23):
+        basis = [ctx.space.basis_covector(p) for p in range(ctx.dim)]
+        assert evaluate(ctx, "Otop") == o_proj(ctx, basis)
 
 
 def test_central_omega_d2(ctx_a12):
     ctx = ctx_a12
-    Om = central_omega(ctx)
-    O12 = o_subset(ctx, [0, 1])
+    Om = evaluate(ctx, "Omega")
+    O12 = evaluate(ctx, "O(x1, x2)")
     assert Om == O12 * O12                # the one-index sum has weight d-2=0
     rho = ctx.rho([0])
     assert (Om * rho - rho * Om).is_zero()
@@ -121,7 +113,7 @@ def test_psi_kappa_matches_commutator(ctx_b22):
 def test_square_formula_spot(ctx_a23):
     # the three-index square in terms of lower squares
     ctx = ctx_a23
-    Oi = lambda *idx: o_subset(ctx, idx)
+    Oi = lambda *idx: o_proj(ctx, [ctx.space.basis_covector(p) for p in idx])
     lhs = Oi(0, 1, 2) ** 2
     rhs = (Oi(0) ** 2 + Oi(1) ** 2 + Oi(2) ** 2
            + Oi(0, 1) ** 2 + Oi(0, 2) ** 2 + Oi(1, 2) ** 2
@@ -134,7 +126,7 @@ def test_corrected_triple_product_relation(env_a15):
     # source; the engine-verified form has a minus sign on the first
     # two-index bracket (and the one-index bracket vanishes identically).
     ctx = env_a15.ctx
-    Oi = lambda *idx: o_subset(ctx, idx)
+    Oi = lambda *idx: o_proj(ctx, [ctx.space.basis_covector(p) for p in idx])
     j, k, l, m, n = range(5)
     lhs = ac(Oi(j, k, l), Oi(j, m, n))
     assert ac(Oi(j), Oi(j, k, l, m, n)).is_zero()

@@ -287,3 +287,30 @@ def test_malformed_group_file_is_a_usage_error(capsys, tmp_path, content,
     spec.write_text(json.dumps(content))
     assert main(["info", "--group", f"custom:{spec}"]) == 2
     assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", ["-1", "x"])
+def test_a_negative_max_degree_is_a_usage_error(capsys, monkeypatch, value):
+    # rejected while the arguments are read, before any case runs
+    from cheralg import cli
+    monkeypatch.setattr(cli, "run_suite", lambda *args, **kwargs: 1 / 0)
+    with pytest.raises(SystemExit) as exit_:
+        main(["verify", "--group", "A1@2", "--suite", "health",
+              "--max-degree", value])
+    assert exit_.value.code == 2
+    err = capsys.readouterr().err
+    assert "argument --max-degree: must be a nonnegative integer" in err
+
+
+def test_zero_max_degree_runs(capsys):
+    assert main(["verify", "--group", "A1@2", "--suite", "health",
+                 "--max-degree", "0"]) == 0
+    assert "6 pass" in capsys.readouterr().out
+
+
+def test_info_takes_no_kappa(capsys):
+    # info prints no deformation values, so it has no option for them
+    with pytest.raises(SystemExit) as exit_:
+        main(["info", "--group", "A1@2", "--kappa", "1"])
+    assert exit_.value.code == 2
+    assert "unrecognized arguments: --kappa 1" in capsys.readouterr().err

@@ -334,17 +334,17 @@ def test_a_batch_drops_each_shared_value_after_its_last_use(
     ev = Evaluator(ctx_a12)
     shared = parse_expression("M(x1, x2)")
     held = []
-    for name in ("p_plus", "p_minus"):
+    for name in ("p_plus", "p_alpha"):
         routine = getattr(parser, name)
         monkeypatch.setattr(parser, name, lambda ctx, a, routine=routine: (
             held.append(dict(ev._held)), routine(ctx, a))[1])
     nodes = [parse_expression(src) for src in
-             ("Pp(M(x1, x2))", "x1 + Pm(M(x1, x2))", "Pp(x1*y1)")]
+             ("Pp(M(x1, x2))", "x1 + Palpha(M(x1, x2))", "Pp(x1*y1)")]
     values = ev.eval_elements(nodes)
     assert [list(h) for h in held] == [[shared], [], []]
     assert held[0][shared][0] == 1 and ev._held == {}
     assert values == [Evaluator(ctx_a12).eval_element(n) for n in nodes]
-    nodes[1] = parse_expression("y5 + Pm(M(x1, x2))")
+    nodes[1] = parse_expression("y5 + Palpha(M(x1, x2))")
     with pytest.raises(EvalError, match="index out of range"):
         ev.eval_elements(nodes)
     assert ev._held == {}
@@ -369,3 +369,138 @@ def test_a_projector_of_a_long_sum_evaluates():
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "1"
+
+
+# sha256 of str() of each element of DEFINITIONS, first 16 hex digits,
+# recorded while each was still a Python routine (casimir, central_omega,
+# gen_symmetry, p_minus, ...), so the text gives the same normal forms.
+_DEFINED_SAMPLES = (
+    "X", "D", "H", "Ep", "Em", "Fp", "Fm", "Casimir", "Scasimir", "Omega",
+    "Otop", "M(x1, x2)", "M(x1 + x2, 2*x1 - x2)", "R(x1)", "R(x1 + x2)",
+    "Pm(x1*y1)", "Pm(e1*e2)", "Pm(M(x1, x2))", "Pm(R(x1))", "Qp(1)",
+    "Qp(gamma(x1))", "Qm(gamma(x2))", "Qm(x1*y2)")
+_DEFINED_DIGESTS = {
+    "A1@2": """
+        941d439cddb4e005 8020d75a02c6cb74 8521bc6b389ccd1d 074f790023dd1ae5
+        5d8a20c6a4577e1e d84a2aac48c78ab3 08b27ac10d125822 f641946adec86b85
+        acf3ffc1bbbd18db a8398ad837711bed 809a07521964cd51 e6a1d4f405e4785c
+        20516ebd71b5f16a 13ecfcdec8663bf6 481707369601af75 7b7619010b5e67df
+        6742cb535098451d 0de1abe4138e012b 936d8487f7136f6c 305187d8260d8b5c
+        92ae17921af91646 beaf35c5854201f9 2f21c6191b407f4c
+        """,
+    "B2@2": """
+        941d439cddb4e005 8020d75a02c6cb74 0aa4f2fe486304a9 074f790023dd1ae5
+        5d8a20c6a4577e1e d84a2aac48c78ab3 08b27ac10d125822 147d1b43d9cb9455
+        c151e491c977beab ab30bbd8510f4bab f8b769fb2febd997 e6a1d4f405e4785c
+        20516ebd71b5f16a 437ec1b300d67209 c6e14575e2060ab5 6d9b6c176d34f145
+        716a01f74eb8df35 6ce2486ec2a67d14 e75fb961665299cf 8774348825a808e2
+        efa57f4880f8e349 9ccb4aa26dd73c88 70c2161560bc6542
+        """,
+    "A2@3": """
+        e0028561b4458e54 7eaf5b3f135975d6 65f6b75a1d03502a 8db4c864add10400
+        d1041fe89e142b47 e8109399920b8908 49d4f37c79b4fc97 b6ee4267ca744667
+        25414c3943b6bd4f 04fe94a3701ae51c 5db0242cc7bfc40f e6a1d4f405e4785c
+        20516ebd71b5f16a 3384d3b7e5e94bd7 a19ddcb82c862c0c f10ec2e999dfc9bd
+        0b92583bcb3f0fd5 f878e54bcffa83db 4e97a6aeeaf45c05 bc0a5f0b2b5f74a5
+        6dc0ea48e3986dfe d3a83c1d92ce3d44 65f597987603da57
+        """,
+    "A1@5": """
+        deec6690bf8503fd 5f313c80c10c987d 15fbea0925a500e3 f0148f9f40be35fd
+        5d733880d8decf55 3336237d55bb83e7 0ef4f61a214dcb65 77ced78258e09a64
+        f2f8833e78bf2bd0 0c3d3ff5541a5ed5 ebc3cc7b89a4a41f e6a1d4f405e4785c
+        20516ebd71b5f16a 803a6ff1793247db 78a49cfa47733d3b 7b7619010b5e67df
+        6742cb535098451d 0de1abe4138e012b c048074b96551f78 ea4dd902867c0d8f
+        b68783692f4db38d 125120ca06705d13 0113e131823ed8f7
+        """,
+    "swap": """
+        65727c2e0c08bea8 8020d75a02c6cb74 8521bc6b389ccd1d 5df94c3eb040d3bc
+        34ad3b69bea014e1 a17e830b1ae7d46d 08b27ac10d125822 13f04aca1a8f35d4
+        bb989631cf3e607a 9701e6360cd225c9 e8ee6e7bf5992c0b 53053c311debab3c
+        adeaf4b136b01b20 8f27a1f5a7c6e85b 114750af097e63ae 787678b71dfbcec5
+        fdf684d5ed7346a7 7c0a8ee39f4caa99 387f385bcdcb7022 305187d8260d8b5c
+        92ae17921af91646 b7a64dbaaac5abf6 ee3db5f311bf1b0a
+        """,
+}
+
+
+@pytest.mark.parametrize("spec", sorted(_DEFINED_DIGESTS))
+def test_definitions_keep_the_normal_forms_of_the_routines(spec):
+    import hashlib
+    from cheralg.core import Context
+    from cheralg.groups import parse_group_spec
+    ctx = (_swap_under_general_gram() if spec == "swap"
+           else Context(parse_group_spec(spec)))
+    got = [hashlib.sha256(str(evaluate(ctx, src)).encode()).hexdigest()[:16]
+           for src in _DEFINED_SAMPLES]
+    want = _DEFINED_DIGESTS[spec].split()
+    assert [src for src, g, w in zip(_DEFINED_SAMPLES, got, want)
+            if g != w] == []
+
+
+def test_every_name_and_call_of_the_table_is_sampled():
+    from cheralg.parser import DEFINITIONS
+    assert {key.partition("(")[0] for key in DEFINITIONS} \
+        == {src.partition("(")[0] for src in _DEFINED_SAMPLES}
+
+
+def test_the_call_tables_name_each_defined_call():
+    """A call of DEFINITIONS stands in the covector calls with its number
+    of placeholders, or in the maps with one, as None; and every None
+    there has its text."""
+    from cheralg.parser import _COV_CALLS, _DEFINED_CALLS, _MAPS
+    for fn, (placeholders, _) in _DEFINED_CALLS.items():
+        if fn in _COV_CALLS:
+            assert _COV_CALLS[fn] == (len(placeholders), None), fn
+        else:
+            assert _MAPS[fn] is None and len(placeholders) == 1, fn
+    assert {fn for fn, (_, routine) in _COV_CALLS.items() if routine is None} \
+        | {fn for fn, routine in _MAPS.items() if routine is None} \
+        == set(_DEFINED_CALLS)
+
+
+def test_a_defined_call_evaluates_each_argument_once(ctx_a12, monkeypatch):
+    from cheralg import parser
+    projected = []
+    forms = []
+    project, form = parser.p_plus, parser.bilinear_B
+    monkeypatch.setattr(parser, "p_plus", lambda ctx, a: (
+        projected.append(a), project(ctx, a))[1])
+    monkeypatch.setattr(parser, "bilinear_B", lambda u, v: (
+        forms.append(u), form(u, v))[1])
+    # the placeholder a appears twice in the text of Pm, u twice in M's
+    value = evaluate(ctx_a12, "Pm(Pp(x1*y1))")
+    assert len(projected) == 1
+    assert value == evaluate(ctx_a12, "Pp(x1*y1) + [X, [D, Pp(x1*y1)]]/2")
+    value = evaluate(ctx_a12, "M(B(x1, x1)*x1 + x2, x2)")
+    assert len(forms) == 1
+    assert value == evaluate(ctx_a12, "M(x1 + x2, x2)")
+
+
+def test_a_call_binds_its_placeholders_for_itself_only(ctx_a12):
+    from cheralg.parser import parsed
+    ev = Evaluator(ctx_a12)
+    inner = evaluate(ctx_a12, "Qm(gamma(x1))")
+    # both maps bind a: the inner binding ends with the inner call
+    assert evaluate(ctx_a12, "Pm(Qm(gamma(x1)))") \
+        == ev.eval_bound(parsed("a + [X, [D, a]]/2"), {"a": inner})
+    assert evaluate(ctx_a12, "Pm(R(x1))") \
+        == evaluate(ctx_a12, "R(x1) + [X, [D, R(x1)]]/2")
+    for bad in ("M(x1, x2)*u", "Pm(x1) + a", "M", "Pm", "R(u)"):
+        with pytest.raises(EvalError, match="unknown identifier|not a cov"):
+            evaluate(ctx_a12, bad)
+    assert ev._scope == {}
+
+
+def test_a_named_element_is_evaluated_once_per_context(monkeypatch):
+    from cheralg.core import Context
+    from cheralg.groups import parse_group_spec
+    products = []
+    mul_terms = Context._mul_terms
+    monkeypatch.setattr(Context, "_mul_terms", lambda *args: (
+        products.append(1), mul_terms(*args))[1])
+    ctx = Context(parse_group_spec("B2@2"))
+    for name in ("Casimir", "Scasimir", "Omega", "Otop", "H", "Fp"):
+        first = evaluate(ctx, name)
+        taken = len(products)
+        assert evaluate(ctx, name).terms is first.terms, name
+        assert len(products) == taken, name

@@ -556,13 +556,11 @@ MOVED_IDS = {
     *_OSP_LABELS,
 }
 
-# The cases that stay Python builders, each for a reason the suites module
+# The cases that stay Python builders, for the reason the suites module
 # docstring gives; every other catalog case is a TemplateRow.
 BUILDER_IDS = [
-    "bwz.generator_forms",
     "health.assoc", "health.idempotent", "health.jacobi",
     "health.roundtrip", "health.skew", "health.substitution",
-    "pin.chirality",
 ]
 
 
@@ -644,8 +642,14 @@ def test_a_broken_relation_fails_with_a_witness(env_a12, monkeypatch):
     # the relation rows read H through the language, so a wrong H shows as
     # a failed case where build_osp's own check would only have raised
     from cheralg import parser
-    monkeypatch.setitem(parser._NAMED_ELEMENTS, "H",
-                        lambda ctx: parser.build_osp(ctx).H + 1)
+    from cheralg.osp import OspGenerators
+    build = parser.build_osp
+
+    def wrong_h(ctx):
+        gens = build(ctx)
+        return OspGenerators(ctx, {**gens.terms, "H": (gens.H + 1).terms})
+
+    monkeypatch.setattr(parser, "build_osp", wrong_h)
     for cid in ("osp12re.FpFm", "osp12re.EpEm"):
         rep, = run_suite(env_a12, cid)
         assert rep.status == "fail" and rep.witness, cid
