@@ -9,8 +9,9 @@ Three layers of elements supercommute with the realized superalgebra:
     to the quantized wedge; the closed formulas of the paper are catalog
     rows (routes.*, recursion.*) that check them against this route, the
     strongest single test of the whole stack;
-  * the even combination Omega of squares of one- and two-index elements,
-    which is central in the whole supercentralizer.
+  * the even quadratic form Omega in the one- and two-index elements,
+    weighted by the inverse form B^pq, which is central in the whole
+    supercentralizer.
 
 M, Omega and the top element Otop are text in `parser.DEFINITIONS`; this
 module keeps the route of O, `o_proj`, and the form psi.  Single-index

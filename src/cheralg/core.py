@@ -84,7 +84,7 @@ from typing import NamedTuple
 
 from .geometry import Covector, QuadraticSpace, Vector
 from .groups import Reflection, ReflectionGroup
-from .scalars import (BN_HALF_SQRT2, BN_I, BN_ONE, BN_ZERO, BaseNumber,
+from .scalars import (BN_HALF_SQRT2, BN_ONE, BN_ZERO, BaseNumber,
                       Combination, SC_ONE, SC_ZERO, Scalar, _key_mul, _scalar,
                       as_scalar, int_if_integral, power, render_coefficient,
                       render_powers)
@@ -282,16 +282,6 @@ class Context:
             # a single factor is already in normal form: s then gamma_root
             acc = factor if acc is None else acc * factor
         return self.one() if acc is None else acc
-
-    def chirality(self) -> "Element":
-        """The volume element of the Clifford factor, normalised to square
-        to one: i^(d(d-1)/2) e_1 ... e_d."""
-        d = self.dim
-        k = (d * (d - 1) // 2) % 4
-        unit = (BN_ONE, BN_I, -BN_ONE, -BN_I)[k]
-        return Element(self, {
-            Monomial(0, 0, 0, (1 << d) - 1):
-            as_scalar(unit)})
 
     # -- rewrite fragments -----------------------------------------------------
 

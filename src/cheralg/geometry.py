@@ -29,16 +29,22 @@ VECTOR = "V"
 
 def row_reduce(rows):
     """Reduced row echelon form by Gauss-Jordan elimination: the reduced
-    rows and the pivot column of each nonzero row.  The entries may be
-    Fractions or BaseNumbers; they stay in the entries' ring."""
+    rows, the pivot column of each nonzero row, and the product of the
+    pivots divided out, negated at each row swap (the determinant of an
+    invertible square matrix).  The entries may be Fractions or
+    BaseNumbers; they stay in the entries' ring."""
     rows = [list(row) for row in rows]
     pivots = []
+    det = 1
     for col in range(len(rows[0]) if rows else 0):
         r = len(pivots)
         piv = next((k for k in range(r, len(rows)) if rows[k][col] != 0), None)
         if piv is None:
             continue
+        if piv != r:
+            det = -det
         rows[r], rows[piv] = rows[piv], rows[r]
+        det = rows[r][col] * det
         inv = 1 / rows[r][col]
         rows[r] = [v * inv for v in rows[r]]
         for k in range(len(rows)):
@@ -46,20 +52,21 @@ def row_reduce(rows):
                 f = rows[k][col]
                 rows[k] = [vk - f * vc for vk, vc in zip(rows[k], rows[r])]
         pivots.append(col)
-    return rows, pivots
+    return rows, pivots, det
 
 
 def invert_matrix(rows):
-    """Exact inverse of a square matrix, in the entries' ring."""
+    """Exact inverse and determinant of a square matrix, in the entries'
+    ring, from one elimination."""
     n = len(rows)
     zero = rows[0][0] * 0
     one = zero + 1
-    aug, pivots = row_reduce(
+    aug, pivots, det = row_reduce(
         list(rows[i]) + [one if i == j else zero for j in range(n)]
         for i in range(n))
     if pivots[:n] != list(range(n)):
         raise ValueError("matrix is singular")
-    return tuple(tuple(row[n:]) for row in aug)
+    return tuple(tuple(row[n:]) for row in aug), det
 
 
 def _sparse(rows) -> tuple:
@@ -90,7 +97,7 @@ class QuadraticSpace:
                     if rows[i][j] != rows[j][i]:
                         raise ValueError("Gram matrix must be symmetric")
             self.gram = _sparse(rows)
-            self.inv_gram = _sparse(invert_matrix(rows))
+            self.inv_gram = _sparse(invert_matrix(rows)[0])
         self.is_identity = self.gram == identity
 
     def covector(self, coords) -> "Covector":

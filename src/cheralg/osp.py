@@ -3,12 +3,13 @@
 The five generators arise from supersymmetrized pairings of a three-element
 auxiliary superspace (two even directions, one odd) against the bilinear
 form; their text, sums over the inverse form, is in `parser.DEFINITIONS`.
-In the orthonormal configuration:
+In coordinates, with B_pq = B(x_p, x_q), B^pq its inverse and e_q the
+Clifford image of x_q (the bwz.generator_forms rows):
 
-    X  = sum_p x_p e_p          (odd raising partner, sqrt2 * F+)
-    D  = sum_p y_p e_p          (odd lowering partner, sqrt2 * F-)
+    X  = sum_pq B^pq x_p e_q              (odd raising partner, sqrt2 * F+)
+    D  = sum_p y_p e_p                    (odd lowering partner, sqrt2 * F-)
     H  = sum_p x_p y_p + d/2 + Omega_kappa
-    E+ = (1/2) sum x_p^2        E- = -(1/2) sum y_p^2
+    E+ = (1/2) sum_pq B^pq x_p x_q        E- = -(1/2) sum_pq B_pq y_p y_q
 
 `build_osp` evaluates them, with Fp and Fm, once per context and checks
 every relation of RELATIONS (the text the osp12re.* rows and the oracle

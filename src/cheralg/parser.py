@@ -39,17 +39,19 @@ values.
 
 DEFINITIONS writes each element of the realization and its
 supercentralizer once in this language: the names X, D, H, Ep, Em, Fp,
-Fm, Casimir, Scasimir, Omega, Otop and the calls M, R, Pm, Qp, Qm.  A name
-is evaluated once per context (the osp names by `osp.build_osp`, which
-checks the relations first); a call binds its placeholders to its
-evaluated arguments for that call only, so Pm(R(x1)) reads.  The atoms
-below the table are the routines O, A, Pp, Palpha, gamma, Of, x, beta,
-psi, rho and B and the names that follow.
+Fm, Casimir, Scasimir, Omega, Otop, Gamma and the calls M, R, Pm, Qp,
+Qm.  Each holds for every Gram matrix: a sum over coordinates is weighted
+by the form (`forms.form_sum`, `forms.omega`).  A name is evaluated
+once per context (the osp names by `osp.build_osp`, which checks the
+relations first); a call binds its placeholders to its evaluated
+arguments for that call only, so Pm(R(x1)) reads.  The atoms below the
+table are the routines O, A, Pp, Palpha, gamma, Of, x, beta, psi, rho and
+B and the name OmegaKappa.
 
 Names are read by mode:
 
     element mode    x*, y*, e*, s*, g*; the names of DEFINITIONS; the
-                    atoms OmegaKappa and Gamma; the scalars i, sqrt2, k*
+                    atom OmegaKappa; the scalars i, sqrt2, k*
     covector mode   x*, zp*, zm*, z0 (odd dimension), alpha*; the same
                     scalars as coefficients
 
@@ -79,12 +81,12 @@ str and Neg a node; and a Bin's operator symbol is never a Bracket's kind,
 from __future__ import annotations
 
 import functools
-import itertools
 from typing import NamedTuple
 
 from .centralizer import o_proj, psi_kappa
 from .core import (Context, Element, anticommutator, antisymmetrize,
                    supercommutator)
+from .forms import form_sum, omega
 from .geometry import Covector, beta, bilinear_B, witt_basis
 from .osp import GENERATORS, build_osp, p_alpha, p_plus
 from .scalars import BN_I, BN_SQRT2, SC_ZERO, Scalar, as_scalar, power
@@ -302,27 +304,12 @@ def parsed(src: str):
     return parse_expression(src)
 
 
-def form_sum(left: str, right: str, around: str = "{sum}"):
-    """The text, as a function of the group, of ``around`` with {sum} the
-    sum over p, q of B^pq left(x_p)*right(x_q), where B^pq is the form on
-    vectors, and {d} the dimension."""
-    def template(group):
-        terms = (("" if b == 1 else f"({b})*")
-                 + f"{left}(x{p + 1})*{right}(x{q + 1})"
-                 for p, row in enumerate(group.space.inv_gram)
-                 for q, b in row)
-        return around.format(sum=" + ".join(terms), d=group.dim)
-    return template
-
-
-def _omega(group) -> str:
-    """(d - 2) times the squares of the one-index elements, none at d = 2,
-    plus the squares of the two-index elements."""
+def _chirality(group) -> str:
+    """The volume element, normalised by i^(d(d - 1)/2) to square to
+    det B."""
     d = group.dim
-    coords = range(1, d + 1)
-    return " + ".join(
-        [f"({d - 2})*O(x{j})^2" for j in coords if d != 2]
-        + [f"O(x{j}, x{k})^2" for j, k in itertools.combinations(coords, 2)])
+    unit = ("", "i*", "-", "-i*")[d * (d - 1) // 2 % 4]
+    return f"{unit}A({', '.join(f'x{p}' for p in range(1, d + 1))})"
 
 
 # Every element of the realization and its supercentralizer, written once:
@@ -330,18 +317,19 @@ def _omega(group) -> str:
 # the group returning the text.  A covector call binds its covectors to
 # its placeholders, a map its element.
 DEFINITIONS = {
-    "X": form_sum("x", "gamma"),
-    "D": form_sum("beta", "gamma"),
-    "H": form_sum("x", "beta", "{sum} + {d}/2 + OmegaKappa"),
-    "Ep": form_sum("x", "x", "({sum})/2"),
-    "Em": form_sum("beta", "beta", "-({sum})/2"),
+    "X": form_sum("x(x{p})*gamma(x{q})"),
+    "D": form_sum("beta(x{p})*gamma(x{q})"),
+    "H": form_sum("x(x{p})*beta(x{q})", "{sum} + {d}/2 + OmegaKappa"),
+    "Ep": form_sum("x(x{p})*x(x{q})", "({sum})/2"),
+    "Em": form_sum("beta(x{p})*beta(x{q})", "-({sum})/2"),
     "Fp": "sqrt2*X/2",
     "Fm": "sqrt2*D/2",
     "Casimir": "H^2 + 2*(Ep*Em + Em*Ep) - (X*D - D*X)/2",
     "Scasimir": "(X*D - D*X)/2 + 1/2",
-    "Omega": _omega,
+    "Omega": omega,
     "Otop": lambda group: "O(" + ", ".join(
         f"x{p}" for p in range(1, group.dim + 1)) + ")",
+    "Gamma": _chirality,
     "M(u, v)": "x(u)*beta(v) - x(v)*beta(u)",
     "R(u)": "(H - 1)*gamma(u) - X*beta(u)",
     "Pm(a)": "a + [X, [D, a]]/2",
@@ -390,7 +378,7 @@ _MAPS = {
 }
 
 # The names built by a Context method, not from text.
-_ATOMS = {"OmegaKappa": Context.omega_kappa, "Gamma": Context.chirality}
+_ATOMS = {"OmegaKappa": Context.omega_kappa}
 
 
 class Evaluator:

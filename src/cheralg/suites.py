@@ -10,15 +10,21 @@ Identities that the expression language of parser.py can state are rows
 of TEMPLATE_ROWS: the defining relations of the osp realization,
 membership and centrality of the elements O_A over index subsets A, the
 covered reflections rho(s) over the reflections and their conjugation
-action, the Scasimir identities, the pair- and triple-bracket formulas,
-the orthonormal-basis corollary of the O_A brackets, the closed formulas
-and recursions of O_A against the projector route, the antisymmetrized
+action, the Scasimir identities, the pair- and triple-bracket formulas
+and their corollaries on index patterns, the closed formulas and
+recursions of O_A against the projector route, the antisymmetrized
 bracket and slide laws, the Dunkl commutation laws, the structure
-constants and adjoint actions of the auxiliary pairings, and the
-projector and generalized-symmetry laws, and the chirality and
-coordinate forms of the orthonormal configuration.  A row holds templates
-over placeholders and the patterns bound to them.  The rest, health.*,
-are Python builders: they draw seeded random elements.
+constants and adjoint actions of the auxiliary pairings, the projector
+and generalized-symmetry laws, and the chirality and coordinate forms of
+the generators.  A row holds templates over placeholders and the patterns
+bound to them.  The rest, health.*, are Python builders: they draw seeded
+random elements.
+
+Every row holds for every Gram matrix B.  A row written on coordinates
+takes its weights from the Gram rows when its text is written, through
+the writers of forms.py, which leave a zero weight's term out, so under
+the identity Gram it reads as the orthonormal statement and costs what
+that does.
 
 The oracle cross-check reads ORACLE_ROWS, 20 rows in the same language,
 some of them catalog rows read at their first binding, twice: with the
@@ -30,11 +36,11 @@ is counted differs (one term on failure, witnessed by the check's name).
 One routine, `_report`, runs every case.  The first dotted component of
 an id names its suite; `run_suite` selects catalog cases and oracle checks
 by one prefix rule (a suite, a case id, an id prefix such as
-oracle.osp12re, or "all").  Cases whose dimension prerequisite fails,
-cases stated for the orthonormal configuration when the Gram matrix is not
-the identity, and cases with nothing to check on the group (a row whose
-every pattern names a reflection the group lacks, or one whose root
-Context.rho cannot normalise) are reported as skipped with the reason.
+oracle.osp12re, or "all").  Cases whose dimension prerequisite fails and
+cases with nothing to check on the group (a row whose every pattern names
+a reflection the group lacks, or one whose root Context.rho cannot
+normalise, or an index subset whose Gram matrix is singular) are reported
+as skipped with the reason.
 Reports are ordered by id regardless of execution order, and their
 content is deterministic (the elapsed-time field aside) for fixed inputs
 including the seed.
@@ -53,11 +59,13 @@ from fractions import Fraction
 from typing import Callable, NamedTuple, Optional
 
 from .core import ROOT_SCALE, Context, random_element, supercommutator
+from .forms import (bracket, brackets, form_sum, gamma_square,
+                    subset_squares)
 from .groups import ReflectionGroup, parse_group_spec
 from .oracle import ModuleEvaluator, SpinorModule
 from . import osp
 from .osp import RELATIONS, b_form, XPLUS, XMINUS, GAMMA, _PARITY
-from .parser import (Bin, Evaluator, Num, form_sum, parse_expression,
+from .parser import (Bin, Evaluator, Num, parse_expression,
                      parsed as _parsed, substitute)
 from .scalars import BaseNumber, Scalar, as_base, as_scalar
 
@@ -79,7 +87,6 @@ ORACLE_SAMPLES = 20
 ORACLE_PRODUCTS = 50
 
 
-NEEDS_ORTHONORMAL = "needs the orthonormal configuration"
 NOTHING_TO_CHECK = "nothing to check on this group"
 
 
@@ -88,7 +95,6 @@ class IdentityCase(NamedTuple):
     anchor: str
     min_dim: int
     builder: Callable
-    orthonormal: bool = False        # stated for the identity Gram only
     oracle: bool = False             # an engine/module check: the builder
                                      # returns (label, holds) pairs
 
@@ -134,23 +140,22 @@ class TemplateRow(NamedTuple):
     The placeholders are bound, in order, to the comma-separated names of
     each pattern; without patterns they are bound to x1, x2, ... as far as
     the dimension goes.  The patterns may also be a function of the group
-    (`_subsets`, `_reflections`), and a template a function of the group
-    that returns its text.  A pattern or template that names a coordinate
+    (`_subsets`, `_reflections`), and so may the templates, or a template
+    alone, returning its text.  A pattern or template that names a coordinate
     past the dimension or a reflection the group does not have, or covers
     as rho(sk) a reflection Context.rho cannot, is left out.  Once a and b
     are bound, a placeholder with h appended (uh, vh, ...) stands for the
     hatted covector a*B(b, u) - b*B(a, u).  Residuals are labelled by
-    pattern and sub-label.  An ``orthonormal`` row is stated for the
-    identity Gram only, as the IdentityCase field of that name.
+    pattern and sub-label.
     """
     id: str
     anchor: str
     min_dim: int
-    templates: tuple                 # (sub-label, template) pairs
+    templates: object                # (sub-label, template) pairs, or a
+                                     # function of the group returning them
     placeholders: str = "a b c u v w"
     patterns: object = ()            # (label, names) pairs, or a function
                                      # of the group returning them
-    orthonormal: bool = False
 
     def residuals(self, env: SuiteEnv) -> list:
         """(label, residual) of every instance, evaluated as one batch, so
@@ -165,13 +170,19 @@ class TemplateRow(NamedTuple):
         """(label, AST) of every template at every binding that fits; a
         template that names no placeholder is its cached parse."""
         sources = [(slabel, src(group) if callable(src) else src)
-                   for slabel, src in self.templates]
+                   for slabel, src in self.template_list(group)]
         return [(".".join(filter(None, (plabel, slabel))),
                  substitute(_parsed(src), binding)
                  if _names_placeholder(src, self.placeholders)
                  else _parsed(src))
                 for plabel, binding in self._bindings(group)
                 for slabel, src in sources if _fits(src, group)]
+
+    def template_list(self, group) -> tuple:
+        """The (sub-label, template) pairs of the row on the group."""
+        if callable(self.templates):
+            return self.templates(group)
+        return self.templates
 
     def pattern_list(self, group) -> tuple:
         """The (label, names) patterns of the row on the group."""
@@ -252,18 +263,6 @@ _NAMES = "a b c u v w".split()
 def _o(n: int) -> str:
     """O of the first n subset placeholders."""
     return f"O({', '.join(_NAMES[:n])})"
-
-
-def _square(n: int) -> str:
-    """O_A^2 against the squares of the one- and two-index elements of A,
-    |A| = n."""
-    names = _NAMES[:n]
-    singles = " + ".join(f"O({a})^2" for a in names)
-    pairs = " + ".join(f"O({a}, {b})^2"
-                       for a, b in itertools.combinations(names, 2)) or "0"
-    return (f"{_o(n)}*{_o(n)} - ({(-1) ** (n * (n - 1) // 2)})*("
-            f"{Fraction((n - 1) * (n - 2), 8)} - ({n - 2})*({singles})"
-            f" - ({pairs}))")
 
 
 def _antisym(*factors) -> str:
@@ -462,8 +461,8 @@ _LAST_ROWS = (
     TemplateRow(
         "pin.reflection_sum", "pairing one-index elements against Clifford "
         "generators gives the class-sum element", 1,
-        (("left", form_sum("Of", "gamma", "{sum} - OmegaKappa")),
-         ("right", form_sum("gamma", "Of", "{sum} - OmegaKappa")))),
+        (("left", form_sum("Of(x{p})*gamma(x{q})", "{sum} - OmegaKappa")),
+         ("right", form_sum("gamma(x{p})*Of(x{q})", "{sum} - OmegaKappa")))),
     TemplateRow(
         "pin.commutator_form",
         "one-index elements from the lowering-pair commutator", 1,
@@ -588,7 +587,7 @@ _PAIRING_ROWS = (
         "u", tuple((str(p), f"x{p + 1}") for p in range(3))),
     TemplateRow(
         "bwz.odd_self", "the odd direction pairs with itself to zero", 1,
-        (("gg", form_sum("gamma", "gamma", "{sum} - {d}")),)),
+        (("gg", form_sum("gamma(x{p})*gamma(x{q})", "{sum} - {d}")),)),
     TemplateRow(
         "pin.rho_conj", "conjugation by a covered reflection acts by the "
         "signed geometric action", 1,
@@ -614,35 +613,21 @@ _PAIRING_ROWS = (
 )
 
 
-def _coordinate_sum(template: str, term: str):
-    """``template`` as a function of the group, with {sum} the sum of
-    ``term`` over the coordinates p = 1, ..., d and {d} the dimension."""
-    return lambda group: template.format(
-        sum=" + ".join(term.format(p=p) for p in range(1, group.dim + 1)),
-        d=group.dim)
-
-
-# The rows stated for the orthonormal configuration only.
-_ORTHONORMAL_ROWS = (
+_COORDINATE_ROWS = (
     TemplateRow(
         "pin.chirality",
         "volume element squares to one and (anti)commutes by parity", 1,
-        # one graded anticommutator with every e_p, each kept apart by
-        # its own factor x_p
-        (("square", "Gamma^2 - 1"),
-         ("parity", _coordinate_sum("{{Gamma, {sum}}}", "x{p}*e{p}"))),
-        orthonormal=True),
+        (("square", gamma_square), ("parity", "{Gamma, X}"))),
     TemplateRow(
         "bwz.generator_forms",
         "pairings reduce to the coordinate sums in the orthonormal "
         "configuration", 1,
-        (("X", _coordinate_sum("X - ({sum})", "x{p}*e{p}")),
-         ("D", _coordinate_sum("D - ({sum})", "y{p}*e{p}")),
-         ("H", _coordinate_sum("H - ({sum} + {d}/2 + OmegaKappa)",
-                               "x{p}*y{p}")),
-         ("Ep", _coordinate_sum("Ep - ({sum})/2", "x{p}^2")),
-         ("Em", _coordinate_sum("Em + ({sum})/2", "y{p}^2"))),
-        orthonormal=True),
+        (("X", form_sum("x{p}*e{q}", "X - ({sum})")),
+         ("D", form_sum("y{p}*e{q}", "D - ({sum})", "delta")),
+         ("H", form_sum("x{p}*y{q}", "H - ({sum} + {d}/2 + OmegaKappa)",
+                        "delta")),
+         ("Ep", form_sum("x{p}*x{q}", "Ep - ({sum})/2")),
+         ("Em", form_sum("y{p}*y{q}", "Em + ({sum})/2", "gram")))),
 )
 
 _CENTRAL_SAMPLES = (("one", "1"), ("O1", "O(x1)"), ("O12", "O(x1, x2)"),
@@ -652,48 +637,37 @@ _FACTOR = "(e1 + x1*y2)"
 
 _GENSYM_PATTERNS = (("x1", "x1"), ("x2", "x2"), ("x1+x2", "x1 + x2"))
 
-_PAIR_PATTERNS = (_ix((0, 1), (0, 1)), _ix((0, 1), (0, 2)),
-                  _ix((0, 2), (1, 2)), _ix((0, 1), (2, 3)))
+_PAIR_INDICES = (((0, 1), (0, 1)), ((0, 1), (0, 2)), ((0, 2), (1, 2)),
+                 ((0, 1), (2, 3)))
+_PAIR_PATTERNS = tuple(_ix(*pair) for pair in _PAIR_INDICES)
 
 _COROLLARY = (
     ("OijOki", "pair bracket with one repeated index", 3,
-     "[O(a, b), -O(a, c)] - (O(b, c) + {O(b), O(c)} + [O(a, b, c), O(a)])"),
+     bracket((0, 1), (0, 2))),
     ("OijOkl_half", "disjoint pair bracket, halved four-term form", 4,
-     "[O(a, b), O(c, u)] - ([O(a), O(b, c, u)] - [O(b), O(a, c, u)]"
-     " - [O(a, b, u), O(c)] + [O(a, b, c), O(u)])/2"),
+     bracket((0, 1), (2, 3), half=True)),
     ("OijOkl", "disjoint pair bracket, two-term form", 4,
-     "[O(a, b), O(c, u)] - ([O(a), O(b, c, u)] - [O(b), O(a, c, u)])"),
+     bracket((0, 1), (2, 3))),
     ("OjkOlmn", "pair against disjoint triple", 5,
-     "[O(a, b), O(c, u, v)] - ([O(a), O(b, c, u, v)]"
-     " - [O(b), O(a, c, u, v)])"),
+     bracket((0, 1), (2, 3, 4))),
     ("OjkOjlm", "pair against triple sharing one index", 4,
-     "[O(a, b), O(a, c, u)] - (-O(b, c, u) - {O(b), O(c, u)}"
-     " - [O(a), O(a, b, c, u)])"),
+     bracket((0, 1), (0, 2, 3))),
     ("OjkOjkl", "pair against triple sharing both indices", 3,
-     "[O(a, b), O(a, b, c)] - (-{O(a), O(a, c)} - {O(b), O(b, c)})"),
-    ("e24", "square of a triple element", 3,
-     "[O(a, b, c), O(a, b, c)] - (2*(O(a)^2 + O(b)^2 + O(c)^2"
-     " + O(a, b)^2 + O(a, c)^2 + O(b, c)^2) - 1/2)"),
+     bracket((0, 1), (0, 1, 2))),
     ("e25", "triples sharing two indices", 4,
-     "[O(a, b, c), O(a, b, u)] - ([O(c), O(u)] + {O(a, c), O(a, u)}"
-     " + {O(b, c), O(b, u)})"),
+     bracket((0, 1, 2), (0, 1, 3))),
     ("e26", "triples sharing one index", 5,
-     "[O(a, b, c), O(a, u, v)] - (O(b, c, u, v) + {O(b, c), O(u, v)}"
-     " + [O(a), O(a, b, c, u, v)])"),
+     bracket((0, 1, 2), (0, 3, 4))),
     ("e27", "disjoint triples", 6,
-     "[O(a, b, c), O(u, v, w)] - ([O(a), O(b, c, u, v, w)]"
-     " - [O(b), O(a, c, u, v, w)] + [O(c), O(a, b, u, v, w)])"),
+     bracket((0, 1, 2), (3, 4, 5))),
     ("OjkOjklm", "pair against quadruple sharing both indices", 4,
-     "[O(a, b), O(a, b, c, u)] - (-{O(a), O(a, c, u)} - {O(b), O(b, c, u)})"),
+     bracket((0, 1), (0, 1, 2, 3))),
     ("OjkOjlmn", "pair against quadruple sharing one index", 5,
-     "[O(a, b), O(a, c, u, v)] - (-O(b, c, u, v) - {O(b), O(c, u, v)}"
-     " - [O(a), O(a, b, c, u, v)])"),
+     bracket((0, 1), (0, 2, 3, 4))),
     ("OijOklmn", "pair against disjoint quadruple", 6,
-     "[O(a, b), O(c, u, v, w)] - ([O(a), O(b, c, u, v, w)]"
-     " - [O(b), O(a, c, u, v, w)])"),
+     bracket((0, 1), (2, 3, 4, 5))),
     ("OjklOjkm", "product of triples sharing two indices", 4,
-     "{O(a, b, c), O(a, b, u)} - (-O(c, u) - {O(c), O(u)}"
-     " + {O(a, b), O(a, b, c, u)})"),
+     bracket((0, 1, 2), (0, 1, 3), "{}")),
 )
 
 _LOWER_ANCHOR = ("the lowering generator intertwines the symmetry element up "
@@ -783,14 +757,7 @@ TEMPLATE_ROWS = _FIRST_ROWS + (
     TemplateRow(
         "p_OabOuv.form1",
         "two-by-two bracket: pairing-weighted one-index commutators", 3,
-        (("", "[O(a, b), O(u, v)] - ("
-              "B(b, u)*(O(a, v) + {O(a), O(v)})"
-              " - B(a, u)*(O(b, v) + {O(b), O(v)})"
-              " - B(b, v)*(O(a, u) + {O(a), O(u)})"
-              " + B(a, v)*(O(b, u) + {O(b), O(u)})"
-              " + ([O(a), O(b, u, v)] - [O(b), O(a, u, v)]"
-              " + [O(a, b, u), O(v)] - [O(a, b, v), O(u)])/2)"),),
-        "a b u v", _PAIR_PATTERNS),
+        brackets(_PAIR_INDICES, half=True)),
     TemplateRow(
         "p_OabOuv.form2", "two-by-two bracket: hatted-index form", 3,
         (("", "[O(a, b), O(u, v)] - (O(uh, v) + {O(uh), O(v)}"
@@ -813,33 +780,15 @@ TEMPLATE_ROWS = _FIRST_ROWS + (
     TemplateRow(
         "p_O2O34.n4",
         "pair bracket against a quadruple (singly-paired patterns)", 5,
-        (("", "[O(a, b), O(c, u, v, w)] - (O(ch, u, v, w) + O(c, uh, v, w)"
-              " + O(c, u, vh, w) + O(c, u, v, wh) + {O(ch), O(u, v, w)}"
-              " + {O(uh), O(c, v, w)} + {O(vh), O(c, u, w)}"
-              " + {O(wh), O(c, u, v)} + [O(a), O(b, c, u, v, w)]"
-              " - [O(b), O(a, c, u, v, w)])"),),
-        "a b c u v w",
-        (_ix((0, 1), (0, 2, 3, 4)), _ix((0, 1), (1, 2, 3, 4)),
-         _ix((0, 1), (2, 3, 4, 5)))),
+        brackets((((0, 1), (0, 2, 3, 4)), ((0, 1), (1, 2, 3, 4)),
+                   ((0, 1), (2, 3, 4, 5))))),
     TemplateRow(
         "p_O3O3",
         "triple bracket against a triple under the diagonal pairing pattern",
-        6,
-        (("", "[O(a, b, c), O(u, v, w)] - ("
-              "B(a, u)*(O(b, c, v, w) + {O(b, c), O(v, w)})"
-              " + [O(a), O(b, c, u, v, w)]"
-              " + B(b, v)*(O(a, c, u, w) + {O(a, c), O(u, w)})"
-              " - [O(b), O(a, c, u, v, w)]"
-              " + B(c, w)*(O(a, b, u, v) + {O(a, b), O(u, v)})"
-              " + [O(c), O(a, b, u, v, w)]"
-              " + B(b, v)*B(c, w)*[O(a), O(u)] + B(a, u)*B(c, w)*[O(b), O(v)]"
-              " + B(a, u)*B(b, v)*[O(c), O(w)]"
-              " - B(a, u)*B(b, v)*B(c, w)/2)"),),
-        "a b c u v w",
-        (_ix((0, 1, 2), (3, 4, 5)), _ix((0, 1, 2), (0, 1, 2)),
-         _ix((0, 1, 2), (0, 3, 4)), _ix((0, 1, 2), (0, 1, 5)))),
+        6, brackets((((0, 1, 2), (3, 4, 5)), ((0, 1, 2), (0, 1, 2)),
+                      ((0, 1, 2), (0, 3, 4)), ((0, 1, 2), (0, 1, 5))))),
     *(TemplateRow(f"p_OA2.n{n}", "square of a subset element from lower squares",
-                  n, (("", _square(n)),), patterns=_subsets(n, 4))
+                  n, subset_squares(n, 4, "{o}*{o} - {rhs}"))
       for n in (1, 2, 3, 4)),
     *(TemplateRow(f"centmember.{g}.n{n}",
                   f"projected elements supercommute with the {side} partner",
@@ -874,8 +823,11 @@ TEMPLATE_ROWS = _FIRST_ROWS + (
         (("", "rho(s)*rho(s) - 1"),), "s alpha",
         _reflections(covered=True)),
 ) + tuple(TemplateRow(f"corollary.{name}", anchor, min_dim, (("main", src),))
-          for name, anchor, min_dim, src in _COROLLARY) + _LAST_ROWS \
-    + _PAIRING_ROWS + _ORTHONORMAL_ROWS
+          for name, anchor, min_dim, src in _COROLLARY) + (
+    # twice p_OA2.n3: the bracket of an odd element with itself
+    TemplateRow("corollary.e24", "square of a triple element", 3,
+                subset_squares(3, 1, "[{o}, {o}] - 2*{rhs}")),
+) + _LAST_ROWS + _PAIRING_ROWS + _COORDINATE_ROWS
 
 
 def _case(cases, cid, anchor, min_dim):
@@ -889,7 +841,7 @@ def build_catalog() -> list:
     """The full identity catalog; order fixes the report order within ties."""
     sc = supercommutator
     cases: list = [IdentityCase(row.id, row.anchor, row.min_dim,
-                                row.residuals, row.orthonormal)
+                                row.residuals)
                    for row in TEMPLATE_ROWS]
 
     # ---- engine health ---------------------------------------------------------------
@@ -1043,8 +995,6 @@ def _report(env: SuiteEnv, case: IdentityCase, kappa: str = "symbolic",
     if env.dim < case.min_dim:
         return report(status="skipped",
                       reason=f"needs dimension >= {case.min_dim}")
-    if case.orthonormal and not env.ctx.space.is_identity:
-        return report(status="skipped", reason=NEEDS_ORTHONORMAL)
     t0 = time.perf_counter()
     try:
         residues = case.builder(env)
@@ -1129,9 +1079,8 @@ def _commutation(p: int, q: int):
 _CONCORDANCE = "engine/module concordance"
 
 
-def _oracle(name: str, min_dim: int, template, orthonormal=False):
-    return name, TemplateRow(name, _CONCORDANCE, min_dim, (("", template),),
-                             orthonormal=orthonormal)
+def _oracle(name: str, min_dim: int, template):
+    return name, TemplateRow(name, _CONCORDANCE, min_dim, (("", template),))
 
 
 _ROWS = {row.id: row for row in TEMPLATE_ROWS}
@@ -1141,16 +1090,16 @@ ORACLE_ROWS = (
       for name, _, halves in RELATIONS),
     _oracle("rc.y1x1", 1, _commutation(1, 1)),
     _oracle("rc.y1x2", 2, _commutation(1, 2)),
-    _oracle("l_Buv", 2, "[y1, x2] - [y2, x1]"),
+    _oracle("l_Buv", 2, "[beta(x1), x2] - [beta(x2), x1]"),
     _oracle("e_Ogamma", 2,
             "[gamma(x1), O(x2)] - [beta(x1), x2] + B(x1, x2)"),
-    _oracle("l_Oug", 1, form_sum("O", "gamma", "{sum} - OmegaKappa")),
+    _oracle("l_Oug", 1, form_sum("O(x{p})*gamma(x{q})", "{sum} - OmegaKappa")),
     ("gensym.x1", _ROWS["gensym.lower_x1"]),
     ("scasimir.square", _ROWS["scasimir.square"]),
     ("centmember.X_O12", _ROWS["centmember.X.n2"]),
     ("centmember.D_O1", _ROWS["centmember.D.n1"]),
-    # Gamma squares to 1 under the identity Gram only, as in pin.chirality
-    _oracle("chirality.square", 1, "Gamma^2 - 1", orthonormal=True),
+    # Gamma squares to det B, as in pin.chirality
+    _oracle("chirality.square", 1, gamma_square),
     ("pin.rho_sq", _ROWS["pin.rho_involution"]),
     ("central.omega_rho", _ROWS["central.omega_pin"]),
     ("projector.cliffpair", _ROWS["projector.cliffpair"]),
@@ -1214,8 +1163,8 @@ def oracle_cases(mod: SpinorModule = None) -> list:
         return [("products", True)]
 
     first = ORACLE_ROWS[0][1]
-    checks = [(f"oracle.{name}", _CONCORDANCE, row.min_dim, agrees(name, row),
-               row.orthonormal) for name, row in ORACLE_ROWS]
+    checks = [(f"oracle.{name}", _CONCORDANCE, row.min_dim, agrees(name, row))
+              for name, row in ORACLE_ROWS]
     checks += [
         ("oracle.products", "module action is multiplicative", 1, products),
         ("oracle.mutation", "perturbed residual must be detected",
@@ -1231,8 +1180,7 @@ def oracle_ids() -> list:
 def run_oracle_crosscheck(env: SuiteEnv, ids=None) -> list:
     """Exact agreement between the engine and the concrete module: the
     reports of the oracle checks named in ``ids`` (all if None), on one
-    module, under any Gram matrix; a check whose identity holds for the
-    identity Gram only (``chirality.square``) carries that gate itself."""
+    module, under any Gram matrix."""
     mod = SpinorModule(env.ctx)
     return [_report(env, c) for c in oracle_cases(mod)
             if ids is None or c.id in ids]

@@ -45,10 +45,24 @@ def test_verify_runs_oracle_under_general_gram(capsys, tmp_path):
     for r in reports:
         validate(r, schema)
     statuses = [r["status"] for r in reports]
-    assert (statuses.count("pass"), statuses.count("skipped")) == (21, 1)
-    assert [r["id"] for r in reports if r["status"] == "skipped"] \
-        == ["oracle.chirality.square"]
+    assert (statuses.count("pass"), statuses.count("skipped")) == (22, 0)
     assert main(["verify", "--group", group, "--suite", "all"]) == 0
+
+
+def test_verify_passes_on_a2_in_simple_root_coordinates(capsys, tmp_path):
+    # s_i(alpha_j) = alpha_j - a_ij alpha_i, under the symmetrized Cartan
+    # matrix as Gram: no row assumes an orthonormal basis
+    spec = tmp_path / "a2_roots.json"
+    spec.write_text(json.dumps({"generators": [[[-1, 0], [1, 1]],
+                                               [[1, 1], [0, -1]]],
+                                "gram": [[2, -1], [-1, 2]]}))
+    assert main(["verify", "--group", f"custom:{spec}", "--format",
+                 "json"]) == 0
+    reports = [json.loads(line)
+               for line in capsys.readouterr().out.splitlines()]
+    assert {r["status"] for r in reports} == {"pass", "skipped"}
+    assert {r["id"] for r in reports} >= {"oracle.l_Buv", "pin.chirality",
+                                          "bwz.generator_forms"}
 
 
 def test_division_by_zero_is_an_evaluation_error(capsys):

@@ -297,7 +297,7 @@ def test_rho_and_chirality(ctx_a12):
     alpha = ctx.covector([1, -1])
     assert rho == s * ctx.gamma(alpha) * BN_HALF_SQRT2
     assert rho * rho == ctx.one()
-    G = ctx.chirality()
+    G = evaluate(ctx, "Gamma")
     assert G == ctx.e(0) * ctx.e(1) * BN_I
     assert G * G == ctx.one()
     for p in range(2):

@@ -98,12 +98,14 @@ def test_bad_gram_rejected():
 
 def test_invert_matrix_keeps_the_entries_ring():
     f = [[Fraction(0), Fraction(2)], [Fraction(1), Fraction(1)]]
-    inv = invert_matrix(f)
+    inv, det = invert_matrix(f)
     assert inv == ((Fraction(-1, 2), Fraction(1)), (Fraction(1, 2), 0))
-    assert all(type(v) is Fraction for row in inv for v in row)
+    assert det == -2
+    assert all(type(v) is Fraction for row in inv for v in (*row, det))
     b = [[BaseNumber(2), BaseNumber(1)], [BaseNumber(1), BaseNumber(0, 1)]]
-    inv = invert_matrix(b)
-    assert all(type(v) is BaseNumber for row in inv for v in row)
+    inv, det = invert_matrix(b)
+    assert det == BaseNumber(-1, 2)
+    assert all(type(v) is BaseNumber for row in inv for v in (*row, det))
     assert [[sum((b[i][k] * inv[k][j] for k in range(2)), BaseNumber())
              for j in range(2)] for i in range(2)] == [[1, 0], [0, 1]]
 
@@ -117,9 +119,9 @@ def test_invert_matrix_rejects_singular():
 
 
 def test_row_reduce_returns_pivots_of_a_rank_deficient_matrix():
-    rows, pivots = row_reduce([[Fraction(0), Fraction(2), Fraction(4)],
-                               [Fraction(0), Fraction(1), Fraction(2)],
-                               [Fraction(3), Fraction(0), Fraction(3)]])
+    rows, pivots, _ = row_reduce([[Fraction(0), Fraction(2), Fraction(4)],
+                                  [Fraction(0), Fraction(1), Fraction(2)],
+                                  [Fraction(3), Fraction(0), Fraction(3)]])
     assert pivots == [0, 1]
     assert rows == [[1, 0, 1], [0, 1, 2], [0, 0, 0]]
-    assert row_reduce([]) == ([], [])
+    assert row_reduce([]) == ([], [], 1)

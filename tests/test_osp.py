@@ -21,7 +21,8 @@ def pairing(ctx, w, z):
     b(w, z) OmegaKappa when both directions are even."""
     b = b_form(w, z)
     rest = "{d}/2" if GAMMA in (w, z) else "{d}/2 + OmegaKappa"
-    text = form_sum(_SLOTS[w], _SLOTS[z], f"{{sum}} - ({b})*({rest})")
+    text = form_sum(f"{_SLOTS[w]}(x{{p}})*{_SLOTS[z]}(x{{q}})",
+                    f"{{sum}} - ({b})*({rest})")
     return evaluate(ctx, text(ctx.group))
 
 
@@ -73,7 +74,7 @@ def test_pair_element_examples(ctx_a12):
 def test_a_perturbed_generator_fails_the_relation_check(monkeypatch):
     from cheralg import parser
     monkeypatch.setitem(parser.DEFINITIONS, "H", form_sum(
-        "x", "beta", "{sum} + {d}/2 + OmegaKappa + 1"))
+        "x(x{p})*beta(x{q})", "{sum} + {d}/2 + OmegaKappa + 1"))
     with pytest.raises(RelationError, match="defining relation"):
         build_osp(Context(trivial_group(2)))
 

@@ -374,51 +374,53 @@ def test_a_projector_of_a_long_sum_evaluates():
 # sha256 of str() of each element of DEFINITIONS, first 16 hex digits,
 # recorded while each was still a Python routine (casimir, central_omega,
 # gen_symmetry, p_minus, ...), so the text gives the same normal forms.
+# Gamma was recorded when it became text, and the swap's Omega when Omega
+# took the inverse form B^pq: it is a third of the O(x1, x2)^2 it was.
 _DEFINED_SAMPLES = (
     "X", "D", "H", "Ep", "Em", "Fp", "Fm", "Casimir", "Scasimir", "Omega",
-    "Otop", "M(x1, x2)", "M(x1 + x2, 2*x1 - x2)", "R(x1)", "R(x1 + x2)",
-    "Pm(x1*y1)", "Pm(e1*e2)", "Pm(M(x1, x2))", "Pm(R(x1))", "Qp(1)",
-    "Qp(gamma(x1))", "Qm(gamma(x2))", "Qm(x1*y2)")
+    "Otop", "Gamma", "M(x1, x2)", "M(x1 + x2, 2*x1 - x2)", "R(x1)",
+    "R(x1 + x2)", "Pm(x1*y1)", "Pm(e1*e2)", "Pm(M(x1, x2))", "Pm(R(x1))",
+    "Qp(1)", "Qp(gamma(x1))", "Qm(gamma(x2))", "Qm(x1*y2)")
 _DEFINED_DIGESTS = {
     "A1@2": """
         941d439cddb4e005 8020d75a02c6cb74 8521bc6b389ccd1d 074f790023dd1ae5
         5d8a20c6a4577e1e d84a2aac48c78ab3 08b27ac10d125822 f641946adec86b85
-        acf3ffc1bbbd18db a8398ad837711bed 809a07521964cd51 e6a1d4f405e4785c
-        20516ebd71b5f16a 13ecfcdec8663bf6 481707369601af75 7b7619010b5e67df
-        6742cb535098451d 0de1abe4138e012b 936d8487f7136f6c 305187d8260d8b5c
-        92ae17921af91646 beaf35c5854201f9 2f21c6191b407f4c
+        acf3ffc1bbbd18db a8398ad837711bed 809a07521964cd51 3e7ff10c9e3ac466
+        e6a1d4f405e4785c 20516ebd71b5f16a 13ecfcdec8663bf6 481707369601af75
+        7b7619010b5e67df 6742cb535098451d 0de1abe4138e012b 936d8487f7136f6c
+        305187d8260d8b5c 92ae17921af91646 beaf35c5854201f9 2f21c6191b407f4c
         """,
     "B2@2": """
         941d439cddb4e005 8020d75a02c6cb74 0aa4f2fe486304a9 074f790023dd1ae5
         5d8a20c6a4577e1e d84a2aac48c78ab3 08b27ac10d125822 147d1b43d9cb9455
-        c151e491c977beab ab30bbd8510f4bab f8b769fb2febd997 e6a1d4f405e4785c
-        20516ebd71b5f16a 437ec1b300d67209 c6e14575e2060ab5 6d9b6c176d34f145
-        716a01f74eb8df35 6ce2486ec2a67d14 e75fb961665299cf 8774348825a808e2
-        efa57f4880f8e349 9ccb4aa26dd73c88 70c2161560bc6542
+        c151e491c977beab ab30bbd8510f4bab f8b769fb2febd997 3e7ff10c9e3ac466
+        e6a1d4f405e4785c 20516ebd71b5f16a 437ec1b300d67209 c6e14575e2060ab5
+        6d9b6c176d34f145 716a01f74eb8df35 6ce2486ec2a67d14 e75fb961665299cf
+        8774348825a808e2 efa57f4880f8e349 9ccb4aa26dd73c88 70c2161560bc6542
         """,
     "A2@3": """
         e0028561b4458e54 7eaf5b3f135975d6 65f6b75a1d03502a 8db4c864add10400
         d1041fe89e142b47 e8109399920b8908 49d4f37c79b4fc97 b6ee4267ca744667
-        25414c3943b6bd4f 04fe94a3701ae51c 5db0242cc7bfc40f e6a1d4f405e4785c
-        20516ebd71b5f16a 3384d3b7e5e94bd7 a19ddcb82c862c0c f10ec2e999dfc9bd
-        0b92583bcb3f0fd5 f878e54bcffa83db 4e97a6aeeaf45c05 bc0a5f0b2b5f74a5
-        6dc0ea48e3986dfe d3a83c1d92ce3d44 65f597987603da57
+        25414c3943b6bd4f 04fe94a3701ae51c 5db0242cc7bfc40f 426abf2547c26b5f
+        e6a1d4f405e4785c 20516ebd71b5f16a 3384d3b7e5e94bd7 a19ddcb82c862c0c
+        f10ec2e999dfc9bd 0b92583bcb3f0fd5 f878e54bcffa83db 4e97a6aeeaf45c05
+        bc0a5f0b2b5f74a5 6dc0ea48e3986dfe d3a83c1d92ce3d44 65f597987603da57
         """,
     "A1@5": """
         deec6690bf8503fd 5f313c80c10c987d 15fbea0925a500e3 f0148f9f40be35fd
         5d733880d8decf55 3336237d55bb83e7 0ef4f61a214dcb65 77ced78258e09a64
-        f2f8833e78bf2bd0 0c3d3ff5541a5ed5 ebc3cc7b89a4a41f e6a1d4f405e4785c
-        20516ebd71b5f16a 803a6ff1793247db 78a49cfa47733d3b 7b7619010b5e67df
-        6742cb535098451d 0de1abe4138e012b c048074b96551f78 ea4dd902867c0d8f
-        b68783692f4db38d 125120ca06705d13 0113e131823ed8f7
+        f2f8833e78bf2bd0 0c3d3ff5541a5ed5 ebc3cc7b89a4a41f 22b4f6f4dfe5567f
+        e6a1d4f405e4785c 20516ebd71b5f16a 803a6ff1793247db 78a49cfa47733d3b
+        7b7619010b5e67df 6742cb535098451d 0de1abe4138e012b c048074b96551f78
+        ea4dd902867c0d8f b68783692f4db38d 125120ca06705d13 0113e131823ed8f7
         """,
     "swap": """
         65727c2e0c08bea8 8020d75a02c6cb74 8521bc6b389ccd1d 5df94c3eb040d3bc
         34ad3b69bea014e1 a17e830b1ae7d46d 08b27ac10d125822 13f04aca1a8f35d4
-        bb989631cf3e607a 9701e6360cd225c9 e8ee6e7bf5992c0b 53053c311debab3c
-        adeaf4b136b01b20 8f27a1f5a7c6e85b 114750af097e63ae 787678b71dfbcec5
-        fdf684d5ed7346a7 7c0a8ee39f4caa99 387f385bcdcb7022 305187d8260d8b5c
-        92ae17921af91646 b7a64dbaaac5abf6 ee3db5f311bf1b0a
+        bb989631cf3e607a 717bb672d263f318 e8ee6e7bf5992c0b e2e51d26af5b24fb
+        53053c311debab3c adeaf4b136b01b20 8f27a1f5a7c6e85b 114750af097e63ae
+        787678b71dfbcec5 fdf684d5ed7346a7 7c0a8ee39f4caa99 387f385bcdcb7022
+        305187d8260d8b5c 92ae17921af91646 b7a64dbaaac5abf6 ee3db5f311bf1b0a
         """,
 }
 

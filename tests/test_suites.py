@@ -10,7 +10,7 @@ from cheralg.groups import from_generators
 from cheralg.scalars import BaseNumber
 from cheralg import suites
 from cheralg.parser import Call, EvalError, Evaluator, evaluate, substitute
-from cheralg.suites import (NEEDS_ORTHONORMAL, NOTHING_TO_CHECK, ORACLE_ROWS,
+from cheralg.suites import (NOTHING_TO_CHECK, ORACLE_ROWS,
                             TEMPLATE_ROWS, RunOptions, UnknownSuite, catalog,
                             catalog_ids, make_env, oracle_ids,
                             run_oracle_crosscheck, run_suite, suite_names)
@@ -228,45 +228,72 @@ def test_rho_conj_under_general_gram():
     assert [(r.status, r.witness) for r in reps] == [("pass", None)]
 
 
-def test_whole_catalog_under_general_gram():
+def simple_reflections(gram) -> list:
+    """The simple reflections s_i(alpha_j) = alpha_j - a_ij alpha_i, with
+    a_ij = 2 B(alpha_i, alpha_j)/B(alpha_i, alpha_i), as generator rows in
+    the coordinates of the simple roots alpha_j, whose Gram matrix is
+    ``gram``."""
+    n = len(gram)
+    return [[[int(j == k) - (Fraction(2 * gram[i][j], gram[i][i]) if k == i
+                             else 0) for k in range(n)] for j in range(n)]
+            for i in range(n)]
+
+
+A2_GRAM = [[2, -1], [-1, 2]]
+G2_GRAM = [[2, -3], [-3, 6]]
+A3_GRAM = [[2, -1, 0], [-1, 2, -1], [0, -1, 2]]
+A4_GRAM = [[2, -1, 0, 0], [-1, 2, -1, 0], [0, -1, 2, -1], [0, 0, -1, 2]]
+
+# Groups under a Gram matrix other than the identity, with the pass and
+# skipped counts of their catalog: the swap of two coordinates, Weyl groups
+# in the coordinates of their simple roots under the symmetrized Cartan
+# matrix, and the order-2 groups of one simple reflection of A3 and A4.
+GENERAL_GRAM_GROUPS = {
+    "swap": (lambda: from_generators([[[0, 1], [1, 0]]], **GENERAL_GRAM),
+             (93, 47)),
+    "A2_roots": (lambda: from_generators(simple_reflections(A2_GRAM),
+                                         gram=A2_GRAM), (93, 47)),
+    "G2_roots": (lambda: from_generators(simple_reflections(G2_GRAM),
+                                         gram=G2_GRAM), (92, 48)),
+    "A3_s1": (lambda: from_generators(simple_reflections(A3_GRAM)[:1],
+                                      gram=A3_GRAM), (112, 28)),
+    "A4_s1": (lambda: from_generators(simple_reflections(A4_GRAM)[:1],
+                                      gram=A4_GRAM), (129, 11)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GENERAL_GRAM_GROUPS))
+def test_whole_catalog_under_general_gram(name):
     import importlib.resources as resources
     schema = json.loads(
         resources.files("cheralg").joinpath("report_schema.json").read_text())
-    group = from_generators([[[0, 1], [1, 0]]], gram=[[2, 1], [1, 2]])
+    build, counts = GENERAL_GRAM_GROUPS[name]
+    group = build()
+    assert not group.space.is_identity
+    if name.endswith("_s1"):
+        assert group.order == 2
     reps = run_suite(make_env(group), "all")
-    by_id = {r.id: r for r in reps}
-    assert set(catalog_ids()) <= set(by_id)
-    assert [r.id for r in reps if r.status == "fail"] == []
-    orthonormal_only = ["pin.chirality", "bwz.generator_forms",
-                        "oracle.chirality.square"]
-    for rid in orthonormal_only:
-        assert (by_id[rid].status, by_id[rid].reason) \
-            == ("skipped", NEEDS_ORTHONORMAL)
-    # every other oracle check runs on the one module
+    assert set(catalog_ids()) <= {r.id for r in reps}
+    assert [r.id for r in reps if r.status in ("fail", "error")] == []
+    # every oracle check runs on the one module
     oracle = [r for r in reps if r.id.startswith("oracle.")
-              and r.id not in orthonormal_only]
-    assert {"oracle.products", "oracle.mutation"} <= {r.id for r in oracle}
+              and r.status != "skipped"]
+    assert {"oracle.products", "oracle.mutation",
+            "oracle.chirality.square"} <= {r.id for r in oracle}
     assert {(r.status, r.oracle) for r in oracle} == {("pass", True)}
     statuses = [r.status for r in reps]
-    assert (statuses.count("pass"), statuses.count("skipped")) == (90, 50)
+    assert (statuses.count("pass"), statuses.count("skipped")) == counts
     for r in reps:
         validate(json.loads(r.to_json()), schema)
-        if r.status == "skipped" and r.id not in orthonormal_only:
-            assert r.reason.startswith("needs dimension")
-
-
-def test_chirality_square_carries_its_own_orthonormal_gate():
-    """Gamma^2 = 1 holds for the identity Gram only, so its oracle check is
-    gated as pin.chirality is; it is the one oracle check that a general
-    Gram skips for that reason."""
-    assert {c.id for c in suites.oracle_cases() if c.orthonormal} \
-        == {"oracle.chirality.square"}
+        if r.status == "skipped":
+            assert r.reason.startswith("needs dimension") or (
+                name == "G2_roots" and r.reason == NOTHING_TO_CHECK), r.id
 
 
 @pytest.mark.parametrize("gram", [[[2, 1], [1, 2]], [[0, 1], [1, 0]]])
 def test_oracle_rows_in_the_engine_under_a_general_gram(gram):
-    # e_Ogamma, written with beta(x1), holds for the swap under a general
-    # Gram; Gamma^2 - 1 does not, which is why it keeps its gate
+    # e_Ogamma, written with beta(x1), and Gamma^2 - det B hold for the
+    # swap under a general Gram
     group = from_generators([[[0, 1], [1, 0]]], gram=gram)
     ev = Evaluator(make_env(group).ctx)
     rows = dict(ORACLE_ROWS)
@@ -275,18 +302,20 @@ def test_oracle_rows_in_the_engine_under_a_general_gram(gram):
         return ev.eval_element(rows[name].instances(group)[0][1])
 
     assert residual("e_Ogamma").is_zero()
-    assert not residual("chirality.square").is_zero()
+    assert residual("chirality.square").is_zero()
 
 
 def test_catalog_under_a_gram_with_no_diagonal_entries():
     # the hyperbolic form: no sparse Gram row holds its (p, p) entry, so
     # e_p^2 = B(x_p, x_p) is an absent entry read as zero; the counts were
     # recorded while the Gram matrix was stored dense, and re-recorded when
-    # the oracle module came to exist for every Gram (19 checks run)
+    # the oracle module came to exist for every Gram (19 checks run), and
+    # when no row was gated to the identity Gram any longer (p_OA2.n1 has
+    # nothing to check: both coordinates are isotropic)
     group = from_generators([[[0, 1], [1, 0]]], gram=[[0, 1], [1, 0]])
     assert all(p not in dict(row) for p, row in enumerate(group.space.gram))
     statuses = [r.status for r in run_suite(make_env(group), "all")]
-    assert (statuses.count("pass"), statuses.count("skipped")) == (82, 58)
+    assert (statuses.count("pass"), statuses.count("skipped")) == (84, 56)
     assert len(statuses) == 140
 
 
@@ -313,8 +342,8 @@ def test_template_cases_on_a16(env_a16):
     for row in TEMPLATE_ROWS:
         assert row.min_dim <= env_a16.dim
         residuals = row.residuals(env_a16)
-        assert len(residuals) \
-            == len(row.templates) * len(row.pattern_list(env_a16.group))
+        assert len(residuals) == len(row.template_list(env_a16.group)) \
+            * len(row.pattern_list(env_a16.group))
         assert [label for label, r in residuals if not r.is_zero()] == [], \
             row.id
 
@@ -360,10 +389,10 @@ def test_skipped_oracle_evaluates_nothing(monkeypatch):
 
     monkeypatch.setattr(suites, "parse_expression", refuse)
     monkeypatch.setattr(Evaluator, "eval_element", refuse)
-    group = from_generators([[[0, 1], [1, 0]]], **GENERAL_GRAM)
-    reps = run_oracle_crosscheck(make_env(group), ["oracle.chirality.square"])
+    group = from_generators([[[-1]]])
+    reps = run_oracle_crosscheck(make_env(group), ["oracle.rc.y1x2"])
     assert [(r.id, r.status, r.reason) for r in reps] \
-        == [("oracle.chirality.square", "skipped", NEEDS_ORTHONORMAL)]
+        == [("oracle.rc.y1x2", "skipped", "needs dimension >= 2")]
 
 
 def _pairs(n, subs):
@@ -595,10 +624,10 @@ def test_every_row_evaluates_on_edge_groups(name):
     generators, gram = EDGE_GROUPS[name]
     env = make_env(from_generators(generators, gram=gram))
     # run_suite evaluates every template row; the oracle reads its rows
-    # only at the first binding, and only for the identity Gram matrix
+    # only at the first binding, so each is evaluated here at all of them
     for _, row in ORACLE_ROWS:
         if row.min_dim <= env.dim:
-            row.residuals(env)      # some hold for the identity Gram only
+            row.residuals(env)
     reports = run_suite(env, "all")
     assert [r.id for r in reports] == sorted(catalog_ids() + oracle_ids())
     for r in reports:
@@ -617,10 +646,12 @@ def test_every_row_evaluates_on_edge_groups(name):
 # pairing and reflection-action cases became template rows (A1@2, B2@2)
 # and before the osp relations and the projector laws did (A2@3, the swap
 # under a general Gram matrix): a change that moves a case must leave its
-# id, anchor, verdict and reason as they were.
+# id, anchor, verdict and reason as they were.  The swap's was recorded
+# again when no row was gated to the identity Gram any longer: its reports
+# are now those of A1@2.
 _REPORT_DIGESTS = {
     "A1@2": "2444de696b1df53c", "B2@2": "2444de696b1df53c",
-    "A2@3": "c8fb46eee9c03d8d", "general_gram": "d841c97e27dc24bf"}
+    "A2@3": "c8fb46eee9c03d8d", "general_gram": "2444de696b1df53c"}
 
 
 @pytest.mark.parametrize("spec", sorted(_REPORT_DIGESTS))
@@ -665,7 +696,7 @@ def test_instances_reuse_the_parse_of_placeholder_free_templates(spec):
     reused = 0
     for row in TEMPLATE_ROWS:
         sources = [(slabel, src(group) if callable(src) else src)
-                   for slabel, src in row.templates]
+                   for slabel, src in row.template_list(group)]
         want = [(".".join(filter(None, (plabel, slabel))), src,
                  substitute(suites._parsed(src), binding))
                 for plabel, binding in row._bindings(group)
