@@ -37,8 +37,17 @@ from .suites import (RunOptions, SuiteEnv, UnknownSuite, catalog_ids,
 _RAT = r"[+-]?\d+(?:/\d+)?"
 
 
+def _rational(text: str, what: str) -> Fraction:
+    """The Fraction of a p/q text; q = 0 is a division by zero in ``what``."""
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise ValueError(f"division by zero in {what}") from None
+
+
 def parse_kappa_value(tok: str) -> BaseNumber:
     """Accept rationals like ``3/2`` and complex literals like ``1+2i``."""
+    what = f"deformation value {tok!r}"
     s = tok.strip().replace(" ", "")
     if s in ("i", "+i"):
         return BN_I
@@ -46,10 +55,10 @@ def parse_kappa_value(tok: str) -> BaseNumber:
         return -BN_I
     m = re.fullmatch(rf"({_RAT})i", s)
     if m:
-        return BaseNumber(0, Fraction(m.group(1)))
+        return BaseNumber(0, _rational(m.group(1), what))
     m = re.fullmatch(rf"({_RAT})(?:([+-]\d+(?:/\d+)?|[+-])i)?", s)
     if m:
-        re_part = Fraction(m.group(1))
+        re_part = _rational(m.group(1), what)
         im = m.group(2)
         if im is None:
             return BaseNumber(re_part)
@@ -57,7 +66,7 @@ def parse_kappa_value(tok: str) -> BaseNumber:
             return BaseNumber(re_part, 1)
         if im == "-":
             return BaseNumber(re_part, -1)
-        return BaseNumber(re_part, Fraction(im))
+        return BaseNumber(re_part, _rational(im, what))
     raise ValueError(f"cannot parse deformation value {tok!r}; "
                      "use p/q or a+bi forms")
 
@@ -98,7 +107,7 @@ def _file_entry(v, where: str) -> Fraction:
     float is refused, since its exact value is already a binary fraction
     (0.1 would read as 3602879701896397/36028797018963968)."""
     if type(v) is int or (isinstance(v, str) and re.fullmatch(_RAT, v)):
-        return Fraction(v)
+        return _rational(v, f"{where} {json.dumps(v)}")
     raise ValueError(f"{where} is {json.dumps(v)}; group file entries must "
                      'be integers or "p/q" strings')
 

@@ -5,12 +5,13 @@ sums carry the weights of the form: B_pq = B(x_p, x_q), the entries B^pq
 of its inverse, the Gram matrix of an index subset with its inverse and
 determinant, and the minors of B between two index tuples.  The writers
 here read those weights when the text is written, from the sparse Gram
-rows and from one elimination (`geometry.invert_matrix`); a zero weight's
-term is left out and a weight 1 is not written.  So under the identity
-Gram each text reads as the orthonormal statement and costs what that
-does.  `parser.DEFINITIONS` writes X, D, H, E+- and Omega through them,
-and the catalog of `suites` the coordinate forms of the generators,
-Gamma^2, O_A^2 and the brackets of O's.
+rows and from one elimination (`geometry.invert_matrix`), whose inverse
+is sparse rows too; no writer builds a dense matrix.  A zero weight's term
+is left out and a weight 1 is not written, so under the identity Gram
+each text reads as the orthonormal statement.  `parser.DEFINITIONS`
+writes X, D, H, E+- and Omega through them, and the catalog of `suites`
+the coordinate forms of the generators, Gamma^2, O_A^2 and the brackets
+of O's.
 
 A writer returns a template, the text as a function of the group, or,
 for a list of them, the (label, text) pairs as a function of the group.
@@ -21,7 +22,7 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 
-from .geometry import invert_matrix
+from .geometry import invert_matrix, permutation_sign
 from .scalars import BN_ZERO, BaseNumber, as_base
 
 
@@ -43,7 +44,7 @@ def form_sum(term: str, around: str = "{sum}", form: str = "inv_gram"):
 
 def quadratic_invariant(inverse, covs) -> str:
     """The text of Omega on the span of the covectors ``covs`` (n texts),
-    for ``inverse`` the inverse W of their Gram matrix as dense rows:
+    for ``inverse`` the inverse W of their Gram matrix as sparse rows:
     (n - 2) times the sum over i, j of W^ij O(u_i)*O(u_j), plus the sum
     over i < j and k < l of (W^ik W^jl - W^il W^jk) O(u_i, u_j)*O(u_k, u_l).
     A diagonal term is written as a square, and the two orders of an
@@ -51,13 +52,17 @@ def quadratic_invariant(inverse, covs) -> str:
     one-index elements, the anticommutator of the even two-index ones."""
     n = len(covs)
     pairs = list(itertools.combinations(range(n), 2))
+    rows = [dict(row) for row in inverse]
+
+    def w(i, j):
+        return rows[i].get(j, 0)
 
     def minor(s, t):
         (i, j), (k, l) = pairs[s], pairs[t]
-        return inverse[i][k] * inverse[j][l] - inverse[i][l] * inverse[j][k]
+        return w(i, k) * w(j, l) - w(i, l) * w(j, k)
     return " + ".join(
         _squares([f"O({u})" for u in covs], "[{}, {}]",
-                 lambda i, j: (n - 2) * inverse[i][j])
+                 lambda i, j: (n - 2) * w(i, j))
         + _squares([f"O({covs[i]}, {covs[j]})" for i, j in pairs],
                    "{{{}, {}}}", minor)) or "0"
 
@@ -81,10 +86,8 @@ def _squares(factors, bracket: str, weight) -> list:
 def omega(group) -> str:
     """The text of Omega on the whole space, whose inverse Gram matrix is
     the form on vectors."""
-    d = group.dim
-    inverse = [[dict(row).get(q, 0) for q in range(d)]
-               for row in group.space.inv_gram]
-    return quadratic_invariant(inverse, [f"x{p}" for p in range(1, d + 1)])
+    return quadratic_invariant(group.space.inv_gram,
+                               [f"x{p}" for p in range(1, group.dim + 1)])
 
 
 def gamma_square(group) -> str:
@@ -101,15 +104,15 @@ def _entry(group, i: int, j: int) -> BaseNumber:
 
 
 def gram_of(group, indices):
-    """The inverse, as dense rows, and the determinant of the Gram matrix
+    """The inverse, as sparse rows, and the determinant of the Gram matrix
     of the basis covectors x_(i + 1), i in ``indices``, from one
-    elimination, or None if it is singular; the identity and 1, without
-    an elimination, in the orthonormal configuration."""
-    if group.space.is_identity:
-        return [[int(i == j) for j in indices] for i in indices], 1
+    elimination, or None if it is singular."""
+    rows = tuple(tuple((k, x) for k, x in enumerate(_entry(group, i, j)
+                                                    for j in indices)
+                       if not x.is_zero())
+                 for i in indices)
     try:
-        return invert_matrix([[_entry(group, i, j) for j in indices]
-                              for i in indices])
+        return invert_matrix(rows)
     except ValueError:
         return None
 
@@ -167,8 +170,7 @@ def bracket(A: tuple, U: tuple, kind: str = "[]", half: bool = False):
             for f in factors:
                 if len(set(f)) < len(f):
                     return
-                w *= (-1) ** sum(p > q for k, p in enumerate(f)
-                                 for q in f[k + 1:])
+                w *= permutation_sign(f)
             key = (shape, tuple(tuple(sorted(f)) for f in factors))
             terms[key] = terms.get(key, 0) + w
 

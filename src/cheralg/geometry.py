@@ -6,8 +6,9 @@ bases: x_1..x_d for the covector space V* and y_1..y_d for V, with
 p, and the induced form on V is its inverse.  Both are sparse rows, the one
 matrix form of the package: row p holds the pairs (q, entry) with a nonzero
 BaseNumber entry, in column order.  The identity is the d rows ((p, 1),)
-and its own inverse; a general Gram matrix is checked and inverted dense
-once.  The involution beta exchanges V and V* so that
+and its own inverse; a general Gram matrix is read into sparse rows once,
+checked for symmetry and inverted on them by `echelon`, the package's one
+elimination.  The involution beta exchanges V and V* so that
 <beta(u), w> = B(u, w).
 
 Covectors and vectors are scalars.Combination subclasses whose ``terms``
@@ -27,52 +28,75 @@ COVECTOR = "V*"
 VECTOR = "V"
 
 
-def row_reduce(rows):
-    """Reduced row echelon form by Gauss-Jordan elimination: the reduced
-    rows, the pivot column of each nonzero row, and the product of the
-    pivots divided out, negated at each row swap (the determinant of an
-    invertible square matrix).  The entries may be Fractions or
-    BaseNumbers; they stay in the entries' ring."""
-    rows = [list(row) for row in rows]
-    pivots = []
+def permutation_sign(seq) -> int:
+    """The sign of the permutation that sorts the distinct items of
+    ``seq``: -1 to the number of pairs out of order."""
+    odd = sum(p > q for i, p in enumerate(seq) for q in seq[i + 1:]) % 2
+    return -1 if odd else 1
+
+
+def echelon(rows):
+    """Gauss-Jordan elimination on sparse rows, dicts from column to nonzero
+    entry of a field that mixes with ints (Fraction, BaseNumber, a prime
+    field).  A row reduced by the pivot rows so far pivots on its largest
+    column and clears it from them.  Return the pivot rows by column, 1
+    there and 0 at the other pivots, and the determinant: the pivots'
+    product times the sign of their columns in row order, 0 once a row
+    depends on those before it."""
+    pivots: dict = {}
+    order = []
     det = 1
-    for col in range(len(rows[0]) if rows else 0):
-        r = len(pivots)
-        piv = next((k for k in range(r, len(rows)) if rows[k][col] != 0), None)
-        if piv is None:
+    for row in rows:
+        row = dict(row)
+        for c in [c for c in row if c in pivots]:
+            _subtract(row, row[c], pivots[c])
+        if not row:
+            det = 0
             continue
-        if piv != r:
-            det = -det
-        rows[r], rows[piv] = rows[piv], rows[r]
-        det = rows[r][col] * det
-        inv = 1 / rows[r][col]
-        rows[r] = [v * inv for v in rows[r]]
-        for k in range(len(rows)):
-            if k != r and rows[k][col] != 0:
-                f = rows[k][col]
-                rows[k] = [vk - f * vc for vk, vc in zip(rows[k], rows[r])]
-        pivots.append(col)
-    return rows, pivots, det
+        col = max(row)
+        det = row[col] * det
+        inv = 1 / row[col]
+        row = {q: x * inv for q, x in row.items()}
+        for other in pivots.values():
+            if col in other:
+                _subtract(other, other[col], row)
+        pivots[col] = row
+        order.append(col)
+    return pivots, det * permutation_sign(order)
+
+
+def _subtract(row: dict, f, pivot: dict):
+    """row -= f * pivot, in place, dropping the entries that cancel."""
+    for q, x in pivot.items():
+        row[q] = row.get(q, 0) - f * x
+        if row[q] == 0:
+            del row[q]
+
+
+def sparse_transpose(rows: tuple) -> tuple:
+    """The transpose of a square matrix in the sparse-row form."""
+    cols: list = [[] for _ in rows]
+    for p, row in enumerate(rows):
+        for q, v in row:
+            cols[q].append((p, v))
+    return tuple(map(tuple, cols))
 
 
 def invert_matrix(rows):
-    """Exact inverse and determinant of a square matrix, in the entries'
-    ring, from one elimination."""
+    """Exact inverse and determinant of n sparse rows in the form of
+    ``QuadraticSpace.gram``, in the entries' field, from one `echelon` of
+    the rows (e_p, row p) with the matrix in the columns n + q: a pivot
+    below n means it is singular, else the pivot row of column n + q holds
+    row q of the inverse below n.  The 1 of e_p is the entries' own."""
     n = len(rows)
-    zero = rows[0][0] * 0
-    one = zero + 1
-    aug, pivots, det = row_reduce(
-        list(rows[i]) + [one if i == j else zero for j in range(n)]
-        for i in range(n))
-    if pivots[:n] != list(range(n)):
+    one = next((x * 0 + 1 for row in rows for _, x in row), 1)
+    pivots, det = echelon({p: one, **{n + q: x for q, x in row}}
+                          for p, row in enumerate(rows))
+    if min(pivots, default=n) < n:
         raise ValueError("matrix is singular")
-    return tuple(tuple(row[n:]) for row in aug), det
-
-
-def _sparse(rows) -> tuple:
-    """The sparse rows of a dense matrix of BaseNumbers."""
-    return tuple(tuple((q, x) for q, x in enumerate(row) if not x.is_zero())
-                 for row in rows)
+    return tuple(tuple(sorted((p, x) for p, x in pivots[n + q].items()
+                              if p < n))
+                 for q in range(n)), det
 
 
 class QuadraticSpace:
@@ -89,15 +113,15 @@ class QuadraticSpace:
         if gram is None:
             self.gram = self.inv_gram = identity
         else:
-            rows = tuple(tuple(as_base(v) for v in row) for row in gram)
-            if len(rows) != dim or any(len(r) != dim for r in rows):
+            if len(gram) != dim or any(len(row) != dim for row in gram):
                 raise ValueError("Gram matrix shape does not match dimension")
-            for i in range(dim):
-                for j in range(i + 1, dim):
-                    if rows[i][j] != rows[j][i]:
-                        raise ValueError("Gram matrix must be symmetric")
-            self.gram = _sparse(rows)
-            self.inv_gram = _sparse(invert_matrix(rows)[0])
+            self.gram = tuple(
+                tuple((q, x) for q, x in enumerate(map(as_base, row))
+                      if not x.is_zero())
+                for row in gram)
+            if self.gram != sparse_transpose(self.gram):
+                raise ValueError("Gram matrix must be symmetric")
+            self.inv_gram = invert_matrix(self.gram)[0]
         self.is_identity = self.gram == identity
 
     def covector(self, coords) -> "Covector":
@@ -214,14 +238,7 @@ def bilinear_B(u, v) -> Scalar:
     if type(u) is not type(v) or u.space is not v.space:
         raise TypeError("bilinear_B needs two covectors or two vectors "
                         "of the same space")
-    rows = u.space.gram if isinstance(u, Covector) else u.space.inv_gram
-    acc = SC_ZERO
-    for p, a in u.terms.items():
-        for q, x in rows[p]:
-            b = v.terms.get(q)
-            if b is not None:
-                acc = acc + a * b * x
-    return acc
+    return pairing(beta(u), v)
 
 
 class WittBasis:

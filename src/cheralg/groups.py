@@ -17,10 +17,10 @@ the closure is enumerated breadth-first up to a cap.
 Every matrix product of the module is taken by one routine,
 ``_row_product``, on the rows; a one-entry row picks one row of the right
 factor, scaled, without a sum.  The closure of custom generators, the
-reflection test (trace d - 2 and square 1) and the columns of the table all
-multiply through it.  The form check m G m^T = G runs on the rows of m and
-the sparse Gram rows of the space, over the nonzero entries only, so a
-signed permutation under the identity form costs O(d).  The root of a
+reflection test (trace d - 2 and square 1), the columns of the table and
+the form check m G m^T = G (m times the sparse Gram rows of the space,
+times the sparse transpose of m) all multiply through it, so a signed
+permutation under the identity form is checked in O(d).  The root of a
 reflection s is read off I - s: u - s.u lies on the root for every covector
 u, so the first nonzero row of I - s, scaled to coprime integers, is the
 root.
@@ -53,8 +53,9 @@ import operator
 from fractions import Fraction
 from typing import NamedTuple
 
-from .geometry import Covector, QuadraticSpace, Vector, times_matrix
-from .scalars import BN_ZERO, int_if_integral
+from .geometry import (Covector, QuadraticSpace, Vector, sparse_transpose,
+                       times_matrix)
+from .scalars import int_if_integral
 
 DEFAULT_ORDER_CAP = 10_000
 
@@ -108,57 +109,27 @@ def _row_product(a: tuple, b: tuple) -> tuple:
         for k, v in arow:
             for q, w in b[k]:
                 acc[q] = acc.get(q, 0) + v * w
-        prod.append(tuple((q, int_if_integral(c))
-                          for q, c in sorted(acc.items()) if c))
+        row = ((q, int_if_integral(c)) for q, c in sorted(acc.items()))
+        prod.append(tuple((q, c) for q, c in row if c))
     return tuple(prod)
-
-
-def _sparse_transpose(rows: tuple) -> tuple:
-    """The transpose of a square matrix in the sparse-row form."""
-    cols: list = [[] for _ in rows]
-    for p, row in enumerate(rows):
-        for q, v in row:
-            cols[q].append((p, v))
-    return tuple(map(tuple, cols))
 
 
 def _check_preserves_form(rows: tuple, space: QuadraticSpace):
     """Raise unless m G m^T = G for the Gram matrix G of ``space`` and the
-    matrix m with these sparse rows.  Row p of m G m^T is summed from the
-    nonzero entries only: the rows of G, then the columns of m."""
+    matrix m with these sparse rows: two products by ``_row_product``."""
     gram = space.gram
-    cols = _sparse_transpose(rows)
-    for row, want in zip(rows, gram):
-        mg: dict = {}
-        for k, a in row:
-            for l, x in gram[k]:
-                mg[l] = mg.get(l, BN_ZERO) + x * a
-        got: dict = {}
-        for l, c in mg.items():
-            for q, b in cols[l]:
-                got[q] = got.get(q, BN_ZERO) + c * b
-        if {q: v for q, v in got.items() if not v.is_zero()} != dict(want):
-            raise ValueError(
-                "group element does not preserve the bilinear form")
+    if _row_product(_row_product(rows, gram), sparse_transpose(rows)) != gram:
+        raise ValueError("group element does not preserve the bilinear form")
 
 
 def _primitive(vec):
     """Scale a rational vector to coprime integers, first nonzero positive."""
-    denls = [c.denominator for c in vec if c != 0]
-    if not denls:
+    if not any(vec):
         raise ValueError("zero vector has no primitive form")
-    mult = 1
-    for dnm in denls:
-        mult = mult * dnm // math.gcd(mult, dnm)
+    mult = math.lcm(*(c.denominator for c in vec))
     ints = [int(c * mult) for c in vec]
-    g = 0
-    for v in ints:
-        g = math.gcd(g, abs(v))
-    ints = [v // g for v in ints]
-    first = next(v for v in ints if v != 0)
-    if first < 0:
-        ints = [-v for v in ints]
-    return tuple(Fraction(v) for v in ints)
+    g = math.gcd(*ints) * (1 if next(v for v in ints if v) > 0 else -1)
+    return tuple(Fraction(v // g) for v in ints)
 
 
 def _trace(rows: tuple):
@@ -385,7 +356,7 @@ class ReflectionGroup:
             shared = self._shared_rows
             rows = self._y_rows[g] = tuple(
                 shared.setdefault(row, row)
-                for row in _sparse_transpose(self._x_rows[self.inv(g)]))
+                for row in sparse_transpose(self._x_rows[self.inv(g)]))
         return rows
 
     def reflection_factors(self, j: int, r: int) -> tuple:

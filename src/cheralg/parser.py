@@ -731,6 +731,8 @@ def _scalar_pow(s: Scalar, e: Scalar) -> Scalar:
 
 
 def _scalar_inverse(s: Scalar) -> Scalar:
+    if s.is_zero():
+        raise EvalError("division by zero")
     if not s.is_constant():
         raise EvalError("can only divide by constant scalars")
     return as_scalar(s.constant_part().inverse())
@@ -748,15 +750,10 @@ def _times(a, b):
 
 def reciprocal(elem) -> Scalar:
     """1/elem for an element that is a nonzero constant scalar."""
-    terms = elem.terms
-    if not terms:
-        raise EvalError("division by zero")
-    if len(terms) != 1:
+    ident = elem.ctx.ident_mono
+    if elem.terms.keys() - {ident}:
         raise EvalError("can only divide by scalar elements")
-    (mono, coef), = terms.items()
-    if mono != elem.ctx.ident_mono:
-        raise EvalError("can only divide by scalar elements")
-    return _scalar_inverse(coef)
+    return _scalar_inverse(elem.terms.get(ident, SC_ZERO))
 
 
 def evaluate(ctx: Context, src: str):

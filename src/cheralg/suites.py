@@ -61,6 +61,7 @@ from typing import Callable, NamedTuple, Optional
 from .core import ROOT_SCALE, Context, random_element, supercommutator
 from .forms import (bracket, brackets, form_sum, gamma_square,
                     subset_squares)
+from .geometry import permutation_sign
 from .groups import ReflectionGroup, parse_group_spec
 from .oracle import ModuleEvaluator, SpinorModule
 from . import osp
@@ -279,8 +280,8 @@ def _antisym(*factors) -> str:
         for src, arity in factors:
             parts.append(src.format(*names[:arity]))
             names = names[arity:]
-        odd = sum(p > q for i, p in enumerate(perm) for q in perm[i + 1:]) % 2
-        text += (" - " if odd else " + ") + "*".join(parts)
+        sign = " + " if permutation_sign(perm) > 0 else " - "
+        text += sign + "*".join(parts)
     return f"({text[3:]})/{math.factorial(n)}"
 
 

@@ -303,6 +303,24 @@ def test_malformed_group_file_is_a_usage_error(capsys, tmp_path, content,
     assert message in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("args, message", [
+    (["eval", "x1", "--kappa", "1/0"],
+     "error: division by zero in deformation value '1/0'"),
+    (["info", "--group", "custom:{spec}"],
+     'error: division by zero in generators[0][0][0] "1/0"'),
+    (["eval", "O(x1/0)"], "error: division by zero"),
+    (["eval", "x1/0"], "error: division by zero"),
+], ids=["kappa", "group_file_entry", "covector", "element"])
+def test_a_zero_denominator_is_a_division_by_zero(capsys, tmp_path, args,
+                                                  message):
+    # the message of the module docstring, with the bad value where one
+    # was read from an option or a file
+    spec = tmp_path / "group.json"
+    spec.write_text(json.dumps({"generators": [[["1/0"]]]}))
+    assert main([a.format(spec=spec) for a in args]) == 2
+    assert capsys.readouterr().err.strip() == message
+
+
 @pytest.mark.parametrize("value", ["-1", "x"])
 def test_a_negative_max_degree_is_a_usage_error(capsys, monkeypatch, value):
     # rejected while the arguments are read, before any case runs

@@ -1,9 +1,11 @@
+import itertools
+import math
 from fractions import Fraction
 
 import pytest
 
-from cheralg.geometry import (QuadraticSpace, beta, bilinear_B,
-                              invert_matrix, pairing, row_reduce,
+from cheralg.geometry import (QuadraticSpace, beta, bilinear_B, echelon,
+                              invert_matrix, pairing, permutation_sign,
                               witt_basis)
 from cheralg.scalars import BaseNumber, Scalar, as_scalar
 
@@ -97,31 +99,91 @@ def test_bad_gram_rejected():
 
 
 def test_invert_matrix_keeps_the_entries_ring():
-    f = [[Fraction(0), Fraction(2)], [Fraction(1), Fraction(1)]]
+    f = (((1, Fraction(2)),), ((0, Fraction(1)), (1, Fraction(1))))
     inv, det = invert_matrix(f)
-    assert inv == ((Fraction(-1, 2), Fraction(1)), (Fraction(1, 2), 0))
+    assert inv == (((0, Fraction(-1, 2)), (1, Fraction(1))),
+                   ((0, Fraction(1, 2)),))
     assert det == -2
-    assert all(type(v) is Fraction for row in inv for v in (*row, det))
-    b = [[BaseNumber(2), BaseNumber(1)], [BaseNumber(1), BaseNumber(0, 1)]]
+    assert all(type(v) is Fraction for row in inv for _, v in row)
+    assert type(det) is Fraction
+    b = (((0, BaseNumber(2)), (1, BaseNumber(1))),
+         ((0, BaseNumber(1)), (1, BaseNumber(0, 1))))
     inv, det = invert_matrix(b)
     assert det == BaseNumber(-1, 2)
-    assert all(type(v) is BaseNumber for row in inv for v in (*row, det))
-    assert [[sum((b[i][k] * inv[k][j] for k in range(2)), BaseNumber())
+    assert all(type(v) is BaseNumber for row in inv for _, v in row)
+    assert type(det) is BaseNumber
+    assert [[sum((x * dict(inv[k]).get(j, 0) for k, x in b[i]), BaseNumber())
              for j in range(2)] for i in range(2)] == [[1, 0], [0, 1]]
 
 
 def test_invert_matrix_rejects_singular():
-    for m in ([[Fraction(1), Fraction(2)], [Fraction(2), Fraction(4)]],
-              [[BaseNumber(1), BaseNumber(0, 1)],
-               [BaseNumber(0, 1), BaseNumber(-1)]]):
+    for m in ((((0, Fraction(1)), (1, Fraction(2))),
+               ((0, Fraction(2)), (1, Fraction(4)))),
+              (((0, BaseNumber(1)), (1, BaseNumber(0, 1))),
+               ((0, BaseNumber(0, 1)), (1, BaseNumber(-1)))),
+              ((), ((1, Fraction(1)),))):
         with pytest.raises(ValueError, match="singular"):
             invert_matrix(m)
 
 
-def test_row_reduce_returns_pivots_of_a_rank_deficient_matrix():
-    rows, pivots, _ = row_reduce([[Fraction(0), Fraction(2), Fraction(4)],
-                                  [Fraction(0), Fraction(1), Fraction(2)],
-                                  [Fraction(3), Fraction(0), Fraction(3)]])
-    assert pivots == [0, 1]
-    assert rows == [[1, 0, 1], [0, 1, 2], [0, 0, 0]]
-    assert row_reduce([]) == ([], [], 1)
+def test_echelon_returns_pivots_of_a_rank_deficient_matrix():
+    # each pivot is the largest column of its reduced row; the second row
+    # is half the first, so the determinant is 0
+    pivots, det = echelon([{1: Fraction(2), 2: Fraction(4)},
+                           {1: Fraction(1), 2: Fraction(2)},
+                           {0: Fraction(3), 2: Fraction(3)}])
+    assert pivots == {2: {0: 1, 2: 1}, 1: {0: -2, 1: 1}}
+    assert det == 0
+    assert echelon([]) == ({}, 1)
+
+
+class Mod7:
+    """The integers mod 7: a field from outside the package, mixing with
+    ints like Fraction does."""
+
+    __slots__ = ("v",)
+
+    def __init__(self, v):
+        self.v = (v.v if isinstance(v, Mod7) else v) % 7
+
+    def __add__(self, o):
+        return Mod7(self.v + Mod7(o).v)
+
+    def __sub__(self, o):
+        return Mod7(self.v - Mod7(o).v)
+
+    def __rsub__(self, o):
+        return Mod7(Mod7(o).v - self.v)
+
+    def __mul__(self, o):
+        return Mod7(self.v * Mod7(o).v)
+
+    __radd__, __rmul__ = __add__, __mul__
+
+    def __neg__(self):
+        return Mod7(-self.v)
+
+    def __rtruediv__(self, o):
+        if not self.v:
+            raise ZeroDivisionError("inverse of zero mod 7")
+        return Mod7(Mod7(o).v * pow(self.v, -1, 7))
+
+    def __eq__(self, o):
+        return isinstance(o, (int, Mod7)) and (self - o).v == 0
+
+
+def test_echelon_over_a_prime_field():
+    # x1 + 3 x2 and 2 x1 - x2 are independent over Q, but their
+    # determinant -7 vanishes mod 7
+    pivots, det = echelon([{0: Mod7(1), 1: Mod7(3)},
+                           {0: Mod7(2), 1: Mod7(-1)}])
+    assert det == 0 and list(pivots) == [1]
+    assert pivots[1] == {0: Mod7(5), 1: Mod7(1)}       # 1/3 = 5 mod 7
+    # a permutation matrix has determinant the sign of its permutation,
+    # here the product over i < j of (perm[j] - perm[i]) / (j - i)
+    for perm in itertools.permutations(range(4)):
+        sign = math.prod(Fraction(perm[j] - perm[i], j - i)
+                         for i, j in itertools.combinations(range(4), 2))
+        pivots, det = echelon({perm[i]: Mod7(1)} for i in range(4))
+        assert det == int(sign) == permutation_sign(perm)
+        assert sorted(pivots) == [0, 1, 2, 3]

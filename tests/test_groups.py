@@ -17,6 +17,7 @@ from cheralg.groups import (ReflectionGroup, _row_product, _sparse_rows,
                             build_group, from_generators, parse_group_spec,
                             trivial_group)
 from cheralg.parser import Evaluator, parse_expression
+from cheralg.scalars import BaseNumber
 
 EVAL_POOL = (Path(__file__).resolve().parents[1] / "perfbench" / "reference"
              / "eval_D4_4.json")
@@ -234,7 +235,10 @@ def test_closure_table_matches_matrix_products(name):
         assert g.mul(i, j) == index[_dense_product(mats[j], mats[i])]
     for i in range(n):
         assert g.mul(i, g.inv(i)) == 0
-        assert ymats[i] == invert_matrix(tuple(zip(*mats[i])))[0]
+        # the transpose's sparse rows, entries kept as Fractions
+        transpose = tuple(tuple((q, v) for q, v in enumerate(col) if v)
+                          for col in zip(*mats[i]))
+        assert _sparse_rows(ymats[i]) == invert_matrix(transpose)[0]
     for r in g.reflections:
         for h in range(n):
             conj = g.mul(g.mul(h, r.elem), g.inv(h))
@@ -250,9 +254,9 @@ def test_rows_match_the_dense_matrices(name):
         assert g.y_rows(i) == _sparse_rows(ymats[i])
 
 
-def test_d4_build_takes_780_row_products(monkeypatch):
-    # 12 squares in the reflection test and one column of 192 products for
-    # each of the 4 generators
+def test_d4_build_takes_788_row_products(monkeypatch):
+    # 12 squares in the reflection test, and for each of the 4 generators
+    # the two products of its form check and one column of 192 products
     calls = []
 
     def counting(a, b):
@@ -260,7 +264,13 @@ def test_d4_build_takes_780_row_products(monkeypatch):
         return _row_product(a, b)
     monkeypatch.setattr(groups, "_row_product", counting)
     parse_group_spec("D4@4")
-    assert len(calls) == 780
+    assert len(calls) == 788
+
+
+def test_row_product_drops_a_cancelled_base_number():
+    # 1 - 1 in BaseNumbers is a zero entry, left out like an int zero
+    b = (((0, BaseNumber(1)),), ((0, BaseNumber(-1)),))
+    assert _row_product((((0, 1), (1, 1)),), b) == ((),)
 
 
 def test_a_wide_ambient_space_builds_fast():

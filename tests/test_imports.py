@@ -95,3 +95,54 @@ def test_only_the_combination_base_and_base_number_define_sums():
         found += sum_definitions(path.stem, path.read_text())
     assert set(found) <= SUM_OWNERS, "separate sums: " + ", ".join(
         sorted(set(found) - SUM_OWNERS))
+
+
+# The one function that counts the inversions of a sequence; every sign of
+# a permutation is read from it.
+INVERSION_OWNERS = {"geometry.permutation_sign"}
+
+
+def inversion_counts(module: str, source: str) -> list:
+    """module.function for every ``sum(p > q for ... in ... for ... in
+    ...)`` in a function: a sum over two loops of one order comparison,
+    the inversion count of a sequence.  A count outside every function is
+    reported as module.<module>."""
+    found = []
+
+    def visit(node, owner):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, f"{module}.{child.name}")
+                continue
+            if (isinstance(child, ast.Call)
+                    and isinstance(child.func, ast.Name)
+                    and child.func.id == "sum" and len(child.args) == 1
+                    and isinstance(child.args[0], ast.GeneratorExp)):
+                gen = child.args[0]
+                elt = gen.elt
+                if (len(gen.generators) == 2 and isinstance(elt, ast.Compare)
+                        and len(elt.ops) == 1
+                        and isinstance(elt.ops[0], (ast.Gt, ast.Lt))):
+                    found.append(owner)
+            visit(child, owner)
+    visit(ast.parse(source), f"{module}.<module>")
+    return found
+
+
+def test_scan_sees_inversion_counts():
+    src = ("def sign(s):\n"
+           "    return sum(p > q for i, p in enumerate(s) for q in s[i:])\n"
+           "def other(s):\n"
+           "    n = sum(a < b for a in s for b in s)\n"
+           "    return sum(p > 0 for p in s) + sum(p * q for p in s\n"
+           "                                       for q in s)\n"
+           "odd = sum(x[i] > x[j] for i in r for j in r)\n")
+    assert inversion_counts("m", src) == ["m.sign", "m.other", "m.<module>"]
+
+
+def test_only_permutation_sign_counts_inversions():
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        found += inversion_counts(path.stem, path.read_text())
+    assert found == sorted(INVERSION_OWNERS), "inversion counts: " + ", ".join(
+        found)
