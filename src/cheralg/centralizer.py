@@ -14,8 +14,8 @@ Three layers of elements supercommute with the realized superalgebra:
     supercentralizer.
 
 M, Omega and the top element Otop are text in `parser.DEFINITIONS`; this
-module keeps the route of O, `o_proj`, and the form psi.  Single-index
-elements coincide with the context's reflection-sum elements.
+module keeps the route of O, `o_proj`.  Single-index elements coincide
+with the context's reflection-sum elements.
 """
 
 from __future__ import annotations
@@ -23,24 +23,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .core import Context, Element, antisymmetrize
-from .geometry import Covector, bilinear_B
 from .osp import p_plus
-from .scalars import SC_ZERO
-
-
-def psi_kappa(ctx: Context, u: Covector, v: Covector) -> Element:
-    """The group-algebra-valued symmetric form: twice the sum over
-    reflections of B(root,u) B(v,root)/B(root,root) kappa s."""
-    terms: dict = {}
-    for r in ctx.group.reflections:
-        alpha = ctx.root_covector(r)
-        w = bilinear_B(alpha, u) * bilinear_B(v, alpha)
-        if w.is_zero():
-            continue
-        coef = ctx.kappas[r.class_id] * w * Fraction(2, 1) / r.root_norm
-        m = ctx.ident_mono._replace(g=r.elem)
-        terms[m] = terms.get(m, SC_ZERO) + coef
-    return ctx.element(terms)
 
 
 def o_proj(ctx: Context, covectors) -> Element:

@@ -234,15 +234,6 @@ class Context:
     def root_covector(self, refl) -> Covector:
         return self.space.covector(refl.root)
 
-    def omega_kappa(self) -> "Element":
-        """The central group-algebra element: class parameter times each
-        reflection, summed."""
-        terms: dict = {}
-        for r in self.group.reflections:
-            m = Monomial(0, 0, r.elem, 0)
-            terms[m] = terms.get(m, SC_ZERO) + self.kappas[r.class_id]
-        return Element(self, terms)
-
     def o_frak(self, u: Covector) -> "Element":
         """The one-index supercentralizer element attached to a covector:
         half the sum over reflections of <coroot, u> kappa s gamma_root."""

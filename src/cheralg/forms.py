@@ -11,7 +11,8 @@ is left out and a weight 1 is not written, so under the identity Gram
 each text reads as the orthonormal statement.  `parser.DEFINITIONS`
 writes X, D, H, E+- and Omega through them, and the catalog of `suites`
 the coordinate forms of the generators, Gamma^2, O_A^2 and the brackets
-of O's.
+of O's.  `reflection_sum` writes the sums over reflections, OmegaKappa
+and psi.
 
 A writer returns a template, the text as a function of the group, or,
 for a list of them, the (label, text) pairs as a function of the group.
@@ -83,6 +84,15 @@ def _squares(factors, bracket: str, weight) -> list:
     return terms
 
 
+def reflection_sum(term: str):
+    """The text, as a function of the group, of the sum over the
+    reflections of k{c}*term, with c the class of the reflection and the
+    term's {k} its number, as in s{k} and alpha{k}."""
+    return lambda group: " + ".join(
+        f"k{r.class_id + 1}*" + term.format(k=k)
+        for k, r in enumerate(group.reflections, 1)) or "0"
+
+
 def omega(group) -> str:
     """The text of Omega on the whole space, whose inverse Gram matrix is
     the form on vectors."""
@@ -95,19 +105,25 @@ def gamma_square(group) -> str:
     return f"Gamma^2 - ({gram_of(group, range(group.dim))[1]})"
 
 
-def _entry(group, i: int, j: int) -> BaseNumber:
-    """B(x_(i + 1), x_(j + 1)), read from the Gram rows; past the
-    dimension, where no instance is evaluated, the identity's entry."""
-    if max(i, j) >= group.dim:
-        return as_base(int(i == j))
-    return dict(group.space.gram[i]).get(j, BN_ZERO)
+def _entries(group, indices):
+    """B(x_(i + 1), x_(j + 1)) as a function of i in ``indices`` and j,
+    from those Gram rows, each read once; past the dimension, where no
+    instance is evaluated, the identity's entry."""
+    rows = {i: dict(group.space.gram[i]) for i in indices if i < group.dim}
+
+    def entry(i: int, j: int) -> BaseNumber:
+        if max(i, j) >= group.dim:
+            return as_base(int(i == j))
+        return rows[i].get(j, BN_ZERO)
+    return entry
 
 
 def gram_of(group, indices):
     """The inverse, as sparse rows, and the determinant of the Gram matrix
     of the basis covectors x_(i + 1), i in ``indices``, from one
     elimination, or None if it is singular."""
-    rows = tuple(tuple((k, x) for k, x in enumerate(_entry(group, i, j)
+    entry = _entries(group, indices)
+    rows = tuple(tuple((k, x) for k, x in enumerate(entry(i, j)
                                                     for j in indices)
                        if not x.is_zero())
                  for i in indices)
@@ -163,6 +179,7 @@ def bracket(A: tuple, U: tuple, kind: str = "[]", half: bool = False):
     weight's term is left out."""
     def template(group):
         terms: dict = {}
+        entry = _entries(group, A)
 
         def add(w, *factors, shape=None):
             """w times O of the one factor, or the ``shape`` "[]" or "{}"
@@ -175,7 +192,7 @@ def bracket(A: tuple, U: tuple, kind: str = "[]", half: bool = False):
             terms[key] = terms.get(key, 0) + w
 
         def form(i, j):
-            return _entry(group, A[i], U[j])
+            return entry(A[i], U[j])
 
         def minor(m, n):
             (i, k), (j, l) = _without(range(3), m), _without(range(3), n)

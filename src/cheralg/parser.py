@@ -39,19 +39,22 @@ values.
 
 DEFINITIONS writes each element of the realization and its
 supercentralizer once in this language: the names X, D, H, Ep, Em, Fp,
-Fm, Casimir, Scasimir, Omega, Otop, Gamma and the calls M, R, Pm, Qp,
-Qm.  Each holds for every Gram matrix: a sum over coordinates is weighted
-by the form (`forms.form_sum`, `forms.omega`).  A name is evaluated
-once per context (the osp names by `osp.build_osp`, which checks the
-relations first); a call binds its placeholders to its evaluated
-arguments for that call only, so Pm(R(x1)) reads.  The atoms below the
-table are the routines O, A, Pp, Palpha, gamma, Of, x, beta, psi, rho and
-B and the name OmegaKappa.
+Fm, Casimir, Scasimir, Omega, Otop, Gamma, OmegaKappa and the calls M,
+R, Pm, Qp, Qm, psi.  Each holds for every Gram matrix: a sum over
+coordinates is weighted by the form (`forms.form_sum`, `forms.omega`),
+and a sum over reflections (`forms.reflection_sum`) reads the form on
+the roots.  A name is evaluated once per context (the osp names by
+`osp.build_osp`, which checks the relations first); a call binds its
+placeholders to its evaluated arguments for that call only, so
+Pm(R(x1)) reads.  The atoms below the table are the routines O, A, Pp,
+Palpha, gamma, Of, x, beta, rho and B.
 
-Names are read by mode:
+Names are read by mode.  An indexed name is a prefix and an ASCII
+index, and INDEXED_NAMES gives each prefix its range on the group, which
+`index_of` checks for every reader:
 
     element mode    x*, y*, e*, s*, g*; the names of DEFINITIONS; the
-                    atom OmegaKappa; the scalars i, sqrt2, k*
+                    scalars i, sqrt2, k*
     covector mode   x*, zp*, zm*, z0 (odd dimension), alpha*; the same
                     scalars as coefficients
 
@@ -83,10 +86,10 @@ from __future__ import annotations
 import functools
 from typing import NamedTuple
 
-from .centralizer import o_proj, psi_kappa
+from .centralizer import o_proj
 from .core import (Context, Element, anticommutator, antisymmetrize,
                    supercommutator)
-from .forms import form_sum, omega
+from .forms import form_sum, omega, reflection_sum
 from .geometry import Covector, beta, bilinear_B, witt_basis
 from .osp import GENERATORS, build_osp, p_alpha, p_plus
 from .scalars import BN_I, BN_SQRT2, SC_ZERO, Scalar, as_scalar, power
@@ -133,6 +136,7 @@ class Bracket(NamedTuple):
 
 
 _PUNCT = "+-*/^()[]{},"
+_DIGITS = "0123456789"      # ASCII only: str.isdigit also takes '²' and '١'
 
 
 def _tokenize(src: str):
@@ -151,9 +155,9 @@ def _tokenize(src: str):
             i += 1
             col += 1
             continue
-        if ch.isdigit():
+        if ch in _DIGITS:
             j = i
-            while j < n and src[j].isdigit():
+            while j < n and src[j] in _DIGITS:
                 j += 1
             toks.append(("NUM", int(src[i:j]), line, col))
             col += j - i
@@ -330,24 +334,60 @@ DEFINITIONS = {
     "Otop": lambda group: "O(" + ", ".join(
         f"x{p}" for p in range(1, group.dim + 1)) + ")",
     "Gamma": _chirality,
+    "OmegaKappa": reflection_sum("s{k}"),
     "M(u, v)": "x(u)*beta(v) - x(v)*beta(u)",
     "R(u)": "(H - 1)*gamma(u) - X*beta(u)",
     "Pm(a)": "a + [X, [D, a]]/2",
     "Qp(a)": "(H + 1)*a - D*[X, a]/2",
     "Qm(a)": "(H - 1)*a - X*[D, a]/2",
+    "psi(u, v)": reflection_sum(
+        "2*B(alpha{k}, u)*B(v, alpha{k})/B(alpha{k}, alpha{k})*s{k}"),
 }
 
-# The calls of DEFINITIONS: name -> (placeholders, text).
+# The calls of DEFINITIONS: name -> (placeholders, key in DEFINITIONS).
 _DEFINED_CALLS = {
-    call.fn: (tuple(a.ident for a in call.args), text)
-    for call, text in ((parse_expression(key), text)
-                       for key, text in DEFINITIONS.items() if "(" in key)}
+    call.fn: (tuple(a.ident for a in call.args), key)
+    for call, key in ((parse_expression(key), key)
+                      for key in DEFINITIONS if "(" in key)}
 
 
-def definition(name: str, group):
-    """The parsed text that DEFINITIONS gives the name on the group."""
-    text = DEFINITIONS[name]
+def definition(key: str, group):
+    """The parsed text that DEFINITIONS gives the key on the group."""
+    text = DEFINITIONS[key]
     return parsed(text(group) if callable(text) else text)
+
+
+# The indexed names: prefix -> (what the index counts, the first index, the
+# size of its range on a group).  Element mode reads x, y, e, s and g,
+# covector mode x, alpha, zp and zm, and both read k as a scalar.
+INDEXED_NAMES = {
+    "x": ("coordinate", 1, lambda group: group.dim),
+    "y": ("coordinate", 1, lambda group: group.dim),
+    "e": ("coordinate", 1, lambda group: group.dim),
+    "s": ("reflection", 1, lambda group: len(group.reflections)),
+    "alpha": ("reflection", 1, lambda group: len(group.reflections)),
+    "g": ("group element", 0, lambda group: group.order),
+    "k": ("deformation class", 1, lambda group: group.num_classes),
+    "zp": ("isotropic", 1, lambda group: group.dim // 2),
+    "zm": ("isotropic", 1, lambda group: group.dim // 2),
+}
+
+# The unindexed scalar names.
+_CONSTANTS = {"i": Scalar.of(BN_I), "sqrt2": Scalar.of(BN_SQRT2)}
+
+
+def index_of(ident: str, group):
+    """The prefix of an indexed name (x1, g0, alpha3, ...) and the place of
+    its index in the range, counted from 0; None for any other name.  An
+    index outside the range raises EvalError."""
+    prefix = ident.rstrip(_DIGITS)
+    if prefix not in INDEXED_NAMES or prefix == ident:
+        return None
+    counts, first, size = INDEXED_NAMES[prefix]
+    place = int(ident[len(prefix):]) - first
+    if not 0 <= place < size(group):
+        raise EvalError(f"{counts} index out of range in {ident}")
+    return prefix, place
 
 
 # The calls that take covectors: name -> (number of covectors, None for
@@ -362,7 +402,7 @@ _COV_CALLS = {
     "Of": (1, lambda ctx, u: ctx.o_frak(u)),
     "x": (1, lambda ctx, u: ctx.from_covector(u)),
     "beta": (1, lambda ctx, u: ctx.from_vector(beta(u))),
-    "psi": (2, lambda ctx, u, v: psi_kappa(ctx, u, v)),
+    "psi": (2, None),
 }
 _COUNTS = {1: "one covector", 2: "two covectors"}
 
@@ -376,9 +416,6 @@ _MAPS = {
     "Qp": None,
     "Qm": None,
 }
-
-# The names built by a Context method, not from text.
-_ATOMS = {"OmegaKappa": Context.omega_kappa}
 
 
 class Evaluator:
@@ -401,60 +438,36 @@ class Evaluator:
         return self._witt
 
     def _cov_atom(self, ident):
+        """The Covector or Scalar that a name reads in covector mode."""
         if self._scope:
             bound = self._scope.get(ident)
             if isinstance(bound, Covector):
-                return ("cov", bound)
+                return bound
         ctx = self.ctx
-        d = ctx.dim
-        if ident.startswith("x") and ident[1:].isdigit():
-            p = int(ident[1:])
-            if not 1 <= p <= d:
-                raise EvalError(f"coordinate index out of range in {ident}")
-            return ("cov", ctx.space.basis_covector(p - 1))
-        if ident.startswith("zp") and ident[2:].isdigit():
-            j = int(ident[2:])
-            wb = self._witt_basis()
-            if not 1 <= j <= wb.ell:
-                raise EvalError(f"isotropic index out of range in {ident}")
-            return ("cov", wb.zplus[j - 1])
-        if ident.startswith("zm") and ident[2:].isdigit():
-            j = int(ident[2:])
-            wb = self._witt_basis()
-            if not 1 <= j <= wb.ell:
-                raise EvalError(f"isotropic index out of range in {ident}")
-            return ("cov", wb.zminus[j - 1])
-        if ident == "z0":
+        indexed = index_of(ident, ctx.group)
+        if indexed is not None:
+            prefix, n = indexed
+            if prefix == "x":
+                return ctx.space.basis_covector(n)
+            if prefix == "alpha":
+                return ctx.root_covector(ctx.group.reflections[n])
+            if prefix == "k":
+                return ctx.kappas[n]
+            if prefix in ("zp", "zm"):
+                wb = self._witt_basis()
+                return (wb.zplus if prefix == "zp" else wb.zminus)[n]
+        elif ident == "z0":
             wb = self._witt_basis()
             if wb.z0 is None:
                 raise EvalError("z0 requires odd dimension")
-            return ("cov", wb.z0)
-        if ident.startswith("alpha") and ident[5:].isdigit():
-            k = int(ident[5:])
-            refs = self.ctx.group.reflections
-            if not 1 <= k <= len(refs):
-                raise EvalError(f"reflection index out of range in {ident}")
-            return ("cov", self.ctx.root_covector(refs[k - 1]))
-        sc = self._scalar_atom(ident)
-        if sc is not None:
-            return ("sc", sc)
+            return wb.z0
+        elif ident in _CONSTANTS:
+            return _CONSTANTS[ident]
         raise EvalError(f"{ident!r} is not a covector or scalar")
 
-    def _scalar_atom(self, ident):
-        if ident == "i":
-            return Scalar.of(BN_I)
-        if ident == "sqrt2":
-            return Scalar.of(BN_SQRT2)
-        if ident.startswith("k") and ident[1:].isdigit():
-            c = int(ident[1:])
-            if not 1 <= c <= self.ctx.num_classes:
-                raise EvalError(f"deformation class out of range in {ident}")
-            return Scalar.kappa(c - 1)
-        return None
-
     def eval_covector(self, node):
-        tag, val = self._eval_cov(node)
-        if tag != "cov":
+        val = self._eval_cov(node)
+        if not isinstance(val, Covector):
             raise EvalError("expected a covector-valued expression")
         return val
 
@@ -464,15 +477,15 @@ class Evaluator:
         return bilinear_B(*(self.eval_covector(a) for a in node.args))
 
     def _eval_cov(self, node):
+        """The Covector or Scalar value of a covector-mode expression."""
         if isinstance(node, Num):
-            return ("sc", as_scalar(node.value))
+            return as_scalar(node.value)
         if isinstance(node, Name):
             return self._cov_atom(node.ident)
         if isinstance(node, Call) and node.fn == "B":
-            return ("sc", self._form(node))
+            return self._form(node)
         if isinstance(node, Neg):
-            tag, v = self._eval_cov(node.arg)
-            return (tag, -v)
+            return -self._eval_cov(node.arg)
         if isinstance(node, Bin):
             first, steps = _left_run(node)
             acc = self._eval_cov(first)
@@ -579,35 +592,22 @@ class Evaluator:
         if ident in DEFINITIONS:
             return ctx.cached(ident, lambda: self.eval_bound(
                 definition(ident, ctx.group), {}))
-        atom = _ATOMS.get(ident)
-        if atom is not None:
-            return atom(ctx)
-        d = ctx.dim
-        for prefix, mk in (("x", ctx.x), ("y", ctx.y), ("e", ctx.e)):
-            if ident.startswith(prefix) and ident[1:].isdigit():
-                p = int(ident[1:])
-                if not 1 <= p <= d:
-                    raise EvalError(f"index out of range in {ident}")
-                return mk(p - 1)
-        if ident.startswith("s") and ident[1:].isdigit():
-            k = int(ident[1:])
-            refs = ctx.group.reflections
-            if not 1 <= k <= len(refs):
-                raise EvalError(f"reflection index out of range in {ident}")
-            return ctx.g(refs[k - 1].elem)
-        if ident.startswith("g") and ident[1:].isdigit():
-            k = int(ident[1:])
-            if not 0 <= k < ctx.group.order:
-                raise EvalError(f"group element index out of range in {ident}")
-            return ctx.g(k)
-        sc = self._scalar_atom(ident)
-        if sc is not None:
-            return ctx.scalar_elem(sc)
-        if ident == "z0" or (ident[:2] in ("zp", "zm") and ident[2:].isdigit()) \
-                or (ident.startswith("alpha") and ident[5:].isdigit()):
-            raise EvalError(f"{ident!r} is a covector name, allowed only "
-                            f"inside {'/'.join(_COV_CALLS)}(...)")
-        raise EvalError(f"unknown identifier {ident!r}")
+        indexed = index_of(ident, ctx.group)
+        if indexed is not None:
+            prefix, n = indexed
+            if prefix in ("x", "y", "e", "g"):     # Context.x, ... build them
+                return getattr(ctx, prefix)(n)
+            if prefix == "s":
+                return ctx.g(ctx.group.reflections[n].elem)
+            if prefix == "k":
+                return ctx.scalar_elem(ctx.kappas[n])
+        elif ident in _CONSTANTS:
+            return ctx.scalar_elem(_CONSTANTS[ident])
+        elif ident != "z0":
+            raise EvalError(f"unknown identifier {ident!r}")
+        # z0, or a covector-mode prefix: zp, zm or alpha
+        raise EvalError(f"{ident!r} is a covector name, allowed only "
+                        f"inside {'/'.join(_COV_CALLS)}(...)")
 
     def _call(self, node):
         ctx = self.ctx
@@ -617,14 +617,10 @@ class Evaluator:
         if fn == "rho":
             word = []
             for a in node.args:
-                if not (isinstance(a, Name) and a.ident.startswith("s")
-                        and a.ident[1:].isdigit()):
+                indexed = isinstance(a, Name) and index_of(a.ident, ctx.group)
+                if not indexed or indexed[0] != "s":
                     raise EvalError("rho takes reflection names like s1")
-                k = int(a.ident[1:])
-                refs = ctx.group.reflections
-                if not 1 <= k <= len(refs):
-                    raise EvalError(f"reflection index out of range in s{k}")
-                word.append(k - 1)
+                word.append(indexed[1])
             return ctx.rho(word)
         if fn in _COV_CALLS:
             count, routine = _COV_CALLS[fn]
@@ -641,8 +637,9 @@ class Evaluator:
         if routine is not None:
             return routine(ctx, *args)
         # a call of DEFINITIONS: its text, its placeholders bound to args
-        placeholders, text = _DEFINED_CALLS[fn]
-        return self.eval_bound(parsed(text), dict(zip(placeholders, args)))
+        placeholders, key = _DEFINED_CALLS[fn]
+        return self.eval_bound(definition(key, ctx.group),
+                               dict(zip(placeholders, args)))
 
 
 def _left_run(node: Bin):
@@ -699,27 +696,26 @@ def _shared_requests(nodes) -> dict:
 
 
 def _cov_op(op: str, left, right):
-    """One binary step on tagged covector-mode values ("cov" or "sc")."""
-    (lt, lv), (rt, rv) = left, right
+    """One binary step on covector-mode values, each a Covector or a
+    Scalar."""
+    lsc, rsc = isinstance(left, Scalar), isinstance(right, Scalar)
     if op in "+-":
-        if lt != rt:
+        if lsc != rsc:
             raise EvalError("cannot add a scalar and a covector")
-        return (lt, lv + rv if op == "+" else lv - rv)
+        return left + right if op == "+" else left - right
     if op == "*":
-        if lt == "sc" and rt == "sc":
-            return ("sc", lv * rv)
-        if lt == "sc":
-            return ("cov", rv * lv)
-        if rt == "sc":
-            return ("cov", lv * rv)
+        if rsc:
+            return left * right
+        if lsc:
+            return right * left
         raise EvalError("cannot multiply two covectors")
     if op == "/":
-        if rt != "sc":
+        if not rsc:
             raise EvalError("can only divide by a scalar")
-        return (lt, lv * _scalar_inverse(rv))
-    if lt != "sc" or rt != "sc":
+        return left * _scalar_inverse(right)
+    if not (lsc and rsc):
         raise EvalError("powers apply to scalars here")
-    return ("sc", _scalar_pow(lv, rv))
+    return _scalar_pow(left, right)
 
 
 def _scalar_pow(s: Scalar, e: Scalar) -> Scalar:

@@ -66,8 +66,8 @@ from .groups import ReflectionGroup, parse_group_spec
 from .oracle import ModuleEvaluator, SpinorModule
 from . import osp
 from .osp import RELATIONS, b_form, XPLUS, XMINUS, GAMMA, _PARITY
-from .parser import (Bin, Evaluator, Num, parse_expression,
-                     parsed as _parsed, substitute)
+from .parser import (Bin, EvalError, Evaluator, Num, index_of,
+                     parse_expression, parsed as _parsed, substitute)
 from .scalars import BaseNumber, Scalar, as_base, as_scalar
 
 
@@ -142,11 +142,10 @@ class TemplateRow(NamedTuple):
     each pattern; without patterns they are bound to x1, x2, ... as far as
     the dimension goes.  The patterns may also be a function of the group
     (`_subsets`, `_reflections`), and so may the templates, or a template
-    alone, returning its text.  A pattern or template that names a coordinate
-    past the dimension or a reflection the group does not have, or covers
-    as rho(sk) a reflection Context.rho cannot, is left out.  Once a and b
-    are bound, a placeholder with h appended (uh, vh, ...) stands for the
-    hatted covector a*B(b, u) - b*B(a, u).  Residuals are labelled by
+    alone, returning its text.  A pattern or template that names an index
+    outside its range on the group (a coordinate past the dimension, a
+    reflection the group does not have, ...), or covers as rho(sk) a
+    reflection Context.rho cannot, is left out.  Residuals are labelled by
     pattern and sub-label.
     """
     id: str
@@ -172,12 +171,14 @@ class TemplateRow(NamedTuple):
         template that names no placeholder is its cached parse."""
         sources = [(slabel, src(group) if callable(src) else src)
                    for slabel, src in self.template_list(group)]
+        sources = [(slabel, src) for slabel, src in sources
+                   if _fits(src, group)]
         return [(".".join(filter(None, (plabel, slabel))),
                  substitute(_parsed(src), binding)
                  if _names_placeholder(src, self.placeholders)
                  else _parsed(src))
                 for plabel, binding in self._bindings(group)
-                for slabel, src in sources if _fits(src, group)]
+                for slabel, src in sources]
 
     def template_list(self, group) -> tuple:
         """The (sub-label, template) pairs of the row on the group."""
@@ -197,38 +198,31 @@ class TemplateRow(NamedTuple):
     def _bindings(self, group):
         names = self.placeholders.split()
         for label, covs in self.pattern_list(group):
-            if not _fits(covs, group):
-                continue
-            binding = dict(zip(names, map(_parsed, covs.split(","))))
-            if "a" in binding and "b" in binding:
-                pair = {"a": binding["a"], "b": binding["b"]}
-                binding.update({
-                    n + "h": substitute(_parsed(_HAT), {**pair, "t": cov})
-                    for n, cov in binding.items() if n not in pair})
-            yield label, binding
+            if _fits(covs, group):
+                yield label, dict(zip(names, map(_parsed, covs.split(","))))
 
 
-_HAT = "a*B(b, t) - b*B(a, t)"
-_INDEXED = re.compile(r"\b(x|y|e|s|alpha)(\d+)\b")
 _COVERED = re.compile(r"\brho\(s(\d+)\)")
 
 
 def _fits(text: str, group) -> bool:
-    """Does the text name only coordinates and reflections of the group,
-    and cover, as rho(sk), only reflections that Context.rho covers?"""
+    """Does the text name every indexed name within its range on the group
+    (`parser.index_of`), and cover, as rho(sk), only reflections that
+    Context.rho covers?"""
+    try:
+        for word in set(re.findall(r"\w+", text)):
+            index_of(word, group)
+    except EvalError:
+        return False
     refls = group.reflections
-    limit = {"s": len(refls), "alpha": len(refls)}
-    return all(int(k) <= limit.get(name, group.dim)
-               for name, k in _INDEXED.findall(text)) and all(
-        refls[int(k) - 1].root_norm in ROOT_SCALE
-        for k in _COVERED.findall(text))
+    return all(refls[int(k) - 1].root_norm in ROOT_SCALE
+               for k in _COVERED.findall(text))
 
 
 @functools.cache
 def _names_placeholder(src: str, placeholders: str) -> bool:
-    """Does the template's text name a placeholder or its hatted form?"""
-    words = set(re.findall(r"\w+", src))
-    return any(n in words or n + "h" in words for n in placeholders.split())
+    """Does the template's text name a placeholder?"""
+    return not set(placeholders.split()).isdisjoint(re.findall(r"\w+", src))
 
 
 def _ix(*groups):
@@ -761,18 +755,22 @@ TEMPLATE_ROWS = _FIRST_ROWS + (
         brackets(_PAIR_INDICES, half=True)),
     TemplateRow(
         "p_OabOuv.form2", "two-by-two bracket: hatted-index form", 3,
-        (("", "[O(a, b), O(u, v)] - (O(uh, v) + {O(uh), O(v)}"
-              " + [O(a, b, u), O(v)] + O(u, vh) + {O(u), O(vh)}"
-              " - [O(a, b, v), O(u)])"),),
+        (("", "[O(a, b), O(u, v)] - (O(a*B(b, u) - b*B(a, u), v)"
+              " + {O(a*B(b, u) - b*B(a, u)), O(v)} + [O(a, b, u), O(v)]"
+              " + O(u, a*B(b, v) - b*B(a, v))"
+              " + {O(u), O(a*B(b, v) - b*B(a, v))} - [O(a, b, v), O(u)])"),),
         "a b u v",
         tuple((f"p{i}", covs) for i, (_, covs) in enumerate(
             _PAIR_PATTERNS + (("", "x1, x2 + x3, x1 + x2, x4"),)))),
     TemplateRow(
         "p_O2O34.n3",
         "pair bracket against a triple: hatted triples and pair brackets", 5,
-        (("", "[O(a, b), O(u, v, w)] - (O(uh, v, w) + O(u, vh, w)"
-              " + O(u, v, wh) + {O(uh), O(v, w)} - {O(vh), O(u, w)}"
-              " + {O(wh), O(u, v)} + [O(a), O(b, u, v, w)]"
+        (("", "[O(a, b), O(u, v, w)] - (O(a*B(b, u) - b*B(a, u), v, w)"
+              " + O(u, a*B(b, v) - b*B(a, v), w)"
+              " + O(u, v, a*B(b, w) - b*B(a, w))"
+              " + {O(a*B(b, u) - b*B(a, u)), O(v, w)}"
+              " - {O(a*B(b, v) - b*B(a, v)), O(u, w)}"
+              " + {O(a*B(b, w) - b*B(a, w)), O(u, v)} + [O(a), O(b, u, v, w)]"
               " - [O(b), O(a, u, v, w)])"),),
         "a b u v w",
         (("p0", "x1 + x3, x2, x2 + x4, x1, x3"),
@@ -1099,8 +1097,8 @@ ORACLE_ROWS = (
     ("scasimir.square", _ROWS["scasimir.square"]),
     ("centmember.X_O12", _ROWS["centmember.X.n2"]),
     ("centmember.D_O1", _ROWS["centmember.D.n1"]),
-    # Gamma squares to det B, as in pin.chirality
-    _oracle("chirality.square", 1, gamma_square),
+    # Gamma squares to det B: the square, first, of pin.chirality
+    ("chirality.square", _ROWS["pin.chirality"]),
     ("pin.rho_sq", _ROWS["pin.rho_involution"]),
     ("central.omega_rho", _ROWS["central.omega_pin"]),
     ("projector.cliffpair", _ROWS["projector.cliffpair"]),

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from cheralg import suites
-from cheralg.centralizer import o_proj, psi_kappa
+from cheralg.centralizer import o_proj
 from cheralg.core import anticommutator as ac, supercommutator as sc
 from cheralg.geometry import beta, bilinear_B
 from cheralg.osp import build_osp
@@ -102,12 +102,17 @@ def test_central_omega_d2(ctx_a12):
 
 def test_psi_kappa_matches_commutator(ctx_b22):
     ctx = ctx_b22
-    covs = [ctx.space.basis_covector(p) for p in range(2)]
-    covs.append(covs[0] + covs[1])
-    for u, v in itertools.product(covs, repeat=2):
+    x = ctx.space.basis_covector
+    covs = {"x1": x(0), "x2": x(1), "x1 + x2": x(0) + x(1)}
+    for (su, u), (sv, v) in itertools.product(covs.items(), repeat=2):
+        psi = evaluate(ctx, f"psi({su}, {sv})")
         lhs = sc(ctx.from_vector(beta(u)), ctx.from_covector(v))
-        assert lhs == ctx.scalar_elem(bilinear_B(u, v)) + psi_kappa(ctx, u, v)
-        assert psi_kappa(ctx, u, v) == psi_kappa(ctx, v, u)
+        assert lhs == ctx.scalar_elem(bilinear_B(u, v)) + psi
+        assert evaluate(ctx, f"psi({sv}, {su})") == psi
+    # the values of the routine psi_kappa that the text replaced
+    assert str(evaluate(ctx, "psi(x1, x2)")) == "-k2*s2 + k2*s4"
+    assert str(evaluate(ctx, "OmegaKappa")) \
+        == "k1*s1 + k1*s3 + k2*s2 + k2*s4"
 
 
 def test_square_formula_spot(ctx_a23):

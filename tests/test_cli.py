@@ -117,6 +117,12 @@ def test_deep_nesting_is_a_parse_error(capsys, expr):
     assert "expression nested too deeply" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("expr", ["x1^\u00b2", "x1 + \u0661"])
+def test_a_digit_outside_ascii_is_a_parse_error(capsys, expr):
+    assert main(["eval", "--group", "A1@2", expr]) == 2
+    assert "unexpected character" in capsys.readouterr().err
+
+
 def test_group_file_refuses_floats(capsys, tmp_path):
     spec = tmp_path / "group.json"
     spec.write_text(json.dumps({"generators": [[[0, 1], [1, 0]]],

@@ -7,7 +7,7 @@ import pytest
 from cheralg.geometry import (QuadraticSpace, beta, bilinear_B, echelon,
                               invert_matrix, pairing, permutation_sign,
                               witt_basis)
-from cheralg.scalars import BaseNumber, Scalar, as_scalar
+from cheralg.scalars import BaseNumber, as_scalar
 
 
 def test_beta_on_basis():

@@ -12,7 +12,7 @@ from cheralg import groups
 from cheralg.cli import main
 from cheralg.core import Context
 from cheralg.geometry import (QuadraticSpace, bilinear_B, invert_matrix,
-                              pairing, beta)
+                              pairing)
 from cheralg.groups import (ReflectionGroup, _row_product, _sparse_rows,
                             build_group, from_generators, parse_group_spec,
                             trivial_group)

@@ -1,5 +1,5 @@
-"""Every name a module of the package imports is used in that module, and
-the package writes its sums in one place."""
+"""Every name a module of the package or a test imports is used in that
+module, and the package writes its sums in one place."""
 
 import ast
 import os
@@ -10,6 +10,7 @@ from pathlib import Path
 import cheralg
 
 PACKAGE = Path(cheralg.__file__).parent
+TESTS = Path(__file__).parent
 
 
 def unused_imports(source: str) -> list:
@@ -35,11 +36,12 @@ def test_scan_sees_unused_and_used_names():
 
 
 def test_no_unused_imports():
+    """In the package's modules and in the tests."""
     found = []
-    for path in sorted(PACKAGE.glob("*.py")):
+    for path in sorted([*PACKAGE.glob("*.py"), *TESTS.glob("*.py")]):
         if path.name == "__init__.py":
             continue
-        found += [f"{path.name}:{line} {name}"
+        found += [f"{path.parent.name}/{path.name}:{line} {name}"
                   for line, name in unused_imports(path.read_text())]
     assert not found, "unused imports: " + ", ".join(found)
 

@@ -4,9 +4,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cheralg.core import Monomial, pack, random_element, supercommutator
-from cheralg.parser import (EvalError, Evaluator, ParseError, evaluate,
-                            parse_expression)
+from cheralg.core import Monomial, pack, random_element
+from cheralg.parser import (INDEXED_NAMES, EvalError, Evaluator, ParseError,
+                            evaluate, parse_expression)
 from cheralg.parser import Bin, Bracket, Call, Name, Neg, Num
 from cheralg.scalars import SC_ZERO, BaseNumber, Scalar, as_scalar
 
@@ -85,7 +85,8 @@ def test_osp_names(ctx_a12):
     assert evaluate(ctx, "Omega - O(x1,x2)^2").is_zero()
     assert evaluate(ctx, "Otop") == evaluate(ctx, "O(x1,x2)")
     assert evaluate(ctx, "Gamma*Gamma - 1").is_zero()
-    assert evaluate(ctx, "OmegaKappa") == ctx.omega_kappa()
+    assert str(evaluate(ctx, "OmegaKappa")) == "k1*s1"
+    assert str(evaluate(ctx, "psi(x1, x1)")) == "k1*s1"
 
 
 def test_brackets_resolve_by_parity(ctx_a12):
@@ -117,6 +118,44 @@ def test_parse_errors_carry_position():
         parse_expression("(x1")
     with pytest.raises(ParseError):
         parse_expression("x1 ? 2")
+
+
+@pytest.mark.parametrize("src, char, col", [("x1^\u00b2", "\u00b2", 4),
+                                             ("x1 + \u0661", "\u0661", 6)])
+def test_only_ascii_digits_are_numbers(src, char, col):
+    """str.isdigit takes the superscript two and the Arabic-Indic one; the
+    tokenizer refuses both, with their position."""
+    with pytest.raises(ParseError) as err:
+        parse_expression(src)
+    assert str(err.value) == (f"unexpected character {char!r} "
+                              f"(line 1, column {col})")
+
+
+# Texts that read a name of each prefix of INDEXED_NAMES, one in each mode
+# where the prefix is valid: element mode, and covector mode inside x(...).
+_READINGS = {
+    "x": ("{}", "x({})"), "y": ("{}",), "e": ("{}",), "s": ("{}", "rho({})"),
+    "g": ("{}",), "alpha": ("x({})",), "zp": ("x({})",), "zm": ("x({})",),
+    "k": ("{}", "x({}*x1)"),
+}
+
+
+@pytest.mark.parametrize("spec", ["A1@2", "B2@2", "A2@3"])
+@pytest.mark.parametrize("prefix", sorted(INDEXED_NAMES))
+def test_the_first_index_past_each_range_is_refused(prefix, spec):
+    from cheralg.core import Context
+    from cheralg.groups import parse_group_spec
+    from cheralg.suites import _fits
+    group = parse_group_spec(spec)
+    ctx = Context(group)
+    _, first, size = INDEXED_NAMES[prefix]
+    last, past = (f"{prefix}{first + size(group) - n}" for n in (1, 0))
+    assert set(_READINGS) == set(INDEXED_NAMES)
+    for text in _READINGS[prefix]:
+        evaluate(ctx, text.format(last))
+        with pytest.raises(EvalError, match="index out of range"):
+            evaluate(ctx, text.format(past))
+    assert _fits(last, group) and not _fits(past, group)
 
 
 def test_eval_errors(ctx_a12):
@@ -269,7 +308,6 @@ def _swap_under_general_gram():
 
 @pytest.mark.parametrize("which", ["A2@3", "general_gram"])
 def test_engine_routine_calls(which, ctx_a23):
-    from cheralg.centralizer import psi_kappa
     from cheralg.geometry import beta
     ctx = ctx_a23 if which == "A2@3" else _swap_under_general_gram()
     x = ctx.space.basis_covector
@@ -278,9 +316,12 @@ def test_engine_routine_calls(which, ctx_a23):
         assert evaluate(ctx, f"Of({src})") == ctx.o_frak(u)
         assert evaluate(ctx, f"x({src})") == ctx.from_covector(u)
         assert evaluate(ctx, f"beta({src})") == ctx.from_vector(beta(u))
-        for src2, v in covs.items():
-            assert evaluate(ctx, f"psi({src}, {src2})") == psi_kappa(ctx, u, v)
-    assert not evaluate(ctx, "psi(x1, x2)").is_zero()
+    # psi, written over the reflections, at the values of the routine it
+    # replaced
+    psi = {"A2@3": ("k1*s2 + k1*s3", "-k1*s2", "2*k1*s1 + k1*s2"),
+           "general_gram": ("k1*s1", "-k1*s1", "k1*s1")}[which]
+    assert tuple(str(evaluate(ctx, src)) for src in (
+        "psi(x1, x1)", "psi(x1, x2)", "psi(x1 + 2*x2, x2)")) == psi
     for bad in ("Of(x1, x2)", "x(x1, x2)", "beta(x1, x1)", "psi(x1)",
                 "psi(x1, x2, x1)", "Of(e1)", "x(1)"):
         with pytest.raises(EvalError):
@@ -373,14 +414,16 @@ def test_a_projector_of_a_long_sum_evaluates():
 
 # sha256 of str() of each element of DEFINITIONS, first 16 hex digits,
 # recorded while each was still a Python routine (casimir, central_omega,
-# gen_symmetry, p_minus, ...), so the text gives the same normal forms.
+# gen_symmetry, p_minus, omega_kappa, psi_kappa, ...), so the text gives
+# the same normal forms.
 # Gamma was recorded when it became text, and the swap's Omega when Omega
 # took the inverse form B^pq: it is a third of the O(x1, x2)^2 it was.
 _DEFINED_SAMPLES = (
     "X", "D", "H", "Ep", "Em", "Fp", "Fm", "Casimir", "Scasimir", "Omega",
     "Otop", "Gamma", "M(x1, x2)", "M(x1 + x2, 2*x1 - x2)", "R(x1)",
     "R(x1 + x2)", "Pm(x1*y1)", "Pm(e1*e2)", "Pm(M(x1, x2))", "Pm(R(x1))",
-    "Qp(1)", "Qp(gamma(x1))", "Qm(gamma(x2))", "Qm(x1*y2)")
+    "Qp(1)", "Qp(gamma(x1))", "Qm(gamma(x2))", "Qm(x1*y2)", "OmegaKappa",
+    "psi(x1, x2)", "psi(x1 + 2*x2, x1 - x2)")
 _DEFINED_DIGESTS = {
     "A1@2": """
         941d439cddb4e005 8020d75a02c6cb74 8521bc6b389ccd1d 074f790023dd1ae5
@@ -389,6 +432,7 @@ _DEFINED_DIGESTS = {
         e6a1d4f405e4785c 20516ebd71b5f16a 13ecfcdec8663bf6 481707369601af75
         7b7619010b5e67df 6742cb535098451d 0de1abe4138e012b 936d8487f7136f6c
         305187d8260d8b5c 92ae17921af91646 beaf35c5854201f9 2f21c6191b407f4c
+        616f6a7e2f6cf406 5f1330fe0300abf7 4fde063df4b9d491
         """,
     "B2@2": """
         941d439cddb4e005 8020d75a02c6cb74 0aa4f2fe486304a9 074f790023dd1ae5
@@ -397,6 +441,7 @@ _DEFINED_DIGESTS = {
         e6a1d4f405e4785c 20516ebd71b5f16a 437ec1b300d67209 c6e14575e2060ab5
         6d9b6c176d34f145 716a01f74eb8df35 6ce2486ec2a67d14 e75fb961665299cf
         8774348825a808e2 efa57f4880f8e349 9ccb4aa26dd73c88 70c2161560bc6542
+        ce429a24d7f3d261 f3384b958248501e 1c386d4f0c2b1efa
         """,
     "A2@3": """
         e0028561b4458e54 7eaf5b3f135975d6 65f6b75a1d03502a 8db4c864add10400
@@ -405,6 +450,7 @@ _DEFINED_DIGESTS = {
         e6a1d4f405e4785c 20516ebd71b5f16a 3384d3b7e5e94bd7 a19ddcb82c862c0c
         f10ec2e999dfc9bd 0b92583bcb3f0fd5 f878e54bcffa83db 4e97a6aeeaf45c05
         bc0a5f0b2b5f74a5 6dc0ea48e3986dfe d3a83c1d92ce3d44 65f597987603da57
+        be36072bece2f488 6b62fc55e3c4093b 3a5c0e0c0e88bd32
         """,
     "A1@5": """
         deec6690bf8503fd 5f313c80c10c987d 15fbea0925a500e3 f0148f9f40be35fd
@@ -413,6 +459,7 @@ _DEFINED_DIGESTS = {
         e6a1d4f405e4785c 20516ebd71b5f16a 803a6ff1793247db 78a49cfa47733d3b
         7b7619010b5e67df 6742cb535098451d 0de1abe4138e012b c048074b96551f78
         ea4dd902867c0d8f b68783692f4db38d 125120ca06705d13 0113e131823ed8f7
+        616f6a7e2f6cf406 5f1330fe0300abf7 4fde063df4b9d491
         """,
     "swap": """
         65727c2e0c08bea8 8020d75a02c6cb74 8521bc6b389ccd1d 5df94c3eb040d3bc
@@ -421,6 +468,7 @@ _DEFINED_DIGESTS = {
         53053c311debab3c adeaf4b136b01b20 8f27a1f5a7c6e85b 114750af097e63ae
         787678b71dfbcec5 fdf684d5ed7346a7 7c0a8ee39f4caa99 387f385bcdcb7022
         305187d8260d8b5c 92ae17921af91646 b7a64dbaaac5abf6 ee3db5f311bf1b0a
+        616f6a7e2f6cf406 5f1330fe0300abf7 4fde063df4b9d491
         """,
 }
 

@@ -354,7 +354,6 @@ def test_template_placeholders_are_not_language_names(ctx_a23):
         names |= {n for n in row.placeholders.split()}
     # the subset patterns bind a b c u, the reflection patterns s and alpha
     assert {"a", "b", "c", "u", "s", "alpha"} <= names
-    names |= {n + "h" for n in names} | {"t"}
     for name in names:
         with pytest.raises(EvalError, match="unknown identifier"):
             evaluate(ctx_a23, name)
